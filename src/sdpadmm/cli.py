@@ -152,6 +152,7 @@ def _run_solve_manifest(manifest):
         "seed": cfg.seed,
         "init": cfg.init,
         "max_iter": cfg.max_iter,
+        "time_limit_secs": cfg.time_limit_secs,
         "tol_rmax": cfg.tol_rmax,
         "trace_every": cfg.trace_every,
         "status": status.value,
@@ -226,8 +227,11 @@ def _cmd_diagnose(args):
     nd = diagnostics.nd_check(prob, dec)
 
     # Replay the (deterministic) run against its own limit to collect the
-    # error and minimal-face trace.
+    # error and minimal-face trace: exactly the recorded iterations, so a
+    # time-limited run is analysed on the trajectory it actually took.
     cfg = _config_from_manifest(summary)
+    cfg.max_iter = summary["iterations"]
+    cfg.time_limit_secs = None
     _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
     k_id = diagnostics.rank_trace(records, sc)
 

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SQRT2,
     SpectralDecomp,
     eig_sym,
+    null_space,
     rotate_to_eigenbasis,
-    svec_dim,
+    split_counts,
     svec_stack,
     symmetrize,
 )
@@ -43,19 +45,12 @@ class ComplementarityReport:
     sc_holds: bool
 
 
-def _split_counts(lam, tau):
-    thr = tau * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    r = int(np.sum(lam > thr))
-    s = int(np.sum(lam < -thr))
-    return r, s
-
-
 def sc_check(zstar, tau=DEFAULT_RANK_TAU) -> ComplementarityReport:
     """Classify strict complementarity from the spectrum of Zstar."""
     dec = eig_sym(zstar)
     lam = dec.lam
     n = lam.shape[0]
-    r, s = _split_counts(lam, tau)
+    r, s = split_counts(lam, tau)
     pos_edge = float(lam[r - 1]) if r > 0 else np.inf
     neg_edge = float(-lam[n - s]) if s > 0 else np.inf
     return ComplementarityReport(
@@ -70,94 +65,60 @@ def sc_check(zstar, tau=DEFAULT_RANK_TAU) -> ComplementarityReport:
 
 @dataclass
 class NondegeneracyReport:
-    """Rank-condition test of primal and dual nondegeneracy.
+    """Primal and dual nondegeneracy read off the rotated constraints.
 
-    For each side, nondegeneracy holds iff rank(W1) + rank(W2) equals the rank
-    of the joined stack, where W1 spans range(A*) (primal) / null(A) (dual) and
-    W2 spans the normal space of the primal (resp. dual) limit in svec
-    coordinates.
+    With Q the eigenbasis of the limit, r its positive and s its negative
+    count, and A~_i = Q' A_i Q (Alizadeh, Haeberly and Overton, Math. Prog.
+    77, 1997):
+
+    - ``primal_witness_dim`` is the dimension of {y : A~(y) vanishes on the
+      leading r rows}, i.e. of range(A*) inside the normal space of Xstar;
+    - ``dual_witness_dim`` is the dimension of {U in S^(n-s) : <A~_i[:n-s,
+      :n-s], U> = 0 for all i}, i.e. of null(A) inside the normal space of
+      Sstar.
+
+    Each side is nondegenerate iff its witness space is {0}.
     """
 
-    rank_w1: int
-    rank_w2: int
-    rank_joint: int
-    dual_rank_w1: int
-    dual_rank_w2: int
-    dual_rank_joint: int
+    primal_witness_dim: int
+    dual_witness_dim: int
     primal_nd: bool
     dual_nd: bool
 
 
-def _numerical_rank(mat, tau):
-    if mat.size == 0 or min(mat.shape) == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tau * sv[0]))
+def primal_witness(at, r, rtol):
+    """Basis (m, d) of the null space of y -> (A~(y)[:r, :r], sqrt2 A~(y)[:r, r:])
+    for the rotated stack ``at`` = (A~_i); the map is the isometric image of
+    A*(y) outside the trailing block."""
+    m, n, _ = at.shape
+    off = SQRT2 * at[:, :r, r:].reshape(m, r * (n - r)).T
+    return null_space(np.vstack([svec_stack(at[:, :r, :r]), off]), rtol)
 
 
-def _embedded_block_basis(q, idx):
-    """svec columns of Q E_hat_{ij} Q.T over the symmetric elementary basis
-    of the principal block indexed by ``idx`` (orthonormal columns)."""
-    n = q.shape[0]
-    k = len(idx)
-    cols = np.zeros((k * (k + 1) // 2, n, n))
-    pos = 0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(k):
-        for c in range(a, k):
-            e = np.zeros((n, n))
-            if a == c:
-                e[idx[a], idx[a]] = 1.0
-            else:
-                e[idx[a], idx[c]] = inv_sqrt2
-                e[idx[c], idx[a]] = inv_sqrt2
-            cols[pos] = q @ e @ q.T
-            pos += 1
-    return svec_stack(cols)
+def dual_witness(at, k, rtol):
+    """Basis (t(k), d), in svec coordinates, of the U in S^k with
+    <A~_i[:k, :k], U> = 0 for every i."""
+    return null_space(svec_stack(at[:, :k, :k]).T, rtol)
 
 
 def nd_check(p: SdpProblem, dec: SpectralDecomp, tau=DEFAULT_RANK_TAU) -> NondegeneracyReport:
-    """Rank test for primal and dual nondegeneracy at the split of ``dec``.
+    """Primal and dual nondegeneracy at the split of ``dec``.
 
     ``dec`` is the eigendecomposition of the limit Zstar; its positive block
-    carries the primal rank r and its negative block the dual rank s.
+    carries the primal rank r and its negative block the dual rank s. Both
+    witness spaces use the relative singular-value threshold ``tau``.
     """
     if dec.n != p.n:
         raise ValueError(f"decomposition dimension {dec.n} != problem dimension {p.n}")
-    lam = dec.lam
-    n = p.n
-    r, s = _split_counts(lam, tau)
-    w1 = svec_stack(p.A) if p.m > 0 else np.zeros((svec_dim(n), 0))
-
-    # Primal side: range(A*) against the normal space of Xstar (trailing block).
-    w2 = _embedded_block_basis(dec.Q, list(range(r, n)))
-    rank_w1 = _numerical_rank(w1, tau)
-    rank_w2 = _numerical_rank(w2, tau)
-    rank_joint = _numerical_rank(np.hstack([w1, w2]), tau)
-
-    # Dual side: null(A) against the normal space of Sstar (leading block).
-    if p.m > 0:
-        u, sv, _ = np.linalg.svd(w1, full_matrices=True)
-        col_rank = int(np.sum(sv > tau * sv[0])) if sv.size else 0
-        null_basis = u[:, col_rank:]
-    else:
-        null_basis = np.eye(svec_dim(n))
-    w2d = _embedded_block_basis(dec.Q, list(range(n - s)))
-    dual_rank_w1 = _numerical_rank(null_basis, tau)
-    dual_rank_w2 = _numerical_rank(w2d, tau)
-    dual_rank_joint = _numerical_rank(np.hstack([null_basis, w2d]), tau)
-
+    r, s = split_counts(dec.lam, tau)
+    at = rotate_to_eigenbasis(dec, p.A)
+    primal = primal_witness(at, r, tau).shape[1]
+    dual = dual_witness(at, p.n - s, tau).shape[1]
     return NondegeneracyReport(
-        rank_w1=rank_w1,
-        rank_w2=rank_w2,
-        rank_joint=rank_joint,
-        dual_rank_w1=dual_rank_w1,
-        dual_rank_w2=dual_rank_w2,
-        dual_rank_joint=dual_rank_joint,
-        primal_nd=(rank_w1 + rank_w2 == rank_joint),
-        dual_nd=(dual_rank_w1 + dual_rank_w2 == dual_rank_joint),
+        primal_witness_dim=primal,
+        dual_witness_dim=dual,
+        primal_nd=(primal == 0),
+        dual_nd=(dual == 0),
     )
 
 
@@ -173,7 +134,7 @@ def tangent_s_part(dec: SpectralDecomp, mat, tau=DEFAULT_RANK_TAU):
     positive eigenvalues) and keeps the rest. When the split is singular the
     near-zero eigenvalues are lumped with the negative block.
     """
-    r, _ = _split_counts(dec.lam, tau)
+    r, _ = split_counts(dec.lam, tau)
     t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
     t[:r, :r] = 0.0
     return dec.Q @ t @ dec.Q.T
@@ -185,7 +146,7 @@ def tangent_x_part(dec: SpectralDecomp, mat, tau=DEFAULT_RANK_TAU):
     Zeroes the trailing s x s block (s = counted negative eigenvalues); near-zero
     eigenvalues are lumped with the positive block.
     """
-    _, s = _split_counts(dec.lam, tau)
+    _, s = split_counts(dec.lam, tau)
     n = dec.n
     t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
     t[n - s :, n - s :] = 0.0
@@ -195,7 +156,7 @@ def tangent_x_part(dec: SpectralDecomp, mat, tau=DEFAULT_RANK_TAU):
 def offblock_norm(dec: SpectralDecomp, h, tau=DEFAULT_RANK_TAU):
     """Frobenius norm of the lower-left off-diagonal block of H in the
     eigenbasis of the reference (rows below the positive block, columns in it)."""
-    r, _ = _split_counts(dec.lam, tau)
+    r, _ = split_counts(dec.lam, tau)
     t = rotate_to_eigenbasis(dec, np.asarray(h, dtype=float))
     return float(np.linalg.norm(t[r:, :r]))
 

@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra kernels.
 
 Symmetric vectorization (svec/smat), deterministic spectral decomposition,
-projection onto the PSD cone, two-sided Sylvester solves for definite block
-pairs, and exponentials of skew-symmetric matrices. Everything operates on
-plain float64 ndarrays; symmetry is enforced by averaging at entry points.
+projection onto the PSD cone, the eigenvalue rank-split rule, numerical null
+spaces, two-sided Sylvester solves for definite block pairs, and exponentials
+of skew-symmetric matrices. Everything operates on plain float64 ndarrays;
+symmetry is enforced by averaging at entry points.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import scipy.linalg
 from .errors import NumericalFailureError
 
 SQRT2 = float(np.sqrt(2.0))
-
-# Largest block edge solved through the explicit Kronecker-sum system;
-# bigger blocks go through the Schur-based solver.
-_KRON_BLOCK_LIMIT = 64
 
 
 def symmetrize(a):
@@ -149,14 +146,29 @@ def psd_split(dec: SpectralDecomp):
     return plus, minus
 
 
+def split_counts(lam, tau):
+    """Numerical rank split (r, s) of a spectrum: the counts of eigenvalues
+    above ``tau * max(1, max|lam|)`` and below its negative."""
+    thr = tau * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    return int(np.sum(lam > thr)), int(np.sum(lam < -thr))
+
+
 def rotate_to_eigenbasis(dec: SpectralDecomp, a):
-    """Q.T @ A @ Q."""
+    """Q.T @ A @ Q; an (m, n, n) stack is rotated matrix by matrix."""
     return dec.Q.T @ a @ dec.Q
 
 
-def rotate_from_eigenbasis(dec: SpectralDecomp, a):
-    """Q @ A @ Q.T."""
-    return dec.Q @ a @ dec.Q.T
+def null_space(mat, rtol):
+    """Orthonormal columns spanning the numerical null space of ``mat``: the
+    right singular vectors whose singular values do not exceed
+    ``rtol * sigma_max``. A matrix with no rows has the whole domain as null
+    space."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.size == 0:
+        return np.eye(mat.shape[1])
+    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(sv > rtol * sv[0])) if sv[0] > 0.0 else 0
+    return vt[rank:].T
 
 
 def sylvester_solve(zx, zs, zo, cond_limit=1e14):
@@ -168,18 +180,19 @@ def sylvester_solve(zx, zs, zo, cond_limit=1e14):
     zs : (s, s) symmetric negative definite array
     zo : (s, r) array, right-hand side
 
-    The definiteness gap lam_min(Zx) - lam_max(Zs) > 0 makes the Kronecker-sum
-    system positive definite, hence uniquely solvable. Blocks with edge up to
-    64 go through the dense Kronecker-sum linear system; larger blocks use the
-    Schur-based solver from scipy.
+    With Zx = Vx diag(lam_x) Vx' and Zs = Vs diag(lam_s) Vs', the equation
+    decouples entrywise in the two eigenbases:
+    W = Vs ((Vs' Zo Vx) / (lam_x[j] - lam_s[i])) Vx'. The definiteness gap
+    lam_min(Zx) - lam_max(Zs) > 0 bounds every divisor away from zero, so the
+    solution is unique.
 
     Raises
     ------
     ValueError
         If a definiteness precondition fails.
     NumericalFailureError
-        If the Kronecker-sum system is estimated worse-conditioned than
-        ``cond_limit``.
+        If the Kronecker-sum operator W -> W Zx - Zs W is estimated
+        worse-conditioned than ``cond_limit``.
     """
     zx = symmetrize(zx)
     zs = symmetrize(zs)
@@ -188,8 +201,8 @@ def sylvester_solve(zx, zs, zo, cond_limit=1e14):
     s = zs.shape[0]
     if zo.shape != (s, r):
         raise ValueError(f"off-block has shape {zo.shape}, expected {(s, r)}")
-    lam_x = np.linalg.eigvalsh(zx)
-    lam_s = np.linalg.eigvalsh(zs)
+    lam_x, vx = np.linalg.eigh(zx)
+    lam_s, vs = np.linalg.eigh(zs)
     if lam_x[0] <= 0.0:
         raise ValueError(f"first block not positive definite (lam_min = {lam_x[0]:.3e})")
     if lam_s[-1] >= 0.0:
@@ -201,13 +214,8 @@ def sylvester_solve(zx, zs, zo, cond_limit=1e14):
             f"Kronecker-sum system too ill-conditioned (estimate {spread / sep:.3e})",
             cond_estimate=float(spread / sep),
         )
-    if max(r, s) <= _KRON_BLOCK_LIMIT:
-        # vec is column-major: vec(W Zx) = (Zx (x) I) vec(W),
-        # vec(-Zs W) = (I (x) -Zs) vec(W).
-        kron_sum = np.kron(zx, np.eye(s)) + np.kron(np.eye(r), -zs)
-        w = np.linalg.solve(kron_sum, zo.reshape(-1, order="F"))
-        return w.reshape((s, r), order="F")
-    return scipy.linalg.solve_sylvester(-zs, zx, zo)
+    wt = (vs.T @ zo @ vx) / (lam_x[None, :] - lam_s[:, None])
+    return vs @ wt @ vx.T
 
 
 def skew_exp(w):

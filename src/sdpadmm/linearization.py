@@ -23,16 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from .diagnostics import dual_witness, primal_witness
 from .errors import NumericalFailureError
-from .linalg import (
-    SpectralDecomp,
-    psd_project,
-    smat,
-    svec,
-    svec_stack,
-    symmetrize,
-)
+from .linalg import SpectralDecomp, psd_project, smat, symmetrize
 from .problem import ConstraintKernel, project_range
 
 POWER_TOL = 1e-10
@@ -204,67 +199,27 @@ class FixSubspace:
         return np.einsum("k,kij->ij", coef, self.basis)
 
 
-def _embedded_sym_basis_svec(q, lo, hi):
-    """svec columns of Q [sym basis of block lo:hi] Q' (orthonormal)."""
-    n = q.shape[0]
-    k = hi - lo
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    cols = []
-    for a in range(k):
-        for c in range(a, k):
-            e = np.zeros((n, n))
-            if a == c:
-                e[lo + a, lo + a] = 1.0
-            else:
-                e[lo + a, lo + c] = inv_sqrt2
-                e[lo + c, lo + a] = inv_sqrt2
-            cols.append(svec(q @ e @ q.T))
-    if not cols:
-        return np.zeros((n * (n + 1) // 2, 0))
-    return np.stack(cols, axis=1)
-
-
-def _nullspace(mat, rtol=FIX_NULLSPACE_RTOL):
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1])
-    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    if sv.size == 0 or sv[0] == 0.0:
-        return vt.T
-    rank = int(np.sum(sv > rtol * sv[0]))
-    return vt[rank:].T
-
-
 def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
-    """Construct Fix(M) explicitly.
+    """Construct Fix(M) explicitly from the rotated constraints.
 
-    Two independent families: leading-block members come from the nullspace of
-    A restricted to the embedded block, trailing-block members from the
-    intersection of the embedded block space with range(A*). The families live
+    Two independent families: leading-block members Q1 U Q1' for U in the
+    dual witness space (A annihilates them), and trailing-block members A*(y)
+    for y in the primal witness space (they lie in range(A*) and vanish
+    outside the trailing block). The first family is orthonormal through svec;
+    the second is orthonormalized with the Gram matrix AA*. The families live
     in orthogonal coordinate blocks, so stacking keeps orthonormality.
     """
     n, r = os_.n, os_.r
-    emb_x = _embedded_sym_basis_svec(os_.Q, 0, r)
-    emb_s = _embedded_sym_basis_svec(os_.Q, r, n)
-    # A acting on the embedded leading block, in svec coordinates.
-    w1 = kernel.basis  # orthonormal basis of range(A*)
-    if kernel.problem.m > 0:
-        a_stack = svec_stack(kernel.problem.A)
-        null_x = _nullspace(a_stack.T @ emb_x)
-    else:
-        null_x = np.eye(emb_x.shape[1])
-    # Trailing block: directions whose orthogonal part against range(A*) vanishes.
-    resid_s = emb_s - w1 @ (w1.T @ emb_s)
-    null_s = _nullspace(resid_s)
-
-    members = []
-    for vec in (emb_x @ null_x).T:
-        members.append(smat(vec))
-    for vec in (emb_s @ null_s).T:
-        members.append(smat(vec))
-    if members:
-        basis = np.stack(members, axis=0)
-    else:
-        basis = np.zeros((0, n, n))
+    a = kernel.problem.A
+    at = os_.rotate_in(a)
+    q1 = os_.Q[:, :r]
+    members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r, FIX_NULLSPACE_RTOL).T]
+    y = primal_witness(at, r, FIX_NULLSPACE_RTOL)
+    if y.shape[1]:
+        chol = np.linalg.cholesky(y.T @ kernel.gram @ y)
+        coef = scipy.linalg.solve_triangular(chol, y.T, lower=True)
+        members.extend(np.tensordot(coef, a, axes=1))
+    basis = np.stack(members, axis=0) if members else np.zeros((0, n, n))
     return FixSubspace(basis=basis, dim=basis.shape[0])
 
 
@@ -317,8 +272,10 @@ def build_directional(dec: SpectralDecomp, tau=1e-8) -> DirectionalStructure:
     """Split the spectrum at threshold tau * max|lam| into positive (alpha),
     near-zero (beta) and negative (gamma) index sets."""
     lam = dec.lam
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    thr = tau * lam_max
+    # Scale-relative, unlike linalg.split_counts: the projection is positively
+    # homogeneous, so its directional derivative at c * Zstar (c > 0) equals
+    # the one at Zstar and the split must not depend on the reference's scale.
+    thr = tau * (float(np.max(np.abs(lam))) if lam.size else 0.0)
     alpha = np.flatnonzero(lam > thr)
     gamma = np.flatnonzero(lam < -thr)
     beta = np.flatnonzero(np.abs(lam) <= thr)

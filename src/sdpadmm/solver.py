@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import face_projections, offblock_norm
-from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, symmetrize
+from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
 from .problem import (
     ConstraintKernel,
     SdpProblem,
@@ -234,12 +234,8 @@ def solve(
     status = SolveStatus.ITER_LIMIT
     t0 = time.monotonic()
 
-    def rank_counts(lam):
-        thr = cfg.rank_tau * max(1.0, float(np.max(np.abs(lam))))
-        return int(np.sum(lam > thr)), int(np.sum(lam < -thr))
-
     def make_record(k, res, z_cur, z_next, x_part, s_mat):
-        rank_x, rank_s = rank_counts(dec.lam)
+        rank_x, rank_s = split_counts(dec.lam, cfg.rank_tau)
         rec = IterationRecord(
             k=k,
             r_p=res[0],

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from sdpadmm import cli
 from sdpadmm.cli import main
 from sdpadmm.problem import load_sdpa
-from sdpadmm.solver import TRACE_HEADER
+from sdpadmm.solver import TRACE_HEADER, solve
 
 
 def write_manifest(path, **fields):
@@ -179,6 +180,36 @@ def test_diagnose_unconverged_run_banner(tmp_path, capsys):
     assert "NOT CONVERGED" in captured.out
     report = json.loads((out / "diagnostics.json").read_text())
     assert report["fits"] == []
+
+
+def test_diagnose_replays_recorded_iterations(tmp_path, capsys, monkeypatch):
+    # A run that hit its time limit at k = 51 (on a slow or loaded host) is
+    # replayed for exactly those 51 iterations, not up to max_iter.
+    out = tmp_path / "run"
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        generator={"kind": "planted", "n": 8, "m": 12, "r": 2, "seed": 0},
+        max_iter=51,
+        out=str(out),
+    )
+    assert main(["solve", "--manifest", manifest]) == 2
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    assert summary["iterations"] == 51 and summary["time_limit_secs"] is None
+    summary.update(status="time_limit", max_iter=3000, time_limit_secs=60.0)
+    summary_path.write_text(json.dumps(summary))
+    replays = []
+
+    def recording_solve(*args, **kwargs):
+        replays.append(solve(*args, **kwargs))
+        return replays[-1]
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    assert main(["diagnose", "--run", str(out)]) == 0
+    capsys.readouterr()
+    ((state, _, _),) = replays
+    assert state.k == 51
+    assert np.array_equal(state.Z, np.load(out / "z_final.npy"))
 
 
 def test_diagnose_missing_artifacts(tmp_path, capsys):

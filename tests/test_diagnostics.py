@@ -11,7 +11,8 @@ from sdpadmm.diagnostics import (
     tangent_s_part,
     tangent_x_part,
 )
-from sdpadmm.linalg import eig_sym
+from sdpadmm.linalg import eig_sym, svec_dim, svec_stack
+from sdpadmm.linearization import build_omega, fix_basis
 from sdpadmm.problem import SdpProblem, build_kernel, generate_planted
 from sdpadmm.solver import IterationRecord, SolveStatus, SolverConfig, solve
 
@@ -59,7 +60,7 @@ def test_nd_check_generic_planted():
         prob, cert = generate_planted(10, 20, 3, seed=seed)
         rep = nd_check(prob, eig_sym(cert.zstar(1.0)))
         assert rep.primal_nd and rep.dual_nd
-        assert rep.rank_w1 == prob.m
+        assert rep.primal_witness_dim == 0 and rep.dual_witness_dim == 0
 
 
 def test_nd_check_planted_primal_failure():
@@ -68,15 +69,79 @@ def test_nd_check_planted_primal_failure():
         rep = nd_check(prob, eig_sym(cert.zstar(1.0)))
         assert not rep.primal_nd
         assert rep.dual_nd
-        assert rep.rank_joint < rep.rank_w1 + rep.rank_w2
+        assert rep.primal_witness_dim >= 1
 
 
 def test_nd_check_no_constraints_full_rank_side():
     p = SdpProblem(C=np.zeros((3, 3)), A=np.zeros((0, 3, 3)), b=np.zeros(0))
     rep = nd_check(p, eig_sym(np.diag([2.0, 1.0, 0.5])))
-    # r = n: the primal normal-space stack is empty, so the test passes trivially
-    assert rep.rank_w2 == 0
+    # r = n: the primal normal space is empty, so the test passes trivially
+    assert rep.primal_witness_dim == 0
     assert rep.primal_nd
+
+
+def _embedded_block_basis(q, idx):
+    # svec columns of Q E Q' over the symmetric elementary basis of the
+    # principal block ``idx`` (orthonormal columns).
+    n, k = q.shape[0], len(idx)
+    cols = []
+    for a in range(k):
+        for c in range(a, k):
+            e = np.zeros((n, n))
+            w = 1.0 if a == c else 1.0 / np.sqrt(2.0)
+            e[idx[a], idx[c]] = e[idx[c], idx[a]] = w
+            cols.append(q @ e @ q.T)
+    if not cols:
+        return np.zeros((svec_dim(n), 0))
+    return svec_stack(np.stack(cols))
+
+
+def _rank(mat, tau):
+    if mat.size == 0:
+        return 0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv > tau * sv[0])) if sv[0] > 0.0 else 0
+
+
+def _joint_rank_deficits(p, dec, tau=1e-8):
+    # Reference rank test in all of S^n (t(n) svec coordinates): each side's
+    # deficit rank(W1) + rank(W2) - rank([W1 W2]) is the dimension of the
+    # intersection of range(A*) with the normal space of Xstar (primal), and
+    # of null(A) with the normal space of Sstar (dual).
+    n = p.n
+    lam = dec.lam
+    thr = tau * max(1.0, float(np.max(np.abs(lam))))
+    r, s = int(np.sum(lam > thr)), int(np.sum(lam < -thr))
+    w1 = svec_stack(p.A) if p.m > 0 else np.zeros((svec_dim(n), 0))
+    w2 = _embedded_block_basis(dec.Q, list(range(r, n)))
+    primal = _rank(w1, tau) + _rank(w2, tau) - _rank(np.hstack([w1, w2]), tau)
+    u, sv, _ = np.linalg.svd(w1, full_matrices=True)
+    null_a = u[:, int(np.sum(sv > tau * sv[0])) if sv.size else 0 :]
+    w2d = _embedded_block_basis(dec.Q, list(range(n - s)))
+    dual = _rank(null_a, tau) + _rank(w2d, tau) - _rank(np.hstack([null_a, w2d]), tau)
+    return primal, dual
+
+
+@pytest.mark.parametrize(
+    "n, m, r, degeneracy, side",
+    [
+        (10, 20, 3, "none", None),
+        (10, 20, 3, "primal_nd_fail", "primal"),
+        (10, 10, 5, "none", "dual"),
+        (24, 100, 3, "primal_nd_fail", "primal"),
+    ],
+)
+def test_nd_witnesses_match_joint_rank_oracle(n, m, r, degeneracy, side):
+    for seed in (0, 1, 2):
+        prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
+        dec = eig_sym(cert.zstar(1.0))
+        rep = nd_check(prob, dec)
+        primal, dual = _joint_rank_deficits(prob, dec)
+        assert (rep.primal_witness_dim, rep.dual_witness_dim) == (primal, dual)
+        assert rep.primal_nd == (side != "primal") and rep.dual_nd == (side != "dual")
+        assert sc_check(cert.zstar(1.0)).sc_holds
+        fix = fix_basis(build_omega(dec), build_kernel(prob))
+        assert fix.dim == rep.primal_witness_dim + rep.dual_witness_dim
 
 
 # -- minimal-face projections ------------------------------------------------

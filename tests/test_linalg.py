@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,17 +184,32 @@ def _kron_oracle(zx, zs, zo):
     return np.linalg.solve(big, zo.flatten(order="F")).reshape((s, r), order="F")
 
 
+def _definite_pair(r, s, rng, shift=0.3):
+    gx = rng.standard_normal((r, r))
+    gs = rng.standard_normal((s, s))
+    return gx @ gx.T + shift * np.eye(r), -(gs @ gs.T + shift * np.eye(s))
+
+
 def test_sylvester_against_kron_oracle():
     rng = np.random.default_rng(9)
-    gx = rng.standard_normal((3, 3))
-    zx = gx @ gx.T + 0.3 * np.eye(3)
-    gs = rng.standard_normal((2, 2))
-    zs = -(gs @ gs.T + 0.3 * np.eye(2))
-    zo = rng.standard_normal((2, 3))
-    w = sylvester_solve(zx, zs, zo)
-    assert np.allclose(w, _kron_oracle(zx, zs, zo), atol=1e-12)
-    resid = np.linalg.norm(w @ zx - zs @ w - zo)
-    assert resid <= 1e-10 * max(1.0, np.linalg.norm(zo))
+    for r, s in ((3, 2), (9, 12)):
+        zx, zs = _definite_pair(r, s, rng)
+        zo = rng.standard_normal((s, r))
+        w = sylvester_solve(zx, zs, zo)
+        assert np.allclose(w, _kron_oracle(zx, zs, zo), atol=1e-12)
+        resid = np.linalg.norm(w @ zx - zs @ w - zo)
+        assert resid <= 1e-10 * max(1.0, np.linalg.norm(zo))
+
+
+def test_sylvester_against_scipy_schur():
+    # Independent reference: Bartels-Stewart on -Zs W + W Zx = Zo.
+    rng = np.random.default_rng(17)
+    for r, s in ((64, 64), (70, 5)):
+        zx, zs = _definite_pair(r, s, rng, shift=1.0)
+        zo = rng.standard_normal((s, r))
+        w = sylvester_solve(zx, zs, zo)
+        ref = scipy.linalg.solve_sylvester(-zs, zx, zo)
+        assert np.linalg.norm(w - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
 def test_sylvester_norm_bound():
@@ -212,7 +228,7 @@ def test_sylvester_norm_bound():
 
 
 def test_sylvester_large_block_path():
-    # Edge above the Kronecker cutoff exercises the Schur-based branch.
+    # A long, thin off-block: block edges 70 and 5.
     rng = np.random.default_rng(11)
     r, s = 70, 5
     zx = np.diag(rng.uniform(0.5, 2.0, r))
