@@ -162,7 +162,9 @@ def _run_solve_manifest(manifest):
         "r_gap": state.residuals[2],
         "r_max": state.residuals[3],
         "objective": float(np.sum(prob.C * state.X)),
+        "failure": state.failure,
         "wall_time_secs": wall,
+        "timings": state.timings.to_json(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -80,21 +80,23 @@ class SdpProblem:
 
 
 def apply_A(p: SdpProblem, x):
-    """A X = (<A_1, X>, ..., <A_m, X>)."""
+    """A X = (<A_1, X>, ..., <A_m, X>): one gemv on the flattened stack."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n, p.n):
         raise ValueError(f"X has shape {x.shape}, expected ({p.n}, {p.n})")
-    return np.einsum("ijk,jk->i", p.A, x)
+    return p.A.reshape(p.m, p.n * p.n) @ x.reshape(p.n * p.n)
 
 
 def apply_At(p: SdpProblem, y):
-    """Adjoint A* y = sum_i y_i A_i."""
+    """Adjoint A* y = sum_i y_i A_i.
+
+    A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
+    one gemm, reading the constraint data once.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (p.m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({p.m},)")
-    if p.m == 0:
-        return np.zeros((p.n, p.n))
-    return np.einsum("i,ijk->jk", y, p.A)
+    if y.ndim not in (1, 2) or y.shape[-1] != p.m:
+        raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
+    return (y @ p.A.reshape(p.m, p.n * p.n)).reshape(y.shape[:-1] + (p.n, p.n))
 
 
 @dataclass
@@ -137,9 +139,9 @@ def build_kernel(p: SdpProblem) -> ConstraintKernel:
 
 
 def solve_normal(k: ConstraintKernel, v):
-    """(AA*)^-1 v."""
+    """(AA*)^-1 v, for a vector or for the columns of an (m, k) array."""
     if k.problem.m == 0:
-        return np.zeros(0)
+        return np.zeros(np.shape(v))
     return scipy.linalg.cho_solve(k.gram_cho, np.asarray(v, dtype=float))
 
 

@@ -10,8 +10,13 @@ recovered from the normal equations each iteration. The classical three-step
 update is also provided; starting from a matched (X, S) pair it reproduces the
 fixed-point map exactly.
 
-Each iteration costs exactly one eigendecomposition: both projections of Z
-come from the same factorization.
+Each iteration of ``solve`` costs one eigendecomposition, one forward pass
+A(X) and one two-column adjoint pass that yields A*y and P(Z - 2X) together.
+Both projections of Z come from the same factorization. A(Z) is carried
+through A(Z+) = A(Z) - A(X) + A(const), and sigma*S = X - Z gives
+A(S) = (A(X) - A(Z))/sigma, so the one A(X) feeds y, r_p and the step.
+``step_fixed_point`` and ``residuals`` keep the direct evaluation as the
+reference path.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import face_projections, offblock_norm
+from .errors import NumericalFailureError
 from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
 from .problem import (
     ConstraintKernel,
@@ -37,6 +43,7 @@ from .problem import (
 )
 
 TRACE_HEADER = "k,r_p,r_d,r_gap,r_max,rank_X,rank_S,lam_min_absZ,norm_Z_diff"
+PHASES = ("eig", "constraint_op", "normal_solve", "record")
 
 
 class SolveStatus(enum.Enum):
@@ -109,9 +116,33 @@ class IterationRecord:
 
 
 @dataclass
+class PhaseTimings:
+    """Wall seconds and call counts of the phases of one solve: eigen-
+    decompositions, constraint-operator passes (``apply_A``/``apply_At``),
+    normal-equation solves and trace records."""
+
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
+
+    def call(self, phase, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.seconds[phase] += time.perf_counter() - t0
+        self.calls[phase] += 1
+        return out
+
+    def to_json(self):
+        return {ph: {"seconds": self.seconds[ph], "calls": self.calls[ph]} for ph in PHASES}
+
+
+@dataclass
 class SolverState:
     """Iterate k with its extraction: X = Pi(Z), sigma*S = Pi(-Z), y from the
-    normal equations; residuals = (r_p, r_d, r_gap, r_max)."""
+    normal equations; residuals = (r_p, r_d, r_gap, r_max).
+
+    ``failure`` holds the message and details of a numerical failure that
+    ended the run, ``timings`` the phase timers of the run.
+    """
 
     k: int
     Z: np.ndarray
@@ -120,6 +151,8 @@ class SolverState:
     S: np.ndarray
     residuals: tuple
     decomp: SpectralDecomp
+    failure: dict | None = None
+    timings: PhaseTimings = field(default_factory=PhaseTimings)
 
 
 def residuals(p: SdpProblem, x, y, s_mat):
@@ -130,13 +163,16 @@ def residuals(p: SdpProblem, x, y, s_mat):
     r_gap = |<C, X> - b'y| / (1 + |<C, X>| + |b'y|).
     """
     x = np.asarray(x, dtype=float)
-    s_mat = np.asarray(s_mat, dtype=float)
-    r_p = float(np.linalg.norm(apply_A(p, x) - p.b)) / (1.0 + float(np.linalg.norm(p.b)))
-    r_d = float(np.linalg.norm(apply_At(p, y) + s_mat - p.C)) / (
-        1.0 + float(np.linalg.norm(p.C))
-    )
+    y = np.asarray(y, dtype=float)
+    return _residuals(p, x, y, np.asarray(s_mat, dtype=float), apply_A(p, x), apply_At(p, y))
+
+
+def _residuals(p, x, y, s_mat, a_x, at_y):
+    # The residual formulas on precomputed A(X) and A*(y).
+    r_p = float(np.linalg.norm(a_x - p.b)) / (1.0 + float(np.linalg.norm(p.b)))
+    r_d = float(np.linalg.norm(at_y + s_mat - p.C)) / (1.0 + float(np.linalg.norm(p.C)))
     obj = float(np.sum(p.C * x))
-    by = float(p.b @ np.asarray(y, dtype=float))
+    by = float(p.b @ y)
     r_gap = abs(obj - by) / (1.0 + abs(obj) + abs(by))
     return (r_p, r_d, r_gap, max(r_p, r_d, r_gap))
 
@@ -175,13 +211,6 @@ def step_three(p: SdpProblem, kernel: ConstraintKernel, cfg: SolverConfig, x, s_
     return y_new, s_new, x_new
 
 
-def _extract(p, kernel, sigma, z, dec):
-    x_part, neg_part = psd_split(dec)
-    s_mat = neg_part / sigma
-    y = solve_normal(kernel, p.b / sigma - apply_A(p, x_part / sigma + s_mat - p.C))
-    return x_part, y, s_mat
-
-
 def initial_z(p: SdpProblem, cfg: SolverConfig):
     if cfg.init == "zero":
         return np.zeros((p.n, p.n))
@@ -218,7 +247,10 @@ def solve(
     -------
     (SolverState, list[IterationRecord], SolveStatus)
         State of the last extracted iterate, the sampled trace, and the first
-        triggered stopping criterion. Deterministic for fixed config.
+        triggered stopping criterion. Deterministic for fixed config. A
+        failed eigendecomposition of a later iterate, or non-finite
+        residuals, ends the run with NUMERICAL_FAILURE and the message and
+        details in ``state.failure``.
     """
     cfg.validate()
     if kernel is None:
@@ -226,11 +258,16 @@ def solve(
     sigma = cfg.sigma
     const = _step_const(kernel, sigma)
     ref_dec = eig_sym(reference) if reference is not None else None
+    timings = PhaseTimings()
+    a_const = timings.call("constraint_op", apply_A, p, const)
+    a_c = timings.call("constraint_op", apply_A, p, p.C)
 
     z = initial_z(p, cfg)
-    dec = eig_sym(z)
+    a_z = timings.call("constraint_op", apply_A, p, z)
+    # Not guarded: a failure here is one of the initial point, before any
+    # iterate exists to report.
+    dec = timings.call("eig", eig_sym, z)
     records: list[IterationRecord] = []
-    state = None
     status = SolveStatus.ITER_LIMIT
     t0 = time.monotonic()
 
@@ -258,10 +295,22 @@ def solve(
         return rec
 
     for k in range(cfg.max_iter + 1):
-        x_part, y, s_mat = _extract(p, kernel, sigma, z, dec)
-        res = residuals(p, x_part, y, s_mat)
+        x_part, neg_part = psd_split(dec)
+        s_mat = neg_part / sigma
+        a_x = timings.call("constraint_op", apply_A, p, x_part)
+        # Column 0 is b/sigma - A(X/sigma + S - C) with A(S) = (A(X) - A(Z))/sigma,
+        # the right-hand side for y; column 1 is A(Z - 2X), for P(Z - 2X).
+        a_zx = a_z - 2.0 * a_x
+        rhs = np.stack([(p.b + a_zx) / sigma + a_c, a_zx], axis=1)
+        w = timings.call("normal_solve", solve_normal, kernel, rhs)
+        at_y, p_zx = timings.call("constraint_op", apply_At, p, w.T)
+        y = w[:, 0]
+        res = _residuals(p, x_part, y, s_mat, a_x, at_y)
+        state = SolverState(
+            k=k, Z=z, X=x_part, y=y, S=s_mat, residuals=res, decomp=dec, timings=timings
+        )
         if not all(np.isfinite(res)):
-            state = SolverState(k=k, Z=z, X=x_part, y=y, S=s_mat, residuals=res, decomp=dec)
+            state.failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
             status = SolveStatus.NUMERICAL_FAILURE
             break
         converged = res[3] <= cfg.tol_rmax
@@ -272,13 +321,14 @@ def solve(
         )
         final = converged or out_of_iters or timed_out
         # Reuses the current eigendecomposition; no extra factorization.
-        z_next = _step_from_split(kernel, z, x_part, const)
+        z_next = p_zx + x_part + const
         # A converged final iterate is always recorded; limit exits record
         # nothing beyond the stride-aligned iterates already taken.
         if converged or (not final and k % cfg.trace_every == 0):
-            records.append(make_record(k, res, z, z_next, x_part, s_mat))
+            records.append(
+                timings.call("record", make_record, k, res, z, z_next, x_part, s_mat)
+            )
         if final:
-            state = SolverState(k=k, Z=z, X=x_part, y=y, S=s_mat, residuals=res, decomp=dec)
             if converged:
                 status = SolveStatus.CONVERGED
             elif out_of_iters:
@@ -287,7 +337,15 @@ def solve(
                 status = SolveStatus.TIME_LIMIT
             break
         z = z_next
-        dec = eig_sym(z)
+        # A(Z+) = A(Z) - A(X) + A(const). Rounding does not accumulate here,
+        # because Z+ itself was built from the carried A(Z).
+        a_z = a_z - a_x + a_const
+        try:
+            dec = timings.call("eig", eig_sym, z)
+        except (NumericalFailureError, ValueError) as exc:
+            state.failure = {"message": str(exc), "details": getattr(exc, "details", {})}
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
 
     return state, records, status
 

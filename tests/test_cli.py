@@ -5,6 +5,7 @@ import pytest
 
 from sdpadmm import cli
 from sdpadmm.cli import main
+from sdpadmm.errors import NumericalFailureError
 from sdpadmm.problem import load_sdpa
 from sdpadmm.solver import TRACE_HEADER, solve
 
@@ -46,6 +47,13 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
     assert summary["r_max"] <= 1e-10
+    assert summary["failure"] is None
+    extractions = summary["iterations"] + 1
+    timings = summary["timings"]
+    assert set(timings) == {"eig", "constraint_op", "normal_solve", "record"}
+    assert timings["eig"]["calls"] == timings["normal_solve"]["calls"] == extractions
+    assert timings["constraint_op"]["calls"] == 2 * extractions + 3
+    assert all(t["seconds"] >= 0.0 for t in timings.values())
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == TRACE_HEADER
 
@@ -101,6 +109,62 @@ def test_solve_deterministic_traces(tmp_path, capsys):
         outs.append(out)
     capsys.readouterr()
     assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NumericalFailureError("symmetric eigendecomposition failed", n=8, fro_norm=3.5),
+        ValueError("matrix contains non-finite entries"),
+    ],
+    ids=["no_convergence", "non_finite"],
+)
+def test_solve_eig_failure_keeps_last_state(tmp_path, capsys, monkeypatch, error):
+    import sdpadmm.solver as solver_mod
+
+    def run(tag, max_iter):
+        out = tmp_path / tag
+        manifest = write_manifest(
+            tmp_path / f"{tag}.json",
+            generator={"kind": "planted", "n": 8, "m": 12, "r": 2, "seed": 0},
+            max_iter=max_iter,
+            seed=2,
+            out=str(out),
+        )
+        return main(["solve", "--manifest", manifest]), out
+
+    code, ref = run("limit", 4)
+    assert code == 2
+    # The 5th factorization is the one of Z_4, after iterate 3.
+    calls = {"n": 0}
+    real = solver_mod.eig_sym
+
+    def failing(a):
+        calls["n"] += 1
+        if calls["n"] == 5:
+            raise error
+        return real(a)
+
+    monkeypatch.setattr(solver_mod, "eig_sym", failing)
+    code, out = run("fail", 100)
+    assert code == 1
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "numerical_failure"
+    assert summary["iterations"] == 3
+    assert summary["failure"] == {
+        "message": str(error),
+        "details": getattr(error, "details", {}),
+    }
+    assert summary["timings"]["eig"]["calls"] == 4
+    # Records k = 0..3, the same as a run stopped by its limit at k = 4.
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in trace[1:]] == ["0", "1", "2", "3"]
+    assert (out / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
+    # The last extracted iterate, Z_3, is the one written.
+    prob = load_sdpa(out / "instance.dat-s")
+    state, _, _ = solve(prob, cli._config_from_manifest({"max_iter": 3, "seed": 2}))
+    assert np.array_equal(np.load(out / "z_final.npy"), state.Z)
 
 
 def test_solve_flag_overrides_manifest(tmp_path, capsys):

@@ -93,6 +93,18 @@ def test_adjoint_identity(small_planted):
         lhs = np.sum(apply_At(p, y) * x)
         rhs = y @ apply_A(p, x)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+    # A (2, m) stack of multipliers: one adjoint per row, symmetric.
+    for _ in range(5):
+        ys = rng.standard_normal((2, p.m))
+        x = random_sym(p.n, rng)
+        out = apply_At(p, ys)
+        assert out.shape == (2, p.n, p.n)
+        for y, at_y in zip(ys, out):
+            tol = 1e-13 * np.abs(y).sum()
+            assert np.allclose(at_y, at_y.T, rtol=0.0, atol=tol)
+            assert np.allclose(at_y, apply_At(p, y), rtol=0.0, atol=tol)
+            lhs, rhs = np.sum(at_y * x), y @ apply_A(p, x)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_apply_A_dimension_mismatch(small_planted):
@@ -101,6 +113,10 @@ def test_apply_A_dimension_mismatch(small_planted):
         apply_A(p, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         apply_At(p, np.zeros(p.m + 1))
+    with pytest.raises(ValueError):
+        apply_At(p, np.zeros((2, p.m + 1)))
+    with pytest.raises(ValueError):
+        apply_At(p, np.zeros((2, 2, p.m)))
 
 
 # -- range projector ---------------------------------------------------------

@@ -4,12 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpadmm.linalg import eig_sym, psd_split
-from sdpadmm.problem import SdpProblem, apply_A, apply_At, build_kernel, generate_planted
+from sdpadmm.problem import (
+    SdpProblem,
+    apply_A,
+    apply_At,
+    build_kernel,
+    generate_maxcut,
+    generate_planted,
+    solve_normal,
+)
 from sdpadmm.solver import (
+    PHASES,
     TRACE_HEADER,
     SolveStatus,
     SolverConfig,
     SolverState,
+    initial_z,
     residuals,
     solve,
     step_fixed_point,
@@ -272,6 +282,126 @@ def test_one_eigendecomposition_per_iteration(monkeypatch, small_planted):
     assert status is SolveStatus.ITER_LIMIT
     # one factorization per iterate visited (initial point included)
     assert calls["n"] == state.k + 1
+    assert state.timings.calls["eig"] == calls["n"]
+
+
+def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
+    import sdpadmm.solver as solver_mod
+
+    p, _, kern = small_planted
+    calls = {"apply_A": 0, "apply_At": 0}
+
+    def counting(name):
+        real = getattr(solver_mod, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(solver_mod, name, counting(name))
+    cfg = SolverConfig(sigma=1.0, max_iter=25, tol_rmax=1e-16, trace_every=3, seed=8)
+    state, records, status = solve(p, cfg, kernel=kern)
+    assert status is SolveStatus.ITER_LIMIT
+    extractions = state.k + 1
+    # Setup: A(const), A(C) and A(Z0). Then one A(X) and one two-column A*
+    # per extracted iterate.
+    assert calls["apply_A"] == extractions + 3
+    assert calls["apply_At"] == extractions
+    t = state.timings
+    assert t.calls == {
+        "eig": extractions,
+        "constraint_op": calls["apply_A"] + calls["apply_At"],
+        "normal_solve": extractions,
+        "record": len(records),
+    }
+    assert set(t.seconds) == set(PHASES) and all(v >= 0.0 for v in t.seconds.values())
+
+
+def _reference_run(p, kern, cfg):
+    """The unfused path: extract y from the normal equations directly,
+    recompute the residuals and step with ``step_fixed_point``."""
+    sigma = cfg.sigma
+    z = initial_z(p, cfg)
+    visited = []
+    for _ in range(cfg.max_iter + 1):
+        x, neg = psd_split(eig_sym(z))
+        s = neg / sigma
+        y = solve_normal(kern, p.b / sigma - apply_A(p, x / sigma + s - p.C))
+        res = residuals(p, x, y, s)
+        visited.append((z, res))
+        if res[3] <= cfg.tol_rmax:
+            return visited, SolveStatus.CONVERGED
+        z = step_fixed_point(p, kern, cfg, z)
+    return visited, SolveStatus.ITER_LIMIT
+
+
+def _random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu((rng.random((n, n)) < density).astype(float), 1)
+    return w + w.T
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_planted(10, 20, 3, seed=1)[0],
+        lambda: generate_planted(10, 20, 3, seed=1, degeneracy="primal_nd_fail")[0],
+        lambda: generate_maxcut(_random_graph(20, 0.3, seed=5)),
+        lambda: generate_planted(24, 100, 3, seed=1, degeneracy="primal_nd_fail")[0],
+    ],
+    ids=["planted", "primal_nd_fail", "maxcut", "diagnose_shape"],
+)
+def test_fused_loop_matches_reference_path(make):
+    p = make()
+    kern = build_kernel(p)
+    cfg = SolverConfig(sigma=1.0, max_iter=20_000, tol_rmax=1e-10, trace_every=1, seed=1)
+    visited, ref_status = _reference_run(p, kern, cfg)
+    state, records, status = solve(p, cfg, kernel=kern, keep_z=True)
+    assert status is ref_status is SolveStatus.CONVERGED
+    assert state.k == len(visited) - 1
+    assert [r.k for r in records] == list(range(len(visited)))
+    for rec, (z_ref, res_ref) in zip(records, visited):
+        assert np.linalg.norm(rec.z - z_ref) <= 1e-10 * max(1.0, np.linalg.norm(z_ref))
+        for got, want in zip((rec.r_p, rec.r_d, rec.r_gap, rec.r_max), res_ref):
+            assert abs(got - want) <= max(1e-6 * abs(want), 1e-13)
+
+
+@given(
+    st.floats(min_value=0.05, max_value=20.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=15, deadline=None)
+def test_carried_constraint_image_matches_direct_pass(sigma, seed, max_iter):
+    import sdpadmm.solver as solver_mod
+
+    prob, _ = generate_planted(6, 9, 2, seed=seed % 1000)
+    kern = build_kernel(prob)
+    # Column 1 of each normal-equation right-hand side is A(Z) - 2 A(X),
+    # built from the carried A(Z).
+    second_columns = []
+    real = solver_mod.solve_normal
+
+    def capture(kernel, rhs):
+        second_columns.append(rhs[:, 1].copy())
+        return real(kernel, rhs)
+
+    cfg = SolverConfig(sigma=sigma, max_iter=max_iter, tol_rmax=1e-300, seed=seed)
+    solver_mod.solve_normal = capture
+    try:
+        _, records, _ = solve(prob, cfg, kernel=kern, keep_z=True)
+    finally:
+        solver_mod.solve_normal = real
+    # The final, limit-hit iterate is extracted but not recorded.
+    assert len(records) + 1 == len(second_columns) == max_iter + 1
+    for rec, col in zip(records, second_columns):
+        x, _ = psd_split(eig_sym(rec.z))
+        carried = col + 2.0 * apply_A(prob, x)
+        direct = apply_A(prob, rec.z)
+        assert np.linalg.norm(carried - direct) <= 1e-13 * (1.0 + np.linalg.norm(direct))
 
 
 def test_solver_config_validation():
