@@ -155,10 +155,7 @@ def init_elimination(z, h) -> EliminationState:
     z = symmetrize(z)
     h = symmetrize(h)
     dec = eig_sym(z)
-    lam_max = float(np.max(np.abs(dec.lam)))
-    if lam_max == 0.0 or float(np.min(np.abs(dec.lam))) <= 1e-12 * lam_max:
-        raise ValueError("reference matrix must be nonsingular")
-    r = int(np.sum(dec.lam > 0.0))
+    r = build_omega(dec).r  # ValueError on a singular reference
     if r == 0 or r == dec.n:
         raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
     total = dec.Q.T @ (z + h) @ dec.Q

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import face_projections, offblock_norm
+from .diagnostics import DEFAULT_RANK_TAU, face_projections, offblock_norm
 from .errors import NumericalFailureError
 from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
 from .problem import (
@@ -60,8 +60,8 @@ class SolverConfig:
     sigma is the fixed penalty parameter (> 0, never adapted); tol_rmax the
     stopping threshold on the maximum KKT residual; init one of "zero",
     "gaussian" (standard normal, symmetrized, drawn from ``seed``) or
-    "explicit" (uses ``z0``). rank_tau is the relative eigenvalue threshold
-    used for the numerical ranks recorded in the trace.
+    "explicit" (uses ``z0``). The numerical ranks recorded in the trace use
+    ``diagnostics.DEFAULT_RANK_TAU``.
     """
 
     sigma: float = 1.0
@@ -72,7 +72,6 @@ class SolverConfig:
     init: str = "gaussian"
     seed: int = 0
     z0: np.ndarray | None = None
-    rank_tau: float = 1e-8
 
     def validate(self):
         if self.sigma <= 0.0:
@@ -272,7 +271,7 @@ def solve(
     t0 = time.monotonic()
 
     def make_record(k, res, z_cur, z_next, x_part, s_mat):
-        rank_x, rank_s = split_counts(dec.lam, cfg.rank_tau)
+        rank_x, rank_s = split_counts(dec.lam, DEFAULT_RANK_TAU)
         rec = IterationRecord(
             k=k,
             r_p=res[0],
@@ -286,8 +285,8 @@ def solve(
         )
         if ref_dec is not None:
             rec.h_norm = float(np.linalg.norm(z_cur - reference))
-            rec.ho_norm = offblock_norm(ref_dec, z_cur - reference, cfg.rank_tau)
-            face_x, face_s, _ = face_projections(ref_dec, x_part, s_mat, sigma, cfg.rank_tau)
+            rec.ho_norm = offblock_norm(ref_dec, z_cur - reference)
+            face_x, face_s, _ = face_projections(ref_dec, x_part, s_mat, sigma)
             rec.face_x_norm = face_x
             rec.face_s_norm = face_s
         if keep_z:

@@ -219,6 +219,7 @@ def test_diagnose_finished_run(planted_manifest, capsys):
     assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
     assert report["k_id"] is not None
     assert report["op_norm_M"] is not None and report["op_norm_M"] < 1.0
+    assert report["failure"] is None
     assert any(f["sequence"] == "h_norm" for f in report["fits"])
     for fit in report["fits"]:
         if fit["sequence"] == "h_norm":
@@ -274,6 +275,30 @@ def test_diagnose_replays_recorded_iterations(tmp_path, capsys, monkeypatch):
     ((state, _, _),) = replays
     assert state.k == 51
     assert np.array_equal(state.Z, np.load(out / "z_final.npy"))
+
+
+def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypatch):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+
+    def stalled(*args, **kwargs):
+        raise NumericalFailureError("Lanczos did not converge", svec_dim=55, converged=0)
+
+    monkeypatch.setattr(cli.linearization, "op_norm_M_minus_fix", stalled)
+    assert main(["diagnose", "--run", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("status:") == 1
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert report["failure"] == {
+        "message": "Lanczos did not converge",
+        "details": {"svec_dim": 55, "converged": 0},
+    }
+    assert report["op_norm_M_minus_fix"] is None
+    assert report["op_norm_M"] is not None and report["fix_dim"] == 0
+    assert report["sc"]["sc_holds"] is True
+    assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
+    assert "norm failure" in captured.out
 
 
 def test_diagnose_missing_artifacts(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from sdpadmm.errors import NumericalFailureError
 from sdpadmm.linalg import eig_sym, psd_project, smat, svec, svec_dim
 from sdpadmm.problem import (
     SdpProblem,
@@ -23,7 +26,7 @@ from sdpadmm.linearization import (
     psi_residual,
     rho_nd_estimate,
 )
-from sdpadmm.solver import SolverConfig, step_fixed_point
+from sdpadmm.solver import SolverConfig, solve, step_fixed_point
 
 from conftest import random_indefinite, random_sym
 
@@ -255,15 +258,66 @@ def test_op_norm_full_span_is_one():
     assert op_norm_M(os_, kern) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_op_norm_matches_dense_oracle():
+def dense_norm(apply_fn, n):
+    """Oracle operator norm: the largest singular value of the dense matrix."""
+    return np.linalg.svd(dense_operator(apply_fn, n), compute_uv=False)[0]
+
+
+def degenerate_limit(n, m, r, instance_seed, **cfg):
+    """Omega structure, kernel and Fix(M) at the 1e-10 limit of a planted
+    instance whose primal nondegeneracy fails."""
+    prob, _ = generate_planted(n, m, r, seed=instance_seed, degeneracy="primal_nd_fail")
+    kern = build_kernel(prob)
+    cfg = SolverConfig(sigma=1.0, max_iter=100_000, tol_rmax=1e-10, trace_every=10, **cfg)
+    state, _, _ = solve(prob, cfg, kernel=kern)
+    os_ = build_omega(eig_sym(state.Z))
+    return os_, kern, fix_basis(os_, kern)
+
+
+@pytest.fixture(scope="module")
+def diagnose_shape():
+    """The (24, 100, 3) primal-ND-failing instance of the diagnose benchmark
+    workload, solved from zero; shared because the solve takes about 0.5 s."""
+    return degenerate_limit(24, 100, 3, instance_seed=1, init="zero")
+
+
+def test_op_norm_matches_dense_oracle(diagnose_shape):
     prob, cert = generate_planted(6, 10, 2, seed=4)
     kern = build_kernel(prob)
-    os_ = build_omega(eig_sym(cert.zstar(1.0)))
-    dense = dense_operator(lambda h: apply_M(os_, kern, h), 6)
-    expected = np.linalg.svd(dense, compute_uv=False)[0]
-    got = op_norm_M(os_, kern)
+    planted = build_omega(eig_sym(cert.zstar(1.0)))
+    got = op_norm_M(planted, kern)
     assert got < 1.0
-    assert abs(got - expected) <= 1e-8
+    assert abs(got - dense_norm(lambda h: apply_M(planted, kern, h), 6)) <= 1e-10
+    # Fix(M) is nontrivial at the diagnose shape, so ||M|| = 1 there.
+    os_, kern, _ = diagnose_shape
+    got = op_norm_M(os_, kern)
+    assert abs(got - dense_norm(lambda h: apply_M(os_, kern, h), os_.n)) <= 1e-10
+    assert op_norm_M(os_, kern) == got  # fixed start vector: bit-identical
+
+
+def test_op_norm_single_entry():
+    # n = 1 is below ARPACK's minimum size; the norm is |M(E11)| directly.
+    # Z* = [-2] gives Omega = 0, so M = P: the identity with the one
+    # constraint, zero without it.
+    os_ = build_omega(eig_sym(np.array([[-2.0]])))
+    spanned = SdpProblem(C=np.zeros((1, 1)), A=np.ones((1, 1, 1)), b=np.ones(1))
+    empty = SdpProblem(C=np.zeros((1, 1)), A=np.zeros((0, 1, 1)), b=np.zeros(0))
+    assert op_norm_M(os_, build_kernel(spanned)) == pytest.approx(1.0, abs=1e-15)
+    assert op_norm_M(os_, build_kernel(empty)) == 0.0
+
+
+def test_op_norm_no_convergence_is_numerical_failure(small_planted, monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    p, cert, kern = small_planted
+    with pytest.raises(NumericalFailureError, match="Lanczos") as info:
+        op_norm_M(build_omega(eig_sym(cert.zstar(1.0))), kern)
+    assert info.value.details == {"svec_dim": svec_dim(p.n), "converged": 0}
+    json.dumps(info.value.details)
 
 
 def test_op_norm_below_one_plus_eps(small_planted):
@@ -282,14 +336,7 @@ def test_fix_basis_trivial_for_nondegenerate(small_planted):
 
 
 def test_fix_basis_degenerate_instance():
-    prob, cert = generate_planted(8, 14, 3, seed=5, degeneracy="primal_nd_fail")
-    kern = build_kernel(prob)
-    from sdpadmm.solver import SolverConfig, solve
-
-    cfg = SolverConfig(sigma=1.0, max_iter=100_000, tol_rmax=1e-10, seed=0, trace_every=10)
-    state, _, status = solve(prob, cfg, kernel=kern)
-    os_ = build_omega(eig_sym(state.Z))
-    fix = fix_basis(os_, kern)
+    os_, kern, fix = degenerate_limit(8, 14, 3, instance_seed=5, seed=0)
     assert fix.dim >= 1
     r = os_.r
     for b in fix.basis:
@@ -327,29 +374,23 @@ def test_op_norm_minus_fix(small_planted):
     assert abs(a - b) <= 1e-9
 
 
-def test_op_norm_minus_fix_degenerate_matches_dense():
-    prob, cert = generate_planted(7, 12, 2, seed=6, degeneracy="primal_nd_fail")
-    kern = build_kernel(prob)
-    from sdpadmm.solver import SolverConfig, solve
-
-    cfg = SolverConfig(sigma=1.0, max_iter=100_000, tol_rmax=1e-10, seed=1, trace_every=10)
-    state, _, _ = solve(prob, cfg, kernel=kern)
-    os_ = build_omega(eig_sym(state.Z))
-    fix = fix_basis(os_, kern)
-    assert fix.dim >= 1
-    for b in fix.basis:
-        resid = apply_M(os_, kern, b) - fix.project(b)
-        assert np.linalg.norm(resid) <= 1e-9
-    got = op_norm_M_minus_fix(os_, kern, fix)
-    dense = dense_operator(lambda h: apply_M(os_, kern, h) - fix.project(h), 7)
-    expected = np.linalg.svd(dense, compute_uv=False)[0]
-    assert got < 1.0 - 1e-8
-    assert abs(got - expected) <= 1e-8
-    # projector sanity: idempotent and self-adjoint
-    rng = np.random.default_rng(11)
-    h, g = random_sym(7, rng), random_sym(7, rng)
-    assert np.linalg.norm(fix.project(fix.project(h)) - fix.project(h)) <= 1e-10
-    assert abs(np.sum(fix.project(h) * g) - np.sum(h * fix.project(g))) <= 1e-10
+def test_op_norm_minus_fix_degenerate_matches_dense(diagnose_shape):
+    for os_, kern, fix in (degenerate_limit(7, 12, 2, instance_seed=6, seed=1), diagnose_shape):
+        n = os_.n
+        assert fix.dim >= 1
+        for b in fix.basis:
+            resid = apply_M(os_, kern, b) - fix.project(b)
+            assert np.linalg.norm(resid) <= 1e-9
+        got = op_norm_M_minus_fix(os_, kern, fix)
+        expected = dense_norm(lambda h: apply_M(os_, kern, h) - fix.project(h), n)
+        assert got < 1.0 - 1e-8
+        assert abs(got - expected) <= 1e-10
+        assert op_norm_M_minus_fix(os_, kern, fix) == got  # bit-identical
+        # projector sanity: idempotent and self-adjoint
+        rng = np.random.default_rng(11)
+        h, g = random_sym(n, rng), random_sym(n, rng)
+        assert np.linalg.norm(fix.project(fix.project(h)) - fix.project(h)) <= 1e-10
+        assert abs(np.sum(fix.project(h) * g) - np.sum(h * fix.project(g))) <= 1e-10
 
 
 # -- directional derivative path ----------------------------------------------
