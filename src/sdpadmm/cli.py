@@ -117,6 +117,8 @@ def _load_edge_list(path):
     n = int(entries[0][0])
     adj = np.zeros((n, n))
     for tok in entries[1:]:
+        if len(tok) < 2:
+            raise ValueError(f"edge list {path}: line {' '.join(tok)!r} is not an 'i j' pair")
         i, j = int(tok[0]) - 1, int(tok[1]) - 1
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"bad edge ({tok[0]}, {tok[1]}) for n = {n}")
@@ -206,11 +208,15 @@ def _fit_or_none(values, ks, window, name):
         return None
 
 
+def _single_manifest(args):
+    """The one manifest of ``diagnose`` or ``eb-verify``; {} when none is given."""
+    if len(args.manifest) > 1:
+        raise ValueError(f"{args.command} takes at most one --manifest")
+    return _load_manifest(args.manifest[0]) if args.manifest else {}
+
+
 def _cmd_diagnose(args):
-    run_dir = args.run
-    if args.manifest:
-        manifest = _load_manifest(args.manifest[0])
-        run_dir = manifest.get("run", run_dir)
+    run_dir = _single_manifest(args).get("run", args.run)
     if not run_dir:
         raise ValueError("diagnose needs --run DIR (or a manifest with a 'run' key)")
     summary_path = os.path.join(run_dir, "summary.json")
@@ -354,7 +360,7 @@ def _eb_inputs(manifest):
 
 
 def _cmd_eb_verify(args):
-    manifest = _load_manifest(args.manifest[0]) if args.manifest else {}
+    manifest = _single_manifest(args)
     if args.out is not None:
         manifest["out"] = args.out
     z, h = _eb_inputs(manifest)
@@ -415,25 +421,25 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="sdpadmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_io(sp):
         sp.add_argument("--manifest", action="append", default=[], help="JSON manifest path")
-        sp.add_argument("--sigma", type=float, default=None)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--init", choices=("zero", "gaussian"), default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp_solve = sub.add_parser("solve", help="run the solver on manifest-described instances")
-    add_common(sp_solve)
+    add_io(sp_solve)
+    sp_solve.add_argument("--sigma", type=float, default=None)
+    sp_solve.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    sp_solve.add_argument("--tol", type=float, default=None)
+    sp_solve.add_argument("--seed", type=int, default=None)
+    sp_solve.add_argument("--init", choices=("zero", "gaussian"), default=None)
+    sp_solve.add_argument("--jobs", type=int, default=1)
 
     sp_diag = sub.add_parser("diagnose", help="analyze a finished run directory")
-    add_common(sp_diag)
+    add_io(sp_diag)
     sp_diag.add_argument("--run", default=None, help="run directory written by solve")
 
     sp_eb = sub.add_parser("eb-verify", help="projection linearization residual scan")
-    add_common(sp_eb)
+    add_io(sp_eb)
 
     sp_gen = sub.add_parser("generate", help="write instances as .dat-s files")
     sp_gen.add_argument("kind", choices=("planted", "maxcut"))

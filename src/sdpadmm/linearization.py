@@ -60,9 +60,6 @@ class OmegaStructure:
     def theta_comp(self):
         return 1.0 - self.theta
 
-    def zstar(self):
-        return symmetrize((self.Q * self.lam) @ self.Q.T)
-
     def proj_zstar(self):
         pos = np.clip(self.lam, 0.0, None)
         return symmetrize((self.Q * pos) @ self.Q.T)

@@ -107,14 +107,12 @@ class ConstraintKernel:
     ----------
     gram : (m, m) Gram matrix AA* with entries <A_i, A_j>
     gram_cho : Cholesky factorization of ``gram`` (scipy cho_factor tuple)
-    basis : (t(n), m) orthonormal basis of range(A*) in svec coordinates
     at_pinv_b : (n, n) particular primal-feasible point A*(AA*)^-1 b
     """
 
     problem: SdpProblem
     gram: np.ndarray
     gram_cho: tuple
-    basis: np.ndarray
     at_pinv_b: np.ndarray
 
 
@@ -127,15 +125,11 @@ def build_kernel(p: SdpProblem) -> ConstraintKernel:
             gram_cho = scipy.linalg.cho_factor(gram)
         except scipy.linalg.LinAlgError as exc:
             raise ValueError(f"Gram matrix of the constraints is singular: {exc}") from exc
-        basis, _ = np.linalg.qr(stack)
         at_pinv_b = apply_At(p, scipy.linalg.cho_solve(gram_cho, p.b))
     else:
         gram_cho = None
-        basis = stack
         at_pinv_b = np.zeros((p.n, p.n))
-    return ConstraintKernel(
-        problem=p, gram=gram, gram_cho=gram_cho, basis=basis, at_pinv_b=at_pinv_b
-    )
+    return ConstraintKernel(problem=p, gram=gram, gram_cho=gram_cho, at_pinv_b=at_pinv_b)
 
 
 def solve_normal(k: ConstraintKernel, v):
@@ -163,15 +157,19 @@ def project_null(k: ConstraintKernel, h):
 # ---------------------------------------------------------------------------
 
 
-def _is_comment(line):
-    stripped = line.lstrip()
-    return stripped.startswith("*") or stripped.startswith('"')
+# Punctuation that SDPA files use as decoration; read as whitespace.
+_SDPA_PUNCT = str.maketrans("{}(),", "     ")
 
 
-def _clean_tokens(line):
-    for ch in "{}(),":
-        line = line.replace(ch, " ")
-    return line.split()
+def _sdpa_column(tokens, dtype, what):
+    """Parse one column of tokens; a bad token becomes SdpaFormatError."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except ValueError as exc:
+        raise SdpaFormatError(f"malformed {what}: {exc}") from exc
+    except OverflowError:
+        bad = next(tok for tok in tokens if not -(2**63) <= int(tok) < 2**63)
+        raise SdpaFormatError(f"malformed {what}: {bad!r} does not fit in int64") from None
 
 
 def load_sdpa(path) -> SdpProblem:
@@ -181,26 +179,32 @@ def load_sdpa(path) -> SdpProblem:
     Y PSD; this maps onto the standard minimization form via C = -F0,
     A_i = F_i, b = c. Entries give one triangle; the other is mirrored.
 
+    Lines starting with ``*`` or ``"`` are comments and ``{}(),`` read as
+    whitespace. After the three header lines the data are one token stream,
+    so right-hand-side values and entries may span lines.
+
     Raises
     ------
     UnsupportedBlockError
         For multi-block files or diagonal (negative-size) blocks.
     SdpaFormatError
-        For malformed content, including duplicate (matno, i, j) entries.
+        For malformed content, naming one offending token or entry: a bad
+        header, token or index, or duplicate (matno, i, j) entries.
     ValueError
         If the assembled constraint matrices are linearly dependent.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    data_lines = [ln for ln in lines if not _is_comment(ln)]
+        data_lines = [ln for ln in fh if ln.lstrip()[:1] not in ("", "*", '"')]
     if len(data_lines) < 3:
         raise SdpaFormatError("file truncated before block descriptor")
     try:
-        m = int(_clean_tokens(data_lines[0])[0])
-        nblocks = int(_clean_tokens(data_lines[1])[0])
-        block_sizes = [int(tok) for tok in _clean_tokens(data_lines[2])]
+        m = int(data_lines[0].translate(_SDPA_PUNCT).split()[0])
+        nblocks = int(data_lines[1].translate(_SDPA_PUNCT).split()[0])
+        block_sizes = [int(tok) for tok in data_lines[2].translate(_SDPA_PUNCT).split()]
     except (ValueError, IndexError) as exc:
         raise SdpaFormatError(f"malformed header: {exc}") from exc
+    if m < 0:
+        raise SdpaFormatError(f"malformed header: negative constraint count {m}")
     if len(block_sizes) != nblocks:
         raise SdpaFormatError(
             f"declared {nblocks} blocks but found {len(block_sizes)} block sizes"
@@ -216,71 +220,53 @@ def load_sdpa(path) -> SdpProblem:
         )
     n = block_sizes[0]
 
-    tokens = []
-    for ln in data_lines[3:]:
-        tokens.extend(_clean_tokens(ln))
+    tokens = " ".join(data_lines[3:]).translate(_SDPA_PUNCT).split()
     if len(tokens) < m:
         raise SdpaFormatError(f"expected {m} right-hand-side values, found {len(tokens)}")
-    try:
-        b = np.array([float(tok) for tok in tokens[:m]])
-    except ValueError as exc:
-        raise SdpaFormatError(f"malformed right-hand side: {exc}") from exc
-    entry_tokens = tokens[m:]
-    if len(entry_tokens) % 5 != 0:
+    b = _sdpa_column(tokens[:m], float, "right-hand side")
+    if (len(tokens) - m) % 5 != 0:
         raise SdpaFormatError("entry section is not a sequence of 5-tuples")
+    matno, blkno, i, j = (_sdpa_column(tokens[m + c :: 5], np.int64, "index") for c in range(4))
+    value = _sdpa_column(tokens[m + 4 :: 5], float, "entry value")
 
+    if (bad := (matno < 0) | (matno > m)).any():
+        raise SdpaFormatError(f"matrix index {matno[bad.argmax()]} outside 0..{m}")
+    if (bad := blkno != 1).any():
+        raise SdpaFormatError(
+            f"entry refers to block {blkno[bad.argmax()]}, file declares 1 block"
+        )
+    if (bad := (i < 1) | (i > n) | (j < 1) | (j > n)).any():
+        k = bad.argmax()
+        raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
+    # The duplicate key is the entry's flat upper-triangle position in the
+    # stack; allocating the stack first bounds it, so it cannot wrap in int64.
     mats = np.zeros((m + 1, n, n))
-    seen = set()
-    for pos in range(0, len(entry_tokens), 5):
-        tok = entry_tokens[pos : pos + 5]
-        try:
-            matno = int(tok[0])
-            blkno = int(tok[1])
-            i = int(tok[2])
-            j = int(tok[3])
-            value = float(tok[4])
-        except ValueError as exc:
-            raise SdpaFormatError(f"malformed entry {' '.join(tok)!r}: {exc}") from exc
-        if not 0 <= matno <= m:
-            raise SdpaFormatError(f"matrix index {matno} outside 0..{m}")
-        if blkno != 1:
-            raise SdpaFormatError(f"entry refers to block {blkno}, file declares 1 block")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise SdpaFormatError(f"entry indices ({i}, {j}) outside 1..{n}")
-        key = (matno, min(i, j), max(i, j))
-        if key in seen:
-            raise SdpaFormatError(f"duplicate entry for matrix {matno} at ({i}, {j})")
-        seen.add(key)
-        mats[matno, i - 1, j - 1] = value
-        mats[matno, j - 1, i - 1] = value
-
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    _, first = np.unique((matno * n + lo) * n + hi, return_index=True)
+    if first.size < matno.size:
+        k = np.setdiff1d(np.arange(matno.size), first)[0]
+        raise SdpaFormatError(f"duplicate entry for matrix {matno[k]} at ({i[k]}, {j[k]})")
+    mats[matno, lo, hi] = value
+    mats[matno, hi, lo] = value
     return SdpProblem(C=-mats[0], A=mats[1:], b=b)
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def write_sdpa(p: SdpProblem, path, comment=None):
     """Write a problem in sparse SDPA format (single PSD block).
 
-    Values are formatted with shortest round-trip precision, so
+    Writes the nonzero upper-triangle entries of F0 = -C and F_i = A_i, in
+    matrix order and row-major within each triangle. Values are formatted
+    with shortest round-trip precision (``repr``), so
     ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
     """
-    lines = []
-    if comment:
-        lines.append(f"* {comment}")
-    lines.append(str(p.m))
-    lines.append("1")
-    lines.append(str(p.n))
-    lines.append(" ".join(_fmt(v) for v in p.b))
-    mats = np.concatenate([-p.C[None, :, :], p.A], axis=0)
-    for matno in range(p.m + 1):
-        mat = mats[matno]
-        for i in range(p.n):
-            for j in range(i, p.n):
-                if mat[i, j] != 0.0:
-                    lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(mat[i, j])}")
+    iu, ju = np.triu_indices(p.n)
+    table = np.concatenate([-p.C[None, iu, ju], p.A[:, iu, ju]])
+    matno, pos = np.nonzero(table)
+    rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
+               table[matno, pos].tolist())
+    lines = [f"* {comment}"] if comment else []
+    lines += [str(p.m), "1", str(p.n), " ".join(map(repr, p.b.tolist()))]
+    lines += [f"{k} 1 {i} {j} {v!r}" for k, i, j, v in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

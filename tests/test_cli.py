@@ -378,3 +378,46 @@ def test_generate_maxcut_from_edge_list(tmp_path, capsys):
     assert prob.n == 4 and prob.m == 4
     assert np.array_equal(prob.b, np.ones(4))
     assert np.sum(prob.C * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])) == -4.0
+
+
+def test_solve_rejects_one_token_edge_line(tmp_path, capsys):
+    edges = tmp_path / "graph.txt"
+    edges.write_text("4\n1 2\n3\n")
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        generator={"kind": "maxcut", "edges": str(edges)},
+        out=str(tmp_path / "run"),
+    )
+    assert main(["solve", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'3'" in err
+    assert err.count("\n") == 1
+
+
+# -- flags of the single-run subcommands -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose", "--run", "runs/x", "--sigma", "2"],
+        ["eb-verify", "--jobs", "2"],
+        ["eb-verify", "--max-iter", "5"],
+    ],
+)
+def test_single_run_subcommands_reject_solver_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "eb-verify"])
+def test_single_run_subcommands_reject_second_manifest(tmp_path, capsys, command):
+    manifest = write_manifest(
+        tmp_path / "m.json", z={"random": {"n": 4, "seed": 0}}, out=str(tmp_path / "out")
+    )
+    assert main([command, "--manifest", manifest, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at most one --manifest" in err
+    assert not (tmp_path / "out").exists()
