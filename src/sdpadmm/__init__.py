@@ -49,7 +49,6 @@ from .linearization import (
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
-    rho_nd_estimate,
 )
 from .problem import (
     ConstraintKernel,
@@ -75,7 +74,6 @@ from .solver import (
     step_fixed_point,
     step_three,
     write_trace_csv,
-    write_trace_json,
     z_difference_identity,
 )
 

@@ -132,9 +132,9 @@ def _run_solve_manifest(manifest):
     out_dir = manifest.get("out")
     if not out_dir:
         raise ValueError("manifest is missing an output directory ('out')")
-    os.makedirs(out_dir, exist_ok=True)
-    prob, name, _ = _instance_from_manifest(manifest)
     cfg = _config_from_manifest(manifest)
+    prob, name, _ = _instance_from_manifest(manifest)
+    os.makedirs(out_dir, exist_ok=True)
     kernel = build_kernel(prob)
 
     t0 = time.monotonic()

@@ -25,15 +25,16 @@ from .linalg import (
 )
 from .problem import ConstraintKernel, SdpProblem, project_null, project_range
 
-DEFAULT_RANK_TAU = 1e-8
+RATE_WINDOW_FRAC = 0.3
+RATE_MIN_WINDOW = 10
 
 
 @dataclass
 class ComplementarityReport:
     """Numerical ranks of the limit pair and the strict-complementarity verdict.
 
-    r and s are the counted positive / negative eigenvalues of Zstar at the
-    rank threshold; sc_holds iff r + s = n, equivalently Zstar is numerically
+    r and s are the counted positive / negative eigenvalues of Zstar at
+    ``linalg.RANK_TAU``; sc_holds iff r + s = n, equivalently Zstar is numerically
     nonsingular.
     """
 
@@ -45,12 +46,12 @@ class ComplementarityReport:
     sc_holds: bool
 
 
-def sc_check(zstar, tau=DEFAULT_RANK_TAU) -> ComplementarityReport:
+def sc_check(zstar) -> ComplementarityReport:
     """Classify strict complementarity from the spectrum of Zstar."""
     dec = eig_sym(zstar)
     lam = dec.lam
     n = lam.shape[0]
-    r, s = split_counts(lam, tau)
+    r, s = split_counts(lam)
     pos_edge = float(lam[r - 1]) if r > 0 else np.inf
     neg_edge = float(-lam[n - s]) if s > 0 else np.inf
     return ComplementarityReport(
@@ -86,34 +87,35 @@ class NondegeneracyReport:
     dual_nd: bool
 
 
-def primal_witness(at, r, rtol):
+def primal_witness(at, r):
     """Basis (m, d) of the null space of y -> (A~(y)[:r, :r], sqrt2 A~(y)[:r, r:])
     for the rotated stack ``at`` = (A~_i); the map is the isometric image of
     A*(y) outside the trailing block."""
     m, n, _ = at.shape
     off = SQRT2 * at[:, :r, r:].reshape(m, r * (n - r)).T
-    return null_space(np.vstack([svec_stack(at[:, :r, :r]), off]), rtol)
+    return null_space(np.vstack([svec_stack(at[:, :r, :r]), off]))
 
 
-def dual_witness(at, k, rtol):
+def dual_witness(at, k):
     """Basis (t(k), d), in svec coordinates, of the U in S^k with
     <A~_i[:k, :k], U> = 0 for every i."""
-    return null_space(svec_stack(at[:, :k, :k]).T, rtol)
+    return null_space(svec_stack(at[:, :k, :k]).T)
 
 
-def nd_check(p: SdpProblem, dec: SpectralDecomp, tau=DEFAULT_RANK_TAU) -> NondegeneracyReport:
+def nd_check(p: SdpProblem, dec: SpectralDecomp) -> NondegeneracyReport:
     """Primal and dual nondegeneracy at the split of ``dec``.
 
     ``dec`` is the eigendecomposition of the limit Zstar; its positive block
-    carries the primal rank r and its negative block the dual rank s. Both
-    witness spaces use the relative singular-value threshold ``tau``.
+    carries the primal rank r and its negative block the dual rank s. The
+    split and both witness spaces use ``linalg.RANK_TAU``, as ``fix_basis``
+    does, so each witness dimension is that family's share of dim Fix(M).
     """
     if dec.n != p.n:
         raise ValueError(f"decomposition dimension {dec.n} != problem dimension {p.n}")
-    r, s = split_counts(dec.lam, tau)
+    r, s = split_counts(dec.lam)
     at = rotate_to_eigenbasis(dec, p.A)
-    primal = primal_witness(at, r, tau).shape[1]
-    dual = dual_witness(at, p.n - s, tau).shape[1]
+    primal = primal_witness(at, r).shape[1]
+    dual = dual_witness(at, p.n - s).shape[1]
     return NondegeneracyReport(
         primal_witness_dim=primal,
         dual_witness_dim=dual,
@@ -127,41 +129,41 @@ def nd_check(p: SdpProblem, dec: SpectralDecomp, tau=DEFAULT_RANK_TAU) -> Nondeg
 # ---------------------------------------------------------------------------
 
 
-def tangent_s_part(dec: SpectralDecomp, mat, tau=DEFAULT_RANK_TAU):
+def tangent_s_part(dec: SpectralDecomp, mat):
     """Component of ``mat`` outside the minimal face of the primal limit.
 
     In the eigenbasis of Zstar, zeroes the leading r x r block (r = counted
     positive eigenvalues) and keeps the rest. When the split is singular the
     near-zero eigenvalues are lumped with the negative block.
     """
-    r, _ = split_counts(dec.lam, tau)
+    r, _ = split_counts(dec.lam)
     t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
     t[:r, :r] = 0.0
     return dec.Q @ t @ dec.Q.T
 
 
-def tangent_x_part(dec: SpectralDecomp, mat, tau=DEFAULT_RANK_TAU):
+def tangent_x_part(dec: SpectralDecomp, mat):
     """Component of ``mat`` outside the minimal face of the (scaled) dual limit.
 
     Zeroes the trailing s x s block (s = counted negative eigenvalues); near-zero
     eigenvalues are lumped with the positive block.
     """
-    _, s = split_counts(dec.lam, tau)
+    _, s = split_counts(dec.lam)
     n = dec.n
     t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
     t[n - s :, n - s :] = 0.0
     return dec.Q @ t @ dec.Q.T
 
 
-def offblock_norm(dec: SpectralDecomp, h, tau=DEFAULT_RANK_TAU):
+def offblock_norm(dec: SpectralDecomp, h):
     """Frobenius norm of the lower-left off-diagonal block of H in the
     eigenbasis of the reference (rows below the positive block, columns in it)."""
-    r, _ = split_counts(dec.lam, tau)
+    r, _ = split_counts(dec.lam)
     t = rotate_to_eigenbasis(dec, np.asarray(h, dtype=float))
     return float(np.linalg.norm(t[r:, :r]))
 
 
-def face_projections(dec: SpectralDecomp, x, s_mat, sigma, tau=DEFAULT_RANK_TAU):
+def face_projections(dec: SpectralDecomp, x, s_mat, sigma):
     """Norms of the minimal-face projections at the split of ``dec``.
 
     Returns ``(||outside primal face of X||_F, ||outside dual face of
@@ -170,10 +172,10 @@ def face_projections(dec: SpectralDecomp, x, s_mat, sigma, tau=DEFAULT_RANK_TAU)
     """
     x = np.asarray(x, dtype=float)
     sig_s = sigma * np.asarray(s_mat, dtype=float)
-    face_x = float(np.linalg.norm(tangent_s_part(dec, x, tau)))
-    face_s = float(np.linalg.norm(tangent_x_part(dec, sig_s, tau)))
+    face_x = float(np.linalg.norm(tangent_s_part(dec, x)))
+    face_s = float(np.linalg.norm(tangent_x_part(dec, sig_s)))
     h = x - sig_s - dec.matrix()
-    return face_x, face_s, offblock_norm(dec, h, tau)
+    return face_x, face_s, offblock_norm(dec, h)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +214,8 @@ def rate_fit(values, window, ks=None, name="") -> RateFit:
     with rho_hat = 1.
     """
     values = np.asarray(values, dtype=float)
-    if window < 10:
-        raise ValueError(f"window must be at least 10, got {window}")
+    if window < RATE_MIN_WINDOW:
+        raise ValueError(f"window must be at least {RATE_MIN_WINDOW}, got {window}")
     if values.shape[0] < window:
         raise ValueError(f"sequence has {values.shape[0]} points, window needs {window}")
     tail = values[-window:]
@@ -237,11 +239,12 @@ def rate_fit(values, window, ks=None, name="") -> RateFit:
     return RateFit(window=(lo, hi), rho_hat=float(np.exp(slope)), r2=r2, sequence_name=name)
 
 
-def trailing_window(total, k_id_index=0, frac=0.3, min_window=10):
-    """Window length for a tail fit: ``frac`` of the points past rank
-    identification, at least ``min_window``, capped by what is available."""
+def trailing_window(total, k_id_index=0):
+    """Window length for a tail fit: ``RATE_WINDOW_FRAC`` of the points past
+    rank identification, at least ``RATE_MIN_WINDOW``, capped by what is
+    available."""
     usable = total - k_id_index
-    return max(min_window, min(usable, int(round(frac * usable))))
+    return max(RATE_MIN_WINDOW, min(usable, int(round(RATE_WINDOW_FRAC * usable))))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +253,7 @@ def trailing_window(total, k_id_index=0, frac=0.3, min_window=10):
 
 
 def backward_error_terms(
-    p: SdpProblem,
-    kernel: ConstraintKernel,
-    dec: SpectralDecomp,
-    x,
-    s_mat,
-    sigma,
-    tau=DEFAULT_RANK_TAU,
+    p: SdpProblem, kernel: ConstraintKernel, dec: SpectralDecomp, x, s_mat, sigma
 ):
     """Additive terms bounding the distance of (X, sigma S) to optimality.
 
@@ -275,7 +272,7 @@ def backward_error_terms(
     )
     lam_min_x = float(np.linalg.eigvalsh(x)[0])
     lam_min_s = float(np.linalg.eigvalsh(sig_s)[0])
-    face_x, face_s, _ = face_projections(dec, x, s_mat, sigma, tau)
+    face_x, face_s, _ = face_projections(dec, x, s_mat, sigma)
     return {
         "primal_range_residual": float(np.linalg.norm(project_range(kernel, x - x_tilde))),
         "dual_null_residual": float(np.linalg.norm(project_null(kernel, sig_s - sigma * p.C))),

@@ -179,14 +179,14 @@ def init_elimination(z, h) -> EliminationState:
     )
 
 
-def run_elimination(z, h, tol=ELIMINATION_TOL, max_iter=ELIMINATION_MAX_ITER):
+def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
     """Compute Pi(Z + H) by iterative elimination.
 
     Returns ``(V, iterations, final_off_norm)`` where ``V`` agrees with the
     eigendecomposition-based projection to well below the stopping threshold
-    ``tol * max(1, ||Z + H||_F)`` on the off-block. Quadratic decay keeps the
-    iteration count tiny; exceeding ``max_iter`` raises NumericalFailureError
-    with the decay history.
+    ``ELIMINATION_TOL * max(1, ||Z + H||_F)`` on the off-block. Quadratic
+    decay keeps the iteration count tiny; exceeding ``max_iter`` raises
+    NumericalFailureError with the decay history.
     """
     state = init_elimination(z, h)
     scale = max(1.0, float(np.linalg.norm(state.block_matrix())))
@@ -194,7 +194,7 @@ def run_elimination(z, h, tol=ELIMINATION_TOL, max_iter=ELIMINATION_MAX_ITER):
     for _ in range(max_iter + 1):
         off = float(np.linalg.norm(state.zo))
         history.append(off)
-        if off <= tol * scale:
+        if off <= ELIMINATION_TOL * scale:
             return state.v, state.ell, off
         if state.ell >= max_iter:
             break

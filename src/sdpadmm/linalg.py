@@ -146,10 +146,15 @@ def psd_split(dec: SpectralDecomp):
     return plus, minus
 
 
-def split_counts(lam, tau):
+# Relative threshold of every eigenvalue split and witness null space.
+RANK_TAU = 1e-8
+SYLVESTER_COND_LIMIT = 1e14
+
+
+def split_counts(lam):
     """Numerical rank split (r, s) of a spectrum: the counts of eigenvalues
-    above ``tau * max(1, max|lam|)`` and below its negative."""
-    thr = tau * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    above ``RANK_TAU * max(1, max|lam|)`` and below its negative."""
+    thr = RANK_TAU * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     return int(np.sum(lam > thr)), int(np.sum(lam < -thr))
 
 
@@ -158,20 +163,20 @@ def rotate_to_eigenbasis(dec: SpectralDecomp, a):
     return dec.Q.T @ a @ dec.Q
 
 
-def null_space(mat, rtol):
+def null_space(mat):
     """Orthonormal columns spanning the numerical null space of ``mat``: the
     right singular vectors whose singular values do not exceed
-    ``rtol * sigma_max``. A matrix with no rows has the whole domain as null
+    ``RANK_TAU * sigma_max``. A matrix with no rows has the whole domain as null
     space."""
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return np.eye(mat.shape[1])
     _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(sv > rtol * sv[0])) if sv[0] > 0.0 else 0
+    rank = int(np.sum(sv > RANK_TAU * sv[0])) if sv[0] > 0.0 else 0
     return vt[rank:].T
 
 
-def sylvester_solve(zx, zs, zo, cond_limit=1e14):
+def sylvester_solve(zx, zs, zo):
     """Solve ``W @ Zx + (-Zs) @ W = Zo`` for W.
 
     Parameters
@@ -192,7 +197,7 @@ def sylvester_solve(zx, zs, zo, cond_limit=1e14):
         If a definiteness precondition fails.
     NumericalFailureError
         If the Kronecker-sum operator W -> W Zx - Zs W is estimated
-        worse-conditioned than ``cond_limit``.
+        worse-conditioned than ``SYLVESTER_COND_LIMIT``.
     """
     zx = symmetrize(zx)
     zs = symmetrize(zs)
@@ -209,7 +214,7 @@ def sylvester_solve(zx, zs, zo, cond_limit=1e14):
         raise ValueError(f"second block not negative definite (lam_max = {lam_s[-1]:.3e})")
     sep = lam_x[0] - lam_s[-1]
     spread = lam_x[-1] - lam_s[0]
-    if spread / sep > cond_limit:
+    if spread / sep > SYLVESTER_COND_LIMIT:
         raise NumericalFailureError(
             f"Kronecker-sum system too ill-conditioned (estimate {spread / sep:.3e})",
             cond_estimate=float(spread / sep),

@@ -28,11 +28,11 @@ import scipy.linalg
 
 from .diagnostics import dual_witness, primal_witness
 from .errors import NumericalFailureError
-from .linalg import SpectralDecomp, psd_project, smat, svec, svec_dim, symmetrize
+from .linalg import RANK_TAU, SpectralDecomp, psd_project, smat, svec, svec_dim, symmetrize
 from .problem import ConstraintKernel, project_range
 
 NORM_TOL = 1e-12
-FIX_NULLSPACE_RTOL = 1e-9
+NONSINGULAR_GAP = 1e-12
 
 
 @dataclass
@@ -75,18 +75,19 @@ class OmegaStructure:
         return self.rotate_in(h)[self.r :, : self.r]
 
 
-def build_omega(dec: SpectralDecomp, gap_tol=1e-12) -> OmegaStructure:
+def build_omega(dec: SpectralDecomp) -> OmegaStructure:
     """Assemble the multiplier structure from a sorted spectral decomposition.
 
     Requires a nonsingular reference: every eigenvalue must clear
-    ``gap_tol * max|lam|`` in magnitude, otherwise a ValueError asks the caller
-    to switch to the directional-derivative path (:func:`build_directional`).
+    ``NONSINGULAR_GAP * max|lam|`` in magnitude, otherwise a ValueError asks
+    the caller to switch to the directional-derivative path
+    (:func:`build_directional`).
     Elimination and ``eb-verify`` reject singular references by this rule.
     """
     lam = dec.lam
     n = lam.shape[0]
     lam_max = float(np.max(np.abs(lam))) if n else 0.0
-    if lam_max == 0.0 or np.min(np.abs(lam)) <= gap_tol * lam_max:
+    if lam_max == 0.0 or np.min(np.abs(lam)) <= NONSINGULAR_GAP * lam_max:
         raise ValueError(
             "reference matrix must be nonsingular "
             f"(min |lam| = {float(np.min(np.abs(lam))) if n else 0.0:.3e})"
@@ -204,8 +205,8 @@ def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
     a = kernel.problem.A
     at = os_.rotate_in(a)
     q1 = os_.Q[:, :r]
-    members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r, FIX_NULLSPACE_RTOL).T]
-    y = primal_witness(at, r, FIX_NULLSPACE_RTOL)
+    members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r).T]
+    y = primal_witness(at, r)
     if y.shape[1]:
         chol = np.linalg.cholesky(y.T @ kernel.gram @ y)
         coef = scipy.linalg.solve_triangular(chol, y.T, lower=True)
@@ -255,14 +256,14 @@ class DirectionalStructure:
         return 1.0 - self.theta_t
 
 
-def build_directional(dec: SpectralDecomp, tau=1e-8) -> DirectionalStructure:
-    """Split the spectrum at threshold tau * max|lam| into positive (alpha),
+def build_directional(dec: SpectralDecomp) -> DirectionalStructure:
+    """Split the spectrum at threshold RANK_TAU * max|lam| into positive (alpha),
     near-zero (beta) and negative (gamma) index sets."""
     lam = dec.lam
     # Scale-relative, unlike linalg.split_counts: the projection is positively
     # homogeneous, so its directional derivative at c * Zstar (c > 0) equals
     # the one at Zstar and the split must not depend on the reference's scale.
-    thr = tau * (float(np.max(np.abs(lam))) if lam.size else 0.0)
+    thr = RANK_TAU * (float(np.max(np.abs(lam))) if lam.size else 0.0)
     alpha = np.flatnonzero(lam > thr)
     gamma = np.flatnonzero(lam < -thr)
     beta = np.flatnonzero(np.abs(lam) <= thr)
@@ -301,71 +302,3 @@ def apply_M_directional(ds: DirectionalStructure, kernel: ConstraintKernel, h):
     P(H - D(H)) + Pnull(D(H)) with D the directional derivative."""
     d = directional_derivative(ds, h)
     return d + project_range(kernel, h - 2.0 * d)
-
-
-def _sphere_ascent(objective, h0, max_iter=200, fd_step=1e-5):
-    """Maximize a positively homogeneous objective over the unit sphere by
-    projected finite-difference gradient ascent with backtracking."""
-    h = h0 / np.linalg.norm(h0)
-    val = objective(h)
-    n = h.shape[0]
-    rows, cols = np.tril_indices(n)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    step = 0.5
-    for _ in range(max_iter):
-        grad = np.zeros_like(h)
-        for i, j in zip(rows, cols):
-            e = np.zeros_like(h)
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = inv_sqrt2
-            hp = h + fd_step * e
-            hm = h - fd_step * e
-            plus = objective(hp / np.linalg.norm(hp))
-            minus = objective(hm / np.linalg.norm(hm))
-            grad += ((plus - minus) / (2.0 * fd_step)) * e
-        grad -= np.sum(grad * h) * h
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-14:
-            break
-        improved = False
-        trial_step = step
-        for _ in range(30):
-            cand = h + trial_step * grad / gnorm
-            cand /= np.linalg.norm(cand)
-            cand_val = objective(cand)
-            if cand_val > val + 1e-15:
-                h, val = cand, cand_val
-                step = min(trial_step * 2.0, 4.0)
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            break
-    return val, h
-
-
-def rho_nd_estimate(
-    ds: DirectionalStructure, kernel: ConstraintKernel, samples, seed=0, max_ascent=200
-):
-    """Sampled lower bound on the sphere supremum of ||P(H - D(H)) + Pnull(D(H))||.
-
-    Random unit-sphere starts followed by projected finite-difference gradient
-    ascent; positive homogeneity makes the sphere restriction lossless. The
-    result is an estimate from ``samples`` starts, not a certified supremum.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n = ds.n
-
-    def objective(h):
-        return float(np.linalg.norm(apply_M_directional(ds, kernel, h)))
-
-    best = 0.0
-    for _ in range(samples):
-        h0 = symmetrize(rng.standard_normal((n, n)))
-        val, _ = _sphere_ascent(objective, h0, max_iter=max_ascent)
-        best = max(best, val)
-    return best

@@ -189,7 +189,8 @@ def load_sdpa(path) -> SdpProblem:
         For multi-block files or diagonal (negative-size) blocks.
     SdpaFormatError
         For malformed content, naming one offending token or entry: a bad
-        header, token or index, or duplicate (matno, i, j) entries.
+        header, token or index, or duplicate (matno, i, j) entries; also for
+        a block size whose dense constraint stack cannot be allocated.
     ValueError
         If the assembled constraint matrices are linearly dependent.
     """
@@ -240,7 +241,10 @@ def load_sdpa(path) -> SdpProblem:
         raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
     # The duplicate key is the entry's flat upper-triangle position in the
     # stack; allocating the stack first bounds it, so it cannot wrap in int64.
-    mats = np.zeros((m + 1, n, n))
+    try:
+        mats = np.zeros((m + 1, n, n))
+    except MemoryError as exc:
+        raise SdpaFormatError(f"block size {n} needs {8 * (m + 1) * n * n} bytes") from exc
     lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     _, first = np.unique((matno * n + lo) * n + hi, return_index=True)
     if first.size < matno.size:

@@ -22,13 +22,14 @@ reference path.
 from __future__ import annotations
 
 import enum
-import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DEFAULT_RANK_TAU, face_projections, offblock_norm
+from .diagnostics import face_projections, offblock_norm
 from .errors import NumericalFailureError
 from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
 from .problem import (
@@ -61,7 +62,7 @@ class SolverConfig:
     stopping threshold on the maximum KKT residual; init one of "zero",
     "gaussian" (standard normal, symmetrized, drawn from ``seed``) or
     "explicit" (uses ``z0``). The numerical ranks recorded in the trace use
-    ``diagnostics.DEFAULT_RANK_TAU``.
+    ``linalg.RANK_TAU``. A zero ``time_limit_secs`` stops at the first iterate.
     """
 
     sigma: float = 1.0
@@ -74,10 +75,25 @@ class SolverConfig:
     z0: np.ndarray | None = None
 
     def validate(self):
+        for name in ("max_iter", "trace_every", "seed"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+        limits = ["sigma", "tol_rmax"]
+        if self.time_limit_secs is not None:
+            limits.append("time_limit_secs")
+        for name in limits:
+            val = getattr(self, name)
+            if isinstance(val, bool) or not (
+                isinstance(val, numbers.Real) and math.isfinite(val)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {val!r}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.tol_rmax <= 0.0:
             raise ValueError(f"tol_rmax must be positive, got {self.tol_rmax}")
+        if self.time_limit_secs is not None and self.time_limit_secs < 0.0:
+            raise ValueError(f"time_limit_secs must be >= 0, got {self.time_limit_secs}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.trace_every < 1:
@@ -271,7 +287,7 @@ def solve(
     t0 = time.monotonic()
 
     def make_record(k, res, z_cur, z_next, x_part, s_mat):
-        rank_x, rank_s = split_counts(dec.lam, DEFAULT_RANK_TAU)
+        rank_x, rank_s = split_counts(dec.lam)
         rec = IterationRecord(
             k=k,
             r_p=res[0],
@@ -388,33 +404,3 @@ def write_trace_csv(records, path):
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def records_to_json(records, **metadata):
-    """JSON-ready dict: the same fields as the CSV plus run metadata."""
-    rows = []
-    for r in records:
-        row = {
-            "k": r.k,
-            "r_p": r.r_p,
-            "r_d": r.r_d,
-            "r_gap": r.r_gap,
-            "r_max": r.r_max,
-            "rank_X": r.rank_x,
-            "rank_S": r.rank_s,
-            "lam_min_absZ": r.lam_min_abs_z,
-            "norm_Z_diff": r.norm_z_diff,
-        }
-        if r.h_norm is not None:
-            row["h_norm"] = r.h_norm
-            row["ho_norm"] = r.ho_norm
-            row["face_X_norm"] = r.face_x_norm
-            row["face_S_norm"] = r.face_s_norm
-        rows.append(row)
-    return {"metadata": dict(metadata), "records": rows}
-
-
-def write_trace_json(records, path, **metadata):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records_to_json(records, **metadata), fh, indent=1)
-        fh.write("\n")

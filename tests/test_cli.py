@@ -93,6 +93,41 @@ def test_solve_rejects_ambiguous_instance_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_rejects_oversized_sdpa_block(tmp_path, capsys):
+    # The dense constraint stack of a 10^7 block would take 728 TiB.
+    inst = tmp_path / "huge.dat-s"
+    inst.write_text("0\n1\n10000000\n\n")
+    manifest = write_manifest(tmp_path / "m.json", instance=str(inst), out=str(tmp_path / "o"))
+    assert main(["solve", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "block size 10000000" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, flags, name",
+    [
+        ({}, ["--tol", "nan"], "tol_rmax"),
+        ({}, ["--sigma", "nan"], "sigma"),
+        ({"max_iter": 10.5}, [], "max_iter"),
+        ({"sigma": "2"}, [], "sigma"),
+    ],
+)
+def test_solve_rejects_invalid_run_parameters(tmp_path, capsys, fields, flags, name):
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        generator={"kind": "planted", "n": 6, "m": 8, "r": 2, "seed": 0},
+        out=str(tmp_path / "o"),
+        **fields,
+    )
+    assert main(["solve", "--manifest", manifest, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_deterministic_traces(tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):

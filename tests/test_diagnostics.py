@@ -144,6 +144,24 @@ def test_nd_witnesses_match_joint_rank_oracle(n, m, r, degeneracy, side):
         assert fix.dim == rep.primal_witness_dim + rep.dual_witness_dim
 
 
+def test_nd_check_and_fix_basis_share_one_threshold():
+    # A 3e-8 leading-block perturbation of the last constraint puts the
+    # primal witness's smallest relative singular value between 1e-9 and 1e-8:
+    # a witness under one threshold, none under a tighter one. Both counts
+    # must use the same threshold, or diagnose reports "primal ND fails"
+    # next to dim Fix(M) = 0.
+    prob, cert = generate_planted(10, 20, 3, seed=300, degeneracy="primal_nd_fail")
+    q1 = cert.Qstar[:, : cert.r]
+    a = prob.A.copy()
+    a[-1] += 3e-8 * q1 @ random_sym(cert.r, np.random.default_rng(0)) @ q1.T
+    prob = SdpProblem(C=prob.C, A=a, b=prob.b)
+    dec = eig_sym(cert.zstar(1.0))
+    rep = nd_check(prob, dec)
+    fix = fix_basis(build_omega(dec), build_kernel(prob))
+    assert rep.primal_witness_dim == 1
+    assert fix.dim == rep.primal_witness_dim + rep.dual_witness_dim
+
+
 # -- minimal-face projections ------------------------------------------------
 
 

@@ -241,6 +241,7 @@ def test_load_sdpa_rank_deficient_rejected(tmp_path):
         ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 2 2 2 1.0\n", "block 2"),
         ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 3 1 1.0\n", r"\(3, 1\) outside 1..2"),
         ("1\n1\n2\n1.0\n1 1 99999999999999999999 1 1.0\n", "'99999999999999999999'"),
+        ("0\n1\n10000000\n\n", "block size 10000000 needs 800000000000000 bytes"),
     ],
 )
 def test_load_sdpa_rejects_malformed(tmp_path, text, match):

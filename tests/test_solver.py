@@ -211,28 +211,6 @@ def test_solve_deterministic_trace(tmp_path, small_planted):
     assert f1.read_text().splitlines()[0] == TRACE_HEADER
 
 
-def test_trace_json_export(tmp_path, small_planted):
-    import json
-
-    from sdpadmm.solver import write_trace_json
-
-    p, _, kern = small_planted
-    cfg = SolverConfig(sigma=1.0, max_iter=20, tol_rmax=1e-16, trace_every=5, seed=2)
-    state, records, _ = solve(p, cfg, kernel=kern, reference=np.zeros((p.n, p.n)))
-    path = tmp_path / "trace.json"
-    write_trace_json(records, path, instance="toy", sigma=cfg.sigma, seed=cfg.seed,
-                     status="iter_limit")
-    data = json.loads(path.read_text())
-    assert data["metadata"] == {
-        "instance": "toy", "sigma": 1.0, "seed": 2, "status": "iter_limit"
-    }
-    assert len(data["records"]) == len(records)
-    row = data["records"][0]
-    for key in ("k", "r_p", "r_d", "r_gap", "r_max", "rank_X", "rank_S",
-                "lam_min_absZ", "norm_Z_diff", "h_norm", "ho_norm"):
-        assert key in row
-
-
 def test_trace_norm_z_diff_matches_snapshots(small_planted):
     p, _, kern = small_planted
     cfg = SolverConfig(sigma=1.0, max_iter=40, tol_rmax=1e-16, trace_every=1, seed=4)
@@ -413,6 +391,29 @@ def test_solver_config_validation():
         SolverConfig(init="explicit").validate()
     with pytest.raises(ValueError):
         SolverConfig(init="warmstart").validate()
+
+
+# A NaN tolerance never converges and a NaN sigma fails later inside scipy; a
+# mistyped manifest value would raise TypeError in the loop.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma", float("nan")),
+        ("sigma", float("inf")),
+        ("sigma", "2"),
+        ("tol_rmax", float("nan")),
+        ("time_limit_secs", float("nan")),
+        ("time_limit_secs", -1.0),
+        ("max_iter", 10.5),
+        ("max_iter", True),
+        ("trace_every", 2.0),
+        ("seed", None),
+        ("seed", "1"),
+    ],
+)
+def test_solver_config_rejects_nonfinite_or_mistyped(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value}).validate()
 
 
 def test_reference_extras_recorded(small_planted, default_cfg):
