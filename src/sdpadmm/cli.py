@@ -8,14 +8,18 @@ agreement check), and ``generate`` (write planted or max-cut instances as
 override manifest fields, which override defaults. Identical manifest and
 seed produce byte-identical trace CSVs; wall-clock metadata lives only in the
 JSON summary.
+
+``solve`` writes a run directory once (the instance file as read, or as
+generated, and every ``SolverConfig`` field); ``diagnose`` only reads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import diagnostics, linearization
 from .elimination import eb_scan, run_elimination
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, require_integer, require_number
 from .linalg import eig_sym, psd_project, symmetrize
 from .problem import (
     build_kernel,
@@ -40,7 +44,13 @@ from .solver import (
     write_trace_csv,
 )
 
-_CFG_KEYS = ("sigma", "max_iter", "tol_rmax", "time_limit_secs", "trace_every", "init", "seed")
+_CFG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+
+
+def _write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
 
 
 def _load_manifest(path):
@@ -135,14 +145,18 @@ def _run_solve_manifest(manifest):
     cfg = _config_from_manifest(manifest)
     prob, name, _ = _instance_from_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
+    instance_file = os.path.join(out_dir, "instance.dat-s")
+    source = manifest.get("instance")
+    if source is None:
+        write_sdpa(prob, instance_file, comment=name)
+    elif not (os.path.exists(instance_file) and os.path.samefile(source, instance_file)):
+        shutil.copyfile(source, instance_file)
     kernel = build_kernel(prob)
 
     t0 = time.monotonic()
     state, records, status = solve(prob, cfg, kernel=kernel)
     wall = time.monotonic() - t0
 
-    instance_file = os.path.join(out_dir, "instance.dat-s")
-    write_sdpa(prob, instance_file, comment=name)
     np.save(os.path.join(out_dir, "z_final.npy"), state.Z)
     write_trace_csv(records, os.path.join(out_dir, "trace.csv"))
     summary = {
@@ -150,13 +164,7 @@ def _run_solve_manifest(manifest):
         "instance_file": "instance.dat-s",
         "n": prob.n,
         "m": prob.m,
-        "sigma": cfg.sigma,
-        "seed": cfg.seed,
-        "init": cfg.init,
-        "max_iter": cfg.max_iter,
-        "time_limit_secs": cfg.time_limit_secs,
-        "tol_rmax": cfg.tol_rmax,
-        "trace_every": cfg.trace_every,
+        **{key: getattr(cfg, key) for key in _CFG_KEYS},
         "status": status.value,
         "iterations": state.k,
         "r_p": state.residuals[0],
@@ -169,9 +177,7 @@ def _run_solve_manifest(manifest):
         "timings": state.timings.to_json(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(summary, os.path.join(out_dir, "summary.json"))
     return summary
 
 
@@ -179,11 +185,7 @@ def _cmd_solve(args):
     manifests = [_apply_overrides(_load_manifest(path), args) for path in args.manifest]
     if not manifests:
         raise ValueError("solve needs at least one --manifest")
-    if len(manifests) == 1 or args.jobs <= 1:
-        summaries = [_run_solve_manifest(man) for man in manifests]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_run_solve_manifest, manifests))
+    summaries = [_run_solve_manifest(man) for man in manifests]
     statuses = [s["status"] for s in summaries]
     n_conv = sum(1 for s in statuses if s == SolveStatus.CONVERGED.value)
     if len(summaries) == 1:
@@ -201,24 +203,8 @@ def _cmd_solve(args):
     return 2, line
 
 
-def _fit_or_none(values, ks, window, name):
-    try:
-        return diagnostics.rate_fit(values, window, ks=ks, name=name)
-    except ValueError:
-        return None
-
-
-def _single_manifest(args):
-    """The one manifest of ``diagnose`` or ``eb-verify``; {} when none is given."""
-    if len(args.manifest) > 1:
-        raise ValueError(f"{args.command} takes at most one --manifest")
-    return _load_manifest(args.manifest[0]) if args.manifest else {}
-
-
 def _cmd_diagnose(args):
-    run_dir = _single_manifest(args).get("run", args.run)
-    if not run_dir:
-        raise ValueError("diagnose needs --run DIR (or a manifest with a 'run' key)")
+    run_dir = args.run
     summary_path = os.path.join(run_dir, "summary.json")
     z_path = os.path.join(run_dir, "z_final.npy")
     if not (os.path.exists(summary_path) and os.path.exists(z_path)):
@@ -274,9 +260,11 @@ def _cmd_diagnose(args):
             vals = np.asarray(values, dtype=float)
             keep = vals > 0.0
             if keep.sum() >= window:
-                fit = _fit_or_none(vals[keep], np.asarray(ks, float)[keep], window, name)
-                if fit is not None:
-                    fits.append(fit)
+                try:
+                    fits.append(diagnostics.rate_fit(
+                        vals[keep], window, ks=np.asarray(ks, float)[keep], name=name))
+                except ValueError:
+                    pass  # a tail that cannot be fit gets no entry
 
     report = {
         "run": run_dir,
@@ -300,17 +288,7 @@ def _cmd_diagnose(args):
     }
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    trace_path = os.path.join(run_dir, "trace.csv")
-    if fits and os.path.exists(trace_path):
-        with open(trace_path, "a", encoding="utf-8") as fh:
-            for f in fits:
-                fh.write(
-                    f"#fit,{f.sequence_name},rho_hat={f.rho_hat!r},r2={f.r2!r},"
-                    f"window={f.window[0]}:{f.window[1]}\n"
-                )
+    _write_json(report, os.path.join(out_dir, "diagnostics.json"))
 
     if not converged:
         print("=== NOT CONVERGED: diagnostics reflect the last iterate ===")
@@ -345,31 +323,41 @@ def _eb_inputs(manifest):
         z = symmetrize(np.load(zsrc["file"]))
     else:
         rnd = zsrc["random"]
-        rng = np.random.default_rng(rnd.get("seed", 0))
-        n = rnd["n"]
+        n, seed = rnd["n"], rnd.get("seed", 0)
+        require_integer("n", n)
+        require_integer("seed", seed)
+        rng = np.random.default_rng(seed)
         q = haar_orthogonal(n, rng)
         lam = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) < (n + 1) // 2, 1.0, -1.0)
         z = symmetrize((q * lam) @ q.T)
     if "file" in hsrc:
         h = symmetrize(np.load(hsrc["file"]))
     else:
-        rng = np.random.default_rng(hsrc["random"].get("seed", 1))
+        seed = hsrc["random"].get("seed", 1)
+        require_integer("seed", seed)
+        rng = np.random.default_rng(seed)
         h = symmetrize(rng.standard_normal(z.shape))
         h /= np.linalg.norm(h, 2)
     return z, h
 
 
 def _cmd_eb_verify(args):
-    manifest = _single_manifest(args)
+    if len(args.manifest) > 1:
+        raise ValueError("eb-verify takes at most one --manifest")
+    manifest = _load_manifest(args.manifest[0]) if args.manifest else {}
     if args.out is not None:
         manifest["out"] = args.out
-    z, h = _eb_inputs(manifest)
     scales = manifest.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
+    if not isinstance(scales, list):
+        raise ValueError(f"scales must be a list of positive numbers, got {scales!r}")
+    for t in scales:
+        require_number("scales", t)
+    z, h = _eb_inputs(manifest)
     report = eb_scan(z, h, scales)
     out_dir = manifest.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, "eb_report.csv"))
-    report.write_json(os.path.join(out_dir, "eb_report.json"))
+    _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))
     t_min = float(min(scales))
     v, iters, _ = run_elimination(z, t_min * h)
     deviation = float(np.linalg.norm(v - psd_project(z + t_min * h)))
@@ -403,9 +391,7 @@ def _cmd_generate(args):
             "degeneracy": args.degeneracy,
             "kkt_residuals": {"primal": rp, "dual": rd, "complementarity": comp},
         }
-        with open(out + ".cert.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
+        _write_json(sidecar, out + ".cert.json")
         return 0, f"status: wrote {out} and {out}.cert.json"
     if args.kind == "maxcut":
         if not args.edges:
@@ -432,11 +418,10 @@ def _build_parser():
     sp_solve.add_argument("--tol", type=float, default=None)
     sp_solve.add_argument("--seed", type=int, default=None)
     sp_solve.add_argument("--init", choices=("zero", "gaussian"), default=None)
-    sp_solve.add_argument("--jobs", type=int, default=1)
 
     sp_diag = sub.add_parser("diagnose", help="analyze a finished run directory")
-    add_io(sp_diag)
-    sp_diag.add_argument("--run", default=None, help="run directory written by solve")
+    sp_diag.add_argument("--run", required=True, help="run directory written by solve")
+    sp_diag.add_argument("--out", default=None)
 
     sp_eb = sub.add_parser("eb-verify", help="projection linearization residual scan")
     add_io(sp_eb)

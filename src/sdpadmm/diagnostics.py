@@ -142,19 +142,6 @@ def tangent_s_part(dec: SpectralDecomp, mat):
     return dec.Q @ t @ dec.Q.T
 
 
-def tangent_x_part(dec: SpectralDecomp, mat):
-    """Component of ``mat`` outside the minimal face of the (scaled) dual limit.
-
-    Zeroes the trailing s x s block (s = counted negative eigenvalues); near-zero
-    eigenvalues are lumped with the positive block.
-    """
-    _, s = split_counts(dec.lam)
-    n = dec.n
-    t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
-    t[n - s :, n - s :] = 0.0
-    return dec.Q @ t @ dec.Q.T
-
-
 def offblock_norm(dec: SpectralDecomp, h):
     """Frobenius norm of the lower-left off-diagonal block of H in the
     eigenbasis of the reference (rows below the positive block, columns in it)."""
@@ -168,14 +155,20 @@ def face_projections(dec: SpectralDecomp, x, s_mat, sigma):
 
     Returns ``(||outside primal face of X||_F, ||outside dual face of
     sigma*S||_F, ||H_O||_F)`` where H = X - sigma*S - Zstar and H_O is its
-    off-diagonal block in the eigenbasis of Zstar.
+    off-diagonal block in the eigenbasis of Zstar. Each matrix is rotated
+    into that basis once: the Frobenius norm is rotation invariant, and
+    Q' Zstar Q = diag(lam) has no off-block, so H_O = (Q'XQ - Q' sigma S Q)[r:, :r].
+    The primal face zeroes the leading r x r block, the dual face the trailing
+    s x s block; near-zero eigenvalues are lumped with the other side.
     """
-    x = np.asarray(x, dtype=float)
-    sig_s = sigma * np.asarray(s_mat, dtype=float)
-    face_x = float(np.linalg.norm(tangent_s_part(dec, x)))
-    face_s = float(np.linalg.norm(tangent_x_part(dec, sig_s)))
-    h = x - sig_s - dec.matrix()
-    return face_x, face_s, offblock_norm(dec, h)
+    r, s = split_counts(dec.lam)
+    n = dec.n
+    tx = rotate_to_eigenbasis(dec, np.asarray(x, dtype=float))
+    ts = rotate_to_eigenbasis(dec, sigma * np.asarray(s_mat, dtype=float))
+    ho = float(np.linalg.norm(tx[r:, :r] - ts[r:, :r]))
+    tx[:r, :r] = 0.0
+    ts[n - s :, n - s :] = 0.0
+    return float(np.linalg.norm(tx)), float(np.linalg.norm(ts)), ho
 
 
 # ---------------------------------------------------------------------------

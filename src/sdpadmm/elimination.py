@@ -16,7 +16,6 @@ report exposes as ratio families over a range of perturbation sizes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,11 +264,6 @@ class EbReport:
             )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
 
 
 def eb_scan(z, h, scales) -> EbReport:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn a
+mistyped user-supplied parameter into a ValueError naming it."""
+
+import math
+import numbers
 
 
 class NumericalFailureError(RuntimeError):
@@ -17,3 +21,15 @@ class SdpaFormatError(ValueError):
 
 class UnsupportedBlockError(SdpaFormatError):
     """Structurally valid SDPA file outside the supported single-PSD-block subset."""
+
+
+def require_integer(name, val):
+    """Raise ValueError naming ``name`` unless ``val`` is an integer (bool excluded)."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+
+
+def require_number(name, val):
+    """Raise ValueError naming ``name`` unless ``val`` is a finite real number (bool excluded)."""
+    if isinstance(val, bool) or not (isinstance(val, numbers.Real) and math.isfinite(val)):
+        raise ValueError(f"{name} must be a finite number, got {val!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SdpaFormatError, UnsupportedBlockError
+from .errors import SdpaFormatError, UnsupportedBlockError, require_integer, require_number
 from .linalg import (
     require_finite,
     svec_dim,
@@ -345,8 +345,13 @@ def generate_planted(
     The PRNG is numpy's default (PCG64) seeded with ``seed``; instances are
     reproducible across platforms.
 
-    Returns (SdpProblem, PlantedCertificate).
+    ``n``, ``m``, ``r`` and ``seed`` must be integers and the spectrum bounds
+    finite numbers. Returns (SdpProblem, PlantedCertificate).
     """
+    for name, val in (("n", n), ("m", m), ("r", r), ("seed", seed)):
+        require_integer(name, val)
+    require_number("spectrum_floor", spectrum_floor)
+    require_number("spectrum_ceil", spectrum_ceil)
     if not 1 <= r < n:
         raise ValueError(f"rank r = {r} must satisfy 1 <= r < n = {n}")
     if not 1 <= m <= svec_dim(n) - 1:

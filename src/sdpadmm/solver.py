@@ -22,15 +22,13 @@ reference path.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import face_projections, offblock_norm
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, require_integer, require_number
 from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
 from .problem import (
     ConstraintKernel,
@@ -59,10 +57,12 @@ class SolverConfig:
     """Run parameters.
 
     sigma is the fixed penalty parameter (> 0, never adapted); tol_rmax the
-    stopping threshold on the maximum KKT residual; init one of "zero",
-    "gaussian" (standard normal, symmetrized, drawn from ``seed``) or
-    "explicit" (uses ``z0``). The numerical ranks recorded in the trace use
-    ``linalg.RANK_TAU``. A zero ``time_limit_secs`` stops at the first iterate.
+    stopping threshold on the maximum KKT residual; init one of "zero" or
+    "gaussian" (standard normal, symmetrized, drawn from ``seed``), so
+    ``(init, seed, n)`` determines the start. Every field is a JSON scalar:
+    a run is replayed from the fields ``summary.json`` records. The numerical
+    ranks recorded in the trace use ``linalg.RANK_TAU``. A zero
+    ``time_limit_secs`` stops at the first iterate.
     """
 
     sigma: float = 1.0
@@ -72,22 +72,15 @@ class SolverConfig:
     trace_every: int = 1
     init: str = "gaussian"
     seed: int = 0
-    z0: np.ndarray | None = None
 
     def validate(self):
         for name in ("max_iter", "trace_every", "seed"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
+            require_integer(name, getattr(self, name))
         limits = ["sigma", "tol_rmax"]
         if self.time_limit_secs is not None:
             limits.append("time_limit_secs")
         for name in limits:
-            val = getattr(self, name)
-            if isinstance(val, bool) or not (
-                isinstance(val, numbers.Real) and math.isfinite(val)
-            ):
-                raise ValueError(f"{name} must be a finite number, got {val!r}")
+            require_number(name, getattr(self, name))
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.tol_rmax <= 0.0:
@@ -98,10 +91,8 @@ class SolverConfig:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.trace_every < 1:
             raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
-        if self.init not in ("zero", "gaussian", "explicit"):
+        if self.init not in ("zero", "gaussian"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "explicit" and self.z0 is None:
-            raise ValueError("init='explicit' requires z0")
 
 
 @dataclass
@@ -229,13 +220,8 @@ def step_three(p: SdpProblem, kernel: ConstraintKernel, cfg: SolverConfig, x, s_
 def initial_z(p: SdpProblem, cfg: SolverConfig):
     if cfg.init == "zero":
         return np.zeros((p.n, p.n))
-    if cfg.init == "gaussian":
-        rng = np.random.default_rng(cfg.seed)
-        return symmetrize(rng.standard_normal((p.n, p.n)))
-    z0 = np.asarray(cfg.z0, dtype=float)
-    if z0.shape != (p.n, p.n):
-        raise ValueError(f"z0 has shape {z0.shape}, problem needs ({p.n}, {p.n})")
-    return symmetrize(z0)
+    rng = np.random.default_rng(cfg.seed)
+    return symmetrize(rng.standard_normal((p.n, p.n)))
 
 
 def solve(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from sdpadmm import cli
 from sdpadmm.cli import main
 from sdpadmm.errors import NumericalFailureError
-from sdpadmm.problem import load_sdpa
-from sdpadmm.solver import TRACE_HEADER, solve
+from sdpadmm.problem import generate_planted, load_sdpa, write_sdpa
+from sdpadmm.solver import TRACE_HEADER, SolverConfig, solve
 
 
 def write_manifest(path, **fields):
@@ -58,6 +59,64 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     assert header == TRACE_HEADER
 
 
+def test_summary_records_every_config_field(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest, "--max-iter", "7"]) == 2
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields <= set(summary)
+    cfg = SolverConfig(
+        sigma=1.0, max_iter=7, tol_rmax=1e-10, time_limit_secs=None,
+        trace_every=1, init="gaussian", seed=1,
+    )
+    assert cli._config_from_manifest(summary) == cfg
+
+
+def sdpa_source(path):
+    """A planted instance in SDPA text that ``write_sdpa`` would not produce
+    byte for byte: a comment line, brace header and padded entries."""
+    prob, _ = generate_planted(6, 8, 2, seed=4)
+    written = path.with_suffix(".written")
+    write_sdpa(prob, written)
+    lines = written.read_text().splitlines()
+    text = "\n".join(
+        ["* hand-formatted copy", lines[0], lines[1], "{" + lines[2] + "}", lines[3]]
+        + ["  " + line for line in lines[4:]]
+    ) + "\n"
+    path.write_text(text)
+    assert text != written.read_text()
+    return path
+
+
+def test_solve_keeps_instance_file_as_read(tmp_path, capsys):
+    source = sdpa_source(tmp_path / "src.dat-s")
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", instance=str(source), tol_rmax=1e-8, out=str(out))
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    assert (out / "instance.dat-s").read_bytes() == source.read_bytes()
+    trace = (out / "trace.csv").read_bytes()
+    # Solving again from the run directory's own copy leaves it as it is.
+    manifest = write_manifest(
+        tmp_path / "again.json", instance=str(out / "instance.dat-s"), tol_rmax=1e-8, out=str(out)
+    )
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    assert (out / "instance.dat-s").read_bytes() == source.read_bytes()
+    assert (out / "trace.csv").read_bytes() == trace
+
+
+def test_solve_writes_generated_instance(planted_manifest, tmp_path, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest, "--max-iter", "2"]) == 2
+    capsys.readouterr()
+    expected = tmp_path / "expected.dat-s"
+    prob, _ = generate_planted(10, 20, 3, seed=1)
+    write_sdpa(prob, expected, comment="planted-n10-m20-r3-s1")
+    assert (out / "instance.dat-s").read_bytes() == expected.read_bytes()
+
+
 def test_solve_iteration_limit_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     manifest = write_manifest(
@@ -101,6 +160,36 @@ def test_solve_rejects_oversized_sdpa_block(tmp_path, capsys):
     assert main(["solve", "--manifest", manifest]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "block size 10000000" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("solve", {"generator": {"kind": "planted", "n": 10.5, "m": 8, "r": 2}}, "n"),
+        ("solve", {"generator": {"kind": "planted", "n": "10", "m": 8, "r": 2}}, "n"),
+        (
+            "solve",
+            {"generator": {"kind": "planted", "n": 6, "m": 8, "r": 2, "spectrum_floor": "nan"}},
+            "spectrum_floor",
+        ),
+        ("eb-verify", {"scales": 0.1}, "scales"),
+        ("eb-verify", {"z": {"random": {"n": 4.5}}}, "n"),
+        ("eb-verify", {"z": {"random": {"n": "6"}}}, "n"),
+        ("eb-verify", {"z": {"random": {"n": 4, "seed": "x"}}}, "seed"),
+        ("eb-verify", {"h": {"random": {"seed": 1.5}}}, "seed"),
+    ],
+    ids=[
+        "n-float", "n-string", "floor-string", "scales-scalar", "z-n-float", "z-n-string",
+        "z-seed-string", "h-seed-float",
+    ],
+)
+def test_mistyped_manifest_values_are_error_lines(tmp_path, capsys, command, fields, name):
+    manifest = write_manifest(tmp_path / "m.json", out=str(tmp_path / "o"), **fields)
+    assert main([command, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
@@ -232,19 +321,25 @@ def test_solve_batch_jobs(tmp_path, capsys):
                 out=str(out),
             ),
         ]
-    code = main(["solve", *manifests, "--jobs", "2"])
+    code = main(["solve", *manifests])
     captured = capsys.readouterr()
     assert code == 0
     assert "2/2" in captured.err
+    assert (tmp_path / "run1" / "summary.json").exists()
+    assert (tmp_path / "run2" / "summary.json").exists()
 
 
 # -- diagnose ----------------------------------------------------------------
 
 
-def test_diagnose_finished_run(planted_manifest, capsys):
+RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s")
+
+
+def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
     capsys.readouterr()
+    written = {name: (out / name).read_bytes() for name in RUN_FILES}
     code = main(["diagnose", "--run", str(out)])
     captured = capsys.readouterr()
     assert code == 0
@@ -259,10 +354,16 @@ def test_diagnose_finished_run(planted_manifest, capsys):
     for fit in report["fits"]:
         if fit["sequence"] == "h_norm":
             assert fit["rho_hat"] <= report["op_norm_M"] + 0.02
-    # rate fits land in the trace as comment rows
-    trace = (out / "trace.csv").read_text()
-    assert "#fit,h_norm" in trace
     assert "SC              holds" in captured.out
+    # diagnose writes only diagnostics.json; what solve wrote stays as it was.
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert main(["diagnose", "--run", str(out), "--out", str(tmp_path / "elsewhere")]) == 0
+    capsys.readouterr()
+    assert {name: (out / name).read_bytes() for name in RUN_FILES} == written
+    assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["diagnostics.json"]
+    assert (tmp_path / "elsewhere" / "diagnostics.json").read_bytes() == (
+        out / "diagnostics.json"
+    ).read_bytes()
 
 
 def test_diagnose_unconverged_run_banner(tmp_path, capsys):
@@ -447,7 +548,23 @@ def test_single_run_subcommands_reject_solver_flags(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["diagnose", "eb-verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--manifest", "m.json", "--jobs", "2"],
+        ["diagnose", "--manifest", "m.json"],
+        ["diagnose", "--run", "runs/x", "--manifest", "m.json"],
+    ],
+    ids=["solve-jobs", "diagnose-manifest", "diagnose-run-and-manifest"],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eb-verify"])
 def test_single_run_subcommands_reject_second_manifest(tmp_path, capsys, command):
     manifest = write_manifest(
         tmp_path / "m.json", z={"random": {"n": 4, "seed": 0}}, out=str(tmp_path / "out")

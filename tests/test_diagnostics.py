@@ -9,9 +9,8 @@ from sdpadmm.diagnostics import (
     rate_fit,
     sc_check,
     tangent_s_part,
-    tangent_x_part,
 )
-from sdpadmm.linalg import eig_sym, svec_dim, svec_stack
+from sdpadmm.linalg import eig_sym, split_counts, svec_dim, svec_stack
 from sdpadmm.linearization import build_omega, fix_basis
 from sdpadmm.problem import SdpProblem, build_kernel, generate_planted
 from sdpadmm.solver import IterationRecord, SolveStatus, SolverConfig, solve
@@ -190,7 +189,49 @@ def test_face_projection_inside_face_vanishes():
     prob, cert = generate_planted(8, 12, 3, seed=2)
     dec = eig_sym(cert.zstar(1.0))
     assert np.linalg.norm(tangent_s_part(dec, cert.Xstar)) <= 1e-12
-    assert np.linalg.norm(tangent_x_part(dec, cert.Sstar)) <= 1e-12
+    face_x, face_s, ho = face_projections(dec, cert.Xstar, cert.Sstar, 1.0)
+    assert max(face_x, face_s, ho) <= 1e-12
+
+
+def rotate_back_face_projections(dec, x, s_mat, sigma):
+    # Reference formula: rotate into the eigenbasis, zero the face block,
+    # rotate back, and take H_O from X - sigma*S minus the rebuilt Zstar.
+    r, s = split_counts(dec.lam)
+    n = dec.n
+    sig_s = sigma * s_mat
+    tx = dec.Q.T @ x @ dec.Q
+    tx[:r, :r] = 0.0
+    ts = dec.Q.T @ sig_s @ dec.Q
+    ts[n - s :, n - s :] = 0.0
+    th = dec.Q.T @ (x - sig_s - dec.matrix()) @ dec.Q
+    return (
+        np.linalg.norm(dec.Q @ tx @ dec.Q.T),
+        np.linalg.norm(dec.Q @ ts @ dec.Q.T),
+        np.linalg.norm(th[r:, :r]),
+    )
+
+
+@pytest.mark.parametrize("reference", ["random", "planted", "singular"])
+def test_face_projections_match_rotate_back_formula(reference):
+    rng = np.random.default_rng(17)
+    n = 9
+    if reference == "random":
+        zstar = random_sym(n, rng)
+    elif reference == "planted":
+        _, cert = generate_planted(n, 15, 4, seed=5)
+        zstar = cert.zstar(1.0)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        zstar = (q * np.array([2.0, 1.5, 1.0, 0.0, 0.0, -0.5, -1.0, -1.5, -2.0])) @ q.T
+    dec = eig_sym(zstar)
+    for sigma in (1.0, 0.3, 4.0):
+        for _ in range(10):
+            x, s_mat = random_sym(n, rng), random_sym(n, rng)
+            got = face_projections(dec, x, s_mat, sigma)
+            want = rotate_back_face_projections(dec, x, s_mat, sigma)
+            assert all(w > 0.0 for w in want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * w
 
 
 def test_face_projection_pythagoras():
