@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics, linearization
 from .elimination import eb_scan, run_elimination
-from .errors import NumericalFailureError, require_integer, require_number
+from .errors import NumericalFailureError, require_integer, require_number, require_path
 from .linalg import eig_sym, psd_project, symmetrize
 from .problem import (
     build_kernel,
@@ -92,6 +92,7 @@ def _instance_from_manifest(manifest):
         raise ValueError("manifest needs exactly one of 'instance' or 'generator'")
     if has_path:
         path = manifest["instance"]
+        require_path("instance", path)
         return load_sdpa(path), os.path.basename(path), None
     gen = manifest["generator"]
     kind = gen.get("kind")
@@ -108,6 +109,7 @@ def _instance_from_manifest(manifest):
         name = f"planted-n{gen['n']}-m{gen['m']}-r{gen['r']}-s{gen.get('seed', 0)}"
         return prob, name, cert
     if kind == "maxcut":
+        require_path("edges", gen["edges"])
         adjacency = _load_edge_list(gen["edges"])
         return generate_maxcut(adjacency), os.path.basename(gen["edges"]), None
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -140,8 +142,9 @@ def _run_solve_manifest(manifest):
     """Execute one solve manifest; returns the summary dict (also written to
     the output directory together with the trace and the final iterate)."""
     out_dir = manifest.get("out")
-    if not out_dir:
+    if out_dir is None:
         raise ValueError("manifest is missing an output directory ('out')")
+    require_path("out", out_dir)
     cfg = _config_from_manifest(manifest)
     prob, name, _ = _instance_from_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
@@ -320,17 +323,21 @@ def _eb_inputs(manifest):
     zsrc = manifest.get("z", {"random": {"n": 8, "seed": 0}})
     hsrc = manifest.get("h", {"random": {"seed": 1}})
     if "file" in zsrc:
+        require_path("file", zsrc["file"])
         z = symmetrize(np.load(zsrc["file"]))
     else:
         rnd = zsrc["random"]
         n, seed = rnd["n"], rnd.get("seed", 0)
         require_integer("n", n)
         require_integer("seed", seed)
+        if n < 2:
+            raise ValueError(f"n must be at least 2, so that Z has both eigenvalue signs, got {n}")
         rng = np.random.default_rng(seed)
         q = haar_orthogonal(n, rng)
         lam = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) < (n + 1) // 2, 1.0, -1.0)
         z = symmetrize((q * lam) @ q.T)
     if "file" in hsrc:
+        require_path("file", hsrc["file"])
         h = symmetrize(np.load(hsrc["file"]))
     else:
         seed = hsrc["random"].get("seed", 1)
@@ -352,9 +359,10 @@ def _cmd_eb_verify(args):
         raise ValueError(f"scales must be a list of positive numbers, got {scales!r}")
     for t in scales:
         require_number("scales", t)
+    out_dir = manifest.get("out", ".")
+    require_path("out", out_dir)
     z, h = _eb_inputs(manifest)
     report = eb_scan(z, h, scales)
-    out_dir = manifest.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, "eb_report.csv"))
     _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))

@@ -33,3 +33,10 @@ def require_number(name, val):
     """Raise ValueError naming ``name`` unless ``val`` is a finite real number (bool excluded)."""
     if isinstance(val, bool) or not (isinstance(val, numbers.Real) and math.isfinite(val)):
         raise ValueError(f"{name} must be a finite number, got {val!r}")
+
+
+def require_path(name, val):
+    """Raise ValueError naming ``name`` unless ``val`` is a non-empty string, so
+    that a number from a manifest is never opened as a file descriptor."""
+    if not isinstance(val, str) or not val:
+        raise ValueError(f"{name} must be a non-empty path string, got {val!r}")

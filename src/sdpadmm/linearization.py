@@ -29,7 +29,7 @@ import scipy.linalg
 from .diagnostics import dual_witness, primal_witness
 from .errors import NumericalFailureError
 from .linalg import RANK_TAU, SpectralDecomp, psd_project, smat, svec, svec_dim, symmetrize
-from .problem import ConstraintKernel, project_range
+from .problem import ConstraintKernel, apply_At, project_range
 
 NORM_TOL = 1e-12
 NONSINGULAR_GAP = 1e-12
@@ -202,15 +202,14 @@ def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
     in orthogonal coordinate blocks, so stacking keeps orthonormality.
     """
     n, r = os_.n, os_.r
-    a = kernel.problem.A
-    at = os_.rotate_in(a)
+    at = os_.rotate_in(kernel.problem.A)
     q1 = os_.Q[:, :r]
     members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r).T]
     y = primal_witness(at, r)
     if y.shape[1]:
         chol = np.linalg.cholesky(y.T @ kernel.gram @ y)
         coef = scipy.linalg.solve_triangular(chol, y.T, lower=True)
-        members.extend(np.tensordot(coef, a, axes=1))
+        members.extend(apply_At(kernel.problem, coef))
     basis = np.stack(members, axis=0) if members else np.zeros((0, n, n))
     return FixSubspace(basis=basis, dim=basis.shape[0])
 

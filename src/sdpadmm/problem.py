@@ -15,59 +15,84 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SdpaFormatError, UnsupportedBlockError, require_integer, require_number
-from .linalg import (
-    require_finite,
-    svec_dim,
-    svec_stack,
-    symmetrize,
-)
+from .linalg import require_finite, svec_dim, symmetrize
 
 _INDEPENDENCE_RTOL = 1e-10
 
 
-@dataclass
+def _triangle_maps(n):
+    """Index maps of the packed upper triangle of an n x n matrix, in
+    ``np.triu_indices(n)`` order: the flat positions of the t(n) entries,
+    their inner-product weights (1 on the diagonal, 2 off it), and for each
+    of the n^2 flat positions the triangle entry it mirrors."""
+    iu, ju = np.triu_indices(n)
+    upper = iu * n + ju
+    weights = np.where(iu == ju, 1.0, 2.0)
+    mirror = np.empty(n * n, dtype=np.intp)
+    mirror[upper] = np.arange(upper.size)
+    mirror[ju * n + iu] = np.arange(upper.size)
+    return upper, weights, mirror
+
+
+def _triangle_position(i, j, n):
+    """Position of entry (i, j), i <= j, in the packed upper triangle."""
+    return i * n - i * (i - 1) // 2 + j - i
+
+
 class SdpProblem:
     """Coefficients of a standard-form SDP.
 
     Attributes
     ----------
     C : (n, n) symmetric cost matrix
-    A : (m, n, n) stacked symmetric constraint matrices
+    table : (m, t(n)) constraint table; row i holds the upper triangle of
+        A_i in ``np.triu_indices(n)`` order
     b : (m,) right-hand side
 
-    Construction symmetrizes all matrices and validates that the svec images
-    of the A_i are linearly independent, so that A A* is invertible.
+    ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps only the
+    table of its symmetric part; :meth:`from_table` takes the table itself.
+    Either way all values must be finite and the A_i linearly independent,
+    so that A A* is invertible. ``A`` mirrors the table back to the
+    (m, n, n) stack on demand, for analysis code.
     """
 
-    C: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.C = symmetrize(self.C)
-        a = np.asarray(self.A, dtype=float)
+    def __init__(self, C, A, b):
+        a = np.asarray(A, dtype=float)
         if a.ndim == 2:
             a = a[None, :, :]
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"constraint stack has shape {a.shape}, expected (m, n, n)")
-        if a.shape[1] != self.C.shape[0]:
+        iu, ju = np.triu_indices(a.shape[1])
+        self._set(C, 0.5 * (a[:, iu, ju] + a[:, ju, iu]), b)
+
+    @classmethod
+    def from_table(cls, C, table, b):
+        """Problem whose constraints are given as an (m, t(n)) table."""
+        p = cls.__new__(cls)
+        p._set(C, np.asarray(table, dtype=float), b)
+        return p
+
+    def _set(self, C, table, b):
+        self.C = symmetrize(C)
+        n = self.C.shape[0]
+        if table.ndim != 2 or table.shape[1] != svec_dim(n):
             raise ValueError("constraint and cost dimensions disagree")
-        self.A = 0.5 * (a + a.transpose(0, 2, 1))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.b.shape != (self.A.shape[0],):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({self.A.shape[0]},)")
+        self.table = np.ascontiguousarray(table)
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        if self.b.shape != (self.m,):
+            raise ValueError(f"b has shape {self.b.shape}, expected ({self.m},)")
         require_finite(self.C, "C")
-        require_finite(self.A, "A")
+        require_finite(self.table, "A")
         require_finite(self.b, "b")
-        n, m = self.n, self.m
-        if m > svec_dim(n):
-            raise ValueError(f"m = {m} exceeds dim S^n = {svec_dim(n)}")
-        if m > 0:
-            sv = np.linalg.svd(svec_stack(self.A), compute_uv=False)
+        if self.m > svec_dim(n):
+            raise ValueError(f"m = {self.m} exceeds dim S^n = {svec_dim(n)}")
+        self._upper, self._weights, self._mirror = _triangle_maps(n)
+        if self.m > 0:
+            sv = np.linalg.svd(self.table * np.sqrt(self._weights), compute_uv=False)
             rank = int(np.sum(sv > _INDEPENDENCE_RTOL * sv[0]))
-            if rank < m:
+            if rank < self.m:
                 raise ValueError(
-                    f"constraint matrices are linearly dependent (rank {rank} < m = {m})"
+                    f"constraint matrices are linearly dependent (rank {rank} < m = {self.m})"
                 )
 
     @property
@@ -76,27 +101,33 @@ class SdpProblem:
 
     @property
     def m(self):
-        return self.A.shape[0]
+        return self.table.shape[0]
+
+    @property
+    def A(self):
+        """(m, n, n) stack of the constraint matrices, built from the table."""
+        return self.table.take(self._mirror, axis=1).reshape(self.m, self.n, self.n)
 
 
 def apply_A(p: SdpProblem, x):
-    """A X = (<A_1, X>, ..., <A_m, X>): one gemv on the flattened stack."""
+    """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
+    table, against the weighted upper triangle of X."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n, p.n):
         raise ValueError(f"X has shape {x.shape}, expected ({p.n}, {p.n})")
-    return p.A.reshape(p.m, p.n * p.n) @ x.reshape(p.n * p.n)
+    return p.table @ (p._weights * x.take(p._upper))
 
 
 def apply_At(p: SdpProblem, y):
     """Adjoint A* y = sum_i y_i A_i.
 
     A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
-    one gemm, reading the constraint data once.
+    one gemm, reading the table once, and one mirroring ``take``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != p.m:
         raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
-    return (y @ p.A.reshape(p.m, p.n * p.n)).reshape(y.shape[:-1] + (p.n, p.n))
+    return (y @ p.table).take(p._mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
 
 
 @dataclass
@@ -106,41 +137,43 @@ class ConstraintKernel:
     Attributes
     ----------
     gram : (m, m) Gram matrix AA* with entries <A_i, A_j>
-    gram_cho : Cholesky factorization of ``gram`` (scipy cho_factor tuple)
+    gram_chol : upper Cholesky factor of ``gram`` (Fortran order), or None
+        when m = 0
     at_pinv_b : (n, n) particular primal-feasible point A*(AA*)^-1 b
     """
 
     problem: SdpProblem
     gram: np.ndarray
-    gram_cho: tuple
+    gram_chol: np.ndarray | None
     at_pinv_b: np.ndarray
 
 
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
     """Factor AA* once; raises ValueError if the Gram matrix is singular."""
-    stack = svec_stack(p.A) if p.m > 0 else np.zeros((svec_dim(p.n), 0))
-    gram = stack.T @ stack
+    gram = (p.table * p._weights) @ p.table.T
+    kernel = ConstraintKernel(problem=p, gram=gram, gram_chol=None, at_pinv_b=np.zeros((p.n, p.n)))
     if p.m > 0:
         try:
-            gram_cho = scipy.linalg.cho_factor(gram)
+            kernel.gram_chol = np.asfortranarray(scipy.linalg.cholesky(gram))
         except scipy.linalg.LinAlgError as exc:
             raise ValueError(f"Gram matrix of the constraints is singular: {exc}") from exc
-        at_pinv_b = apply_At(p, scipy.linalg.cho_solve(gram_cho, p.b))
-    else:
-        gram_cho = None
-        at_pinv_b = np.zeros((p.n, p.n))
-    return ConstraintKernel(problem=p, gram=gram, gram_cho=gram_cho, at_pinv_b=at_pinv_b)
+        kernel.at_pinv_b = apply_At(p, solve_normal(kernel, p.b))
+    return kernel
 
 
 def solve_normal(k: ConstraintKernel, v):
-    """(AA*)^-1 v, for a vector or for the columns of an (m, k) array."""
+    """(AA*)^-1 v, for a vector or for the columns of an (m, k) array, by
+    LAPACK ``dpotrs`` on the stored Cholesky factor."""
     if k.problem.m == 0:
         return np.zeros(np.shape(v))
-    return scipy.linalg.cho_solve(k.gram_cho, np.asarray(v, dtype=float))
+    x, info = scipy.linalg.lapack.dpotrs(k.gram_chol, v)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info} of the normal solve")
+    return x
 
 
 def project_range(k: ConstraintKernel, h):
-    """Orthogonal projection of H onto range(A*)."""
+    """Orthogonal projection of symmetric H onto range(A*)."""
     h = np.asarray(h, dtype=float)
     if k.problem.m == 0:
         return np.zeros_like(h)
@@ -148,7 +181,7 @@ def project_range(k: ConstraintKernel, h):
 
 
 def project_null(k: ConstraintKernel, h):
-    """Orthogonal projection of H onto null(A) = range(A*)^perp."""
+    """Orthogonal projection of symmetric H onto null(A) = range(A*)^perp."""
     return np.asarray(h, dtype=float) - project_range(k, h)
 
 
@@ -190,7 +223,7 @@ def load_sdpa(path) -> SdpProblem:
     SdpaFormatError
         For malformed content, naming one offending token or entry: a bad
         header, token or index, or duplicate (matno, i, j) entries; also for
-        a block size whose dense constraint stack cannot be allocated.
+        a block size whose (m+1, t(n)) coefficient table cannot be allocated.
     ValueError
         If the assembled constraint matrices are linearly dependent.
     """
@@ -239,20 +272,23 @@ def load_sdpa(path) -> SdpProblem:
     if (bad := (i < 1) | (i > n) | (j < 1) | (j > n)).any():
         k = bad.argmax()
         raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
-    # The duplicate key is the entry's flat upper-triangle position in the
-    # stack; allocating the stack first bounds it, so it cannot wrap in int64.
+    # Each entry lands in the (m+1, t(n)) table of F0 and the F_i; the
+    # duplicate key is its flat position there, which allocating the table
+    # first bounds, so it cannot wrap in int64.
+    t = svec_dim(n)
     try:
-        mats = np.zeros((m + 1, n, n))
+        table = np.zeros((m + 1, t))
     except MemoryError as exc:
-        raise SdpaFormatError(f"block size {n} needs {8 * (m + 1) * n * n} bytes") from exc
+        raise SdpaFormatError(f"block size {n} needs {8 * (m + 1) * t} bytes") from exc
     lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    _, first = np.unique((matno * n + lo) * n + hi, return_index=True)
+    pos = _triangle_position(lo, hi, n)
+    _, first = np.unique(matno * t + pos, return_index=True)
     if first.size < matno.size:
         k = np.setdiff1d(np.arange(matno.size), first)[0]
         raise SdpaFormatError(f"duplicate entry for matrix {matno[k]} at ({i[k]}, {j[k]})")
-    mats[matno, lo, hi] = value
-    mats[matno, hi, lo] = value
-    return SdpProblem(C=-mats[0], A=mats[1:], b=b)
+    table[matno, pos] = value
+    _, _, mirror = _triangle_maps(n)
+    return SdpProblem.from_table(C=-table[0].take(mirror).reshape(n, n), table=table[1:], b=b)
 
 
 def write_sdpa(p: SdpProblem, path, comment=None):
@@ -264,7 +300,7 @@ def write_sdpa(p: SdpProblem, path, comment=None):
     ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
     """
     iu, ju = np.triu_indices(p.n)
-    table = np.concatenate([-p.C[None, iu, ju], p.A[:, iu, ju]])
+    table = np.concatenate([-p.C[None, iu, ju], p.table])
     matno, pos = np.nonzero(table)
     rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
                table[matno, pos].tolist())
@@ -409,7 +445,7 @@ def generate_maxcut(adjacency) -> SdpProblem:
     require_finite(w, "adjacency")
     n = w.shape[0]
     laplacian = np.diag(w.sum(axis=1)) - w
-    a = np.zeros((n, n, n))
-    for i in range(n):
-        a[i, i, i] = 1.0
-    return SdpProblem(C=-laplacian / 4.0, A=a, b=np.ones(n))
+    diag = np.arange(n)
+    table = np.zeros((n, svec_dim(n)))
+    table[diag, _triangle_position(diag, diag, n)] = 1.0
+    return SdpProblem.from_table(C=-laplacian / 4.0, table=table, b=np.ones(n))

@@ -195,6 +195,41 @@ def test_mistyped_manifest_values_are_error_lines(tmp_path, capsys, command, fie
 
 
 @pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("solve", {"out": 7, "instance": "inst.dat-s"}, "out"),
+        ("solve", {"out": "o", "instance": 0}, "instance"),
+        ("solve", {"out": "o", "generator": {"kind": "maxcut", "edges": 10**6}}, "edges"),
+        ("eb-verify", {"out": 7}, "out"),
+        ("eb-verify", {"out": "o", "z": {"file": 0}}, "file"),
+    ],
+    ids=["solve-out-int", "instance-zero", "edges-int", "eb-out-int", "eb-z-file-zero"],
+)
+def test_path_fields_must_be_strings(tmp_path, capsys, monkeypatch, command, fields, name):
+    # A number is never opened as a file descriptor: fd 0 would read stdin
+    # (and closing it would close the test process's own stdin).
+    monkeypatch.chdir(tmp_path)
+    write_sdpa(generate_planted(6, 8, 2, seed=0)[0], tmp_path / "inst.dat-s")
+    manifest = write_manifest(tmp_path / "m.json", **fields)
+    assert main([command, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a non-empty path string")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.dat-s", "m.json"]
+
+
+def test_eb_verify_rejects_too_small_z(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path / "m.json", out=str(tmp_path / "o"), z={"random": {"n": 0}}
+    )
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n must be at least 2")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "fields, flags, name",
     [
         ({}, ["--tol", "nan"], "tol_rmax"),

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpadmm.errors import SdpaFormatError, UnsupportedBlockError
-from sdpadmm.linalg import svec, svec_stack
+from sdpadmm.linalg import svec, svec_dim, svec_stack
 from sdpadmm.problem import (
     SdpProblem,
     apply_A,
@@ -15,6 +18,7 @@ from sdpadmm.problem import (
     load_sdpa,
     project_null,
     project_range,
+    solve_normal,
     write_sdpa,
 )
 
@@ -169,6 +173,103 @@ def test_empty_constraint_set():
     assert np.array_equal(kern.at_pinv_b, np.zeros((3, 3)))
 
 
+# -- packed table against the dense stack ------------------------------------
+
+# Oracle: test-local copy of the dense-stack operator that the packed table
+# replaced: gemv/gemm on the flattened (m, n*n) stack, the Gram matrix from
+# svec_stack, and scipy's cho_factor/cho_solve.
+
+
+class DenseStackOracle:
+    def __init__(self, a):
+        a = np.asarray(a, dtype=float)
+        self.stack = 0.5 * (a + a.transpose(0, 2, 1))
+        m, n, _ = self.stack.shape
+        self.m, self.n = m, n
+        sv = svec_stack(self.stack) if m > 0 else np.zeros((svec_dim(n), 0))
+        self.gram = sv.T @ sv
+        self.cho = scipy.linalg.cho_factor(self.gram) if m > 0 else None
+
+    def apply_A(self, x):
+        return self.stack.reshape(self.m, self.n * self.n) @ x.reshape(self.n * self.n)
+
+    def apply_At(self, y):
+        flat = self.stack.reshape(self.m, self.n * self.n)
+        return (y @ flat).reshape(y.shape[:-1] + (self.n, self.n))
+
+    def solve_normal(self, v):
+        return scipy.linalg.cho_solve(self.cho, v)
+
+    def project_range(self, h):
+        return self.apply_At(self.solve_normal(self.apply_A(h)))
+
+
+def _oracle_stacks():
+    """(C, input stack, b) triples: the SDPA oracle instances plus one
+    problem built from a non-symmetric stack."""
+    stacks = [(p.C, p.A, p.b) for p in _oracle_problems()]
+    rng = np.random.default_rng(11)
+    stacks.append((random_sym(5, rng), rng.standard_normal((7, 5, 5)), rng.standard_normal(7)))
+    return stacks
+
+
+def _close(new, old, rtol=1e-13):
+    assert np.linalg.norm(new - old) <= rtol * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("idx", range(7))
+def test_packed_table_matches_dense_stack_oracle(idx):
+    c, a, b = _oracle_stacks()[idx]
+    p = SdpProblem(C=c, A=a, b=b)
+    oracle = DenseStackOracle(a)
+    assert np.array_equal(p.A, oracle.stack)
+    assert all(np.ndim(v) < 3 for v in vars(p).values())
+    assert p.table.flags.c_contiguous and p.table.shape == (p.m, svec_dim(p.n))
+    kern = build_kernel(p)
+    rng = np.random.default_rng(idx)
+    if p.m == 0:
+        assert kern.gram.shape == (0, 0)
+        assert np.array_equal(apply_A(p, random_sym(p.n, rng)), np.zeros(0))
+        assert np.array_equal(apply_At(p, np.zeros((2, 0))), np.zeros((2, p.n, p.n)))
+        return
+    _close(kern.gram, oracle.gram)
+    for _ in range(3):
+        x = random_sym(p.n, rng)
+        y, ys = rng.standard_normal(p.m), rng.standard_normal((2, p.m))
+        _close(apply_A(p, x), oracle.apply_A(x))
+        _close(apply_At(p, y), oracle.apply_At(y))
+        _close(apply_At(p, ys), oracle.apply_At(ys))
+        _close(solve_normal(kern, y), oracle.solve_normal(y))
+        _close(solve_normal(kern, ys.T), oracle.solve_normal(ys.T))
+        _close(project_range(kern, x), oracle.project_range(x))
+    _close(kern.at_pinv_b, oracle.apply_At(oracle.solve_normal(p.b)))
+
+
+@st.composite
+def _table_problems(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=svec_dim(n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p = SdpProblem(C=random_sym(n, rng), A=rng.standard_normal((m, n, n)), b=np.zeros(m))
+    return p, rng
+
+
+@given(_table_problems())
+@settings(max_examples=60, deadline=None)
+def test_table_operator_properties(case):
+    p, rng = case
+    kern = build_kernel(p)
+    x, h = random_sym(p.n, rng), random_sym(p.n, rng)
+    y = rng.standard_normal(p.m)
+    at_y = apply_At(p, y)
+    scale = np.linalg.norm(p.table) * np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(apply_A(p, x) @ y - np.sum(x * at_y)) <= 1e-13 * max(1.0, scale)
+    px, ph = project_range(kern, x), project_range(kern, h)
+    assert np.linalg.norm(project_range(kern, px) - px) <= 1e-9 * np.linalg.norm(x)
+    assert abs(np.sum(px * h) - np.sum(x * ph)) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(h)
+    assert np.linalg.norm(project_range(kern, at_y) - at_y) <= 1e-9 * np.linalg.norm(at_y)
+
+
 # -- SDPA I/O ----------------------------------------------------------------
 
 MINIMAL_SDPA = """\
@@ -241,7 +342,7 @@ def test_load_sdpa_rank_deficient_rejected(tmp_path):
         ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 2 2 2 1.0\n", "block 2"),
         ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 3 1 1.0\n", r"\(3, 1\) outside 1..2"),
         ("1\n1\n2\n1.0\n1 1 99999999999999999999 1 1.0\n", "'99999999999999999999'"),
-        ("0\n1\n10000000\n\n", "block size 10000000 needs 800000000000000 bytes"),
+        ("0\n1\n10000000\n\n", "block size 10000000 needs 400000040000000 bytes"),
     ],
 )
 def test_load_sdpa_rejects_malformed(tmp_path, text, match):
