@@ -36,7 +36,6 @@ from .linalg import (
     symmetrize,
 )
 from .linearization import (
-    DirectionalStructure,
     FixSubspace,
     OmegaStructure,
     apply_M,

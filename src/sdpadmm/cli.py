@@ -27,7 +27,13 @@ import numpy as np
 
 from . import diagnostics, linearization
 from .elimination import eb_scan, run_elimination
-from .errors import NumericalFailureError, require_integer, require_number, require_path
+from .errors import (
+    NumericalFailureError,
+    require_integer,
+    require_number,
+    require_object,
+    require_path,
+)
 from .linalg import eig_sym, psd_project, symmetrize
 from .problem import (
     build_kernel,
@@ -94,7 +100,7 @@ def _instance_from_manifest(manifest):
         path = manifest["instance"]
         require_path("instance", path)
         return load_sdpa(path), os.path.basename(path), None
-    gen = manifest["generator"]
+    gen = require_object("generator", manifest["generator"])
     kind = gen.get("kind")
     if kind == "planted":
         prob, cert = generate_planted(
@@ -127,7 +133,10 @@ def _load_edge_list(path):
     if not entries:
         raise ValueError(f"edge list {path} is empty")
     n = int(entries[0][0])
-    adj = np.zeros((n, n))
+    try:
+        adj = np.zeros((n, n))
+    except MemoryError as exc:
+        raise ValueError(f"edge list {path}: vertex count {n} needs {8 * n * n} bytes") from exc
     for tok in entries[1:]:
         if len(tok) < 2:
             raise ValueError(f"edge list {path}: line {' '.join(tok)!r} is not an 'i j' pair")
@@ -320,13 +329,13 @@ def _cmd_diagnose(args):
 
 
 def _eb_inputs(manifest):
-    zsrc = manifest.get("z", {"random": {"n": 8, "seed": 0}})
-    hsrc = manifest.get("h", {"random": {"seed": 1}})
+    zsrc = require_object("z", manifest.get("z", {"random": {"n": 8, "seed": 0}}))
+    hsrc = require_object("h", manifest.get("h", {"random": {"seed": 1}}))
     if "file" in zsrc:
         require_path("file", zsrc["file"])
         z = symmetrize(np.load(zsrc["file"]))
     else:
-        rnd = zsrc["random"]
+        rnd = require_object("z.random", zsrc["random"])
         n, seed = rnd["n"], rnd.get("seed", 0)
         require_integer("n", n)
         require_integer("seed", seed)
@@ -340,7 +349,7 @@ def _eb_inputs(manifest):
         require_path("file", hsrc["file"])
         h = symmetrize(np.load(hsrc["file"]))
     else:
-        seed = hsrc["random"].get("seed", 1)
+        seed = require_object("h.random", hsrc["random"]).get("seed", 1)
         require_integer("seed", seed)
         rng = np.random.default_rng(seed)
         h = symmetrize(rng.standard_normal(z.shape))

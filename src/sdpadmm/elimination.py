@@ -56,48 +56,41 @@ def decay_coefficient(eta, z0_norm):
 
 @dataclass
 class EliminationState:
-    """Blocks of Y' (Z + H) Y at elimination step ``ell``.
+    """The rotated matrix T = Y' (Z + H) Y at elimination step ``ell``, with
+    blocks Zx = T[:r, :r], Zs = T[r:, r:] and Zo = T[r:, :r].
 
-    Invariants maintained along the run: Zx positive definite, Zs negative
-    definite, Y orthogonal, and V = Y [Zx 0; 0 0] Y' is the current estimate
-    of the projection.
+    Invariants maintained along the run: T symmetric, Zx positive definite,
+    Zs negative definite, Y orthogonal, and V = Y1 Zx Y1' (Y1 the first r
+    columns of Y) is the current estimate of the projection.
     """
 
     ell: int
-    zx: np.ndarray
-    zs: np.ndarray
-    zo: np.ndarray
+    t: np.ndarray
+    r: int
     y: np.ndarray
-    v: np.ndarray
     z0_norm: float  # spectral norm of Z + H, invariant under the rotations
 
     @property
-    def r(self):
-        return self.zx.shape[0]
+    def zx(self):
+        return self.t[: self.r, : self.r]
 
     @property
-    def n(self):
-        return self.zx.shape[0] + self.zs.shape[0]
+    def zs(self):
+        return self.t[self.r :, self.r :]
 
-    def block_matrix(self):
-        n, r = self.n, self.r
-        m = np.zeros((n, n))
-        m[:r, :r] = self.zx
-        m[r:, r:] = self.zs
-        m[r:, :r] = self.zo
-        m[:r, r:] = self.zo.T
-        return m
+    @property
+    def zo(self):
+        return self.t[self.r :, : self.r]
 
-
-def _assemble_v(y, zx, n):
-    r = zx.shape[0]
-    core = np.zeros((n, n))
-    core[:r, :r] = zx
-    return symmetrize(y @ core @ y.T)
+    @property
+    def v(self):
+        y1 = self.y[:, : self.r]
+        return symmetrize(y1 @ self.zx @ y1.T)
 
 
 def eliminate_step(state: EliminationState) -> EliminationState:
-    """One elimination sweep: Sylvester solve, skew rotation, block update.
+    """One elimination sweep: Sylvester solve, skew rotation R, then
+    T+ = R' T R and Y+ = Y R.
 
     Requires the definiteness invariants and the entry gate
     ``||Zo||_2 <= 3 / (4 eta)``; refuses with ValueError otherwise (the
@@ -114,17 +107,20 @@ def eliminate_step(state: EliminationState) -> EliminationState:
             f"perturbation too large for elimination: ||Zo||_2 = {zo_norm:.3e} "
             f"exceeds 3/(4 eta) = {3.0 / (4.0 * eta):.3e}"
         )
-    n, r = state.n, state.r
+    r = state.r
     w_o = sylvester_solve(state.zx, state.zs, state.zo)
-    w = np.zeros((n, n))
+    w = np.zeros_like(state.t)
     w[r:, :r] = w_o
     w[:r, r:] = -w_o.T
     rot = skew_exp(w)
-    new_block = rot.T @ state.block_matrix() @ rot
-    zx_new = symmetrize(new_block[:r, :r])
-    zs_new = symmetrize(new_block[r:, r:])
-    zo_new = new_block[r:, :r].copy()
-    zo_new_norm = float(np.linalg.norm(zo_new, 2)) if zo_new.size else 0.0
+    new = EliminationState(
+        ell=state.ell + 1,
+        t=symmetrize(rot.T @ state.t @ rot),
+        r=r,
+        y=state.y @ rot,
+        z0_norm=state.z0_norm,
+    )
+    zo_new_norm = float(np.linalg.norm(new.zo, 2)) if new.zo.size else 0.0
     bound = decay_coefficient(eta, state.z0_norm) * zo_norm**2
     if zo_new_norm > bound * (1.0 + 1e-9) + 1e-300:
         raise NumericalFailureError(
@@ -133,20 +129,11 @@ def eliminate_step(state: EliminationState) -> EliminationState:
             zo_after=zo_new_norm,
             bound=bound,
         )
-    y_new = state.y @ rot
-    return EliminationState(
-        ell=state.ell + 1,
-        zx=zx_new,
-        zs=zs_new,
-        zo=zo_new,
-        y=y_new,
-        v=_assemble_v(y_new, zx_new, n),
-        z0_norm=state.z0_norm,
-    )
+    return new
 
 
 def init_elimination(z, h) -> EliminationState:
-    """Blocks of Z + H in the eigenbasis of the nonsingular reference Z.
+    """Z + H rotated into the eigenbasis of the nonsingular reference Z.
 
     The rotation accumulator starts at the eigenvector matrix of Z, so the
     projection estimate lives in the original coordinates throughout.
@@ -157,25 +144,16 @@ def init_elimination(z, h) -> EliminationState:
     r = build_omega(dec).r  # ValueError on a singular reference
     if r == 0 or r == dec.n:
         raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
-    total = dec.Q.T @ (z + h) @ dec.Q
-    zx = symmetrize(total[:r, :r])
-    zs = symmetrize(total[r:, r:])
-    zo = total[r:, :r].copy()
-    lam_x = np.linalg.eigvalsh(zx)
-    lam_s = np.linalg.eigvalsh(zs)
-    if lam_x[0] <= 0.0 or lam_s[-1] >= 0.0:
-        raise ValueError(
-            "perturbation too large: diagonal blocks of Z + H lost definiteness"
-        )
-    return EliminationState(
+    state = EliminationState(
         ell=0,
-        zx=zx,
-        zs=zs,
-        zo=zo,
+        t=symmetrize(dec.Q.T @ (z + h) @ dec.Q),
+        r=r,
         y=dec.Q.copy(),
-        v=_assemble_v(dec.Q, zx, dec.n),
         z0_norm=float(np.linalg.norm(z + h, 2)),
     )
+    if np.linalg.eigvalsh(state.zx)[0] <= 0.0 or np.linalg.eigvalsh(state.zs)[-1] >= 0.0:
+        raise ValueError("perturbation too large: diagonal blocks of Z + H lost definiteness")
+    return state
 
 
 def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
@@ -188,7 +166,7 @@ def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
     NumericalFailureError with the decay history.
     """
     state = init_elimination(z, h)
-    scale = max(1.0, float(np.linalg.norm(state.block_matrix())))
+    scale = max(1.0, float(np.linalg.norm(state.t)))
     history = []
     for _ in range(max_iter + 1):
         off = float(np.linalg.norm(state.zo))
@@ -208,6 +186,14 @@ def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
 # ---------------------------------------------------------------------------
 
 
+def _residual(os_, pz, z, h):
+    """(lhs, ho_norm, h_norm) at Z with structure ``os_`` and Pi(Z) = ``pz``."""
+    lhs = float(np.linalg.norm(psd_project(z + h) - pz - hadamard(os_, os_.omega, h), 2))
+    ho = os_.offblock(h)
+    ho_norm = float(np.linalg.norm(ho, 2)) if ho.size else 0.0
+    return lhs, ho_norm, float(np.linalg.norm(h, 2))
+
+
 def linearization_residual(z, h):
     """Residual of the first-order expansion of the PSD projection at Z.
 
@@ -217,17 +203,8 @@ def linearization_residual(z, h):
     and ||H||_2.
     """
     z = symmetrize(z)
-    h = symmetrize(h)
-    dec = eig_sym(z)
-    os_ = build_omega(dec)
-    lhs = float(
-        np.linalg.norm(
-            psd_project(z + h) - os_.proj_zstar() - hadamard(os_, os_.omega, h), 2
-        )
-    )
-    ht = os_.rotate_in(h)
-    ho_norm = float(np.linalg.norm(ht[os_.r :, : os_.r], 2)) if 0 < os_.r < os_.n else 0.0
-    return lhs, ho_norm, float(np.linalg.norm(h, 2))
+    os_ = build_omega(eig_sym(z))
+    return _residual(os_, os_.proj_zstar(), z, symmetrize(h))
 
 
 @dataclass
@@ -269,19 +246,22 @@ class EbReport:
 def eb_scan(z, h, scales) -> EbReport:
     """Measure the linearization residual of Pi at Z for perturbations t * H.
 
-    The projection is evaluated through the eigendecomposition path so the
-    measurement stays independent of the elimination procedure. All reported
-    norms are spectral norms.
+    Z is decomposed once for all scales; each Pi(Z + t H) is evaluated
+    through the eigendecomposition path so the measurement stays independent
+    of the elimination procedure. All reported norms are spectral norms.
     """
     scales = np.asarray(list(scales), dtype=float)
     if scales.size == 0 or np.any(scales <= 0.0):
         raise ValueError("scales must be positive")
+    z = symmetrize(z)
     h = symmetrize(h)
+    os_ = build_omega(eig_sym(z))
+    pz = os_.proj_zstar()
     lhs = np.empty_like(scales)
     ho = np.empty_like(scales)
     hn = np.empty_like(scales)
     for i, t in enumerate(scales):
-        lhs[i], ho[i], hn[i] = linearization_residual(z, t * h)
+        lhs[i], ho[i], hn[i] = _residual(os_, pz, z, t * h)
     tiny = 1e-300
     return EbReport(
         scales=scales,

@@ -40,3 +40,10 @@ def require_path(name, val):
     that a number from a manifest is never opened as a file descriptor."""
     if not isinstance(val, str) or not val:
         raise ValueError(f"{name} must be a non-empty path string, got {val!r}")
+
+
+def require_object(name, val):
+    """Return ``val`` if it is a JSON object; raise ValueError naming ``name`` otherwise."""
+    if not isinstance(val, dict):
+        raise ValueError(f"{name} must be a JSON object, got {val!r}")
+    return val

@@ -1,19 +1,20 @@
 """Local linearization of the fixed-point map at a reference point.
 
-At a nonsingular reference Zstar with r positive eigenvalues, the PSD
-projection is differentiable with differential H -> Q (Omega o (Q'HQ)) Q',
-where Omega carries an all-ones leading r x r block, a zero trailing block,
-and off-diagonal weights Theta_ij = lam_j / (lam_j - lam_{i+r}) in (0, 1).
-The one-step map then linearizes as
+At a reference Zstar = Q diag(lam) Q' (lam descending) the spectrum splits
+into r positive (alpha), near-zero (beta) and s negative (gamma) eigenvalues.
+The directional derivative of the PSD projection is H -> Q D Q' with
+D = Omega o (Q'HQ) outside the beta block and D_bb = Pi((Q'HQ)_bb) on it;
+Omega is 1 on the alpha rows and columns outside the gamma block and carries
+Theta_ij = lam_j / (lam_j - lam_{i+r}) in (0, 1) on the gamma-alpha corner.
+At a nonsingular reference (beta empty) it is linear, and the one-step map
+linearizes as
 
     Z+ - Zstar = M(Z - Zstar) + Psi,   M(H) = P(Omega^c o H) + Pnull(Omega o H),
 
 with a residual Psi that is second order in the off-diagonal block of the
 error. M is firmly nonexpansive; its fixed subspace and the operator norms
 ||M|| and ||M - Pi_Fix|| govern the local contraction rate; both are computed
-by Lanczos (ARPACK) on the self-adjoint composition op* o op. A singular
-reference is handled through the directional derivative of the projection,
-which adds a small-eigenvalue index block and stays positively homogeneous.
+by Lanczos (ARPACK) on the self-adjoint composition op* o op.
 
 All Hadamard products act in the rotated coordinates of the reference
 eigenbasis; the range projector P acts in the original coordinates.
@@ -32,19 +33,21 @@ from .linalg import RANK_TAU, SpectralDecomp, psd_project, smat, svec, svec_dim,
 from .problem import ConstraintKernel, apply_At, project_range
 
 NORM_TOL = 1e-12
-NONSINGULAR_GAP = 1e-12
 
 
 @dataclass
 class OmegaStructure:
-    """Hadamard multipliers of the projection differential at a nonsingular
-    reference: Q, eigenvalues (descending, no zeros), rank split r, the
-    multiplier matrix ``omega`` and its off-diagonal block ``theta``; the
-    complements are ``1 - omega`` and ``1 - theta``."""
+    """Hadamard multipliers of the projection derivative at a reference:
+    Q, eigenvalues ``lam`` (descending), the counts r of positive (alpha) and
+    s of negative (gamma) eigenvalues, the multiplier matrix ``omega`` and
+    its gamma-alpha corner ``theta`` (s x r); the complements are
+    ``1 - omega`` and ``1 - theta``. The n - r - s eigenvalues between them
+    form the beta block, empty at a nonsingular reference."""
 
     Q: np.ndarray
     lam: np.ndarray
     r: int
+    s: int
     omega: np.ndarray
     theta: np.ndarray
 
@@ -53,12 +56,28 @@ class OmegaStructure:
         return self.lam.shape[0]
 
     @property
+    def alpha(self):
+        return np.arange(self.r)
+
+    @property
+    def beta(self):
+        return np.arange(self.r, self.n - self.s)
+
+    @property
+    def gamma(self):
+        return np.arange(self.n - self.s, self.n)
+
+    @property
     def omega_comp(self):
         return 1.0 - self.omega
 
     @property
     def theta_comp(self):
         return 1.0 - self.theta
+
+    # The gamma-alpha corner under its singular-reference names.
+    theta_t = property(lambda self: self.theta)
+    theta_t_comp = theta_comp
 
     def proj_zstar(self):
         pos = np.clip(self.lam, 0.0, None)
@@ -71,36 +90,39 @@ class OmegaStructure:
         return self.Q @ h @ self.Q.T
 
     def offblock(self, h):
-        """Lower-left (n - r) x r block of Q'HQ."""
-        return self.rotate_in(h)[self.r :, : self.r]
+        """Gamma-alpha (lower-left s x r) block of Q'HQ."""
+        return self.rotate_in(h)[self.n - self.s :, : self.r]
+
+
+def build_directional(dec: SpectralDecomp) -> OmegaStructure:
+    """Assemble the multiplier structure from a sorted spectral decomposition,
+    splitting the spectrum at RANK_TAU * max|lam| into positive (alpha),
+    near-zero (beta) and negative (gamma) eigenvalues."""
+    lam = dec.lam
+    n = lam.shape[0]
+    # Scale-relative, unlike linalg.split_counts: the projection is positively
+    # homogeneous, so its directional derivative at c * Zstar (c > 0) equals
+    # the one at Zstar and the split must not depend on the reference's scale.
+    thr = RANK_TAU * (float(np.max(np.abs(lam))) if n else 0.0)
+    r = int(np.sum(lam > thr))
+    s = int(np.sum(lam < -thr))
+    theta = lam[None, :r] / (lam[None, :r] - lam[n - s :, None])
+    omega = np.zeros((n, n))
+    omega[:r, : n - s] = omega[: n - s, :r] = 1.0
+    omega[n - s :, :r] = theta
+    omega[:r, n - s :] = theta.T
+    return OmegaStructure(Q=dec.Q.copy(), lam=lam.copy(), r=r, s=s, omega=omega, theta=theta)
 
 
 def build_omega(dec: SpectralDecomp) -> OmegaStructure:
-    """Assemble the multiplier structure from a sorted spectral decomposition.
-
-    Requires a nonsingular reference: every eigenvalue must clear
-    ``NONSINGULAR_GAP * max|lam|`` in magnitude, otherwise a ValueError asks
-    the caller to switch to the directional-derivative path
-    (:func:`build_directional`).
-    Elimination and ``eb-verify`` reject singular references by this rule.
-    """
-    lam = dec.lam
-    n = lam.shape[0]
-    lam_max = float(np.max(np.abs(lam))) if n else 0.0
-    if lam_max == 0.0 or np.min(np.abs(lam)) <= NONSINGULAR_GAP * lam_max:
-        raise ValueError(
-            "reference matrix must be nonsingular "
-            f"(min |lam| = {float(np.min(np.abs(lam))) if n else 0.0:.3e})"
-        )
-    r = int(np.sum(lam > 0.0))
-    pos = lam[:r]
-    neg = lam[r:]
-    theta = pos[None, :] / (pos[None, :] - neg[:, None])
-    omega = np.zeros((n, n))
-    omega[:r, :r] = 1.0
-    omega[r:, :r] = theta
-    omega[:r, r:] = theta.T
-    return OmegaStructure(Q=dec.Q.copy(), lam=lam.copy(), r=r, omega=omega, theta=theta)
+    """:func:`build_directional` at a nonsingular reference: raises ValueError
+    when the split has a beta block. Elimination and ``eb-verify`` reject
+    singular references by this rule."""
+    os_ = build_directional(dec)
+    if os_.beta.size:
+        min_abs = float(np.min(np.abs(os_.lam)))
+        raise ValueError(f"reference matrix must be nonsingular (min |lam| = {min_abs:.3e})")
+    return os_
 
 
 def hadamard(os_: OmegaStructure, mask, h):
@@ -229,75 +251,20 @@ def op_norm_M_minus_fix(os_: OmegaStructure, kernel: ConstraintKernel, fix: FixS
     return value
 
 
-# ---------------------------------------------------------------------------
-# Singular reference: directional derivative path.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DirectionalStructure:
-    """Index split (alpha, beta, gamma) of a possibly singular reference and
-    the off-corner Hadamard weights between the definite blocks."""
-
-    Q: np.ndarray
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    theta_t: np.ndarray  # (|gamma|, |alpha|), entries in (0, 1)
-
-    @property
-    def n(self):
-        return self.lam.shape[0]
-
-    @property
-    def theta_t_comp(self):
-        return 1.0 - self.theta_t
-
-
-def build_directional(dec: SpectralDecomp) -> DirectionalStructure:
-    """Split the spectrum at threshold RANK_TAU * max|lam| into positive (alpha),
-    near-zero (beta) and negative (gamma) index sets."""
-    lam = dec.lam
-    # Scale-relative, unlike linalg.split_counts: the projection is positively
-    # homogeneous, so its directional derivative at c * Zstar (c > 0) equals
-    # the one at Zstar and the split must not depend on the reference's scale.
-    thr = RANK_TAU * (float(np.max(np.abs(lam))) if lam.size else 0.0)
-    alpha = np.flatnonzero(lam > thr)
-    gamma = np.flatnonzero(lam < -thr)
-    beta = np.flatnonzero(np.abs(lam) <= thr)
-    pos = lam[alpha]
-    neg = lam[gamma]
-    theta_t = (
-        pos[None, :] / (pos[None, :] - neg[:, None])
-        if alpha.size and gamma.size
-        else np.zeros((gamma.size, alpha.size))
-    )
-    return DirectionalStructure(
-        Q=dec.Q.copy(), lam=lam.copy(), alpha=alpha, beta=beta, gamma=gamma, theta_t=theta_t
-    )
-
-
-def directional_derivative(ds: DirectionalStructure, h):
+def directional_derivative(os_: OmegaStructure, h):
     """One-sided derivative of the PSD projection at the reference, applied
-    to H: block copy on alpha, Hadamard weights on the gamma-alpha corner, a
-    small PSD projection on the beta block, zeros elsewhere. Positively
-    homogeneous in H."""
-    ht = ds.Q.T @ np.asarray(h, dtype=float) @ ds.Q
-    a, b, g = ds.alpha, ds.beta, ds.gamma
-    out = np.zeros_like(ht)
-    out[np.ix_(a, a)] = ht[np.ix_(a, a)]
-    out[np.ix_(b, a)] = ht[np.ix_(b, a)]
-    out[np.ix_(a, b)] = ht[np.ix_(a, b)]
-    out[np.ix_(g, a)] = ds.theta_t * ht[np.ix_(g, a)]
-    out[np.ix_(a, g)] = out[np.ix_(g, a)].T
-    if b.size:
-        out[np.ix_(b, b)] = psd_project(ht[np.ix_(b, b)])
-    return ds.Q @ out @ ds.Q.T
+    to H: the Omega multipliers, with a small PSD projection on the beta
+    block. Positively homogeneous in H; linear when beta is empty."""
+    ht = os_.rotate_in(h)
+    out = os_.omega * ht
+    b = slice(os_.r, os_.n - os_.s)
+    if os_.beta.size:
+        out[b, b] = psd_project(ht[b, b])
+    return os_.rotate_out(out)
 
 
-def apply_M_directional(ds: DirectionalStructure, kernel: ConstraintKernel, h):
+def apply_M_directional(os_: OmegaStructure, kernel: ConstraintKernel, h):
     """Nonlinear analogue of M at a singular reference:
     P(H - D(H)) + Pnull(D(H)) with D the directional derivative."""
-    d = directional_derivative(ds, h)
+    d = directional_derivative(os_, h)
     return d + project_range(kernel, h - 2.0 * d)

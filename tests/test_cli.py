@@ -218,6 +218,26 @@ def test_path_fields_must_be_strings(tmp_path, capsys, monkeypatch, command, fie
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.dat-s", "m.json"]
 
 
+@pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("solve", {"generator": 5}, "generator"),
+        ("eb-verify", {"z": 5}, "z"),
+        ("eb-verify", {"h": 3}, "h"),
+        ("eb-verify", {"z": {"random": 5}}, "z.random"),
+        ("eb-verify", {"h": {"random": []}}, "h.random"),
+    ],
+    ids=["generator-int", "z-int", "h-int", "z-random-int", "h-random-list"],
+)
+def test_nested_manifest_values_must_be_objects(tmp_path, capsys, command, fields, name):
+    manifest = write_manifest(tmp_path / "m.json", out=str(tmp_path / "o"), **fields)
+    assert main([command, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a JSON object")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_eb_verify_rejects_too_small_z(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path / "m.json", out=str(tmp_path / "o"), z={"random": {"n": 0}}
@@ -549,6 +569,27 @@ def test_generate_maxcut_from_edge_list(tmp_path, capsys):
     assert prob.n == 4 and prob.m == 4
     assert np.array_equal(prob.b, np.ones(4))
     assert np.sum(prob.C * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])) == -4.0
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_huge_vertex_count_is_refused(tmp_path, capsys, command):
+    # 8 * (10^9)^2 bytes: the allocation is refused at once, nothing is touched.
+    edges = tmp_path / "graph.txt"
+    edges.write_text("1000000000\n1 2\n")
+    out = tmp_path / "o"
+    if command == "solve":
+        manifest = write_manifest(
+            tmp_path / "m.json", generator={"kind": "maxcut", "edges": str(edges)}, out=str(out)
+        )
+        argv = ["solve", "--manifest", manifest]
+    else:
+        argv = ["generate", "maxcut", "--edges", str(edges), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "vertex count 1000000000 needs 8000000000000000000 bytes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_rejects_one_token_edge_line(tmp_path, capsys):

@@ -71,10 +71,9 @@ def test_step_quadratic_decay_bound():
 def test_step_rejects_oversized_offblock():
     z = np.diag([0.5, -0.5])
     state = init_elimination(z, np.zeros((2, 2)))
-    state = EliminationState(
-        ell=0, zx=state.zx, zs=state.zs, zo=np.array([[5.0]]),
-        y=state.y, v=state.v, z0_norm=state.z0_norm,
-    )
+    t = state.t.copy()
+    t[1, 0] = t[0, 1] = 5.0
+    state = EliminationState(ell=0, t=t, r=state.r, y=state.y, z0_norm=state.z0_norm)
     with pytest.raises(ValueError, match="too large"):
         eliminate_step(state)
 
@@ -138,7 +137,7 @@ def test_run_eigenvalue_conservation_and_eta_stability():
     rng = np.random.default_rng(5)
     z, h = make_pair(8, 3, rng, gap=0.5, h_scale=0.05)
     state = init_elimination(z, h)
-    lam0 = np.sort(np.linalg.eigvalsh(state.block_matrix()))
+    lam0 = np.sort(np.linalg.eigvalsh(state.t))
     eta0 = np.sqrt(3) / (
         np.linalg.eigvalsh(state.zx)[0] - np.linalg.eigvalsh(state.zs)[-1]
     )
@@ -146,7 +145,7 @@ def test_run_eigenvalue_conservation_and_eta_stability():
     while np.linalg.norm(state.zo) > 1e-13:
         state = eliminate_step(state)
         offs.append(np.linalg.norm(state.zo, 2))
-        lam = np.sort(np.linalg.eigvalsh(state.block_matrix()))
+        lam = np.sort(np.linalg.eigvalsh(state.t))
         assert np.max(np.abs(lam - lam0)) <= 1e-10 * max(1.0, np.abs(lam0).max())
         eta = np.sqrt(3) / (
             np.linalg.eigvalsh(state.zx)[0] - np.linalg.eigvalsh(state.zs)[-1]
@@ -155,7 +154,7 @@ def test_run_eigenvalue_conservation_and_eta_stability():
         assert np.linalg.norm(state.y.T @ state.y - np.eye(8)) <= 1e-10
         # conjugation consistency with the original matrix
         assert np.linalg.norm(
-            state.y.T @ (z + h) @ state.y - state.block_matrix()
+            state.y.T @ (z + h) @ state.y - state.t
         ) <= 1e-9 * max(1.0, np.linalg.norm(z + h))
     # monotone, at-least-geometric decay once below one
     assert all(b <= a for a, b in zip(offs[:-1], offs[1:]))

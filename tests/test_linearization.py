@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdpadmm.elimination import run_elimination
 from sdpadmm.errors import NumericalFailureError
-from sdpadmm.linalg import eig_sym, psd_project, smat, svec, svec_dim
+from sdpadmm.linalg import RANK_TAU, eig_sym, psd_project, smat, svec, svec_dim
 from sdpadmm.problem import (
     SdpProblem,
     build_kernel,
     generate_planted,
+    haar_orthogonal,
     project_null,
     project_range,
 )
@@ -474,6 +478,118 @@ def test_directional_energy_identity():
         assert np.linalg.norm(mh) <= np.linalg.norm(h) + 1e-10
         # positive homogeneity: doubling H doubles the image
         assert np.allclose(apply_M_directional(ds, kern, 2.0 * h), 2.0 * mh, atol=1e-12)
+
+
+def _index_split_oracle(dec):
+    """Index-set split and gamma-alpha weights, one np.flatnonzero per set."""
+    lam = dec.lam
+    thr = RANK_TAU * (float(np.max(np.abs(lam))) if lam.size else 0.0)
+    alpha = np.flatnonzero(lam > thr)
+    gamma = np.flatnonzero(lam < -thr)
+    beta = np.flatnonzero(np.abs(lam) <= thr)
+    pos, neg = lam[alpha], lam[gamma]
+    theta_t = (
+        pos[None, :] / (pos[None, :] - neg[:, None])
+        if alpha.size and gamma.size
+        else np.zeros((gamma.size, alpha.size))
+    )
+    return alpha, beta, gamma, theta_t
+
+
+def _directional_oracle(dec, h):
+    """The directional derivative written block by block with np.ix_."""
+    a, b, g, theta_t = _index_split_oracle(dec)
+    ht = dec.Q.T @ np.asarray(h, dtype=float) @ dec.Q
+    out = np.zeros_like(ht)
+    out[np.ix_(a, a)] = ht[np.ix_(a, a)]
+    out[np.ix_(b, a)] = ht[np.ix_(b, a)]
+    out[np.ix_(a, b)] = ht[np.ix_(a, b)]
+    out[np.ix_(g, a)] = theta_t * ht[np.ix_(g, a)]
+    out[np.ix_(a, g)] = out[np.ix_(g, a)].T
+    if b.size:
+        out[np.ix_(b, b)] = psd_project(ht[np.ix_(b, b)])
+    return dec.Q @ out @ dec.Q.T
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        [2.0, 1.0, 0.0, -1.0, -2.0],
+        [1.5, 0.0, 0.0, -0.5, -1.0, -2.0],
+        [2.0, 0.7, 0.0, 0.0, 0.0, -1.0],
+        [0.0, -0.5, -1.0, -2.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [2.0, 1.0, 0.5, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [2.0, 1.0, -0.5, -1.0, -3.0],
+    ],
+    ids=[
+        "beta1-middle", "beta2-middle", "beta3-middle", "alpha-empty-beta1", "alpha-empty-beta3",
+        "gamma-empty-beta1", "gamma-empty-beta2", "all-beta", "beta-empty",
+    ],
+)
+def test_directional_matches_index_set_oracle(lam):
+    n = len(lam)
+    rng = np.random.default_rng(n)
+    q = haar_orthogonal(n, rng)
+    dec = eig_sym((q * np.asarray(lam)) @ q.T)
+    os_ = build_directional(dec)
+    alpha, beta, gamma, theta_t = _index_split_oracle(dec)
+    assert np.array_equal(os_.alpha, alpha)
+    assert np.array_equal(os_.beta, beta)
+    assert np.array_equal(os_.gamma, gamma)
+    assert beta.size == lam.count(0.0)
+    assert np.array_equal(os_.theta_t, theta_t)
+    kern = build_kernel(generate_planted(n, svec_dim(n) - 2, 1, seed=n)[0])
+    for _ in range(20):
+        h = random_sym(n, rng)
+        tol = 1e-13 * max(1.0, np.linalg.norm(h))
+        d = _directional_oracle(dec, h)
+        assert np.linalg.norm(directional_derivative(os_, h) - d) <= tol
+        m_oracle = d + project_range(kern, h - 2.0 * d)
+        assert np.linalg.norm(apply_M_directional(os_, kern, h) - m_oracle) <= tol
+
+
+def test_eigenvalue_below_rank_tau_is_singular():
+    # min|lam| / max|lam| = 1e-10 sits below the split RANK_TAU * max|lam|,
+    # so the derivative has a one-element beta block and every path that
+    # needs a nonsingular reference refuses it.
+    z = np.diag([1.0, 1e-10, -1.0])
+    with pytest.raises(ValueError, match="nonsingular"):
+        build_omega(eig_sym(z))
+    with pytest.raises(ValueError, match="nonsingular"):
+        run_elimination(z, np.zeros((3, 3)))
+    assert build_directional(eig_sym(z)).beta.size == 1
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_directional_map_properties(n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    zeros = min(zeros, n)
+    nonzero = rng.uniform(0.1, 2.0, n - zeros) * rng.choice([-1.0, 1.0], n - zeros)
+    lam = np.sort(np.concatenate([nonzero, np.zeros(zeros)]))[::-1]
+    q = haar_orthogonal(n, rng)
+    os_ = build_directional(eig_sym((q * lam) @ q.T))
+    assert os_.beta.size == zeros
+    m = int(rng.integers(1, svec_dim(n)))
+    kern = build_kernel(generate_planted(n, m, 1, seed=seed)[0])
+    h1, h2 = random_sym(n, rng), random_sym(n, rng)
+    m1, m2 = apply_M_directional(os_, kern, h1), apply_M_directional(os_, kern, h2)
+    # nonexpansive
+    assert np.linalg.norm(m1 - m2) <= np.linalg.norm(h1 - h2) * (1.0 + 1e-12) + 1e-12
+    # positively homogeneous
+    c = float(rng.uniform(0.1, 10.0))
+    assert np.linalg.norm(apply_M_directional(os_, kern, c * h1) - c * m1) <= (
+        1e-12 * c * max(1.0, np.linalg.norm(h1))
+    )
+    if zeros == 0:
+        assert np.linalg.norm(m1 - apply_M(os_, kern, h1)) <= 1e-12 * np.linalg.norm(h1)
 
 
 def test_psi_ratio_bounded_along_converged_tail(small_planted):
