@@ -71,7 +71,6 @@ from .solver import (
     residuals,
     solve,
     step_fixed_point,
-    step_three,
     write_trace_csv,
     z_difference_identity,
 )

@@ -30,6 +30,7 @@ from .elimination import eb_scan, run_elimination
 from .errors import (
     NumericalFailureError,
     require_integer,
+    require_keys,
     require_number,
     require_object,
     require_path,
@@ -103,6 +104,7 @@ def _instance_from_manifest(manifest):
     gen = require_object("generator", manifest["generator"])
     kind = gen.get("kind")
     if kind == "planted":
+        require_keys("generator", gen, "n", "m", "r")
         prob, cert = generate_planted(
             n=gen["n"],
             m=gen["m"],
@@ -115,6 +117,7 @@ def _instance_from_manifest(manifest):
         name = f"planted-n{gen['n']}-m{gen['m']}-r{gen['r']}-s{gen.get('seed', 0)}"
         return prob, name, cert
     if kind == "maxcut":
+        require_keys("generator", gen, "edges")
         require_path("edges", gen["edges"])
         adjacency = _load_edge_list(gen["edges"])
         return generate_maxcut(adjacency), os.path.basename(gen["edges"]), None
@@ -335,7 +338,9 @@ def _eb_inputs(manifest):
         require_path("file", zsrc["file"])
         z = symmetrize(np.load(zsrc["file"]))
     else:
+        require_keys("z", zsrc, "random")
         rnd = require_object("z.random", zsrc["random"])
+        require_keys("z.random", rnd, "n")
         n, seed = rnd["n"], rnd.get("seed", 0)
         require_integer("n", n)
         require_integer("seed", seed)
@@ -349,6 +354,7 @@ def _eb_inputs(manifest):
         require_path("file", hsrc["file"])
         h = symmetrize(np.load(hsrc["file"]))
     else:
+        require_keys("h", hsrc, "random")
         seed = require_object("h.random", hsrc["random"]).get("seed", 1)
         require_integer("seed", seed)
         rng = np.random.default_rng(seed)

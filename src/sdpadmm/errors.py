@@ -47,3 +47,11 @@ def require_object(name, val):
     if not isinstance(val, dict):
         raise ValueError(f"{name} must be a JSON object, got {val!r}")
     return val
+
+
+def require_keys(name, obj, *keys):
+    """Raise ValueError naming ``name`` and the first of ``keys`` missing from
+    the JSON object ``obj``."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{name} is missing {key!r}")

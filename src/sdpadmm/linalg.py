@@ -136,13 +136,14 @@ def psd_project(a):
 def psd_split(dec: SpectralDecomp):
     """Return (Pi(Z), Pi(-Z)) from one decomposition of Z.
 
-    The two parts share eigenvectors with disjoint eigenvalue supports, so
-    their inner product vanishes identically.
+    Each part is formed from its own eigenvector columns: the leading r
+    with positive eigenvalues, and the rest. The column sets are orthogonal,
+    so the inner product of the parts vanishes up to rounding.
     """
-    pos = np.clip(dec.lam, 0.0, None)
-    neg = np.clip(-dec.lam, 0.0, None)
-    plus = symmetrize((dec.Q * pos) @ dec.Q.T)
-    minus = symmetrize((dec.Q * neg) @ dec.Q.T)
+    r = int(np.count_nonzero(dec.lam > 0.0))
+    q_plus, q_minus = dec.Q[:, :r], dec.Q[:, r:]
+    plus = symmetrize((q_plus * dec.lam[:r]) @ q_plus.T)
+    minus = symmetrize((q_minus * -dec.lam[r:]) @ q_minus.T)
     return plus, minus
 
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import dual_witness, primal_witness
 from .errors import NumericalFailureError
 from .linalg import RANK_TAU, SpectralDecomp, psd_project, smat, svec, svec_dim, symmetrize
-from .problem import ConstraintKernel, apply_At, project_range
+from .problem import ConstraintKernel, apply_Bt, project_range
 
 NORM_TOL = 1e-12
 
@@ -219,9 +218,10 @@ def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
     Two independent families: leading-block members Q1 U Q1' for U in the
     dual witness space (A annihilates them), and trailing-block members A*(y)
     for y in the primal witness space (they lie in range(A*) and vanish
-    outside the trailing block). The first family is orthonormal through svec;
-    the second is orthonormalized with the Gram matrix AA*. The families live
-    in orthogonal coordinate blocks, so stacking keeps orthonormality.
+    outside the trailing block). The first family is orthonormal through svec.
+    The second is B*q for the orthonormal columns q of a QR of R y, since
+    A*(y) = B*(R y). The families live in orthogonal coordinate blocks, so
+    stacking keeps orthonormality.
     """
     n, r = os_.n, os_.r
     at = os_.rotate_in(kernel.problem.A)
@@ -229,9 +229,8 @@ def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
     members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r).T]
     y = primal_witness(at, r)
     if y.shape[1]:
-        chol = np.linalg.cholesky(y.T @ kernel.gram @ y)
-        coef = scipy.linalg.solve_triangular(chol, y.T, lower=True)
-        members.extend(apply_At(kernel.problem, coef))
+        q, _ = np.linalg.qr(kernel.problem.R @ y)
+        members.extend(apply_Bt(kernel, q.T))
     basis = np.stack(members, axis=0) if members else np.zeros((0, n, n))
     return FixSubspace(basis=basis, dim=basis.shape[0])
 

@@ -3,8 +3,8 @@
 A problem is min <C, X> s.t. <A_i, X> = b_i (i = 1..m), X PSD, together with
 its dual max b'y s.t. A*(y) + S = C, S PSD. This module holds the problem
 container, the constraint operator A and its adjoint, the range-space
-projector built from a Gram factorization of A A*, sparse SDPA file I/O, and
-instance generators that plant a known optimal certificate.
+projector built from one QR factorization of the constraints, sparse SDPA
+file I/O, and instance generators that plant a known optimal certificate.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class SdpProblem:
     table : (m, t(n)) constraint table; row i holds the upper triangle of
         A_i in ``np.triu_indices(n)`` order
     b : (m,) right-hand side
+    R : (m, m) upper-triangular factor (Fortran order) with A A* = R'R,
+        from one Householder QR of the weighted table
 
     ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps only the
     table of its symmetric part; :meth:`from_table` takes the table itself.
@@ -87,8 +89,12 @@ class SdpProblem:
         if self.m > svec_dim(n):
             raise ValueError(f"m = {self.m} exceeds dim S^n = {svec_dim(n)}")
         self._upper, self._weights, self._mirror = _triangle_maps(n)
+        # R has the singular values of the weighted table, so it decides
+        # independence; forming A A* would square its condition number.
+        weighted = (self.table * np.sqrt(self._weights)).T
+        self.R = np.asfortranarray(np.linalg.qr(weighted, mode="r"))
         if self.m > 0:
-            sv = np.linalg.svd(self.table * np.sqrt(self._weights), compute_uv=False)
+            sv = np.linalg.svd(self.R, compute_uv=False)
             rank = int(np.sum(sv > _INDEPENDENCE_RTOL * sv[0]))
             if rank < self.m:
                 raise ValueError(
@@ -109,13 +115,27 @@ class SdpProblem:
         return self.table.take(self._mirror, axis=1).reshape(self.m, self.n, self.n)
 
 
-def apply_A(p: SdpProblem, x):
-    """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
-    table, against the weighted upper triangle of X."""
+def _forward(p: SdpProblem, rows, x):
+    # rows @ (weighted upper triangle of X): <row_i, X> for every row.
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n, p.n):
         raise ValueError(f"X has shape {x.shape}, expected ({p.n}, {p.n})")
-    return p.table @ (p._weights * x.take(p._upper))
+    return rows @ (p._weights * x.take(p._upper))
+
+
+def _adjoint(p: SdpProblem, rows, y):
+    # sum_i y_i row_i as full matrices; a (k, m) stack of coefficients
+    # reads ``rows`` once, in one gemm, and mirrors in one ``take``.
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != p.m:
+        raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
+    return (y @ rows).take(p._mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
+
+
+def apply_A(p: SdpProblem, x):
+    """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
+    table, against the weighted upper triangle of X."""
+    return _forward(p, p.table, x)
 
 
 def apply_At(p: SdpProblem, y):
@@ -124,60 +144,86 @@ def apply_At(p: SdpProblem, y):
     A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
     one gemm, reading the table once, and one mirroring ``take``.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != p.m:
-        raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
-    return (y @ p.table).take(p._mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
+    return _adjoint(p, p.table, y)
 
 
 @dataclass
 class ConstraintKernel:
     """Precomputed machinery for the range projector P = A*(AA*)^-1 A.
 
+    With AA* = R'R (``problem.R``), the rows of B = R^-T A are an
+    orthonormal basis of range(A*) in the trace inner product, so
+    P(H) = B*(B(H)). R^-T maps constraint values A(H) to the coordinates
+    B(H) of P(H) in this basis (:func:`basis_coords`).
+
     Attributes
     ----------
-    gram : (m, m) Gram matrix AA* with entries <A_i, A_j>
-    gram_chol : upper Cholesky factor of ``gram`` (Fortran order), or None
-        when m = 0
+    basis : (m, t(n)) table of B, stored like the constraint table
+    b_hat : (m,) coordinates R^-T b, so that b'y = b_hat'(R y)
     at_pinv_b : (n, n) particular primal-feasible point A*(AA*)^-1 b
     """
 
     problem: SdpProblem
-    gram: np.ndarray
-    gram_chol: np.ndarray | None
+    basis: np.ndarray
+    b_hat: np.ndarray
     at_pinv_b: np.ndarray
+
+    @property
+    def gram(self):
+        """(m, m) Gram matrix AA* = R'R, with entries <A_i, A_j>."""
+        return self.problem.R.T @ self.problem.R
 
 
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
-    """Factor AA* once; raises ValueError if the Gram matrix is singular."""
-    gram = (p.table * p._weights) @ p.table.T
-    kernel = ConstraintKernel(problem=p, gram=gram, gram_chol=None, at_pinv_b=np.zeros((p.n, p.n)))
-    if p.m > 0:
-        try:
-            kernel.gram_chol = np.asfortranarray(scipy.linalg.cholesky(gram))
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError(f"Gram matrix of the constraints is singular: {exc}") from exc
-        kernel.at_pinv_b = apply_At(p, solve_normal(kernel, p.b))
-    return kernel
+    """Form the basis B = R^-T A with one right-side ``dtrsm`` on the
+    transposed table, which is Fortran-ordered as it stands."""
+    basis = scipy.linalg.blas.dtrsm(1.0, p.R, p.table.T, side=1).T
+    b_hat = _triangular_solve(p.R, p.b, trans=1)
+    return ConstraintKernel(p, basis, b_hat, at_pinv_b=_adjoint(p, basis, b_hat))
+
+
+def _triangular_solve(r, v, trans):
+    # R^-1 v (trans=0) or R^-T v (trans=1) by LAPACK ``dtrtrs``.
+    if r.shape[0] == 0:
+        return np.zeros(np.shape(v))
+    x, info = scipy.linalg.lapack.dtrtrs(r, v, trans=trans)
+    if info != 0:
+        raise ValueError(f"dtrtrs rejected the triangular solve (info {info})")
+    return x
+
+
+def basis_coords(k: ConstraintKernel, v):
+    """R^-T v, for a vector or for the columns of an (m, k) array. For
+    v = A(H) these are the coordinates B(H) of P(H); for any v, B* of them
+    is A*(AA*)^-1 v."""
+    return _triangular_solve(k.problem.R, v, trans=1)
+
+
+def multipliers(k: ConstraintKernel, u):
+    """y = R^-1 u: the multipliers with A*y = B*u."""
+    return _triangular_solve(k.problem.R, u, trans=0)
+
+
+def apply_Bt(k: ConstraintKernel, u):
+    """B* u = sum_i u_i B_i; a (k, m) stack gives k matrices in one gemm."""
+    return _adjoint(k.problem, k.basis, u)
 
 
 def solve_normal(k: ConstraintKernel, v):
     """(AA*)^-1 v, for a vector or for the columns of an (m, k) array, by
-    LAPACK ``dpotrs`` on the stored Cholesky factor."""
+    LAPACK ``dpotrs`` on R."""
     if k.problem.m == 0:
         return np.zeros(np.shape(v))
-    x, info = scipy.linalg.lapack.dpotrs(k.gram_chol, v)
+    x, info = scipy.linalg.lapack.dpotrs(k.problem.R, v)
     if info != 0:
         raise ValueError(f"dpotrs rejected argument {-info} of the normal solve")
     return x
 
 
 def project_range(k: ConstraintKernel, h):
-    """Orthogonal projection of symmetric H onto range(A*)."""
-    h = np.asarray(h, dtype=float)
-    if k.problem.m == 0:
-        return np.zeros_like(h)
-    return apply_At(k.problem, solve_normal(k, apply_A(k.problem, h)))
+    """Orthogonal projection of symmetric H onto range(A*): two passes over
+    the basis, B*(B(H)), and no solve."""
+    return apply_Bt(k, _forward(k.problem, k.basis, h))
 
 
 def project_null(k: ConstraintKernel, h):

@@ -6,17 +6,17 @@ The canonical iteration is the one-step fixed-point map on Z = X - sigma*S:
 
 where Pi is the PSD projection and P the orthogonal projector onto range(A*).
 The primal/dual pair is extracted as X = Pi(Z), sigma*S = Pi(-Z), and y is
-recovered from the normal equations each iteration. The classical three-step
-update is also provided; starting from a matched (X, S) pair it reproduces the
-fixed-point map exactly.
+recovered from the normal equations each iteration.
 
 Each iteration of ``solve`` costs one eigendecomposition, one forward pass
-A(X) and one two-column adjoint pass that yields A*y and P(Z - 2X) together.
-Both projections of Z come from the same factorization. A(Z) is carried
-through A(Z+) = A(Z) - A(X) + A(const), and sigma*S = X - Z gives
-A(S) = (A(X) - A(Z))/sigma, so the one A(X) feeds y, r_p and the step.
-``step_fixed_point`` and ``residuals`` keep the direct evaluation as the
-reference path.
+A(X), one triangular solve and one pass over the orthonormal basis
+B = R^-T A of range(A*) (AA* = R'R), which yields P(Z - 2X). Both
+projections of Z come from the same factorization. Constraint values are
+carried as basis coordinates u = R^-T A(.): u_Z follows
+u_Z+ = u_Z - u_X + u_const, and sigma*S = X - Z gives A(S) = (A(X) - A(Z))/sigma,
+so the one A(X) feeds y, r_p and the step. The dual residual needs no A*y:
+A*y + S - C = (Z+ - Z)/sigma. ``step_fixed_point`` and ``residuals`` keep
+the direct evaluation as the reference path.
 """
 
 from __future__ import annotations
@@ -29,16 +29,18 @@ import numpy as np
 
 from .diagnostics import face_projections, offblock_norm
 from .errors import NumericalFailureError, require_integer, require_number
-from .linalg import SpectralDecomp, eig_sym, psd_project, psd_split, split_counts, symmetrize
+from .linalg import SpectralDecomp, eig_sym, psd_split, split_counts, symmetrize
 from .problem import (
     ConstraintKernel,
     SdpProblem,
     apply_A,
     apply_At,
+    apply_Bt,
+    basis_coords,
     build_kernel,
+    multipliers,
     project_null,
     project_range,
-    solve_normal,
 )
 
 TRACE_HEADER = "k,r_p,r_d,r_gap,r_max,rank_X,rank_S,lam_min_absZ,norm_Z_diff"
@@ -124,8 +126,8 @@ class IterationRecord:
 @dataclass
 class PhaseTimings:
     """Wall seconds and call counts of the phases of one solve: eigen-
-    decompositions, constraint-operator passes (``apply_A``/``apply_At``),
-    normal-equation solves and trace records."""
+    decompositions, constraint-operator passes (``apply_A`` on the table,
+    ``apply_Bt`` on the basis), triangular solves with R and trace records."""
 
     seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
@@ -170,15 +172,15 @@ def residuals(p: SdpProblem, x, y, s_mat):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _residuals(p, x, y, np.asarray(s_mat, dtype=float), apply_A(p, x), apply_At(p, y))
+    dual = float(np.linalg.norm(apply_At(p, y) + np.asarray(s_mat, dtype=float) - p.C))
+    return _residuals(p, x, float(p.b @ y), apply_A(p, x), dual)
 
 
-def _residuals(p, x, y, s_mat, a_x, at_y):
-    # The residual formulas on precomputed A(X) and A*(y).
+def _residuals(p, x, by, a_x, dual):
+    # The residual formulas on precomputed b'y, A(X) and ||A*y + S - C||_F.
     r_p = float(np.linalg.norm(a_x - p.b)) / (1.0 + float(np.linalg.norm(p.b)))
-    r_d = float(np.linalg.norm(at_y + s_mat - p.C)) / (1.0 + float(np.linalg.norm(p.C)))
+    r_d = dual / (1.0 + float(np.linalg.norm(p.C)))
     obj = float(np.sum(p.C * x))
-    by = float(p.b @ y)
     r_gap = abs(obj - by) / (1.0 + abs(obj) + abs(by))
     return (r_p, r_d, r_gap, max(r_p, r_d, r_gap))
 
@@ -197,24 +199,6 @@ def step_fixed_point(p: SdpProblem, kernel: ConstraintKernel, cfg: SolverConfig,
     z = symmetrize(z)
     x_part, _ = psd_split(eig_sym(z))
     return _step_from_split(kernel, z, x_part, _step_const(kernel, cfg.sigma))
-
-
-def step_three(p: SdpProblem, kernel: ConstraintKernel, cfg: SolverConfig, x, s_mat):
-    """Classical three-step update: returns (y+, S+, X+).
-
-    Starting from X = Pi(Z), S = Pi(-Z)/sigma, the produced X+ - sigma*S+
-    equals ``step_fixed_point`` applied to Z.
-    """
-    sigma = cfg.sigma
-    x = symmetrize(x)
-    s_mat = symmetrize(s_mat)
-    y_new = solve_normal(
-        kernel, p.b / sigma - apply_A(p, x / sigma + s_mat - p.C)
-    )
-    at_y = apply_At(p, y_new)
-    s_new = psd_project(p.C - at_y - x / sigma)
-    x_new = x + sigma * (s_new + at_y - p.C)
-    return y_new, s_new, x_new
 
 
 def initial_z(p: SdpProblem, cfg: SolverConfig):
@@ -260,19 +244,19 @@ def solve(
     const = _step_const(kernel, sigma)
     ref_dec = eig_sym(reference) if reference is not None else None
     timings = PhaseTimings()
-    a_const = timings.call("constraint_op", apply_A, p, const)
-    a_c = timings.call("constraint_op", apply_A, p, p.C)
-
     z = initial_z(p, cfg)
-    a_z = timings.call("constraint_op", apply_A, p, z)
+    # Basis coordinates of A(const), A(C) and A(Z0), in one solve.
+    a_start = np.stack([timings.call("constraint_op", apply_A, p, v) for v in (const, p.C, z)], 1)
+    u_const, u_c, u_z = basis_coords(kernel, a_start).T
     # Not guarded: a failure here is one of the initial point, before any
     # iterate exists to report.
     dec = timings.call("eig", eig_sym, z)
     records: list[IterationRecord] = []
     status = SolveStatus.ITER_LIMIT
+    failure = None
     t0 = time.monotonic()
 
-    def make_record(k, res, z_cur, z_next, x_part, s_mat):
+    def make_record(k, res, z_cur, step, x_part, neg_part):
         rank_x, rank_s = split_counts(dec.lam)
         rec = IterationRecord(
             k=k,
@@ -283,12 +267,12 @@ def solve(
             rank_x=rank_x,
             rank_s=rank_s,
             lam_min_abs_z=float(np.min(np.abs(dec.lam))),
-            norm_z_diff=float(np.linalg.norm(z_next - z_cur)),
+            norm_z_diff=step,
         )
         if ref_dec is not None:
             rec.h_norm = float(np.linalg.norm(z_cur - reference))
             rec.ho_norm = offblock_norm(ref_dec, z_cur - reference)
-            face_x, face_s, _ = face_projections(ref_dec, x_part, s_mat, sigma)
+            face_x, face_s, _ = face_projections(ref_dec, x_part, neg_part / sigma, sigma)
             rec.face_x_norm = face_x
             rec.face_s_norm = face_s
         if keep_z:
@@ -297,21 +281,19 @@ def solve(
 
     for k in range(cfg.max_iter + 1):
         x_part, neg_part = psd_split(dec)
-        s_mat = neg_part / sigma
         a_x = timings.call("constraint_op", apply_A, p, x_part)
-        # Column 0 is b/sigma - A(X/sigma + S - C) with A(S) = (A(X) - A(Z))/sigma,
-        # the right-hand side for y; column 1 is A(Z - 2X), for P(Z - 2X).
-        a_zx = a_z - 2.0 * a_x
-        rhs = np.stack([(p.b + a_zx) / sigma + a_c, a_zx], axis=1)
-        w = timings.call("normal_solve", solve_normal, kernel, rhs)
-        at_y, p_zx = timings.call("constraint_op", apply_At, p, w.T)
-        y = w[:, 0]
-        res = _residuals(p, x_part, y, s_mat, a_x, at_y)
-        state = SolverState(
-            k=k, Z=z, X=x_part, y=y, S=s_mat, residuals=res, decomp=dec, timings=timings
-        )
+        u_x = timings.call("normal_solve", basis_coords, kernel, a_x)
+        u_zx = u_z - 2.0 * u_x
+        # Reuses the current eigendecomposition; no extra factorization.
+        z_next = timings.call("constraint_op", apply_Bt, kernel, u_zx) + x_part + const
+        # y = R^-1 u_y solves the normal equations for b/sigma - A(X/sigma + S - C),
+        # with A(S) = (A(X) - A(Z))/sigma; then b'y = b_hat'u_y, and
+        # A*y + S - C = (Z+ - Z)/sigma, so the step gives r_d.
+        u_y = (kernel.b_hat + u_zx) / sigma + u_c
+        step = float(np.linalg.norm(z_next - z))
+        res = _residuals(p, x_part, float(kernel.b_hat @ u_y), a_x, step / sigma)
         if not all(np.isfinite(res)):
-            state.failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
+            failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
             status = SolveStatus.NUMERICAL_FAILURE
             break
         converged = res[3] <= cfg.tol_rmax
@@ -321,13 +303,11 @@ def solve(
             and time.monotonic() - t0 > cfg.time_limit_secs
         )
         final = converged or out_of_iters or timed_out
-        # Reuses the current eigendecomposition; no extra factorization.
-        z_next = p_zx + x_part + const
         # A converged final iterate is always recorded; limit exits record
         # nothing beyond the stride-aligned iterates already taken.
         if converged or (not final and k % cfg.trace_every == 0):
             records.append(
-                timings.call("record", make_record, k, res, z, z_next, x_part, s_mat)
+                timings.call("record", make_record, k, res, z, step, x_part, neg_part)
             )
         if final:
             if converged:
@@ -337,17 +317,21 @@ def solve(
             else:
                 status = SolveStatus.TIME_LIMIT
             break
-        z = z_next
-        # A(Z+) = A(Z) - A(X) + A(const). Rounding does not accumulate here,
-        # because Z+ itself was built from the carried A(Z).
-        a_z = a_z - a_x + a_const
         try:
-            dec = timings.call("eig", eig_sym, z)
+            dec_next = timings.call("eig", eig_sym, z_next)
         except (NumericalFailureError, ValueError) as exc:
-            state.failure = {"message": str(exc), "details": getattr(exc, "details", {})}
+            failure = {"message": str(exc), "details": getattr(exc, "details", {})}
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        z, dec = z_next, dec_next
+        # u_Z+ = u_Z - u_X + u_const. Rounding does not accumulate here,
+        # because Z+ itself was built from the carried u_Z.
+        u_z = u_z - u_x + u_const
 
+    state = SolverState(
+        k=k, Z=z, X=x_part, y=multipliers(kernel, u_y), S=neg_part / sigma, residuals=res,
+        decomp=dec, failure=failure, timings=timings,
+    )
     return state, records, status
 
 

@@ -238,6 +238,26 @@ def test_nested_manifest_values_must_be_objects(tmp_path, capsys, command, field
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("eb-verify", {"z": {}}, "z is missing 'random'"),
+        ("eb-verify", {"z": {"random": {"seed": 2}}}, "z.random is missing 'n'"),
+        ("eb-verify", {"h": {"seed": 2}}, "h is missing 'random'"),
+        ("solve", {"generator": {"kind": "planted"}}, "generator is missing 'n'"),
+        ("solve", {"generator": {"kind": "planted", "n": 6, "m": 8}}, "generator is missing 'r'"),
+        ("solve", {"generator": {"kind": "maxcut"}}, "generator is missing 'edges'"),
+    ],
+    ids=["z-empty", "z-random-no-n", "h-no-random", "planted-no-n", "planted-no-r", "maxcut-no-edges"],
+)
+def test_missing_nested_manifest_keys_are_named(tmp_path, capsys, command, fields, message):
+    manifest = write_manifest(tmp_path / "m.json", out=str(tmp_path / "o"), **fields)
+    assert main([command, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_eb_verify_rejects_too_small_z(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path / "m.json", out=str(tmp_path / "o"), z={"random": {"n": 0}}

@@ -16,6 +16,7 @@ from sdpadmm.linalg import (
     sylvester_solve,
     symmetrize,
 )
+from sdpadmm.problem import haar_orthogonal
 
 from conftest import random_indefinite, random_sym
 
@@ -159,6 +160,32 @@ def test_psd_split_complementary():
     plus, minus = psd_split(eig_sym(a))
     assert np.linalg.norm(a - (plus - minus)) <= 1e-12 * max(1.0, np.linalg.norm(a))
     assert abs(np.sum(plus * minus)) <= 1e-12
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_psd_split_matches_full_spectrum_formula(n, seed, log_scale):
+    # Oracle: both parts as full n x n products over zero-padded spectra.
+    rng = np.random.default_rng(seed)
+    q = haar_orthogonal(n, rng)
+    k = int(rng.integers(0, n + 1))
+    zeros = int(rng.integers(0, n - k + 1))
+    lam = np.concatenate(
+        [rng.uniform(0.1, 2.0, k), np.zeros(zeros), -rng.uniform(0.1, 2.0, n - k - zeros)]
+    )
+    z = symmetrize((q * (10.0**log_scale * lam)) @ q.T)
+    dec = eig_sym(z)
+    plus, minus = psd_split(dec)
+    full_plus = symmetrize((dec.Q * np.clip(dec.lam, 0.0, None)) @ dec.Q.T)
+    full_minus = symmetrize((dec.Q * np.clip(-dec.lam, 0.0, None)) @ dec.Q.T)
+    scale = max(1.0, np.linalg.norm(z))
+    assert np.linalg.norm(plus - full_plus) <= 1e-14 * scale
+    assert np.linalg.norm(minus - full_minus) <= 1e-14 * scale
+    assert abs(np.sum(plus * minus)) <= 1e-14 * scale**2
 
 
 # -- sylvester_solve ---------------------------------------------------------

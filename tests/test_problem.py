@@ -12,6 +12,7 @@ from sdpadmm.problem import (
     SdpProblem,
     apply_A,
     apply_At,
+    apply_Bt,
     build_kernel,
     generate_maxcut,
     generate_planted,
@@ -153,10 +154,32 @@ def test_projector_orthogonality_and_idempotence(small_planted):
 def test_kernel_gram_factorization(small_planted):
     p, _, kern = small_planted
     stack = svec_stack(p.A)
-    assert np.allclose(kern.gram, stack.T @ stack, rtol=1e-10, atol=0)
+    assert np.array_equal(p.R, np.triu(p.R)) and p.R.flags.f_contiguous
+    assert np.allclose(p.R.T @ p.R, stack.T @ stack, rtol=1e-10, atol=0)
+    # The rows of B = R^-T A are orthonormal in the trace inner product.
+    basis = svec_stack(apply_Bt(kern, np.eye(p.m)))
+    assert np.linalg.norm(basis.T @ basis - np.eye(p.m)) <= 1e-13 * p.m
     assert np.linalg.norm(apply_A(p, kern.at_pinv_b) - p.b) <= 1e-10 * max(
         1.0, np.linalg.norm(p.b)
     )
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e7, 1e8])
+@pytest.mark.parametrize("n, m, seed", [(6, 9, 0), (8, 12, 1), (10, 30, 2)])
+def test_near_dependent_constraints_keep_an_exact_projector(n, m, seed, kappa):
+    # A_m = A_1 + G / kappa: the constraints stay independent, but AA* has
+    # condition number of order kappa^2, which a Gram factorization squares
+    # into the projector's error.
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_sym(n, rng) for _ in range(m)])
+    a[-1] = a[0] + random_sym(n, rng) / kappa
+    p = SdpProblem(C=random_sym(n, rng), A=a, b=np.zeros(m))
+    kern = build_kernel(p)
+    for _ in range(5):
+        ph = project_range(kern, random_sym(n, rng))
+        assert np.linalg.norm(project_range(kern, ph) - ph) <= 1e-6 * np.linalg.norm(ph)
+        at_y = apply_At(p, rng.standard_normal(m))
+        assert np.linalg.norm(project_range(kern, at_y) - at_y) <= 1e-6 * np.linalg.norm(at_y)
 
 
 def test_kernel_rejects_dependent_constraints():

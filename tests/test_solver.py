@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpadmm.linalg import eig_sym, psd_split
+from sdpadmm.linalg import eig_sym, psd_project, psd_split, symmetrize
 from sdpadmm.problem import (
     SdpProblem,
     apply_A,
@@ -23,7 +24,6 @@ from sdpadmm.solver import (
     residuals,
     solve,
     step_fixed_point,
-    step_three,
     write_trace_csv,
     z_difference_identity,
 )
@@ -93,6 +93,22 @@ def test_step_from_zero(small_planted, default_cfg):
 
 
 # -- three-step form ---------------------------------------------------------
+
+
+def step_three(p, kernel, cfg, x, s_mat):
+    """Oracle: the classical three-step update, returning (y+, S+, X+).
+
+    Starting from X = Pi(Z), S = Pi(-Z)/sigma, the produced X+ - sigma*S+
+    equals ``step_fixed_point`` applied to Z.
+    """
+    sigma = cfg.sigma
+    x = symmetrize(x)
+    s_mat = symmetrize(s_mat)
+    y_new = solve_normal(kernel, p.b / sigma - apply_A(p, x / sigma + s_mat - p.C))
+    at_y = apply_At(p, y_new)
+    s_new = psd_project(p.C - at_y - x / sigma)
+    x_new = x + sigma * (s_new + at_y - p.C)
+    return y_new, s_new, x_new
 
 
 def test_three_step_matches_fixed_point(small_planted, default_cfg):
@@ -265,7 +281,7 @@ def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
     import sdpadmm.solver as solver_mod
 
     p, _, kern = small_planted
-    calls = {"apply_A": 0, "apply_At": 0}
+    calls = {"apply_A": 0, "apply_At": 0, "apply_Bt": 0, "basis_coords": 0}
 
     def counting(name):
         real = getattr(solver_mod, name)
@@ -282,14 +298,18 @@ def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
     state, records, status = solve(p, cfg, kernel=kern)
     assert status is SolveStatus.ITER_LIMIT
     extractions = state.k + 1
-    # Setup: A(const), A(C) and A(Z0). Then one A(X) and one two-column A*
-    # per extracted iterate.
+    # Setup: A(const), A(C) and A(Z0), and one untimed three-column solve for
+    # their basis coordinates. Then one A(X), one solve for its coordinates
+    # and one pass over the basis for P(Z - 2X) per extracted iterate; the
+    # table is never read backwards.
     assert calls["apply_A"] == extractions + 3
-    assert calls["apply_At"] == extractions
+    assert calls["apply_Bt"] == extractions
+    assert calls["apply_At"] == 0
+    assert calls["basis_coords"] == extractions + 1
     t = state.timings
     assert t.calls == {
         "eig": extractions,
-        "constraint_op": calls["apply_A"] + calls["apply_At"],
+        "constraint_op": calls["apply_A"] + calls["apply_Bt"],
         "normal_solve": extractions,
         "record": len(records),
     }
@@ -307,7 +327,7 @@ def _reference_run(p, kern, cfg):
         s = neg / sigma
         y = solve_normal(kern, p.b / sigma - apply_A(p, x / sigma + s - p.C))
         res = residuals(p, x, y, s)
-        visited.append((z, res))
+        visited.append((z, res, y))
         if res[3] <= cfg.tol_rmax:
             return visited, SolveStatus.CONVERGED
         z = step_fixed_point(p, kern, cfg, z)
@@ -327,22 +347,33 @@ def _random_graph(n, density, seed):
         lambda: generate_planted(10, 20, 3, seed=1, degeneracy="primal_nd_fail")[0],
         lambda: generate_maxcut(_random_graph(20, 0.3, seed=5)),
         lambda: generate_planted(24, 100, 3, seed=1, degeneracy="primal_nd_fail")[0],
+        lambda: generate_maxcut(_random_graph(32, 0.15, seed=2)),
     ],
-    ids=["planted", "primal_nd_fail", "maxcut", "diagnose_shape"],
+    ids=["planted", "primal_nd_fail", "maxcut", "diagnose_shape", "maxcut_sparse"],
 )
 def test_fused_loop_matches_reference_path(make):
-    p = make()
+    _check_fused_loop(make(), sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 4.0])
+def test_fused_loop_matches_reference_path_at_sigma(sigma):
+    _check_fused_loop(generate_planted(10, 20, 3, seed=1)[0], sigma)
+
+
+def _check_fused_loop(p, sigma):
     kern = build_kernel(p)
-    cfg = SolverConfig(sigma=1.0, max_iter=20_000, tol_rmax=1e-10, trace_every=1, seed=1)
+    cfg = SolverConfig(sigma=sigma, max_iter=20_000, tol_rmax=1e-10, trace_every=1, seed=1)
     visited, ref_status = _reference_run(p, kern, cfg)
     state, records, status = solve(p, cfg, kernel=kern, keep_z=True)
     assert status is ref_status is SolveStatus.CONVERGED
     assert state.k == len(visited) - 1
     assert [r.k for r in records] == list(range(len(visited)))
-    for rec, (z_ref, res_ref) in zip(records, visited):
+    for rec, (z_ref, res_ref, _) in zip(records, visited):
         assert np.linalg.norm(rec.z - z_ref) <= 1e-10 * max(1.0, np.linalg.norm(z_ref))
         for got, want in zip((rec.r_p, rec.r_d, rec.r_gap, rec.r_max), res_ref):
             assert abs(got - want) <= max(1e-6 * abs(want), 1e-13)
+    y_ref = visited[-1][2]
+    assert np.linalg.norm(state.y - y_ref) <= 1e-8 * max(1.0, np.linalg.norm(y_ref))
 
 
 @given(
@@ -356,27 +387,31 @@ def test_carried_constraint_image_matches_direct_pass(sigma, seed, max_iter):
 
     prob, _ = generate_planted(6, 9, 2, seed=seed % 1000)
     kern = build_kernel(prob)
-    # Column 1 of each normal-equation right-hand side is A(Z) - 2 A(X),
-    # built from the carried A(Z).
-    second_columns = []
-    real = solver_mod.solve_normal
+    # Each basis pass reads u_Z - 2 u_X, built from the carried coordinates
+    # u_Z = R^-T A(Z).
+    passed = []
+    real = solver_mod.apply_Bt
 
-    def capture(kernel, rhs):
-        second_columns.append(rhs[:, 1].copy())
-        return real(kernel, rhs)
+    def capture(kernel, u):
+        passed.append(u.copy())
+        return real(kernel, u)
 
     cfg = SolverConfig(sigma=sigma, max_iter=max_iter, tol_rmax=1e-300, seed=seed)
-    solver_mod.solve_normal = capture
+    solver_mod.apply_Bt = capture
     try:
         _, records, _ = solve(prob, cfg, kernel=kern, keep_z=True)
     finally:
-        solver_mod.solve_normal = real
+        solver_mod.apply_Bt = real
+
+    def coords(v):
+        return scipy.linalg.solve_triangular(prob.R, v, trans="T")
+
     # The final, limit-hit iterate is extracted but not recorded.
-    assert len(records) + 1 == len(second_columns) == max_iter + 1
-    for rec, col in zip(records, second_columns):
+    assert len(records) + 1 == len(passed) == max_iter + 1
+    for rec, u_zx in zip(records, passed):
         x, _ = psd_split(eig_sym(rec.z))
-        carried = col + 2.0 * apply_A(prob, x)
-        direct = apply_A(prob, rec.z)
+        carried = u_zx + 2.0 * coords(apply_A(prob, x))
+        direct = coords(apply_A(prob, rec.z))
         assert np.linalg.norm(carried - direct) <= 1e-13 * (1.0 + np.linalg.norm(direct))
 
 
