@@ -19,7 +19,6 @@ from .elimination import (
     EliminationState,
     eb_scan,
     eliminate_step,
-    first_sylvester_deviation,
     init_elimination,
     linearization_residual,
     run_elimination,

@@ -1,6 +1,7 @@
 """Dense symmetric linear algebra kernels.
 
 Symmetric vectorization (svec/smat), deterministic spectral decomposition,
+the PSD split of a matrix from the eigenvectors of its smaller sign group,
 projection onto the PSD cone, the eigenvalue rank-split rule, numerical null
 spaces, two-sided Sylvester solves for definite block pairs, and exponentials
 of skew-symmetric matrices. Everything operates on plain float64 ndarrays;
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalFailureError
 
@@ -98,17 +100,76 @@ class SpectralDecomp:
         return symmetrize((self.Q * self.lam) @ self.Q.T)
 
 
-def eig_sym(a):
+@dataclass(frozen=True)
+class SpectralSplit:
+    """All eigenvalues of Z, sorted descending, with Pi(Z) and Pi(-Z)."""
+
+    lam: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a scipy LAPACK wrapper; raise NumericalFailureError on info != 0."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise NumericalFailureError(
+            f"LAPACK {routine} failed with info = {info}", routine=routine, info=int(info)
+        )
+    return out
+
+
+def _split(a):
+    # Pi(Z) and Pi(-Z) from the k = min(r, n - r) eigenvectors of the smaller
+    # sign group: tridiagonal reduction T = Q'ZQ, every eigenvalue of T by
+    # dsterf, the k wanted eigenvectors of T by inverse iteration (dstein) on
+    # those eigenvalues, back-transformed by the reflectors of the reduction.
+    # The other part is then one subtraction.
+    n = a.shape[0]
+    c, d, e, tau = _lapack("dsytrd", a, lower=1)
+    # dsterf rejects the empty off-diagonal of a 1 x 1 matrix.
+    lam = d.copy() if n == 1 else _lapack("dsterf", d, e)[0]
+    r = int(np.count_nonzero(lam > 0.0))
+    positive = r <= n - r
+    k = r if positive else n - r
+    part = np.zeros((n, n))
+    if k:
+        # The top r or the bottom n - r of the ascending spectrum. dstein is
+        # told T is one block (iblock all 1, isplit[0] = n).
+        wanted = lam[n - r :] if positive else lam[: n - r]
+        v = _lapack("dstein", d, e, wanted, np.ones(n, np.int32), np.full(n, n, np.int32))[0]
+        # Q = diag(1, Q'), Q' from the reflectors stored below the
+        # subdiagonal of c.
+        v[1:] = _lapack("dormqr", "L", "N", c[1:, : n - 1], tau, v[1:], k)[0]
+        v *= np.sqrt(np.abs(wanted))
+        # v @ v.T runs as a symmetric rank-k update, so it is exactly symmetric.
+        part = v @ v.T
+    lam = lam[::-1].copy()
+    if positive:
+        return SpectralSplit(lam=lam, plus=part, minus=part - a)
+    return SpectralSplit(lam=lam, plus=a + part, minus=part)
+
+
+def eig_sym(a, split=False):
     """Deterministic spectral decomposition of a symmetric matrix.
+
+    With ``split=True`` return a :class:`SpectralSplit` instead: every
+    eigenvalue, but eigenvectors only for the smaller of the positive and the
+    nonpositive groups. That group gives one of Pi(Z) and Pi(-Z), and
+    Pi(Z) - Pi(-Z) = Z the other. The ADMM loop wants only the split;
+    analysis code wants the full ``Q``.
 
     Raises
     ------
     NumericalFailureError
         If the underlying eigen-iteration does not converge; ``details``
-        carries the dimension and norm of the input.
+        carries the dimension and norm of the input, or with ``split=True``
+        the LAPACK routine and its ``info``.
     """
     a = symmetrize(a)
     require_finite(a)
+    if split:
+        return _split(a)
     try:
         lam, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -8,13 +8,15 @@ where Pi is the PSD projection and P the orthogonal projector onto range(A*).
 The primal/dual pair is extracted as X = Pi(Z), sigma*S = Pi(-Z), and y is
 recovered from the normal equations each iteration.
 
-Each iteration of ``solve`` costs one eigendecomposition, one forward pass
-A(X), one triangular solve and one pass over the orthonormal basis
-B = R^-T A of range(A*) (AA* = R'R), which yields P(Z - 2X). Both
-projections of Z come from the same factorization. Constraint values are
-carried as basis coordinates u = R^-T A(.): u_Z follows
-u_Z+ = u_Z - u_X + u_const, and sigma*S = X - Z gives A(S) = (A(X) - A(Z))/sigma,
-so the one A(X) feeds y, r_p and the step. The dual residual needs no A*y:
+Each iteration of ``solve`` costs one partial eigendecomposition, one
+forward pass A(X), one triangular solve and one pass over the orthonormal
+basis B = R^-T A of range(A*) (AA* = R'R), which yields P(Z - 2X). The
+decomposition computes every eigenvalue of Z but eigenvectors only for the
+smaller sign group; that group gives one projection, and
+Pi(Z) - Pi(-Z) = Z the other. Constraint values are carried as basis
+coordinates u = R^-T A(.): u_Z follows u_Z+ = u_Z - u_X + u_const, and
+sigma*S = X - Z gives A(S) = (A(X) - A(Z))/sigma, so the one A(X) feeds y,
+r_p and the step. The dual residual needs no A*y:
 A*y + S - C = (Z+ - Z)/sigma. ``step_fixed_point`` and ``residuals`` keep
 the direct evaluation as the reference path.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .diagnostics import face_projections, offblock_norm
 from .errors import NumericalFailureError, require_integer, require_number
-from .linalg import SpectralDecomp, eig_sym, psd_split, split_counts, symmetrize
+from .linalg import SpectralDecomp, SpectralSplit, eig_sym, psd_split, split_counts, symmetrize
 from .problem import (
     ConstraintKernel,
     SdpProblem,
@@ -125,16 +127,17 @@ class IterationRecord:
 
 @dataclass
 class PhaseTimings:
-    """Wall seconds and call counts of the phases of one solve: eigen-
-    decompositions, constraint-operator passes (``apply_A`` on the table,
-    ``apply_Bt`` on the basis), triangular solves with R and trace records."""
+    """Wall seconds and call counts of the phases of one solve: partial
+    eigendecompositions (which include forming Pi(Z) and Pi(-Z)),
+    constraint-operator passes (``apply_A`` on the table, ``apply_Bt`` on the
+    basis), triangular solves with R and trace records."""
 
     seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
 
-    def call(self, phase, fn, *args):
+    def call(self, phase, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         self.seconds[phase] += time.perf_counter() - t0
         self.calls[phase] += 1
         return out
@@ -148,8 +151,10 @@ class SolverState:
     """Iterate k with its extraction: X = Pi(Z), sigma*S = Pi(-Z), y from the
     normal equations; residuals = (r_p, r_d, r_gap, r_max).
 
-    ``failure`` holds the message and details of a numerical failure that
-    ended the run, ``timings`` the phase timers of the run.
+    In a state returned by ``solve``, ``decomp`` is what the loop's
+    ``eig_sym`` returned for Z: a :class:`SpectralSplit`, with no
+    eigenvectors. ``failure`` holds the message and details of a numerical
+    failure that ended the run, ``timings`` the phase timers of the run.
     """
 
     k: int
@@ -158,7 +163,7 @@ class SolverState:
     y: np.ndarray
     S: np.ndarray
     residuals: tuple
-    decomp: SpectralDecomp
+    decomp: SpectralSplit | SpectralDecomp
     failure: dict | None = None
     timings: PhaseTimings = field(default_factory=PhaseTimings)
 
@@ -173,13 +178,19 @@ def residuals(p: SdpProblem, x, y, s_mat):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dual = float(np.linalg.norm(apply_At(p, y) + np.asarray(s_mat, dtype=float) - p.C))
-    return _residuals(p, x, float(p.b @ y), apply_A(p, x), dual)
+    return _residuals(p, x, float(p.b @ y), apply_A(p, x), dual, _scales(p))
 
 
-def _residuals(p, x, by, a_x, dual):
-    # The residual formulas on precomputed b'y, A(X) and ||A*y + S - C||_F.
-    r_p = float(np.linalg.norm(a_x - p.b)) / (1.0 + float(np.linalg.norm(p.b)))
-    r_d = dual / (1.0 + float(np.linalg.norm(p.C)))
+def _scales(p):
+    # The residual denominators 1 + ||b||_2 and 1 + ||C||_F.
+    return 1.0 + float(np.linalg.norm(p.b)), 1.0 + float(np.linalg.norm(p.C))
+
+
+def _residuals(p, x, by, a_x, dual, scales):
+    # The residual formulas on precomputed b'y, A(X), ||A*y + S - C||_F and
+    # the denominators from _scales.
+    r_p = float(np.linalg.norm(a_x - p.b)) / scales[0]
+    r_d = dual / scales[1]
     obj = float(np.sum(p.C * x))
     r_gap = abs(obj - by) / (1.0 + abs(obj) + abs(by))
     return (r_p, r_d, r_gap, max(r_p, r_d, r_gap))
@@ -242,6 +253,7 @@ def solve(
         kernel = build_kernel(p)
     sigma = cfg.sigma
     const = _step_const(kernel, sigma)
+    scales = _scales(p)
     ref_dec = eig_sym(reference) if reference is not None else None
     timings = PhaseTimings()
     z = initial_z(p, cfg)
@@ -250,7 +262,7 @@ def solve(
     u_const, u_c, u_z = basis_coords(kernel, a_start).T
     # Not guarded: a failure here is one of the initial point, before any
     # iterate exists to report.
-    dec = timings.call("eig", eig_sym, z)
+    dec = timings.call("eig", eig_sym, z, split=True)
     records: list[IterationRecord] = []
     status = SolveStatus.ITER_LIMIT
     failure = None
@@ -280,18 +292,17 @@ def solve(
         return rec
 
     for k in range(cfg.max_iter + 1):
-        x_part, neg_part = psd_split(dec)
+        x_part, neg_part = dec.plus, dec.minus
         a_x = timings.call("constraint_op", apply_A, p, x_part)
         u_x = timings.call("normal_solve", basis_coords, kernel, a_x)
         u_zx = u_z - 2.0 * u_x
-        # Reuses the current eigendecomposition; no extra factorization.
         z_next = timings.call("constraint_op", apply_Bt, kernel, u_zx) + x_part + const
         # y = R^-1 u_y solves the normal equations for b/sigma - A(X/sigma + S - C),
         # with A(S) = (A(X) - A(Z))/sigma; then b'y = b_hat'u_y, and
         # A*y + S - C = (Z+ - Z)/sigma, so the step gives r_d.
         u_y = (kernel.b_hat + u_zx) / sigma + u_c
         step = float(np.linalg.norm(z_next - z))
-        res = _residuals(p, x_part, float(kernel.b_hat @ u_y), a_x, step / sigma)
+        res = _residuals(p, x_part, float(kernel.b_hat @ u_y), a_x, step / sigma, scales)
         if not all(np.isfinite(res)):
             failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
             status = SolveStatus.NUMERICAL_FAILURE
@@ -318,7 +329,7 @@ def solve(
                 status = SolveStatus.TIME_LIMIT
             break
         try:
-            dec_next = timings.call("eig", eig_sym, z_next)
+            dec_next = timings.call("eig", eig_sym, z_next, split=True)
         except (NumericalFailureError, ValueError) as exc:
             failure = {"message": str(exc), "details": getattr(exc, "details", {})}
             status = SolveStatus.NUMERICAL_FAILURE
@@ -345,9 +356,10 @@ def z_difference_identity(
     is the particular feasible point Adag(b). The two sides agree to roundoff
     at every iterate; the gap is measured against max(1, lhs, rhs) so that it
     stays meaningful when the step length itself is at the noise floor.
+    ``state.Z`` is decomposed here, independently of the stored X and S.
     """
     sigma = cfg.sigma
-    x_part, _ = psd_split(state.decomp)
+    x_part, _ = psd_split(eig_sym(state.Z))
     z_next = _step_from_split(kernel, state.Z, x_part, _step_const(kernel, sigma))
     lhs = float(np.linalg.norm(z_next - state.Z) ** 2)
     term_p = float(np.linalg.norm(project_range(kernel, state.X - kernel.at_pinv_b)) ** 2)

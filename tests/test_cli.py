@@ -338,11 +338,11 @@ def test_solve_eig_failure_keeps_last_state(tmp_path, capsys, monkeypatch, error
     calls = {"n": 0}
     real = solver_mod.eig_sym
 
-    def failing(a):
+    def failing(a, **kwargs):
         calls["n"] += 1
         if calls["n"] == 5:
             raise error
-        return real(a)
+        return real(a, **kwargs)
 
     monkeypatch.setattr(solver_mod, "eig_sym", failing)
     code, out = run("fail", 100)

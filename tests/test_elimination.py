@@ -6,12 +6,12 @@ from sdpadmm.elimination import (
     decay_coefficient,
     eb_scan,
     eliminate_step,
-    first_sylvester_deviation,
     init_elimination,
     linearization_residual,
     run_elimination,
 )
-from sdpadmm.linalg import eig_sym, psd_project, symmetrize
+from sdpadmm.errors import NumericalFailureError
+from sdpadmm.linalg import eig_sym, psd_project, sylvester_solve, symmetrize
 from sdpadmm.problem import haar_orthogonal
 
 from conftest import random_indefinite, random_sym
@@ -254,6 +254,61 @@ def test_eb_report_serialization(tmp_path):
 
 
 # -- first Sylvester deviation -----------------------------------------------
+
+
+def first_sylvester_deviation(z, h):
+    """Oracle: deviation of the first elimination Sylvester solution from its
+    unperturbed closed form.
+
+    ``z`` must be diagonal with descending diagonal, r positive then negative
+    entries. With blocks H_X, H_S, H_O of the perturbation, the solution W of
+    ``W (Lam_X + H_X) - (Lam_S + H_S) W = H_O`` deviates from the Hadamard
+    closed form Theta_0 o H_O (Theta_0 entries 1 / (lam_j - lam_{i+r})) by at
+    most ``2 n d / (lam_r - lam_{r+1})^2 * ||H_O||_2 (||H_X||_2 + ||H_S||_2)``,
+    which is asserted at runtime. Requires
+    ``||H_X||_2 + ||H_S||_2 <= (lam_r - lam_{r+1}) / (2 n d)``.
+    """
+    z = np.asarray(z, dtype=float)
+    h = symmetrize(h)
+    n = z.shape[0]
+    diag = np.diag(z)
+    if np.linalg.norm(z - np.diag(diag)) > 1e-12 * max(1.0, np.linalg.norm(z)):
+        raise ValueError("reference must be diagonal")
+    if np.any(np.diff(diag) > 0.0):
+        raise ValueError("diagonal must be sorted descending")
+    if np.any(diag == 0.0):
+        raise ValueError("reference must be nonsingular")
+    r = int(np.sum(diag > 0.0))
+    if r == 0 or r == n:
+        raise ValueError("reference must be indefinite")
+    lam_r, lam_r1 = diag[r - 1], diag[r]
+    d = np.sqrt(min(r, n - r))
+    hx = h[:r, :r]
+    hs = h[r:, r:]
+    ho = h[r:, :r]
+    hx_n = float(np.linalg.norm(hx, 2))
+    hs_n = float(np.linalg.norm(hs, 2))
+    gate = (lam_r - lam_r1) / (2.0 * n * d)
+    if hx_n + hs_n > gate:
+        raise ValueError(
+            f"diagonal perturbation too large: {hx_n + hs_n:.3e} > {gate:.3e}"
+        )
+    w0 = sylvester_solve(np.diag(diag[:r]) + hx, np.diag(diag[r:]) + hs, ho)
+    theta0 = 1.0 / (diag[None, :r] - diag[r:, None])
+    deviation = float(np.linalg.norm(w0 - theta0 * ho, 2))
+    bound = (
+        2.0 * n * d / (lam_r - lam_r1) ** 2 * float(np.linalg.norm(ho, 2)) * (hx_n + hs_n)
+    )
+    # roundoff floor: the closed form is exact when H_X = H_S = 0, but the
+    # solve still carries machine noise proportional to the off-block.
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(ho, 2)))
+    if deviation > bound * (1.0 + 1e-9) + floor:
+        raise NumericalFailureError(
+            f"first-solve deviation {deviation:.3e} exceeds bound {bound:.3e}",
+            deviation=deviation,
+            bound=bound,
+        )
+    return deviation
 
 
 def _sorted_indefinite_diag(n, r, rng, gap=0.5):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdpadmm.errors import NumericalFailureError
@@ -186,6 +186,50 @@ def test_psd_split_matches_full_spectrum_formula(n, seed, log_scale):
     assert np.linalg.norm(plus - full_plus) <= 1e-14 * scale
     assert np.linalg.norm(minus - full_minus) <= 1e-14 * scale
     assert abs(np.sum(plus * minus)) <= 1e-14 * scale**2
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    kind=st.sampled_from(["distinct", "cluster", "repeated", "zero"]),
+    k_share=st.floats(min_value=0.0, max_value=1.0),
+    flip=st.booleans(),
+)
+@example(n=1, seed=0, log_scale=0.0, kind="distinct", k_share=0.0, flip=False)
+@example(n=1, seed=0, log_scale=0.0, kind="distinct", k_share=0.0, flip=True)
+@example(n=24, seed=1, log_scale=0.0, kind="zero", k_share=0.0, flip=False)
+@example(n=40, seed=2, log_scale=-3.0, kind="distinct", k_share=1.0, flip=False)
+@example(n=31, seed=3, log_scale=3.0, kind="repeated", k_share=1.0, flip=True)
+@example(n=30, seed=4, log_scale=0.0, kind="cluster", k_share=1.0, flip=False)
+@settings(max_examples=100, deadline=None)
+def test_partial_split_matches_full_decomposition(n, seed, log_scale, kind, k_share, flip):
+    # Oracle: the full eig_sym and psd_split. k of the n eigenvalues are
+    # positive (or, flipped, negative), k from 0 to n/2. "cluster" puts each
+    # sign group within 1e-9 of +-1; "repeated" takes eigenvalues from
+    # {1, 2} on a diagonal Z, so repeats are exact and T splits.
+    rng = np.random.default_rng(seed)
+    k = int(round(k_share * (n // 2)))
+    sign = np.where(np.arange(n) < k, 1.0, -1.0)
+    if kind == "repeated":
+        z = np.diag(rng.permutation(rng.choice([1.0, 2.0], n) * sign))
+    else:
+        lam = {
+            "distinct": rng.uniform(0.1, 2.0, n) * sign,
+            "cluster": sign + 1e-9 * rng.standard_normal(n),
+            "zero": np.zeros(n),
+        }[kind]
+        q = haar_orthogonal(n, rng)
+        z = symmetrize((q * lam) @ q.T)
+    z = (-1.0 if flip else 1.0) * 10.0**log_scale * z
+    part = eig_sym(z, split=True)
+    dec = eig_sym(z)
+    plus, minus = psd_split(dec)
+    scale = max(1.0, np.linalg.norm(z))
+    assert np.linalg.norm(part.lam - dec.lam) <= 1e-13 * scale
+    assert np.linalg.norm(part.plus - plus) <= 1e-13 * scale
+    assert np.linalg.norm(part.minus - minus) <= 1e-13 * scale
+    assert abs(np.sum(part.plus * part.minus)) <= 1e-14 * scale**2
 
 
 # -- sylvester_solve ---------------------------------------------------------

@@ -192,7 +192,9 @@ def test_solve_converges_on_planted(small_planted, default_cfg):
     assert records[-1].k == state.k
     # extraction invariants
     zn = max(1.0, np.linalg.norm(state.Z))
-    plus, neg = psd_split(state.decomp)
+    dec = eig_sym(state.Z)
+    plus, neg = psd_split(dec)
+    assert np.allclose(state.decomp.lam, dec.lam, rtol=0.0, atol=1e-12 * zn)
     assert np.linalg.norm(state.X - plus) <= 1e-12 * zn
     assert np.linalg.norm(default_cfg.sigma * state.S - neg) <= 1e-12 * zn
     xs = abs(np.sum(state.X * state.S))
@@ -264,9 +266,9 @@ def test_one_eigendecomposition_per_iteration(monkeypatch, small_planted):
     calls = {"n": 0}
     real = solver_mod.eig_sym
 
-    def counting(a):
+    def counting(a, **kwargs):
         calls["n"] += 1
-        return real(a)
+        return real(a, **kwargs)
 
     monkeypatch.setattr(solver_mod, "eig_sym", counting)
     cfg = SolverConfig(sigma=1.0, max_iter=25, tol_rmax=1e-16, trace_every=1, seed=8)
@@ -275,6 +277,34 @@ def test_one_eigendecomposition_per_iteration(monkeypatch, small_planted):
     # one factorization per iterate visited (initial point included)
     assert calls["n"] == state.k + 1
     assert state.timings.calls["eig"] == calls["n"]
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
+def test_lapack_failure_mid_run_keeps_last_state(monkeypatch, small_planted, routine):
+    p, _, kern = small_planted
+    cfg = SolverConfig(sigma=1.0, max_iter=100, tol_rmax=1e-16, seed=8)
+    real = getattr(scipy.linalg.lapack, routine)
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        out = real(*args, **kwargs)
+        return (*out[:-1], 1) if calls["n"] == 5 else out
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+    state, records, status = solve(p, cfg, kernel=kern)
+    monkeypatch.undo()
+    assert status is SolveStatus.NUMERICAL_FAILURE
+    assert state.failure["details"] == {"routine": routine, "info": 1}
+    assert routine in state.failure["message"]
+    # The last state is the one a run stopped by its limit at that iterate has.
+    assert state.k >= 1
+    ref, _, _ = solve(p, SolverConfig(**{**vars(cfg), "max_iter": state.k}), kernel=kern)
+    assert ref.k == state.k
+    for name in ("Z", "X", "y", "S"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name))
+    assert state.residuals == ref.residuals
+    assert [r.k for r in records] == list(range(state.k + 1))
 
 
 def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
