@@ -10,7 +10,10 @@ seed produce byte-identical trace CSVs; wall-clock metadata lives only in the
 JSON summary.
 
 ``solve`` writes a run directory once (the instance file as read, or as
-generated, and every ``SolverConfig`` field); ``diagnose`` only reads it.
+generated, and every ``SolverConfig`` field); ``diagnose`` only reads it. The
+``diagnose`` report comes from ``diagnose_run(run_dir)``, which returns the
+``diagnostics.json`` object (a malformed ``summary.json`` is a ValueError
+naming the file or the field); the command only writes and prints it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _load_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {path} must contain a JSON object")
+        raise ValueError(f"{path} must contain a JSON object")
     return manifest
 
 
@@ -218,115 +221,111 @@ def _cmd_solve(args):
     return 2, line
 
 
-def _cmd_diagnose(args):
-    run_dir = args.run
+# Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
+_FIT_SEQUENCES = (("r_max", "r_max"), ("h_norm", "h_norm"), ("ho_norm", "ho_norm"),
+                  ("face_X_norm", "face_x_norm"), ("face_S_norm", "face_s_norm"))
+
+
+def diagnose_run(run_dir):
+    """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
+
+    The run is replayed against its own limit for exactly the recorded
+    iterations, with no time limit, so a time-limited run is analysed on the
+    trajectory it took. A norm or ``Fix(M)`` that fails
+    numerically leaves its fields ``None`` and sets ``failure``; a malformed
+    ``summary.json`` raises ``ValueError`` naming the file or the field."""
     summary_path = os.path.join(run_dir, "summary.json")
     z_path = os.path.join(run_dir, "z_final.npy")
     if not (os.path.exists(summary_path) and os.path.exists(z_path)):
         raise ValueError(f"run directory {run_dir} is missing summary.json or z_final.npy")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = _load_manifest(summary_path)
+    require_keys("summary.json", summary, "instance_file", "status", "iterations")
+    require_path("instance_file", summary["instance_file"])
+    require_integer("iterations", summary["iterations"])
     prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
     kernel = build_kernel(prob)
     z_final = np.load(z_path)
-    converged = summary["status"] == SolveStatus.CONVERGED.value
 
     dec = eig_sym(z_final)
     sc = diagnostics.sc_check(z_final)
-    nd = diagnostics.nd_check(prob, dec)
-
-    # Replay the (deterministic) run against its own limit to collect the
-    # error and minimal-face trace: exactly the recorded iterations, so a
-    # time-limited run is analysed on the trajectory it actually took.
-    cfg = _config_from_manifest(summary)
-    cfg.max_iter = summary["iterations"]
-    cfg.time_limit_secs = None
-    _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
-    k_id = diagnostics.rank_trace(records, sc)
-
-    norm_m = None
-    norm_m_fix = None
-    fix_dim = None
-    failure = None
-    if sc.sc_holds:
-        os_ = linearization.build_omega(dec)
-        try:
-            norm_m = linearization.op_norm_M(os_, kernel)
-            fix = linearization.fix_basis(os_, kernel)
-            fix_dim = fix.dim
-            norm_m_fix = linearization.op_norm_M_minus_fix(os_, kernel, fix)
-        except NumericalFailureError as exc:
-            # Report what was computed; the norms left unset stay null.
-            failure = {"message": str(exc), "details": exc.details}
-
-    fits = []
-    if converged and records:
-        idx_id = next((i for i, r in enumerate(records) if r.k == k_id), 0) if k_id is not None else 0
-        window = diagnostics.trailing_window(len(records) - 1, idx_id)
-        ks = [r.k for r in records[:-1]]
-        series = {
-            "r_max": [r.r_max for r in records[:-1]],
-            "h_norm": [r.h_norm for r in records[:-1]],
-            "ho_norm": [r.ho_norm for r in records[:-1]],
-            "face_X_norm": [r.face_x_norm for r in records[:-1]],
-            "face_S_norm": [r.face_s_norm for r in records[:-1]],
-        }
-        for name, values in series.items():
-            vals = np.asarray(values, dtype=float)
-            keep = vals > 0.0
-            if keep.sum() >= window:
-                try:
-                    fits.append(diagnostics.rate_fit(
-                        vals[keep], window, ks=np.asarray(ks, float)[keep], name=name))
-                except ValueError:
-                    pass  # a tail that cannot be fit gets no entry
-
     report = {
         "run": run_dir,
         "status": summary["status"],
         "sc": sc.__dict__,
-        "nd": nd.__dict__,
-        "k_id": k_id,
-        "op_norm_M": norm_m,
-        "op_norm_M_minus_fix": norm_m_fix,
-        "fix_dim": fix_dim,
-        "failure": failure,
-        "fits": [
-            {
-                "sequence": f.sequence_name,
-                "rho_hat": f.rho_hat,
-                "r2": f.r2,
-                "window": list(f.window),
-            }
-            for f in fits
-        ],
+        "nd": diagnostics.nd_check(prob, dec).__dict__,
+        "k_id": None,
+        "op_norm_M": None,
+        "op_norm_M_minus_fix": None,
+        "fix_dim": None,
+        "failure": None,
+        "fits": [],
     }
-    out_dir = args.out or run_dir
+
+    cfg = _config_from_manifest(summary)
+    cfg.max_iter = summary["iterations"]
+    cfg.time_limit_secs = None
+    _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
+    k_id = report["k_id"] = diagnostics.rank_trace(records, sc)
+
+    if sc.sc_holds:
+        os_ = linearization.build_omega(dec)
+        try:
+            report["op_norm_M"] = linearization.op_norm_M(os_, kernel)
+            fix = linearization.fix_basis(os_, kernel)
+            report["fix_dim"] = fix.dim
+            report["op_norm_M_minus_fix"] = linearization.op_norm_M_minus_fix(os_, kernel, fix)
+        except NumericalFailureError as exc:
+            # Report what was computed; the norms left unset stay None.
+            report["failure"] = {"message": str(exc), "details": exc.details}
+
+    if summary["status"] == SolveStatus.CONVERGED.value and records:
+        idx_id = next((i for i, r in enumerate(records) if r.k == k_id), 0) if k_id is not None else 0
+        window = diagnostics.trailing_window(len(records) - 1, idx_id)
+        ks = np.array([r.k for r in records[:-1]], dtype=float)
+        for name, field in _FIT_SEQUENCES:
+            vals = np.array([getattr(r, field) for r in records[:-1]], dtype=float)
+            keep = vals > 0.0
+            if keep.sum() < window:
+                continue
+            try:
+                fit = diagnostics.rate_fit(vals[keep], window, ks=ks[keep], name=name)
+            except ValueError:
+                continue  # a tail that cannot be fit gets no entry
+            report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
+                                   "window": list(fit.window)})
+    return report
+
+
+def _cmd_diagnose(args):
+    report = diagnose_run(args.run)
+    out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     _write_json(report, os.path.join(out_dir, "diagnostics.json"))
 
-    if not converged:
+    sc, nd, failure = report["sc"], report["nd"], report["failure"]
+    holds = {True: "holds", False: "fails"}
+    if report["status"] != SolveStatus.CONVERGED.value:
         print("=== NOT CONVERGED: diagnostics reflect the last iterate ===")
-    print(f"run             {run_dir}")
-    print(f"status          {summary['status']}")
-    print(f"SC              {'holds' if sc.sc_holds else 'fails'}  "
-          f"(r={sc.r}, s={sc.s}, min|lam|={sc.lam_min_abs_z:.3e})")
-    print(f"primal ND       {'holds' if nd.primal_nd else 'fails'}")
-    print(f"dual ND         {'holds' if nd.dual_nd else 'fails'}")
-    print(f"rank id at k    {k_id}")
-    if norm_m is not None:
-        print(f"||M||           {norm_m:.6f}")
-    if norm_m_fix is not None:
-        print(f"||M - P_Fix||   {norm_m_fix:.6f}  (dim Fix = {fix_dim})")
+    print(f"run             {report['run']}")
+    print(f"status          {report['status']}")
+    print(f"SC              {holds[sc['sc_holds']]}  "
+          f"(r={sc['r']}, s={sc['s']}, min|lam|={sc['lam_min_abs_z']:.3e})")
+    print(f"primal ND       {holds[nd['primal_nd']]}")
+    print(f"dual ND         {holds[nd['dual_nd']]}")
+    print(f"rank id at k    {report['k_id']}")
+    if report["op_norm_M"] is not None:
+        print(f"||M||           {report['op_norm_M']:.6f}")
+    if report["op_norm_M_minus_fix"] is not None:
+        print(f"||M - P_Fix||   {report['op_norm_M_minus_fix']:.6f}  "
+              f"(dim Fix = {report['fix_dim']})")
     if failure is not None:
         print(f"norm failure    {failure['message']}")
-    for f in fits:
-        print(f"rate {f.sequence_name:<12} rho_hat={f.rho_hat:.6f} r2={f.r2:.4f} "
-              f"window={f.window[0]}..{f.window[1]}")
+    for f in report["fits"]:
+        print(f"rate {f['sequence']:<12} rho_hat={f['rho_hat']:.6f} r2={f['r2']:.4f} "
+              f"window={f['window'][0]}..{f['window'][1]}")
     line = (
-        f"status: diagnosed {run_dir} sc={'holds' if sc.sc_holds else 'fails'} "
-        f"primal_nd={'holds' if nd.primal_nd else 'fails'} "
-        f"dual_nd={'holds' if nd.dual_nd else 'fails'}"
+        f"status: diagnosed {args.run} sc={holds[sc['sc_holds']]} "
+        f"primal_nd={holds[nd['primal_nd']]} dual_nd={holds[nd['dual_nd']]}"
     )
     return (0 if failure is None else 1), line
 

@@ -95,10 +95,6 @@ class SpectralDecomp:
     def n(self):
         return self.lam.shape[0]
 
-    def matrix(self):
-        """Reconstruct Q diag(lam) Q.T."""
-        return symmetrize((self.Q * self.lam) @ self.Q.T)
-
 
 @dataclass(frozen=True)
 class SpectralSplit:

@@ -67,10 +67,6 @@ class OmegaStructure:
         return np.arange(self.n - self.s, self.n)
 
     @property
-    def omega_comp(self):
-        return 1.0 - self.omega
-
-    @property
     def theta_comp(self):
         return 1.0 - self.theta
 

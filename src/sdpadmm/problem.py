@@ -168,11 +168,6 @@ class ConstraintKernel:
     b_hat: np.ndarray
     at_pinv_b: np.ndarray
 
-    @property
-    def gram(self):
-        """(m, m) Gram matrix AA* = R'R, with entries <A_i, A_j>."""
-        return self.problem.R.T @ self.problem.R
-
 
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
     """Form the basis B = R^-T A with one right-side ``dtrsm`` on the

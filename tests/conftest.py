@@ -1,8 +1,34 @@
+import signal
+
 import numpy as np
 import pytest
 
 from sdpadmm import SolverConfig, build_kernel, generate_planted
 from sdpadmm.problem import haar_orthogonal
+
+
+# Wall-clock budget of one test, including the setup of the module-scoped
+# fixtures it is the first to use; a solver that stops converging fails the
+# test instead of running out its iteration limit.
+TEST_BUDGET_SECS = 60
+
+
+def _over_budget(signum, frame):
+    pytest.fail(f"test exceeded its {TEST_BUDGET_SECS} s wall-clock budget", pytrace=False)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.alarm(TEST_BUDGET_SECS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_sym(n, rng, scale=1.0):

@@ -420,6 +420,7 @@ def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
     assert code == 0
     assert captured.err.count("status:") == 1
     report = json.loads((out / "diagnostics.json").read_text())
+    assert cli.diagnose_run(str(out)) == report
     assert report["sc"]["sc_holds"] is True
     assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
     assert report["k_id"] is not None
@@ -455,6 +456,7 @@ def test_diagnose_unconverged_run_banner(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NOT CONVERGED" in captured.out
     report = json.loads((out / "diagnostics.json").read_text())
+    assert cli.diagnose_run(str(out)) == report
     assert report["fits"] == []
 
 
@@ -501,6 +503,7 @@ def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.err.count("status:") == 1
     report = json.loads((out / "diagnostics.json").read_text())
+    assert cli.diagnose_run(str(out)) == report
     assert report["failure"] == {
         "message": "Lanczos did not converge",
         "details": {"svec_dim": 55, "converged": 0},
@@ -516,6 +519,41 @@ def test_diagnose_missing_artifacts(tmp_path, capsys):
     assert main(["diagnose", "--run", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        ([], "summary.json must contain a JSON object"),
+        ({"status": "converged", "iterations": 3}, "summary.json is missing 'instance_file'"),
+        ({"instance_file": "instance.dat-s", "iterations": 3}, "summary.json is missing 'status'"),
+        (
+            {"instance_file": "instance.dat-s", "status": "converged"},
+            "summary.json is missing 'iterations'",
+        ),
+        (
+            {"instance_file": 5, "status": "converged", "iterations": 3},
+            "instance_file must be a non-empty path string, got 5",
+        ),
+        (
+            {"instance_file": "instance.dat-s", "status": "converged", "iterations": "3"},
+            "iterations must be an integer, got '3'",
+        ),
+    ],
+    ids=["list", "no-instance-file", "no-status", "no-iterations", "instance-file-int",
+         "iterations-string"],
+)
+def test_diagnose_rejects_malformed_summary(tmp_path, capsys, summary, message):
+    run = tmp_path / "run"
+    run.mkdir()
+    write_sdpa(generate_planted(6, 8, 2, seed=0)[0], run / "instance.dat-s")
+    np.save(run / "z_final.npy", np.zeros((6, 6)))
+    (run / "summary.json").write_text(json.dumps(summary))
+    assert main(["diagnose", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
+    assert not (run / "diagnostics.json").exists()
 
 
 # -- eb-verify ---------------------------------------------------------------

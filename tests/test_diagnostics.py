@@ -203,7 +203,7 @@ def rotate_back_face_projections(dec, x, s_mat, sigma):
     tx[:r, :r] = 0.0
     ts = dec.Q.T @ sig_s @ dec.Q
     ts[n - s :, n - s :] = 0.0
-    th = dec.Q.T @ (x - sig_s - dec.matrix()) @ dec.Q
+    th = dec.Q.T @ (x - sig_s - (dec.Q * dec.lam) @ dec.Q.T) @ dec.Q
     return (
         np.linalg.norm(dec.Q @ tx @ dec.Q.T),
         np.linalg.norm(dec.Q @ ts @ dec.Q.T),

@@ -87,7 +87,7 @@ def test_eig_sym_reconstruction():
     rng = np.random.default_rng(2)
     a = random_sym(8, rng)
     dec = eig_sym(a)
-    assert np.linalg.norm(dec.matrix() - a) <= 1e-10
+    assert np.linalg.norm((dec.Q * dec.lam) @ dec.Q.T - a) <= 1e-10
     assert np.linalg.norm(dec.Q @ dec.Q.T - np.eye(8)) <= 1e-10 * 8
 
 

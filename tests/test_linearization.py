@@ -98,7 +98,7 @@ def test_apply_M_full_span_reduces_to_hadamard():
     z = random_indefinite(4, 2, rng)
     os_ = build_omega(eig_sym(z))
     h = random_sym(4, rng)
-    expected = hadamard(os_, os_.omega_comp, h)
+    expected = hadamard(os_, 1.0 - os_.omega, h)
     assert np.allclose(apply_M(os_, kern, h), expected, atol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_hadamard_inner_product_identity(small_planted):
     for _ in range(200):
         h = random_sym(p.n, rng)
         g = hadamard(os_, os_.omega, h)
-        gc = hadamard(os_, os_.omega_comp, h)
+        gc = hadamard(os_, 1.0 - os_.omega, h)
         ho = os_.offblock(h)
         lhs = np.sum(g * gc)
         rhs = 2.0 * np.sum((os_.theta * ho) * (os_.theta_comp * ho))
@@ -154,7 +154,7 @@ def test_hadamard_inner_product_identity(small_planted):
     hb[os_.r :, os_.r :] = random_sym(p.n - os_.r, rng)
     h0 = os_.rotate_out(hb)
     g = hadamard(os_, os_.omega, h0)
-    gc = hadamard(os_, os_.omega_comp, h0)
+    gc = hadamard(os_, 1.0 - os_.omega, h0)
     assert abs(np.sum(g * gc)) <= 1e-12
     assert np.linalg.norm(os_.offblock(h0)) <= 1e-10
 
