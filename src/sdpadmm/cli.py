@@ -247,7 +247,7 @@ def diagnose_run(run_dir):
     z_final = np.load(z_path)
 
     dec = eig_sym(z_final)
-    sc = diagnostics.sc_check(z_final)
+    sc = diagnostics.sc_check(dec)
     report = {
         "run": run_dir,
         "status": summary["status"],

@@ -47,9 +47,9 @@ class ComplementarityReport:
 
 
 def sc_check(zstar) -> ComplementarityReport:
-    """Classify strict complementarity from the spectrum of Zstar."""
-    dec = eig_sym(zstar)
-    lam = dec.lam
+    """Classify strict complementarity from the spectrum of Zstar, given as a
+    matrix or as its ``eig_sym`` decomposition (then not computed again)."""
+    lam = (zstar if isinstance(zstar, SpectralDecomp) else eig_sym(zstar)).lam
     n = lam.shape[0]
     r, s = split_counts(lam)
     pos_edge = float(lam[r - 1]) if r > 0 else np.inf

@@ -9,6 +9,7 @@ file I/O, and instance generators that plant a known optimal certificate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,10 +234,23 @@ def project_null(k: ConstraintKernel, h):
 
 # Punctuation that SDPA files use as decoration; read as whitespace.
 _SDPA_PUNCT = str.maketrans("{}(),", "     ")
+# Characters read per chunk of an SDPA data section; each chunk runs on to the
+# end of its line, so no token is cut. write_sdpa formats the entries of
+# _CHUNK_CHARS // 16 table positions per write.
+_CHUNK_CHARS = 1 << 16
 
 
-def _sdpa_column(tokens, dtype, what):
-    """Parse one column of tokens; a bad token becomes SdpaFormatError."""
+def _is_data_line(line):
+    return line.lstrip()[:1] not in ("", "*", '"')
+
+
+def _sdpa_column(tokens, dtype, what, strict):
+    """Parse one column of tokens; a bad token becomes SdpaFormatError. With
+    ``strict``, a token holding ``_`` or a non-ASCII character is bad too,
+    because ``int`` and ``float`` accept digit separators and non-ASCII
+    digits."""
+    if strict and (bad := next((tok for tok in tokens if "_" in tok or not tok.isascii()), None)):
+        raise SdpaFormatError(f"malformed {what}: {bad!r} is not an ASCII number")
     try:
         return np.array(tokens, dtype=dtype)
     except ValueError as exc:
@@ -246,36 +260,63 @@ def _sdpa_column(tokens, dtype, what):
         raise SdpaFormatError(f"malformed {what}: {bad!r} does not fit in int64") from None
 
 
-def load_sdpa(path) -> SdpProblem:
-    """Read a problem in sparse SDPA format with exactly one PSD block.
-
-    The file states the problem as max tr(F0 Y) s.t. tr(F_i Y) = c_i,
-    Y PSD; this maps onto the standard minimization form via C = -F0,
-    A_i = F_i, b = c. Entries give one triangle; the other is mirrored.
-
-    Lines starting with ``*`` or ``"`` are comments and ``{}(),`` read as
-    whitespace. After the three header lines the data are one token stream,
-    so right-hand-side values and entries may span lines.
-
-    Raises
-    ------
-    UnsupportedBlockError
-        For multi-block files or diagonal (negative-size) blocks.
-    SdpaFormatError
-        For malformed content, naming one offending token or entry: a bad
-        header, token or index, or duplicate (matno, i, j) entries; also for
-        a block size whose (m+1, t(n)) coefficient table cannot be allocated.
-    ValueError
-        If the assembled constraint matrices are linearly dependent.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data_lines = [ln for ln in fh if ln.lstrip()[:1] not in ("", "*", '"')]
-    if len(data_lines) < 3:
-        raise SdpaFormatError("file truncated before block descriptor")
+def _first_defect(parse, tokens, unit):
+    """``parse(tokens)``; if it raises SdpaFormatError, parse each group of
+    ``unit`` tokens in turn instead, so the error names the first defective
+    one in file order rather than the first defect of some column."""
     try:
-        m = int(data_lines[0].translate(_SDPA_PUNCT).split()[0])
-        nblocks = int(data_lines[1].translate(_SDPA_PUNCT).split()[0])
-        block_sizes = [int(tok) for tok in data_lines[2].translate(_SDPA_PUNCT).split()]
+        return parse(tokens)
+    except SdpaFormatError:
+        for start in range(0, len(tokens), unit):
+            parse(tokens[start : start + unit])
+        raise
+
+
+def _entry_keys(tokens, m, n, strict, seen):
+    """Flat ``(m+1, t(n))`` table positions and values of the 5-tuples in
+    ``tokens``, each field checked in the order an entry lists it. Positions
+    are then marked in ``seen``; one marked already, or repeated within
+    ``tokens``, is a duplicate."""
+    matno = _sdpa_column(tokens[0::5], np.int64, "index", strict)
+    if (bad := (matno < 0) | (matno > m)).any():
+        raise SdpaFormatError(f"matrix index {matno[bad.argmax()]} outside 0..{m}")
+    blkno = _sdpa_column(tokens[1::5], np.int64, "index", strict)
+    if (bad := blkno != 1).any():
+        raise SdpaFormatError(
+            f"entry refers to block {blkno[bad.argmax()]}, file declares 1 block"
+        )
+    i = _sdpa_column(tokens[2::5], np.int64, "index", strict)
+    j = _sdpa_column(tokens[3::5], np.int64, "index", strict)
+    if (bad := (i < 1) | (i > n) | (j < 1) | (j > n)).any():
+        k = bad.argmax()
+        raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
+    value = _sdpa_column(tokens[4::5], float, "entry value", strict)
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    key = matno * svec_dim(n) + _triangle_position(lo, hi, n)
+    ordered = np.sort(key)
+    if seen[key].any() or (ordered[1:] == ordered[:-1]).any():
+        earlier = set()
+        for k, pos in enumerate(key.tolist()):
+            if seen[pos] or pos in earlier:
+                raise SdpaFormatError(f"duplicate entry for matrix {matno[k]} at ({i[k]}, {j[k]})")
+            earlier.add(pos)
+    seen[key] = True
+    return key, value
+
+
+def _read_sdpa(fh):
+    """(C, table, b) of the SDPA text stream ``fh``; see :func:`load_sdpa`."""
+    header = []
+    while len(header) < 3:
+        line = fh.readline()
+        if not line:
+            raise SdpaFormatError("file truncated before block descriptor")
+        if _is_data_line(line):
+            header.append(line.translate(_SDPA_PUNCT).split())
+    try:
+        m = int(header[0][0])
+        nblocks = int(header[1][0])
+        block_sizes = [int(tok) for tok in header[2]]
     except (ValueError, IndexError) as exc:
         raise SdpaFormatError(f"malformed header: {exc}") from exc
     if m < 0:
@@ -294,42 +335,77 @@ def load_sdpa(path) -> SdpProblem:
             f"block 1 has negative size {block_sizes[0]} (diagonal/LP block), unsupported"
         )
     n = block_sizes[0]
-
-    tokens = " ".join(data_lines[3:]).translate(_SDPA_PUNCT).split()
-    if len(tokens) < m:
-        raise SdpaFormatError(f"expected {m} right-hand-side values, found {len(tokens)}")
-    b = _sdpa_column(tokens[:m], float, "right-hand side")
-    if (len(tokens) - m) % 5 != 0:
-        raise SdpaFormatError("entry section is not a sequence of 5-tuples")
-    matno, blkno, i, j = (_sdpa_column(tokens[m + c :: 5], np.int64, "index") for c in range(4))
-    value = _sdpa_column(tokens[m + 4 :: 5], float, "entry value")
-
-    if (bad := (matno < 0) | (matno > m)).any():
-        raise SdpaFormatError(f"matrix index {matno[bad.argmax()]} outside 0..{m}")
-    if (bad := blkno != 1).any():
-        raise SdpaFormatError(
-            f"entry refers to block {blkno[bad.argmax()]}, file declares 1 block"
-        )
-    if (bad := (i < 1) | (i > n) | (j < 1) | (j > n)).any():
-        k = bad.argmax()
-        raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
-    # Each entry lands in the (m+1, t(n)) table of F0 and the F_i; the
-    # duplicate key is its flat position there, which allocating the table
-    # first bounds, so it cannot wrap in int64.
+    # Each entry lands in the (m+1, t(n)) table of F0 and the F_i, at a flat
+    # key that allocating the table first bounds, so it cannot wrap in int64.
+    # ``seen`` marks the keys already set, for the duplicate check.
     t = svec_dim(n)
     try:
-        table = np.zeros((m + 1, t))
-    except MemoryError as exc:
+        table = np.zeros((m + 1) * t)
+        seen = np.zeros(table.size, dtype=bool)
+    except (MemoryError, ValueError, OverflowError) as exc:
         raise SdpaFormatError(f"block size {n} needs {8 * (m + 1) * t} bytes") from exc
-    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    pos = _triangle_position(lo, hi, n)
-    _, first = np.unique(matno * t + pos, return_index=True)
-    if first.size < matno.size:
-        k = np.setdiff1d(np.arange(matno.size), first)[0]
-        raise SdpaFormatError(f"duplicate entry for matrix {matno[k]} at ({i[k]}, {j[k]})")
-    table[matno, pos] = value
+
+    b_parts, b_left, carry = [np.zeros(0)], m, []
+    while text := fh.read(_CHUNK_CHARS):
+        text += fh.readline()
+        if "*" in text or '"' in text:
+            text = "\n".join(ln for ln in text.split("\n") if _is_data_line(ln))
+        # The tokens of an entry cut by the chunk end are tested again with
+        # the next chunk.
+        text = " ".join(carry) + " " + text
+        strict = "_" in text or not text.isascii()
+        tokens = text.translate(_SDPA_PUNCT).split()
+        if b_left:
+            rhs, tokens = tokens[:b_left], tokens[b_left:]
+            b_parts.append(_first_defect(
+                lambda toks: _sdpa_column(toks, float, "right-hand side", strict), rhs, 1))
+            b_left -= len(rhs)
+        whole = len(tokens) - len(tokens) % 5
+        tokens, carry = tokens[:whole], tokens[whole:]
+        key, value = _first_defect(
+            lambda toks: _entry_keys(toks, m, n, strict, seen), tokens, 5)
+        table[key] = value
+    if b_left:
+        raise SdpaFormatError(f"expected {m} right-hand-side values, found {m - b_left}")
+    if carry:
+        raise SdpaFormatError("entry section is not a sequence of 5-tuples")
+    table = table.reshape(m + 1, t)
     _, _, mirror = _triangle_maps(n)
-    return SdpProblem.from_table(C=-table[0].take(mirror).reshape(n, n), table=table[1:], b=b)
+    return -table[0].take(mirror).reshape(n, n), table[1:], np.concatenate(b_parts)
+
+
+def load_sdpa(path) -> SdpProblem:
+    """Read a problem in sparse SDPA format with exactly one PSD block.
+
+    The file states the problem as max tr(F0 Y) s.t. tr(F_i Y) = c_i,
+    Y PSD; this maps onto the standard minimization form via C = -F0,
+    A_i = F_i, b = c. Entries give one triangle; the other is mirrored.
+
+    Lines starting with ``*`` or ``"`` are comments and ``{}(),`` read as
+    whitespace. After the three header lines the data are one token stream,
+    so right-hand-side values and entries may span lines. The stream is read
+    in chunks of about ``_CHUNK_CHARS`` characters, each reduced to table
+    positions before the next is read, so memory does not grow with the
+    file beyond the coefficient table.
+
+    Raises
+    ------
+    UnsupportedBlockError
+        For multi-block files or diagonal (negative-size) blocks.
+    SdpaFormatError
+        For malformed content, naming the first offending token or entry in
+        file order: a bad header, token or index, or duplicate (matno, i, j)
+        entries; also for a file that is not UTF-8 and for a block size
+        whose (m+1, t(n)) coefficient table cannot be allocated.
+    ValueError
+        If the assembled constraint matrices are linearly dependent.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            C, table, b = _read_sdpa(fh)
+    except UnicodeDecodeError as exc:
+        raise SdpaFormatError(f"{os.fspath(path)} is not UTF-8 text: {exc.reason}") from None
+    return SdpProblem.from_table(C=C, table=table, b=b)
 
 
 def write_sdpa(p: SdpProblem, path, comment=None):
@@ -341,15 +417,18 @@ def write_sdpa(p: SdpProblem, path, comment=None):
     ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
     """
     iu, ju = np.triu_indices(p.n)
-    table = np.concatenate([-p.C[None, iu, ju], p.table])
-    matno, pos = np.nonzero(table)
-    rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
-               table[matno, pos].tolist())
-    lines = [f"* {comment}"] if comment else []
-    lines += [str(p.m), "1", str(p.n), " ".join(map(repr, p.b.tolist()))]
-    lines += [f"{k} 1 {i} {j} {v!r}" for k, i, j, v in rows]
+    table = np.concatenate([-p.C[None, iu, ju], p.table]).reshape(-1)
+    step = _CHUNK_CHARS // 16
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment:
+            fh.write(f"* {comment}\n")
+        fh.write(f"{p.m}\n1\n{p.n}\n{' '.join(map(repr, p.b.tolist()))}\n")
+        for start in range(0, table.size, step):
+            flat = np.flatnonzero(table[start : start + step]) + start
+            matno, pos = np.divmod(flat, iu.size)
+            rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
+                       table[flat].tolist())
+            fh.write("".join([f"{k} 1 {i} {j} {v!r}\n" for k, i, j, v in rows]))
 
 
 # ---------------------------------------------------------------------------

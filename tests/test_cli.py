@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from sdpadmm import cli
+from sdpadmm import cli, linalg
 from sdpadmm.cli import main
 from sdpadmm.errors import NumericalFailureError
 from sdpadmm.problem import generate_planted, load_sdpa, write_sdpa
@@ -488,6 +489,28 @@ def test_diagnose_replays_recorded_iterations(tmp_path, capsys, monkeypatch):
     ((state, _, _),) = replays
     assert state.k == 51
     assert np.array_equal(state.Z, np.load(out / "z_final.npy"))
+
+
+def test_diagnose_decomposes_z_final_twice(planted_manifest, capsys, monkeypatch):
+    # diagnose_run decomposes z_final once for sc_check, nd_check and
+    # build_omega, and the replay's solve(reference=z_final) once more.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    z_final = np.load(out / "z_final.npy")
+    original, full = linalg.eig_sym, []
+
+    def counting(a, split=False):
+        if not split and np.array_equal(a, z_final):
+            full.append(a)
+        return original(a, split=split)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "sdpadmm"]:
+        if getattr(mod, "eig_sym", None) is original:
+            monkeypatch.setattr(mod, "eig_sym", counting)
+    report = cli.diagnose_run(str(out))
+    assert report["sc"]["sc_holds"] is True
+    assert len(full) == 2
 
 
 def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypatch):

@@ -49,6 +49,7 @@ def test_sc_check_converged_planted():
     rep = sc_check(state.Z)
     assert rep.sc_holds and rep.r == 4 and rep.s == 6
     assert rep.eigengap >= 0.4  # planted spectra live in [0.5, 2]
+    assert sc_check(eig_sym(state.Z)) == rep
 
 
 # -- nondegeneracy -----------------------------------------------------------

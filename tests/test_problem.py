@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpadmm import problem as problem_mod
 from sdpadmm.errors import SdpaFormatError, UnsupportedBlockError
 from sdpadmm.linalg import svec, svec_dim, svec_stack
 from sdpadmm.problem import (
@@ -347,32 +349,59 @@ def test_load_sdpa_rank_deficient_rejected(tmp_path):
 
 
 # Every malformed input raises SdpaFormatError (pytest.raises lets any other
-# exception type through, failing the test).
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("1\n1\n", "truncated"),
-        ("x\n1\n2\n1.0\n", "malformed header"),
-        ("1\n{}\n2\n1.0\n", "malformed header"),
-        ("-1\n1\n2\n", "negative constraint count"),
-        ("1\n2\n3\n1.0\n", "declared 2 blocks but found 1"),
-        ("2\n1\n2\n1.0\n", "expected 2 right-hand-side values, found 1"),
-        ("1\n1\n2\nabc\n1 1 1 1 1.0\n", "malformed right-hand side.*'abc'"),
-        ("1\n1\n2\n1.0\n1 1 1 1\n", "5-tuples"),
-        ("1\n1\n2\n1.0\n1.0 1 1 1 1.0\n", "malformed index.*'1.0'"),
-        ("1\n1\n2\n1.0\n1 1 1 1 one\n", "malformed entry value.*'one'"),
-        ("1\n1\n2\n1.0\n1 1 1 1 1.0\n2 1 1 1 1.0\n", "matrix index 2 outside 0..1"),
-        ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 2 2 2 1.0\n", "block 2"),
-        ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 3 1 1.0\n", r"\(3, 1\) outside 1..2"),
-        ("1\n1\n2\n1.0\n1 1 99999999999999999999 1 1.0\n", "'99999999999999999999'"),
-        ("0\n1\n10000000\n\n", "block size 10000000 needs 400000040000000 bytes"),
-    ],
-)
+# exception type through, failing the test). The last three cases hold
+# several defects; the reader names the first in file order.
+MALFORMED_SDPA = [
+    ("1\n1\n", "truncated"),
+    ("x\n1\n2\n1.0\n", "malformed header"),
+    ("1\n{}\n2\n1.0\n", "malformed header"),
+    ("-1\n1\n2\n", "negative constraint count"),
+    ("1\n2\n3\n1.0\n", "declared 2 blocks but found 1"),
+    ("2\n1\n2\n1.0\n", "expected 2 right-hand-side values, found 1"),
+    ("1\n1\n2\nabc\n1 1 1 1 1.0\n", "malformed right-hand side.*'abc'"),
+    ("1\n1\n2\n1.0\n1 1 1 1\n", "5-tuples"),
+    ("1\n1\n2\n1.0\n1.0 1 1 1 1.0\n", "malformed index.*'1.0'"),
+    ("1\n1\n2\n1.0\n1 1 1 1 one\n", "malformed entry value.*'one'"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n2 1 1 1 1.0\n", "matrix index 2 outside 0..1"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 2 2 2 1.0\n", "block 2"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 3 1 1.0\n", r"\(3, 1\) outside 1..2"),
+    ("1\n1\n2\n1.0\n1 1 99999999999999999999 1 1.0\n", "'99999999999999999999'"),
+    ("0\n1\n10000000\n\n", "block size 10000000 needs 400000040000000 bytes"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1_5\n", "malformed entry value: '1_5' is not an ASCII number"),
+    ("1\n1\n2\n1.0\n1 1 1_1 1 1.0\n", "malformed index: '1_1' is not an ASCII number"),
+    ("1\n1\n2\n1.0\n1 1 \u0661 1 1.0\n", "malformed index: '\u0661' is not an ASCII number"),
+    (b"1\n1\n2\n1.0\n1 1 1 1 1.0\n* caf\xe9\n", r"bad\.dat-s is not UTF-8 text"),
+    ("1\n1\n2\n1_0\n1 1 1 1 1.0\n", "malformed right-hand side: '1_0' is not an ASCII number"),
+    ("1\n1\n2\n1.0\n1 1 1_1\n1 1.0\n", "malformed index: '1_1' is not an ASCII number"),
+    ("99999999999999999999\n1\n2\n", "block size 2 needs 2400000000000000000000 bytes"),
+    ("1\n1\n2\n1.0\n1 1 1 2 1.0\n1 1 2 1 1.0\n", r"duplicate entry for matrix 1 at \(2, 1\)"),
+    ("2\n1\n2\nabc 1_0\n", "malformed right-hand side: .*'abc'"),
+    ("1\n1\n2\n1.0\n1 2 1 1 1.0\n5 1 1 1 1.0\n", "block 2"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n1 1 3 1 x\n", r"duplicate .* at \(1, 1\)"),
+]
+
+
+def _write_case(path, text):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("text, match", MALFORMED_SDPA)
 def test_load_sdpa_rejects_malformed(tmp_path, text, match):
-    path = tmp_path / "bad.dat-s"
-    path.write_text(text)
+    path = _write_case(tmp_path / "bad.dat-s", text)
     with pytest.raises(SdpaFormatError, match=match):
         load_sdpa(path)
+
+
+def test_load_sdpa_non_ascii_outside_tokens(tmp_path):
+    # Comments may hold anything UTF-8, and Unicode whitespace separates
+    # tokens; only the tokens themselves must be ASCII without "_".
+    plain = _write_case(tmp_path / "plain.dat-s", MINIMAL_SDPA)
+    fancy = MINIMAL_SDPA.replace("tiny instance", "tiny_instance, café").replace(
+        "1 1 2 2 1.0", "1\u00a01\u30002 2\u20031.0"
+    )
+    _assert_same_problem(load_sdpa(_write_case(tmp_path / "fancy.dat-s", fancy)),
+                         load_sdpa(plain))
 
 
 def test_sdpa_roundtrip_bit_exact(tmp_path):
@@ -497,6 +526,55 @@ def test_load_sdpa_sdplib_style_matches_loop_oracle(tmp_path):
     assert np.array_equal(p.C, [[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
     assert np.array_equal(p.A[0], np.diag([1.0, 0.25, 0.0]))
     assert p.A[1, 2, 2] == 1.0 and p.A[1, 0, 1] == p.A[1, 1, 0] == -0.7
+
+
+def _sdpa_error(path):
+    with pytest.raises(SdpaFormatError) as info:
+        load_sdpa(path)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, problem_mod._CHUNK_CHARS])
+def test_load_sdpa_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    # A 1-character chunk is one line, so entries that span lines, the
+    # right-hand side and comments are cut at every line end. Each problem is
+    # read once more from a CRLF copy of its commented file.
+    paths = [_write_case(tmp_path / "sdplib.dat-s", SDPLIB_STYLE)]
+    for idx, prob in enumerate(_oracle_problems()):
+        for comment in (None, "oracle instance"):
+            paths.append(tmp_path / f"oracle{idx}{'c' if comment else ''}.dat-s")
+            write_sdpa(prob, paths[-1], comment=comment)
+    bad = [_write_case(tmp_path / f"bad{k}.dat-s", text)
+           for k, (text, _) in enumerate(MALFORMED_SDPA)]
+    errors = [_sdpa_error(path) for path in bad]
+    monkeypatch.setattr(problem_mod, "_CHUNK_CHARS", chunk)
+    for k, path in enumerate(paths):
+        expected = old_load_sdpa(path)
+        _assert_same_problem(load_sdpa(path), expected)
+        if k % 2 == 0:
+            crlf = path.with_suffix(".crlf")
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            _assert_same_problem(load_sdpa(crlf), expected)
+    assert [_sdpa_error(path) for path in bad] == errors
+
+
+def test_sdpa_io_memory_is_bounded(tmp_path):
+    # A dense planted (40, 300, 6) file is 7.8 MB of text for a 2 MB table;
+    # a reader or writer that holds every line or token of it peaks far above
+    # the bound.
+    prob, _ = generate_planted(40, 300, 6, seed=1)
+    path = tmp_path / "planted.dat-s"
+    tracemalloc.start()
+    try:
+        write_sdpa(prob, path)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_sdpa(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_problem(back, prob)
+    assert write_peak <= 24e6 and load_peak <= 24e6, (write_peak, load_peak)
 
 
 # -- generators --------------------------------------------------------------
