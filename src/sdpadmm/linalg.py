@@ -10,6 +10,7 @@ symmetry is enforced by averaging at entry points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ def svec_dim(n):
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_maps(n):
+    """Read-only index maps of the svec order of an n x n matrix, built once
+    per n: the flat positions of the lower triangle, row-major, those of
+    their mirrors in the upper triangle, and the mask of the off-diagonal
+    entries."""
+    rows, cols = np.tril_indices(n)
+    maps = (rows * n + cols, cols * n + rows, rows != cols)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def svec(a):
     """Isometric vectorization of a symmetric matrix.
 
@@ -47,10 +61,9 @@ def svec(a):
     row-major over the lower triangle: (0,0), (1,0), (1,1), (2,0), ...
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    rows, cols = np.tril_indices(n)
-    v = a[rows, cols].copy()
-    v[rows != cols] *= SQRT2
+    lower, _, off = _lower_maps(a.shape[0])
+    v = a.take(lower)
+    v[off] *= SQRT2
     return v
 
 
@@ -61,22 +74,22 @@ def smat(v):
     n = int(round((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0))
     if svec_dim(n) != t:
         raise ValueError(f"vector length {t} is not a triangular number")
-    rows, cols = np.tril_indices(n)
+    lower, upper, off = _lower_maps(n)
     w = v.copy()
-    w[rows != cols] /= SQRT2
-    a = np.zeros((n, n))
-    a[rows, cols] = w
-    a[cols, rows] = w
-    return a
+    w[off] /= SQRT2
+    a = np.zeros(n * n)
+    a[lower] = w
+    a[upper] = w
+    return a.reshape(n, n)
 
 
 def svec_stack(mats):
     """svec applied along the first axis of an (m, n, n) stack; returns (t(n), m)."""
     mats = np.asarray(mats, dtype=float)
     m, n, _ = mats.shape
-    rows, cols = np.tril_indices(n)
-    out = mats[:, rows, cols].T.copy()
-    out[rows != cols, :] *= SQRT2
+    lower, _, off = _lower_maps(n)
+    out = mats.reshape(m, n * n).take(lower, axis=1).T.copy()
+    out[off, :] *= SQRT2
     return out
 
 
@@ -212,8 +225,8 @@ SYLVESTER_COND_LIMIT = 1e14
 def split_counts(lam):
     """Numerical rank split (r, s) of a spectrum: the counts of eigenvalues
     above ``RANK_TAU * max(1, max|lam|)`` and below its negative."""
-    thr = RANK_TAU * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    return int(np.sum(lam > thr)), int(np.sum(lam < -thr))
+    thr = RANK_TAU * max(1.0, float(max(lam.max(), -lam.min())) if lam.size else 1.0)
+    return int(np.count_nonzero(lam > thr)), int(np.count_nonzero(lam < -thr))
 
 
 def rotate_to_eigenbasis(dec: SpectralDecomp, a):

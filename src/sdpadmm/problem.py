@@ -154,8 +154,9 @@ class ConstraintKernel:
 
     With AA* = R'R (``problem.R``), the rows of B = R^-T A are an
     orthonormal basis of range(A*) in the trace inner product, so
-    P(H) = B*(B(H)). R^-T maps constraint values A(H) to the coordinates
-    B(H) of P(H) in this basis (:func:`basis_coords`).
+    P(H) = B*(B(H)). The coordinates B(H) of P(H) in this basis are
+    R^-T A(H) (:func:`basis_coords`), and R' maps them back to the
+    constraint values A(H) (:func:`constraint_values`).
 
     Attributes
     ----------
@@ -195,9 +196,23 @@ def basis_coords(k: ConstraintKernel, v):
     return _triangular_solve(k.problem.R, v, trans=1)
 
 
+def constraint_values(k: ConstraintKernel, u):
+    """R'u by BLAS ``dtrmv``: the constraint values A(H) of any H with basis
+    coordinates B(H) = u. In particular A(X) - b = R'(B(X) - b_hat)."""
+    if k.problem.m == 0:
+        return np.zeros(np.shape(u))
+    return scipy.linalg.blas.dtrmv(k.problem.R, u, trans=1)
+
+
 def multipliers(k: ConstraintKernel, u):
     """y = R^-1 u: the multipliers with A*y = B*u."""
     return _triangular_solve(k.problem.R, u, trans=0)
+
+
+def apply_B(k: ConstraintKernel, x):
+    """B(X) = R^-T A(X), the coordinates of P(X) in the basis: one gemv on
+    the basis table, against the weighted upper triangle of X."""
+    return _forward(k.problem, k.basis, x)
 
 
 def apply_Bt(k: ConstraintKernel, u):
@@ -219,7 +234,7 @@ def solve_normal(k: ConstraintKernel, v):
 def project_range(k: ConstraintKernel, h):
     """Orthogonal projection of symmetric H onto range(A*): two passes over
     the basis, B*(B(H)), and no solve."""
-    return apply_Bt(k, _forward(k.problem, k.basis, h))
+    return apply_Bt(k, apply_B(k, h))
 
 
 def project_null(k: ConstraintKernel, h):

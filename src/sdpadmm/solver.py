@@ -8,17 +8,19 @@ where Pi is the PSD projection and P the orthogonal projector onto range(A*).
 The primal/dual pair is extracted as X = Pi(Z), sigma*S = Pi(-Z), and y is
 recovered from the normal equations each iteration.
 
-Each iteration of ``solve`` costs one partial eigendecomposition, one
-forward pass A(X), one triangular solve and one pass over the orthonormal
-basis B = R^-T A of range(A*) (AA* = R'R), which yields P(Z - 2X). The
-decomposition computes every eigenvalue of Z but eigenvectors only for the
-smaller sign group; that group gives one projection, and
-Pi(Z) - Pi(-Z) = Z the other. Constraint values are carried as basis
-coordinates u = R^-T A(.): u_Z follows u_Z+ = u_Z - u_X + u_const, and
-sigma*S = X - Z gives A(S) = (A(X) - A(Z))/sigma, so the one A(X) feeds y,
-r_p and the step. The dual residual needs no A*y:
-A*y + S - C = (Z+ - Z)/sigma. ``step_fixed_point`` and ``residuals`` keep
-the direct evaluation as the reference path.
+Each iteration of ``solve`` costs one partial eigendecomposition and two
+passes over the orthonormal basis B = R^-T A of range(A*) (AA* = R'R): the
+forward pass u_X = B(X) and the backward pass B*(u_Z - 2 u_X) = P(Z - 2X).
+The loop never reads the constraint table and never solves with R; the
+set-up reads the table once, for A(C). The decomposition computes every
+eigenvalue of Z but eigenvectors only for the smaller sign group; that
+group gives one projection, and Pi(Z) - Pi(-Z) = Z the other. Constraint
+values are carried as basis coordinates u = B(.) = R^-T A(.): u_Z follows
+u_Z+ = u_Z - u_X + u_const, sigma*S = X - Z gives B(S) = (u_X - u_Z)/sigma,
+and the primal residual is A(X) - b = R'(u_X - b_hat), one triangular
+product. The dual residual needs no A*y: A*y + S - C = (Z+ - Z)/sigma.
+``step_fixed_point`` and ``residuals`` keep the direct evaluation as the
+reference path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import face_projections, offblock_norm
+from .diagnostics import face_projections
 from .errors import NumericalFailureError, require_integer, require_number
 from .linalg import SpectralDecomp, SpectralSplit, eig_sym, psd_split, split_counts, symmetrize
 from .problem import (
@@ -37,9 +39,11 @@ from .problem import (
     SdpProblem,
     apply_A,
     apply_At,
+    apply_B,
     apply_Bt,
     basis_coords,
     build_kernel,
+    constraint_values,
     multipliers,
     project_null,
     project_range,
@@ -129,8 +133,10 @@ class IterationRecord:
 class PhaseTimings:
     """Wall seconds and call counts of the phases of one solve: partial
     eigendecompositions (which include forming Pi(Z) and Pi(-Z)),
-    constraint-operator passes (``apply_A`` on the table, ``apply_Bt`` on the
-    basis), triangular solves with R and trace records."""
+    constraint-operator passes (``apply_A`` on the table once, for A(C), and
+    ``apply_B`` and ``apply_Bt`` on the basis), the one product
+    with R' per iterate that gives A(X) - b (``normal_solve``, the name kept
+    from when it timed a triangular solve) and trace records."""
 
     seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
@@ -178,7 +184,7 @@ def residuals(p: SdpProblem, x, y, s_mat):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dual = float(np.linalg.norm(apply_At(p, y) + np.asarray(s_mat, dtype=float) - p.C))
-    return _residuals(p, x, float(p.b @ y), apply_A(p, x), dual, _scales(p))
+    return _residuals(p, x, float(p.b @ y), apply_A(p, x) - p.b, dual, _scales(p))
 
 
 def _scales(p):
@@ -186,12 +192,12 @@ def _scales(p):
     return 1.0 + float(np.linalg.norm(p.b)), 1.0 + float(np.linalg.norm(p.C))
 
 
-def _residuals(p, x, by, a_x, dual, scales):
-    # The residual formulas on precomputed b'y, A(X), ||A*y + S - C||_F and
-    # the denominators from _scales.
-    r_p = float(np.linalg.norm(a_x - p.b)) / scales[0]
+def _residuals(p, x, by, primal, dual, scales):
+    # The residual formulas on precomputed b'y, A(X) - b, ||A*y + S - C||_F
+    # and the denominators from _scales.
+    r_p = float(np.linalg.norm(primal)) / scales[0]
     r_d = dual / scales[1]
-    obj = float(np.sum(p.C * x))
+    obj = float(np.vdot(p.C, x))
     r_gap = abs(obj - by) / (1.0 + abs(obj) + abs(by))
     return (r_p, r_d, r_gap, max(r_p, r_d, r_gap))
 
@@ -257,9 +263,11 @@ def solve(
     ref_dec = eig_sym(reference) if reference is not None else None
     timings = PhaseTimings()
     z = initial_z(p, cfg)
-    # Basis coordinates of A(const), A(C) and A(Z0), in one solve.
-    a_start = np.stack([timings.call("constraint_op", apply_A, p, v) for v in (const, p.C, z)], 1)
-    u_const, u_c, u_z = basis_coords(kernel, a_start).T
+    # Basis coordinates of const and Z0, which the loop carries, and of C,
+    # which only y and b'y read; C's are R^-T A(C), from the run's one
+    # table pass.
+    u_const, u_z = (timings.call("constraint_op", apply_B, kernel, v) for v in (const, z))
+    u_c = basis_coords(kernel, timings.call("constraint_op", apply_A, p, p.C))
     # Not guarded: a failure here is one of the initial point, before any
     # iterate exists to report.
     dec = timings.call("eig", eig_sym, z, split=True)
@@ -283,26 +291,27 @@ def solve(
         )
         if ref_dec is not None:
             rec.h_norm = float(np.linalg.norm(z_cur - reference))
-            rec.ho_norm = offblock_norm(ref_dec, z_cur - reference)
-            face_x, face_s, _ = face_projections(ref_dec, x_part, neg_part / sigma, sigma)
-            rec.face_x_norm = face_x
-            rec.face_s_norm = face_s
+            # Q'(X - sigma*S)Q has the off-block of Q'(Z - reference)Q,
+            # because Q'(reference)Q is diagonal.
+            rec.face_x_norm, rec.face_s_norm, rec.ho_norm = face_projections(
+                ref_dec, x_part, neg_part, 1.0
+            )
         if keep_z:
             rec.z = z_cur.copy()
         return rec
 
     for k in range(cfg.max_iter + 1):
         x_part, neg_part = dec.plus, dec.minus
-        a_x = timings.call("constraint_op", apply_A, p, x_part)
-        u_x = timings.call("normal_solve", basis_coords, kernel, a_x)
+        u_x = timings.call("constraint_op", apply_B, kernel, x_part)
         u_zx = u_z - 2.0 * u_x
         z_next = timings.call("constraint_op", apply_Bt, kernel, u_zx) + x_part + const
         # y = R^-1 u_y solves the normal equations for b/sigma - A(X/sigma + S - C),
-        # with A(S) = (A(X) - A(Z))/sigma; then b'y = b_hat'u_y, and
+        # with B(S) = (u_X - u_Z)/sigma; then b'y = b_hat'u_y, and
         # A*y + S - C = (Z+ - Z)/sigma, so the step gives r_d.
         u_y = (kernel.b_hat + u_zx) / sigma + u_c
+        primal = timings.call("normal_solve", constraint_values, kernel, u_x - kernel.b_hat)
         step = float(np.linalg.norm(z_next - z))
-        res = _residuals(p, x_part, float(kernel.b_hat @ u_y), a_x, step / sigma, scales)
+        res = _residuals(p, x_part, float(kernel.b_hat @ u_y), primal, step / sigma, scales)
         if not all(np.isfinite(res)):
             failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
             status = SolveStatus.NUMERICAL_FAILURE

@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 
 from sdpadmm.errors import NumericalFailureError
 from sdpadmm.linalg import (
+    RANK_TAU,
+    SQRT2,
     eig_sym,
     psd_project,
     psd_split,
     skew_exp,
     smat,
+    split_counts,
     svec,
     svec_dim,
+    svec_stack,
     sylvester_solve,
     symmetrize,
 )
@@ -59,6 +63,37 @@ def test_svec_isometry_property(n, seed):
         1.0, np.linalg.norm(a) * np.linalg.norm(b)
     )
     assert svec(a).shape == (svec_dim(n),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_svec_index_maps_match_the_tril_formulas(n):
+    rng = np.random.default_rng(n)
+    rows, cols = np.tril_indices(n)
+    stack = np.stack([random_sym(n, rng) for _ in range(3)])
+    # A transposed view reads the same entries as the C-ordered matrix.
+    for a in (stack[0], np.asfortranarray(stack[1]), stack[2].T):
+        want = a[rows, cols].copy()
+        want[rows != cols] *= SQRT2
+        assert np.array_equal(svec(a), want)
+        w = want.copy()
+        w[rows != cols] /= SQRT2
+        mat = np.zeros((n, n))
+        mat[rows, cols] = w
+        mat[cols, rows] = w
+        assert np.array_equal(smat(want), mat)
+    want = stack[:, rows, cols].T.copy()
+    want[rows != cols, :] *= SQRT2
+    assert np.array_equal(svec_stack(stack), want)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [np.zeros(0), np.array([3.0, 1e-9, -1e-9, -4.0]), np.array([-0.5, -2.0]),
+     np.array([1e-7, 0.0, -1e-7]), np.linspace(-1e9, 2e9, 9)],
+)
+def test_split_counts_matches_the_abs_formula(lam):
+    thr = RANK_TAU * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    assert split_counts(lam) == (int(np.sum(lam > thr)), int(np.sum(lam < -thr)))
 
 
 def test_smat_rejects_bad_length():

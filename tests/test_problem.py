@@ -14,8 +14,10 @@ from sdpadmm.problem import (
     SdpProblem,
     apply_A,
     apply_At,
+    apply_B,
     apply_Bt,
     build_kernel,
+    constraint_values,
     generate_maxcut,
     generate_planted,
     load_sdpa,
@@ -184,6 +186,41 @@ def test_near_dependent_constraints_keep_an_exact_projector(n, m, seed, kappa):
         assert np.linalg.norm(project_range(kern, at_y) - at_y) <= 1e-6 * np.linalg.norm(at_y)
 
 
+def _near_dependent(n, m, seed, kappa):
+    # A_m = A_1 + G / kappa, with random C and b.
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_sym(n, rng) for _ in range(m)])
+    a[-1] = a[0] + random_sym(n, rng) / kappa
+    return SdpProblem(C=random_sym(n, rng), A=a, b=rng.standard_normal(m))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_planted(10, 30, 3, seed=4)[0],
+        lambda: generate_maxcut(cycle_adjacency(9)),
+        lambda: _near_dependent(10, 30, 2, 1e8),
+    ],
+    ids=["planted", "maxcut", "near_dependent"],
+)
+def test_basis_pass_matches_table_pass_and_solve(make):
+    p = make()
+    kern = build_kernel(p)
+    rng = np.random.default_rng(7)
+    # Both sides carry a forward error of about eps * cond(R) against the
+    # exact coordinates, about 1e-8 relative at kappa = 1e8.
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(p.R))
+    for _ in range(5):
+        x = random_sym(p.n, rng)
+        want = scipy.linalg.solve_triangular(p.R, apply_A(p, x), trans="T")
+        got = apply_B(kern, x)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+        # A(X) - b = R'(B(X) - b_hat), with no table pass.
+        residual = apply_A(p, x) - p.b
+        from_basis = constraint_values(kern, got - kern.b_hat)
+        assert np.linalg.norm(from_basis - residual) <= 1e-12 * np.linalg.norm(residual)
+
+
 def test_kernel_rejects_dependent_constraints():
     # Dependence is caught at problem construction, before any kernel exists.
     with pytest.raises(ValueError):
@@ -196,6 +233,7 @@ def test_empty_constraint_set():
     h = random_sym(3, np.random.default_rng(5))
     assert np.array_equal(project_range(kern, h), np.zeros((3, 3)))
     assert np.array_equal(kern.at_pinv_b, np.zeros((3, 3)))
+    assert apply_B(kern, h).shape == constraint_values(kern, np.zeros(0)).shape == (0,)
 
 
 # -- packed table against the dense stack ------------------------------------

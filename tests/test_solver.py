@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpadmm.diagnostics import offblock_norm
 from sdpadmm.linalg import eig_sym, psd_project, psd_split, symmetrize
 from sdpadmm.problem import (
     SdpProblem,
@@ -311,39 +312,94 @@ def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
     import sdpadmm.solver as solver_mod
 
     p, _, kern = small_planted
-    calls = {"apply_A": 0, "apply_At": 0, "apply_Bt": 0, "basis_coords": 0}
+    names = ("apply_A", "apply_At", "apply_B", "apply_Bt", "basis_coords", "constraint_values")
+    calls = dict.fromkeys(names + ("dtrtrs",), 0)
 
-    def counting(name):
-        real = getattr(solver_mod, name)
-
-        def wrapped(*args):
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapped
 
-    for name in calls:
-        monkeypatch.setattr(solver_mod, name, counting(name))
-    cfg = SolverConfig(sigma=1.0, max_iter=25, tol_rmax=1e-16, trace_every=3, seed=8)
-    state, records, status = solve(p, cfg, kernel=kern)
-    assert status is SolveStatus.ITER_LIMIT
+    for name in names:
+        monkeypatch.setattr(solver_mod, name, counting(name, getattr(solver_mod, name)))
+    lapack = scipy.linalg.lapack
+    monkeypatch.setattr(lapack, "dtrtrs", counting("dtrtrs", lapack.dtrtrs))
+
+    def run(max_iter):
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = SolverConfig(sigma=1.0, max_iter=max_iter, tol_rmax=1e-16, trace_every=3, seed=8)
+        state, records, status = solve(p, cfg, kernel=kern)
+        assert status is SolveStatus.ITER_LIMIT
+        return state, records, dict(calls)
+
+    _, _, short = run(10)
+    state, records, long = run(25)
+    # Each extracted iterate makes one forward and one backward pass over the
+    # basis B and one product with R'; it reads no table and solves with no R.
+    assert {name: long[name] - short[name] for name in calls} == {
+        "apply_A": 0, "apply_At": 0, "apply_B": 15, "apply_Bt": 15,
+        "basis_coords": 0, "constraint_values": 15, "dtrtrs": 0,
+    }
+    # Set-up: B(const), B(Z0), and R^-T A(C) from the run's one table pass
+    # and one triangular solve. The exit forms y = R^-1 u_y, the other solve.
     extractions = state.k + 1
-    # Setup: A(const), A(C) and A(Z0), and one untimed three-column solve for
-    # their basis coordinates. Then one A(X), one solve for its coordinates
-    # and one pass over the basis for P(Z - 2X) per extracted iterate; the
-    # table is never read backwards.
-    assert calls["apply_A"] == extractions + 3
-    assert calls["apply_Bt"] == extractions
-    assert calls["apply_At"] == 0
-    assert calls["basis_coords"] == extractions + 1
+    assert long == {
+        "apply_A": 1, "apply_At": 0, "apply_B": extractions + 2, "apply_Bt": extractions,
+        "basis_coords": 1, "constraint_values": extractions, "dtrtrs": 2,
+    }
     t = state.timings
     assert t.calls == {
         "eig": extractions,
-        "constraint_op": calls["apply_A"] + calls["apply_Bt"],
+        "constraint_op": long["apply_A"] + long["apply_B"] + long["apply_Bt"],
         "normal_solve": extractions,
         "record": len(records),
     }
     assert set(t.seconds) == set(PHASES) and all(v >= 0.0 for v in t.seconds.values())
+
+
+def test_loop_never_reads_the_constraint_table(monkeypatch, small_planted, default_cfg):
+    import sdpadmm.solver as solver_mod
+
+    p, _, kern = small_planted
+    want, _, want_status = solve(p, default_cfg, kernel=kern)
+    real = solver_mod.apply_A
+
+    def cost_only(prob, x):
+        if x is not prob.C:
+            raise AssertionError("solve read the constraint table for an iterate")
+        return real(prob, x)
+
+    monkeypatch.setattr(solver_mod, "apply_A", cost_only)
+    state, _, status = solve(p, default_cfg, kernel=kern)
+    assert status is want_status is SolveStatus.CONVERGED
+    assert state.k == want.k
+    assert np.array_equal(state.Z, want.Z) and np.array_equal(state.y, want.y)
+
+
+def test_reference_ho_norm_is_the_offblock_of_z_minus_reference(small_planted):
+    # The record takes ho_norm from face_projections: Q'(X - sigma*S)Q and
+    # Q'(Z - reference)Q share their off-block, Q'(reference)Q being diagonal.
+    p, _, kern = small_planted
+    cfg = SolverConfig(sigma=0.7, max_iter=50_000, tol_rmax=1e-10, seed=3)
+    final, _, _ = solve(p, cfg, kernel=kern)
+    _, records, _ = solve(p, cfg, kernel=kern, reference=final.Z, keep_z=True)
+    ref_dec = eig_sym(final.Z)
+    assert len(records) == final.k + 1
+    for rec in records:
+        want = offblock_norm(ref_dec, rec.z - final.Z)
+        assert abs(rec.ho_norm - want) <= 1e-12 * max(1.0, np.linalg.norm(rec.z))
+
+
+def test_solve_without_constraints():
+    # min <C, X> over the PSD cone alone, C positive definite: X = 0, S = C.
+    c = np.diag([1.0, 0.5, 2.0])
+    p = SdpProblem(C=c, A=np.zeros((0, 3, 3)), b=np.zeros(0))
+    state, records, status = solve(p, SolverConfig(max_iter=1000, tol_rmax=1e-12, seed=2))
+    assert status is SolveStatus.CONVERGED
+    assert state.y.shape == (0,) and records[-1].r_p == 0.0
+    assert np.linalg.norm(state.X) <= 1e-12 and np.linalg.norm(state.S - c) <= 1e-12
 
 
 def _reference_run(p, kern, cfg):
