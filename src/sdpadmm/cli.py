@@ -182,6 +182,7 @@ def _run_solve_manifest(manifest):
         "instance_file": "instance.dat-s",
         "n": prob.n,
         "m": prob.m,
+        "cond_R": prob.cond_R,
         **{key: getattr(cfg, key) for key in _CFG_KEYS},
         "status": status.value,
         "iterations": state.k,

@@ -138,6 +138,8 @@ def _split(a):
     c, d, e, tau = _lapack("dsytrd", a, lower=1)
     # dsterf rejects the empty off-diagonal of a 1 x 1 matrix.
     lam = d.copy() if n == 1 else _lapack("dsterf", d, e)[0]
+    if not np.isfinite(lam).all():
+        raise NumericalFailureError("non-finite eigenvalues", n=n)
     r = int(np.count_nonzero(lam > 0.0))
     positive = r <= n - r
     k = r if positive else n - r
@@ -166,19 +168,24 @@ def eig_sym(a, split=False):
     eigenvalue, but eigenvectors only for the smaller of the positive and the
     nonpositive groups. That group gives one of Pi(Z) and Pi(-Z), and
     Pi(Z) - Pi(-Z) = Z the other. The ADMM loop wants only the split;
-    analysis code wants the full ``Q``.
+    analysis code wants the full ``Q``. The split path takes an exactly
+    symmetric matrix as it is: it neither symmetrizes nor checks the n^2
+    entries, only the n eigenvalues.
 
     Raises
     ------
+    ValueError
+        Without ``split``, if the input has a non-finite entry.
     NumericalFailureError
         If the underlying eigen-iteration does not converge; ``details``
         carries the dimension and norm of the input, or with ``split=True``
-        the LAPACK routine and its ``info``.
+        the LAPACK routine and its ``info``. With ``split=True``, also if an
+        eigenvalue is not finite; ``details`` carries the dimension.
     """
+    if split:
+        return _split(np.asarray(a, dtype=float))
     a = symmetrize(a)
     require_finite(a)
-    if split:
-        return _split(a)
     try:
         lam, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

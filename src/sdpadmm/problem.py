@@ -51,6 +51,8 @@ class SdpProblem:
     b : (m,) right-hand side
     R : (m, m) upper-triangular factor (Fortran order) with A A* = R'R,
         from one Householder QR of the weighted table
+    cond_R : 2-norm condition number of R, None when m = 0; the basis
+        coordinates and y carry a relative error of about eps * cond_R
 
     ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps only the
     table of its symmetric part; :meth:`from_table` takes the table itself.
@@ -94,6 +96,7 @@ class SdpProblem:
         # independence; forming A A* would square its condition number.
         weighted = (self.table * np.sqrt(self._weights)).T
         self.R = np.asfortranarray(np.linalg.qr(weighted, mode="r"))
+        self.cond_R = None
         if self.m > 0:
             sv = np.linalg.svd(self.R, compute_uv=False)
             rank = int(np.sum(sv > _INDEPENDENCE_RTOL * sv[0]))
@@ -101,6 +104,7 @@ class SdpProblem:
                 raise ValueError(
                     f"constraint matrices are linearly dependent (rank {rank} < m = {self.m})"
                 )
+            self.cond_R = float(sv[0] / sv[-1])
 
     @property
     def n(self):
@@ -116,27 +120,29 @@ class SdpProblem:
         return self.table.take(self._mirror, axis=1).reshape(self.m, self.n, self.n)
 
 
-def _forward(p: SdpProblem, rows, x):
-    # rows @ (weighted upper triangle of X): <row_i, X> for every row.
+def _forward(p: SdpProblem, rows, upper, weights, x):
+    # rows @ (weighted entries of X at the flat positions ``upper``):
+    # <row_i, X> for every row whose columns are those positions.
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n, p.n):
         raise ValueError(f"X has shape {x.shape}, expected ({p.n}, {p.n})")
-    return rows @ (p._weights * x.take(p._upper))
+    return rows @ (weights * x.take(upper))
 
 
-def _adjoint(p: SdpProblem, rows, y):
-    # sum_i y_i row_i as full matrices; a (k, m) stack of coefficients
-    # reads ``rows`` once, in one gemm, and mirrors in one ``take``.
+def _adjoint(p: SdpProblem, rows, mirror, y):
+    # sum_i y_i row_i as full matrices, with flat position j read from
+    # column mirror[j] of ``rows``; a (k, m) stack of coefficients reads
+    # ``rows`` once, in one gemm, and mirrors in one ``take``.
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != p.m:
         raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
-    return (y @ rows).take(p._mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
+    return (y @ rows).take(mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
 
 
 def apply_A(p: SdpProblem, x):
     """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
     table, against the weighted upper triangle of X."""
-    return _forward(p, p.table, x)
+    return _forward(p, p.table, p._upper, p._weights, x)
 
 
 def apply_At(p: SdpProblem, y):
@@ -145,7 +151,7 @@ def apply_At(p: SdpProblem, y):
     A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
     one gemm, reading the table once, and one mirroring ``take``.
     """
-    return _adjoint(p, p.table, y)
+    return _adjoint(p, p.table, p._mirror, y)
 
 
 @dataclass
@@ -158,25 +164,55 @@ class ConstraintKernel:
     R^-T A(H) (:func:`basis_coords`), and R' maps them back to the
     constraint values A(H) (:func:`constraint_values`).
 
+    B is stored on the column support S of the constraint table only: the
+    packed-triangle positions that some A_i touches. R is invertible, so
+    the columns of B outside S are exactly zero. A dense table has full
+    support; for max-cut S is the diagonal. One zero column follows S: the
+    positions outside S read it in B*, and B gives it weight 0, so neither
+    pass needs a zero buffer of its own per call.
+
     Attributes
     ----------
-    basis : (m, t(n)) table of B, stored like the constraint table
+    basis : (m, |S| + 1) columns of B on S, in the order of the constraint
+        table, then the zero column
+    upper : (|S| + 1,) flat positions in an (n, n) matrix of the entries of
+        S, then position 0 for the zero column
+    weights : (|S| + 1,) inner-product weights of S (1 on the diagonal, 2 off
+        it), then 0
+    mirror : (n^2,) column of ``basis`` that each flat position mirrors, |S|
+        (the zero column) for the positions S does not cover
     b_hat : (m,) coordinates R^-T b, so that b'y = b_hat'(R y)
     at_pinv_b : (n, n) particular primal-feasible point A*(AA*)^-1 b
     """
 
     problem: SdpProblem
     basis: np.ndarray
+    upper: np.ndarray
+    weights: np.ndarray
+    mirror: np.ndarray
     b_hat: np.ndarray
     at_pinv_b: np.ndarray
 
 
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
-    """Form the basis B = R^-T A with one right-side ``dtrsm`` on the
-    transposed table, which is Fortran-ordered as it stands."""
-    basis = scipy.linalg.blas.dtrsm(1.0, p.R, p.table.T, side=1).T
+    """Form the basis B = R^-T A on the column support S of the table.
+
+    S is read from exact zeros of the table, with no threshold. The columns
+    of S are copied out beside one zero column, and one right-side ``dtrsm``
+    on their transpose, which is Fortran-ordered as it stands, overwrites
+    them with B; the zero column stays zero."""
+    support = np.flatnonzero(p.table.any(axis=0))
+    columns = np.zeros((p.m, support.size + 1))
+    columns[:, :-1] = p.table[:, support]
+    basis = scipy.linalg.blas.dtrsm(1.0, p.R, columns.T, side=1, overwrite_b=1).T
+    column = np.full(svec_dim(p.n), support.size)
+    column[support] = np.arange(support.size)
+    mirror = column[p._mirror]
     b_hat = _triangular_solve(p.R, p.b, trans=1)
-    return ConstraintKernel(p, basis, b_hat, at_pinv_b=_adjoint(p, basis, b_hat))
+    return ConstraintKernel(
+        p, basis, np.append(p._upper[support], 0), np.append(p._weights[support], 0.0),
+        mirror, b_hat, at_pinv_b=_adjoint(p, basis, mirror, b_hat),
+    )
 
 
 def _triangular_solve(r, v, trans):
@@ -211,13 +247,15 @@ def multipliers(k: ConstraintKernel, u):
 
 def apply_B(k: ConstraintKernel, x):
     """B(X) = R^-T A(X), the coordinates of P(X) in the basis: one gemv on
-    the basis table, against the weighted upper triangle of X."""
-    return _forward(k.problem, k.basis, x)
+    the stored columns of B, against the weighted entries of X on S."""
+    return _forward(k.problem, k.basis, k.upper, k.weights, x)
 
 
 def apply_Bt(k: ConstraintKernel, u):
-    """B* u = sum_i u_i B_i; a (k, m) stack gives k matrices in one gemm."""
-    return _adjoint(k.problem, k.basis, u)
+    """B* u = sum_i u_i B_i: one gemv on the stored columns of B, mirrored
+    to (n, n) with zeros off S; a (k, m) stack gives k matrices in one
+    gemm."""
+    return _adjoint(k.problem, k.basis, k.mirror, u)
 
 
 def solve_normal(k: ConstraintKernel, v):

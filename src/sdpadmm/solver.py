@@ -9,7 +9,8 @@ The primal/dual pair is extracted as X = Pi(Z), sigma*S = Pi(-Z), and y is
 recovered from the normal equations each iteration.
 
 Each iteration of ``solve`` costs one partial eigendecomposition and two
-passes over the orthonormal basis B = R^-T A of range(A*) (AA* = R'R): the
+passes over the orthonormal basis B = R^-T A of range(A*) (AA* = R'R),
+stored only on the packed-triangle positions the constraints touch: the
 forward pass u_X = B(X) and the backward pass B*(u_Z - 2 u_X) = P(Z - 2X).
 The loop never reads the constraint table and never solves with R; the
 set-up reads the table once, for A(C). The decomposition computes every
@@ -26,6 +27,7 @@ reference path.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -312,7 +314,7 @@ def solve(
         primal = timings.call("normal_solve", constraint_values, kernel, u_x - kernel.b_hat)
         step = float(np.linalg.norm(z_next - z))
         res = _residuals(p, x_part, float(kernel.b_hat @ u_y), primal, step / sigma, scales)
-        if not all(np.isfinite(res)):
+        if not all(map(math.isfinite, res)):
             failure = {"message": f"non-finite KKT residuals at iterate {k}", "details": {}}
             status = SolveStatus.NUMERICAL_FAILURE
             break

@@ -50,6 +50,8 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     assert summary["status"] == "converged"
     assert summary["r_max"] <= 1e-10
     assert summary["failure"] is None
+    cond_r = np.linalg.cond(load_sdpa(out / "instance.dat-s").R)
+    assert summary["cond_R"] == pytest.approx(cond_r, rel=1e-8)
     extractions = summary["iterations"] + 1
     timings = summary["timings"]
     assert set(timings) == {"eig", "constraint_op", "normal_solve", "record"}

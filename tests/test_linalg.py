@@ -141,6 +141,17 @@ def test_eig_sym_rejects_nonfinite():
         eig_sym(a)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [np.full((3, 3), np.nan), np.diag([1.0, np.inf, -2.0]), np.array([[np.inf]])],
+    ids=["nan", "inf_diagonal", "inf_1x1"],
+)
+def test_eig_sym_split_rejects_nonfinite_eigenvalues(a):
+    # The split path checks the n eigenvalues, not the n^2 entries.
+    with pytest.raises(NumericalFailureError):
+        eig_sym(a, split=True)
+
+
 # -- psd_project -------------------------------------------------------------
 
 

@@ -236,6 +236,82 @@ def test_empty_constraint_set():
     assert apply_B(kern, h).shape == constraint_values(kern, np.zeros(0)).shape == (0,)
 
 
+# -- basis on the column support against the full-width basis ---------------
+
+# Oracle: test-local copy of the full-width basis that the support-restricted
+# one replaced: B = R^-T A over every packed-triangle position, from one
+# right-side dtrsm on the whole transposed table, with its own index maps.
+
+
+class FullWidthBasis:
+    def __init__(self, p):
+        self.n = p.n
+        self.basis = scipy.linalg.blas.dtrsm(1.0, p.R, p.table.T, side=1).T
+        iu, ju = np.triu_indices(p.n)
+        self.upper = iu * p.n + ju
+        self.weights = np.where(iu == ju, 1.0, 2.0)
+        self.mirror = np.empty(p.n * p.n, dtype=np.intp)
+        self.mirror[self.upper] = self.mirror[ju * p.n + iu] = np.arange(iu.size)
+
+    def apply_B(self, x):
+        return self.basis @ (self.weights * x.take(self.upper))
+
+    def apply_Bt(self, u):
+        return (u @ self.basis).take(self.mirror, axis=-1).reshape(u.shape[:-1] + (self.n,) * 2)
+
+
+def _theta_problem(n, edges):
+    # Lovasz theta of a graph: min <-J, X> s.t. tr X = 1, X_ij = 0 on edges.
+    a = np.zeros((1 + len(edges), n, n))
+    a[0] = np.eye(n)
+    for k, (i, j) in enumerate(edges, start=1):
+        a[k, i, j] = a[k, j, i] = 1.0
+    b = np.zeros(len(a))
+    b[0] = 1.0
+    return SdpProblem(C=-np.ones((n, n)), A=a, b=b)
+
+
+@pytest.mark.parametrize(
+    "make, support",
+    [
+        (lambda: generate_planted(10, 30, 3, seed=4)[0], svec_dim(10)),
+        (lambda: generate_maxcut(cycle_adjacency(9)), 9),
+        (lambda: _theta_problem(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]), 7 + 8),
+        (lambda: _near_dependent(10, 30, 2, 1e8), svec_dim(10)),
+        (lambda: SdpProblem(C=np.eye(4), A=np.zeros((0, 4, 4)), b=np.zeros(0)), 0),
+    ],
+    ids=["planted", "maxcut", "theta", "near_dependent", "empty"],
+)
+def test_support_basis_matches_full_width_basis(make, support):
+    p = make()
+    kern = build_kernel(p)
+    oracle = FullWidthBasis(p)
+    # B on S, then the zero column that the positions outside S read.
+    assert kern.basis.shape == (p.m, support + 1) and not kern.basis[:, -1].any()
+    rng = np.random.default_rng(17)
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(p.R)) if p.m else 0.0
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    for _ in range(4):
+        x = random_sym(p.n, rng)
+        u, us = rng.standard_normal(p.m), rng.standard_normal((3, p.m))
+        close(apply_B(kern, x), oracle.apply_B(x))
+        close(apply_Bt(kern, u), oracle.apply_Bt(u))
+        close(apply_Bt(kern, us), oracle.apply_Bt(us))
+        close(project_range(kern, x), oracle.apply_Bt(oracle.apply_B(x)))
+    close(kern.at_pinv_b, oracle.apply_Bt(kern.b_hat))
+
+
+def test_cond_R_is_the_condition_number_of_R():
+    p = _near_dependent(10, 30, 2, 1e8)
+    assert p.cond_R == pytest.approx(np.linalg.cond(p.R), rel=1e-8)
+    assert p.cond_R > 1e6
+    assert SdpProblem(C=np.eye(3), A=np.zeros((0, 3, 3)), b=np.zeros(0)).cond_R is None
+
+
 # -- packed table against the dense stack ------------------------------------
 
 # Oracle: test-local copy of the dense-stack operator that the packed table

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,7 +32,7 @@ from sdpadmm.solver import (
 )
 
 from conftest import random_sym
-from test_problem import cycle_adjacency
+from test_problem import FullWidthBasis, cycle_adjacency
 
 
 def make_state(p, kern, cfg, z):
@@ -460,6 +462,26 @@ def _check_fused_loop(p, sigma):
             assert abs(got - want) <= max(1e-6 * abs(want), 1e-13)
     y_ref = visited[-1][2]
     assert np.linalg.norm(state.y - y_ref) <= 1e-8 * max(1.0, np.linalg.norm(y_ref))
+
+
+def test_maxcut_solve_is_bit_identical_with_the_full_width_basis():
+    # On max-cut R = +-I, so every basis product is an exact selection, and
+    # storing B on the diagonal only changes no bit of the run.
+    p = generate_maxcut(_random_graph(30, 0.3, seed=4))
+    kern = build_kernel(p)
+    full = FullWidthBasis(p)
+    wide = dataclasses.replace(
+        kern, basis=full.basis, upper=full.upper, weights=full.weights, mirror=full.mirror,
+        at_pinv_b=full.apply_Bt(kern.b_hat),
+    )
+    assert kern.basis.shape == (p.n, p.n + 1) and np.array_equal(kern.at_pinv_b, wide.at_pinv_b)
+    cfg = SolverConfig(max_iter=300, tol_rmax=1e-16, seed=3)
+    got, got_records, _ = solve(p, cfg, kernel=kern)
+    want, want_records, _ = solve(p, cfg, kernel=wide)
+    assert got.k == want.k == 300
+    for name in ("Z", "X", "y", "S"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert [vars(r) for r in got_records] == [vars(r) for r in want_records]
 
 
 @given(
