@@ -22,13 +22,15 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import sys
 import time
 
 import numpy as np
+import scipy
 
-from . import diagnostics, linearization
+from . import __version__, diagnostics, linearization
 from .elimination import eb_scan, run_elimination
 from .errors import (
     NumericalFailureError,
@@ -61,6 +63,20 @@ def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+
+def _provenance():
+    """What a command ran on: the package, Python, numpy and scipy versions,
+    and the BLAS that numpy and scipy were built with. It holds no timestamp
+    and no instance hash, so it repeats between commands."""
+    return {
+        "sdpadmm": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+        "scipy_blas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+    }
 
 
 def _load_manifest(path):
@@ -195,6 +211,7 @@ def _run_solve_manifest(manifest):
         "wall_time_secs": wall,
         "timings": state.timings.to_json(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "provenance": _provenance(),
     }
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     return summary
@@ -260,6 +277,7 @@ def diagnose_run(run_dir):
         "fix_dim": None,
         "failure": None,
         "fits": [],
+        "provenance": _provenance(),
     }
 
     cfg = _config_from_manifest(summary)

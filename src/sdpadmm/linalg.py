@@ -128,6 +128,16 @@ def _lapack(routine, *args, **kwargs):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _dstein_blocks(n):
+    """Read-only ``dstein`` block descriptors of an unsplit n x n tridiagonal
+    matrix, built once per n: iblock all 1 and isplit[0] = n."""
+    blocks = (np.ones(n, np.int32), np.full(n, n, np.int32))
+    for arr in blocks:
+        arr.flags.writeable = False
+    return blocks
+
+
 def _split(a):
     # Pi(Z) and Pi(-Z) from the k = min(r, n - r) eigenvectors of the smaller
     # sign group: tridiagonal reduction T = Q'ZQ, every eigenvalue of T by
@@ -143,18 +153,19 @@ def _split(a):
     r = int(np.count_nonzero(lam > 0.0))
     positive = r <= n - r
     k = r if positive else n - r
-    part = np.zeros((n, n))
     if k:
         # The top r or the bottom n - r of the ascending spectrum. dstein is
-        # told T is one block (iblock all 1, isplit[0] = n).
+        # told T is one block.
         wanted = lam[n - r :] if positive else lam[: n - r]
-        v = _lapack("dstein", d, e, wanted, np.ones(n, np.int32), np.full(n, n, np.int32))[0]
+        v = _lapack("dstein", d, e, wanted, *_dstein_blocks(n))[0]
         # Q = diag(1, Q'), Q' from the reflectors stored below the
         # subdiagonal of c.
         v[1:] = _lapack("dormqr", "L", "N", c[1:, : n - 1], tau, v[1:], k)[0]
         v *= np.sqrt(np.abs(wanted))
         # v @ v.T runs as a symmetric rank-k update, so it is exactly symmetric.
         part = v @ v.T
+    else:
+        part = np.zeros((n, n))
     lam = lam[::-1].copy()
     if positive:
         return SpectralSplit(lam=lam, plus=part, minus=part - a)

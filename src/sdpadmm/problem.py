@@ -50,15 +50,18 @@ class SdpProblem:
         A_i in ``np.triu_indices(n)`` order
     b : (m,) right-hand side
     R : (m, m) upper-triangular factor (Fortran order) with A A* = R'R,
-        from one Householder QR of the weighted table
+        from one Householder QR of the weighted rows of the table on its
+        column support S (the positions some A_i touches, found once by
+        exact zeros); the other rows are zero and do not change R'R
     cond_R : 2-norm condition number of R, None when m = 0; the basis
         coordinates and y carry a relative error of about eps * cond_R
 
     ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps only the
     table of its symmetric part; :meth:`from_table` takes the table itself.
     Either way all values must be finite and the A_i linearly independent,
-    so that A A* is invertible. ``A`` mirrors the table back to the
-    (m, n, n) stack on demand, for analysis code.
+    so that A A* is invertible. Finiteness of the table is checked on S: a
+    non-finite entry is nonzero, so it lies in S. ``A`` mirrors the table
+    back to the (m, n, n) stack on demand, for analysis code.
     """
 
     def __init__(self, C, A, b):
@@ -86,20 +89,27 @@ class SdpProblem:
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.b.shape != (self.m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.m},)")
+        # The column support S, by exact zeros, with no threshold.
+        self._support = np.flatnonzero(self.table.any(axis=0))
+        rows = self.table[:, self._support]
         require_finite(self.C, "C")
-        require_finite(self.table, "A")
+        require_finite(rows, "A")
         require_finite(self.b, "b")
         if self.m > svec_dim(n):
             raise ValueError(f"m = {self.m} exceeds dim S^n = {svec_dim(n)}")
         self._upper, self._weights, self._mirror = _triangle_maps(n)
         # R has the singular values of the weighted table, so it decides
-        # independence; forming A A* would square its condition number.
-        weighted = (self.table * np.sqrt(self._weights)).T
-        self.R = np.asfortranarray(np.linalg.qr(weighted, mode="r"))
+        # independence; forming A A* would square its condition number. The
+        # rows outside S are zero and change neither R'R nor R up to row
+        # signs, so the QR reads the |S| support rows only. With |S| < m, R
+        # has only |S| rows and the rank check fails. The rows are weighted
+        # in place, so set-up holds one copy of them.
+        rows *= np.sqrt(self._weights[self._support])
+        self.R = np.asfortranarray(np.linalg.qr(rows.T, mode="r"))
         self.cond_R = None
         if self.m > 0:
             sv = np.linalg.svd(self.R, compute_uv=False)
-            rank = int(np.sum(sv > _INDEPENDENCE_RTOL * sv[0]))
+            rank = int(np.sum(sv > _INDEPENDENCE_RTOL * sv[0])) if sv.size else 0
             if rank < self.m:
                 raise ValueError(
                     f"constraint matrices are linearly dependent (rank {rank} < m = {self.m})"
@@ -197,11 +207,12 @@ class ConstraintKernel:
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
     """Form the basis B = R^-T A on the column support S of the table.
 
-    S is read from exact zeros of the table, with no threshold. The columns
-    of S are copied out beside one zero column, and one right-side ``dtrsm``
-    on their transpose, which is Fortran-ordered as it stands, overwrites
-    them with B; the zero column stays zero."""
-    support = np.flatnonzero(p.table.any(axis=0))
+    S is the support the problem found by exact zeros when it factored R;
+    the table is not scanned again. The columns of S are copied out beside
+    one zero column, and one right-side ``dtrsm`` on their transpose, which
+    is Fortran-ordered as it stands, overwrites them with B; the zero column
+    stays zero."""
+    support = p._support
     columns = np.zeros((p.m, support.size + 1))
     columns[:, :-1] = p.table[:, support]
     basis = scipy.linalg.blas.dtrsm(1.0, p.R, columns.T, side=1, overwrite_b=1).T
@@ -468,13 +479,14 @@ def write_sdpa(p: SdpProblem, path, comment=None):
     matrix order and row-major within each triangle. Values are formatted
     with shortest round-trip precision (``repr``), so
     ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
+    Each line of ``comment`` is written as its own ``*`` comment line.
     """
     iu, ju = np.triu_indices(p.n)
     table = np.concatenate([-p.C[None, iu, ju], p.table]).reshape(-1)
     step = _CHUNK_CHARS // 16
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
-            fh.write(f"* {comment}\n")
+            fh.write("".join(f"* {line}\n" for line in comment.splitlines()))
         fh.write(f"{p.m}\n1\n{p.n}\n{' '.join(map(repr, p.b.tolist()))}\n")
         for start in range(0, table.size, step):
             flat = np.flatnonzero(table[start : start + step]) + start

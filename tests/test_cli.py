@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import platform
 import sys
 
 import numpy as np
 import pytest
+import scipy
+
+import sdpadmm
 
 from sdpadmm import cli, linalg
 from sdpadmm.cli import main
@@ -74,6 +78,23 @@ def test_summary_records_every_config_field(planted_manifest, capsys):
         trace_every=1, init="gaussian", seed=1,
     )
     assert cli._config_from_manifest(summary) == cfg
+
+
+def test_summary_and_diagnostics_record_provenance(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest, "--max-iter", "7"]) == 2
+    assert main(["diagnose", "--run", str(out)]) == 0
+    capsys.readouterr()
+    want = {
+        "sdpadmm": sdpadmm.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+        "scipy_blas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+    }
+    for name in ("summary.json", "diagnostics.json"):
+        assert json.loads((out / name).read_text())["provenance"] == want
 
 
 def sdpa_source(path):

@@ -245,6 +245,7 @@ def test_psd_split_matches_full_spectrum_formula(n, seed, log_scale):
 @example(n=1, seed=0, log_scale=0.0, kind="distinct", k_share=0.0, flip=False)
 @example(n=1, seed=0, log_scale=0.0, kind="distinct", k_share=0.0, flip=True)
 @example(n=24, seed=1, log_scale=0.0, kind="zero", k_share=0.0, flip=False)
+@example(n=12, seed=5, log_scale=0.0, kind="distinct", k_share=0.0, flip=True)
 @example(n=40, seed=2, log_scale=-3.0, kind="distinct", k_share=1.0, flip=False)
 @example(n=31, seed=3, log_scale=3.0, kind="repeated", k_share=1.0, flip=True)
 @example(n=30, seed=4, log_scale=0.0, kind="cluster", k_share=1.0, flip=False)
@@ -253,7 +254,9 @@ def test_partial_split_matches_full_decomposition(n, seed, log_scale, kind, k_sh
     # Oracle: the full eig_sym and psd_split. k of the n eigenvalues are
     # positive (or, flipped, negative), k from 0 to n/2. "cluster" puts each
     # sign group within 1e-9 of +-1; "repeated" takes eigenvalues from
-    # {1, 2} on a diagonal Z, so repeats are exact and T splits.
+    # {1, 2} on a diagonal Z, so repeats are exact and T splits. With k = 0
+    # the smaller group is empty and its part is the zero matrix: Pi(Z)
+    # unflipped, Pi(-Z) flipped (the n = 1 and n = 12 examples).
     rng = np.random.default_rng(seed)
     k = int(round(k_share * (n // 2)))
     sign = np.where(np.arange(n) < k, 1.0, -1.0)

@@ -221,6 +221,31 @@ def test_basis_pass_matches_table_pass_and_solve(make):
         assert np.linalg.norm(from_basis - residual) <= 1e-12 * np.linalg.norm(residual)
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.zeros((2, 3, 3)), "rank 0 < m = 2"),
+        (np.stack([np.diag([1.0, 0.0, 0.0])] * 3), "rank 1 < m = 3"),
+    ],
+    ids=["all_zero", "support_smaller_than_m"],
+)
+def test_support_qr_rejects_degenerate_tables(a, message):
+    # The support QR gives R only |S| rows: none for an all-zero table, one
+    # for three copies of E11. Both fail the rank check with the same message
+    # as a full-table QR.
+    with pytest.raises(ValueError, match=rf"linearly dependent \({message}\)"):
+        SdpProblem(C=np.eye(3), A=a, b=np.zeros(len(a)))
+
+
+def test_nonfinite_table_entries_are_rejected_on_the_support():
+    # A non-finite entry is nonzero, so it lies in S and the check on S sees it.
+    for bad in (np.nan, np.inf, -np.inf):
+        table = np.zeros((2, svec_dim(3)))
+        table[0, 0], table[1, 2] = 1.0, bad
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            SdpProblem.from_table(C=np.eye(3), table=table, b=np.zeros(2))
+
+
 def test_kernel_rejects_dependent_constraints():
     # Dependence is caught at problem construction, before any kernel exists.
     with pytest.raises(ValueError):
@@ -271,18 +296,28 @@ def _theta_problem(n, edges):
     return SdpProblem(C=-np.ones((n, n)), A=a, b=b)
 
 
-@pytest.mark.parametrize(
-    "make, support",
-    [
-        (lambda: generate_planted(10, 30, 3, seed=4)[0], svec_dim(10)),
-        (lambda: generate_maxcut(cycle_adjacency(9)), 9),
-        (lambda: _theta_problem(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]), 7 + 8),
-        (lambda: _near_dependent(10, 30, 2, 1e8), svec_dim(10)),
-        (lambda: SdpProblem(C=np.eye(4), A=np.zeros((0, 4, 4)), b=np.zeros(0)), 0),
-    ],
-    ids=["planted", "maxcut", "theta", "near_dependent", "empty"],
-)
-def test_support_basis_matches_full_width_basis(make, support):
+def dense_R(p):
+    # Oracle: the R that the support QR replaced, from one Householder QR of
+    # the whole weighted (t(n), m) table, zero rows included.
+    iu, ju = np.triu_indices(p.n)
+    weights = np.where(iu == ju, 1.0, 2.0)
+    return np.asfortranarray(np.linalg.qr((p.table * np.sqrt(weights)).T, mode="r"))
+
+
+# Problems with full, diagonal, partial and empty column support, each with
+# the size |S| of its support.
+SUPPORT_PROBLEMS = {
+    "planted": (lambda: generate_planted(10, 30, 3, seed=4)[0], svec_dim(10)),
+    "maxcut": (lambda: generate_maxcut(cycle_adjacency(9)), 9),
+    "theta": (lambda: _theta_problem(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]), 7 + 8),
+    "near_dependent": (lambda: _near_dependent(10, 30, 2, 1e8), svec_dim(10)),
+    "empty": (lambda: SdpProblem(C=np.eye(4), A=np.zeros((0, 4, 4)), b=np.zeros(0)), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SUPPORT_PROBLEMS))
+def test_support_basis_matches_full_width_basis(case):
+    make, support = SUPPORT_PROBLEMS[case]
     p = make()
     kern = build_kernel(p)
     oracle = FullWidthBasis(p)
@@ -303,6 +338,26 @@ def test_support_basis_matches_full_width_basis(make, support):
         close(apply_Bt(kern, us), oracle.apply_Bt(us))
         close(project_range(kern, x), oracle.apply_Bt(oracle.apply_B(x)))
     close(kern.at_pinv_b, oracle.apply_Bt(kern.b_hat))
+
+
+@pytest.mark.parametrize("case", list(SUPPORT_PROBLEMS))
+def test_support_R_matches_dense_table_R(case):
+    # R'R = AA* fixes R up to the signs of its rows. A full support gives
+    # the dense QR its own input, and max-cut's R = +-I is exact, so those
+    # two match bit for bit; a partial support matches to rounding.
+    p = SUPPORT_PROBLEMS[case][0]()
+    want = dense_R(p)
+    assert p.R.shape == want.shape == (p.m, p.m)
+    got = np.sign(np.diag(p.R) * np.diag(want))[:, None] * p.R
+    if case in ("planted", "maxcut"):
+        assert np.array_equal(got, want)
+    else:
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(want)) if p.m else 0.0
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    if p.m:
+        assert p.cond_R == pytest.approx(np.linalg.cond(want), rel=1e-12)
+    else:
+        assert p.cond_R is None
 
 
 def test_cond_R_is_the_condition_number_of_R():
@@ -526,6 +581,15 @@ def test_sdpa_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.C, prob.C)
     assert np.array_equal(back.A, prob.A)
     assert np.array_equal(back.b, prob.b)
+
+
+def test_sdpa_multiline_comment_roundtrip(tmp_path):
+    # Each line of the comment is its own "*" line; none becomes data.
+    prob = generate_maxcut(cycle_adjacency(4))
+    path = tmp_path / "cut.dat-s"
+    write_sdpa(prob, path, comment="graph\nname.txt")
+    assert path.read_text().splitlines()[:3] == ["* graph", "* name.txt", "4"]
+    _assert_same_problem(load_sdpa(path), prob)
 
 
 # Oracle: test-local copies of the per-token reader and the nested-loop

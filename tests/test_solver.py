@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -32,7 +33,7 @@ from sdpadmm.solver import (
 )
 
 from conftest import random_sym
-from test_problem import FullWidthBasis, cycle_adjacency
+from test_problem import FullWidthBasis, cycle_adjacency, dense_R
 
 
 def make_state(p, kern, cfg, z):
@@ -482,6 +483,16 @@ def test_maxcut_solve_is_bit_identical_with_the_full_width_basis():
     for name in ("Z", "X", "y", "S"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert [vars(r) for r in got_records] == [vars(r) for r in want_records]
+    # R from the QR of the whole table is also +-I, with other row signs; a
+    # kernel built on it negates exactly and gives the same run.
+    dense = copy.copy(p)
+    dense.R = dense_R(p)
+    assert not np.array_equal(dense.R, p.R) and np.array_equal(abs(dense.R), abs(p.R))
+    again, again_records, _ = solve(dense, cfg, kernel=build_kernel(dense))
+    assert again.k == got.k
+    for name in ("Z", "X", "y", "S"):
+        assert np.array_equal(getattr(again, name), getattr(got, name))
+    assert [vars(r) for r in again_records] == [vars(r) for r in got_records]
 
 
 @given(
