@@ -155,6 +155,8 @@ def _load_edge_list(path):
     if not entries:
         raise ValueError(f"edge list {path} is empty")
     n = int(entries[0][0])
+    if n < 1:
+        raise ValueError(f"edge list {path}: vertex count {n} is below 1")
     try:
         adj = np.zeros((n, n))
     except MemoryError as exc:
@@ -354,7 +356,10 @@ def _eb_inputs(manifest):
     hsrc = require_object("h", manifest.get("h", {"random": {"seed": 1}}))
     if "file" in zsrc:
         require_path("file", zsrc["file"])
-        z = symmetrize(np.load(zsrc["file"]))
+        z = np.load(zsrc["file"])
+        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
+            raise ValueError(f"z.file must be a square matrix of order >= 2, got shape {z.shape}")
+        z = symmetrize(z)
     else:
         require_keys("z", zsrc, "random")
         rnd = require_object("z.random", zsrc["random"])
@@ -370,7 +375,10 @@ def _eb_inputs(manifest):
         z = symmetrize((q * lam) @ q.T)
     if "file" in hsrc:
         require_path("file", hsrc["file"])
-        h = symmetrize(np.load(hsrc["file"]))
+        h = np.load(hsrc["file"])
+        if h.shape != z.shape:
+            raise ValueError(f"h.file must have the shape {z.shape} of z, got {h.shape}")
+        h = symmetrize(h)
     else:
         require_keys("h", hsrc, "random")
         seed = require_object("h.random", hsrc["random"]).get("seed", 1)

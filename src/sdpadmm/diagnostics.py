@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    SQRT2,
     SpectralDecomp,
     eig_sym,
     null_space,
     rotate_to_eigenbasis,
     split_counts,
-    svec_stack,
+    svec,
+    svec_dim,
     symmetrize,
 )
 from .problem import ConstraintKernel, SdpProblem, project_null, project_range
@@ -88,18 +88,17 @@ class NondegeneracyReport:
 
 
 def primal_witness(at, r):
-    """Basis (m, d) of the null space of y -> (A~(y)[:r, :r], sqrt2 A~(y)[:r, r:])
-    for the rotated stack ``at`` = (A~_i); the map is the isometric image of
-    A*(y) outside the trailing block."""
-    m, n, _ = at.shape
-    off = SQRT2 * at[:, :r, r:].reshape(m, r * (n - r)).T
-    return null_space(np.vstack([svec_stack(at[:, :r, :r]), off]))
+    """Basis (m, d) of the null space of y -> the first t(n) - t(n - r)
+    entries of svec(A~(y)), for the rotated stack ``at`` = (A~_i): the
+    isometric image of A*(y) outside the trailing block."""
+    n = at.shape[-1]
+    return null_space(svec(at)[:, : svec_dim(n) - svec_dim(n - r)].T)
 
 
 def dual_witness(at, k):
     """Basis (t(k), d), in svec coordinates, of the U in S^k with
     <A~_i[:k, :k], U> = 0 for every i."""
-    return null_space(svec_stack(at[:, :k, :k]).T)
+    return null_space(svec(at[:, :k, :k]))
 
 
 def nd_check(p: SdpProblem, dec: SpectralDecomp) -> NondegeneracyReport:

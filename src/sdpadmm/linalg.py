@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra kernels.
 
-Symmetric vectorization (svec/smat), deterministic spectral decomposition,
-the PSD split of a matrix from the eigenvectors of its smaller sign group,
-projection onto the PSD cone, the eigenvalue rank-split rule, numerical null
-spaces, two-sided Sylvester solves for definite block pairs, and exponentials
-of skew-symmetric matrices. Everything operates on plain float64 ndarrays;
-symmetry is enforced by averaging at entry points.
+The one packed upper-triangle order of symmetric matrices (``triangle_maps``)
+and the isometric vectorization in that order (svec/smat), deterministic
+spectral decomposition, the PSD split of a matrix from the eigenvectors of its
+smaller sign group, projection onto the PSD cone, the eigenvalue rank-split
+rule, numerical null spaces, two-sided Sylvester solves for definite block
+pairs, and exponentials of skew-symmetric matrices. Everything operates on
+plain float64 ndarrays; symmetry is enforced by averaging at entry points.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import NumericalFailureError
-
-SQRT2 = float(np.sqrt(2.0))
 
 
 def symmetrize(a):
@@ -41,56 +40,43 @@ def svec_dim(n):
 
 
 @functools.lru_cache(maxsize=64)
-def _lower_maps(n):
-    """Read-only index maps of the svec order of an n x n matrix, built once
-    per n: the flat positions of the lower triangle, row-major, those of
-    their mirrors in the upper triangle, and the mask of the off-diagonal
-    entries."""
-    rows, cols = np.tril_indices(n)
-    maps = (rows * n + cols, cols * n + rows, rows != cols)
-    for arr in maps:
+def triangle_maps(n):
+    """Read-only maps of the package's one packed order, the upper triangle
+    of an n x n matrix row-major (``np.triu_indices(n)``), built once per n:
+    the flat positions ``upper`` of its t(n) entries, their inner-product
+    ``weights`` (1 on the diagonal, 2 off it), and the entry ``mirror`` that
+    each of the n^2 flat positions reads."""
+    iu, ju = np.triu_indices(n)
+    upper = iu * n + ju
+    weights = np.where(iu == ju, 1.0, 2.0)
+    mirror = np.empty(n * n, dtype=np.intp)
+    mirror[upper] = mirror[ju * n + iu] = np.arange(upper.size)
+    for arr in (upper, weights, mirror):
         arr.flags.writeable = False
-    return maps
+    return upper, weights, mirror
 
 
 def svec(a):
-    """Isometric vectorization of a symmetric matrix.
-
-    Off-diagonal entries are scaled by sqrt(2) so that
-    ``svec(A) @ svec(B) == <A, B>`` for symmetric A, B. Entries are ordered
-    row-major over the lower triangle: (0,0), (1,0), (1,1), (2,0), ...
+    """Isometric vectorization of a symmetric matrix, or of each matrix of a
+    (..., n, n) stack: the entries in ``triangle_maps`` order, the constraint
+    table's, with those off the diagonal scaled by sqrt(2), so that
+    ``svec(A) @ svec(B) == <A, B>``. The trailing k x k block is the last t(k).
     """
     a = np.asarray(a, dtype=float)
-    lower, _, off = _lower_maps(a.shape[0])
-    v = a.take(lower)
-    v[off] *= SQRT2
-    return v
+    n = a.shape[-1]
+    upper, weights, _ = triangle_maps(n)
+    return np.sqrt(weights) * a.reshape(a.shape[:-2] + (n * n,)).take(upper, axis=-1)
 
 
 def smat(v):
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, along the last axis."""
     v = np.asarray(v, dtype=float)
-    t = v.shape[0]
+    t = v.shape[-1]
     n = int(round((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0))
     if svec_dim(n) != t:
         raise ValueError(f"vector length {t} is not a triangular number")
-    lower, upper, off = _lower_maps(n)
-    w = v.copy()
-    w[off] /= SQRT2
-    a = np.zeros(n * n)
-    a[lower] = w
-    a[upper] = w
-    return a.reshape(n, n)
-
-
-def svec_stack(mats):
-    """svec applied along the first axis of an (m, n, n) stack; returns (t(n), m)."""
-    mats = np.asarray(mats, dtype=float)
-    m, n, _ = mats.shape
-    lower, _, off = _lower_maps(n)
-    out = mats.reshape(m, n * n).take(lower, axis=1).T.copy()
-    out[off, :] *= SQRT2
-    return out
+    _, weights, mirror = triangle_maps(n)
+    return (v / np.sqrt(weights)).take(mirror, axis=-1).reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SdpaFormatError, UnsupportedBlockError, require_integer, require_number
-from .linalg import require_finite, svec_dim, symmetrize
+from .linalg import require_finite, svec_dim, symmetrize, triangle_maps
 
 _INDEPENDENCE_RTOL = 1e-10
-
-
-def _triangle_maps(n):
-    """Index maps of the packed upper triangle of an n x n matrix, in
-    ``np.triu_indices(n)`` order: the flat positions of the t(n) entries,
-    their inner-product weights (1 on the diagonal, 2 off it), and for each
-    of the n^2 flat positions the triangle entry it mirrors."""
-    iu, ju = np.triu_indices(n)
-    upper = iu * n + ju
-    weights = np.where(iu == ju, 1.0, 2.0)
-    mirror = np.empty(n * n, dtype=np.intp)
-    mirror[upper] = np.arange(upper.size)
-    mirror[ju * n + iu] = np.arange(upper.size)
-    return upper, weights, mirror
-
-
-def _triangle_position(i, j, n):
-    """Position of entry (i, j), i <= j, in the packed upper triangle."""
-    return i * n - i * (i - 1) // 2 + j - i
 
 
 class SdpProblem:
@@ -46,8 +27,8 @@ class SdpProblem:
     Attributes
     ----------
     C : (n, n) symmetric cost matrix
-    table : (m, t(n)) constraint table; row i holds the upper triangle of
-        A_i in ``np.triu_indices(n)`` order
+    table : (m, t(n)) constraint table; row i is svec(A_i) without the
+        sqrt(2) off the diagonal, in ``linalg.triangle_maps`` order
     b : (m,) right-hand side
     R : (m, m) upper-triangular factor (Fortran order) with A A* = R'R,
         from one Householder QR of the weighted rows of the table on its
@@ -70,7 +51,7 @@ class SdpProblem:
             a = a[None, :, :]
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"constraint stack has shape {a.shape}, expected (m, n, n)")
-        iu, ju = np.triu_indices(a.shape[1])
+        iu, ju = np.divmod(triangle_maps(a.shape[1])[0], a.shape[1])
         self._set(C, 0.5 * (a[:, iu, ju] + a[:, ju, iu]), b)
 
     @classmethod
@@ -83,6 +64,8 @@ class SdpProblem:
     def _set(self, C, table, b):
         self.C = symmetrize(C)
         n = self.C.shape[0]
+        if n == 0:
+            raise ValueError("matrix dimension n = 0: a problem needs n >= 1")
         if table.ndim != 2 or table.shape[1] != svec_dim(n):
             raise ValueError("constraint and cost dimensions disagree")
         self.table = np.ascontiguousarray(table)
@@ -97,14 +80,13 @@ class SdpProblem:
         require_finite(self.b, "b")
         if self.m > svec_dim(n):
             raise ValueError(f"m = {self.m} exceeds dim S^n = {svec_dim(n)}")
-        self._upper, self._weights, self._mirror = _triangle_maps(n)
         # R has the singular values of the weighted table, so it decides
         # independence; forming A A* would square its condition number. The
         # rows outside S are zero and change neither R'R nor R up to row
         # signs, so the QR reads the |S| support rows only. With |S| < m, R
         # has only |S| rows and the rank check fails. The rows are weighted
         # in place, so set-up holds one copy of them.
-        rows *= np.sqrt(self._weights[self._support])
+        rows *= np.sqrt(triangle_maps(n)[1][self._support])
         self.R = np.asfortranarray(np.linalg.qr(rows.T, mode="r"))
         self.cond_R = None
         if self.m > 0:
@@ -127,7 +109,7 @@ class SdpProblem:
     @property
     def A(self):
         """(m, n, n) stack of the constraint matrices, built from the table."""
-        return self.table.take(self._mirror, axis=1).reshape(self.m, self.n, self.n)
+        return self.table.take(triangle_maps(self.n)[2], axis=1).reshape(self.m, self.n, self.n)
 
 
 def _forward(p: SdpProblem, rows, upper, weights, x):
@@ -152,7 +134,7 @@ def _adjoint(p: SdpProblem, rows, mirror, y):
 def apply_A(p: SdpProblem, x):
     """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
     table, against the weighted upper triangle of X."""
-    return _forward(p, p.table, p._upper, p._weights, x)
+    return _forward(p, p.table, *triangle_maps(p.n)[:2], x)
 
 
 def apply_At(p: SdpProblem, y):
@@ -161,7 +143,7 @@ def apply_At(p: SdpProblem, y):
     A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
     one gemm, reading the table once, and one mirroring ``take``.
     """
-    return _adjoint(p, p.table, p._mirror, y)
+    return _adjoint(p, p.table, triangle_maps(p.n)[2], y)
 
 
 @dataclass
@@ -213,15 +195,16 @@ def build_kernel(p: SdpProblem) -> ConstraintKernel:
     is Fortran-ordered as it stands, overwrites them with B; the zero column
     stays zero."""
     support = p._support
+    upper, weights, mirror = triangle_maps(p.n)
     columns = np.zeros((p.m, support.size + 1))
     columns[:, :-1] = p.table[:, support]
     basis = scipy.linalg.blas.dtrsm(1.0, p.R, columns.T, side=1, overwrite_b=1).T
     column = np.full(svec_dim(p.n), support.size)
     column[support] = np.arange(support.size)
-    mirror = column[p._mirror]
+    mirror = column[mirror]
     b_hat = _triangular_solve(p.R, p.b, trans=1)
     return ConstraintKernel(
-        p, basis, np.append(p._upper[support], 0), np.append(p._weights[support], 0.0),
+        p, basis, np.append(upper[support], 0), np.append(weights[support], 0.0),
         mirror, b_hat, at_pinv_b=_adjoint(p, basis, mirror, b_hat),
     )
 
@@ -355,8 +338,7 @@ def _entry_keys(tokens, m, n, strict, seen):
         k = bad.argmax()
         raise SdpaFormatError(f"entry indices ({i[k]}, {j[k]}) outside 1..{n}")
     value = _sdpa_column(tokens[4::5], float, "entry value", strict)
-    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    key = matno * svec_dim(n) + _triangle_position(lo, hi, n)
+    key = matno * svec_dim(n) + triangle_maps(n)[2][(i - 1) * n + j - 1]
     ordered = np.sort(key)
     if seen[key].any() or (ordered[1:] == ordered[:-1]).any():
         earlier = set()
@@ -434,8 +416,7 @@ def _read_sdpa(fh):
     if carry:
         raise SdpaFormatError("entry section is not a sequence of 5-tuples")
     table = table.reshape(m + 1, t)
-    _, _, mirror = _triangle_maps(n)
-    return -table[0].take(mirror).reshape(n, n), table[1:], np.concatenate(b_parts)
+    return -table[0].take(triangle_maps(n)[2]).reshape(n, n), table[1:], np.concatenate(b_parts)
 
 
 def load_sdpa(path) -> SdpProblem:
@@ -481,7 +462,7 @@ def write_sdpa(p: SdpProblem, path, comment=None):
     ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
     Each line of ``comment`` is written as its own ``*`` comment line.
     """
-    iu, ju = np.triu_indices(p.n)
+    iu, ju = np.divmod(triangle_maps(p.n)[0], p.n)
     table = np.concatenate([-p.C[None, iu, ju], p.table]).reshape(-1)
     step = _CHUNK_CHARS // 16
     with open(path, "w", encoding="utf-8") as fh:
@@ -632,5 +613,5 @@ def generate_maxcut(adjacency) -> SdpProblem:
     laplacian = np.diag(w.sum(axis=1)) - w
     diag = np.arange(n)
     table = np.zeros((n, svec_dim(n)))
-    table[diag, _triangle_position(diag, diag, n)] = 1.0
+    table[diag, triangle_maps(n)[2][diag * (n + 1)]] = 1.0
     return SdpProblem.from_table(C=-laplacian / 4.0, table=table, b=np.ones(n))

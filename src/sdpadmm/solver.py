@@ -52,7 +52,7 @@ from .problem import (
 )
 
 TRACE_HEADER = "k,r_p,r_d,r_gap,r_max,rank_X,rank_S,lam_min_absZ,norm_Z_diff"
-PHASES = ("eig", "constraint_op", "normal_solve", "record")
+PHASES = ("eig", "constraint_op", "primal_residual", "record")
 
 
 class SolveStatus(enum.Enum):
@@ -137,8 +137,8 @@ class PhaseTimings:
     eigendecompositions (which include forming Pi(Z) and Pi(-Z)),
     constraint-operator passes (``apply_A`` on the table once, for A(C), and
     ``apply_B`` and ``apply_Bt`` on the basis), the one product
-    with R' per iterate that gives A(X) - b (``normal_solve``, the name kept
-    from when it timed a triangular solve) and trace records."""
+    with R' per iterate that gives A(X) - b (``primal_residual``) and trace
+    records."""
 
     seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
@@ -311,7 +311,7 @@ def solve(
         # with B(S) = (u_X - u_Z)/sigma; then b'y = b_hat'u_y, and
         # A*y + S - C = (Z+ - Z)/sigma, so the step gives r_d.
         u_y = (kernel.b_hat + u_zx) / sigma + u_c
-        primal = timings.call("normal_solve", constraint_values, kernel, u_x - kernel.b_hat)
+        primal = timings.call("primal_residual", constraint_values, kernel, u_x - kernel.b_hat)
         step = float(np.linalg.norm(z_next - z))
         res = _residuals(p, x_part, float(kernel.b_hat @ u_y), primal, step / sigma, scales)
         if not all(map(math.isfinite, res)):

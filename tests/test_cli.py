@@ -58,8 +58,8 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     assert summary["cond_R"] == pytest.approx(cond_r, rel=1e-8)
     extractions = summary["iterations"] + 1
     timings = summary["timings"]
-    assert set(timings) == {"eig", "constraint_op", "normal_solve", "record"}
-    assert timings["eig"]["calls"] == timings["normal_solve"]["calls"] == extractions
+    assert set(timings) == {"eig", "constraint_op", "primal_residual", "record"}
+    assert timings["eig"]["calls"] == timings["primal_residual"]["calls"] == extractions
     assert timings["constraint_op"]["calls"] == 2 * extractions + 3
     assert all(t["seconds"] >= 0.0 for t in timings.values())
     header = (out / "trace.csv").read_text().splitlines()[0]
@@ -635,6 +635,35 @@ def test_eb_verify_singular_reference(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+_SQUARE = "z.file must be a square matrix of order >= 2, got shape"
+
+
+@pytest.mark.parametrize(
+    "z, h, message",
+    [
+        (np.zeros((0, 0)), None, f"{_SQUARE} (0, 0)"),
+        (np.ones((1, 1)), None, f"{_SQUARE} (1, 1)"),
+        (np.ones((2, 3)), None, f"{_SQUARE} (2, 3)"),
+        (np.ones(4), None, f"{_SQUARE} (4,)"),
+        (np.diag([1.0, 2.0, -1.0]), np.eye(2),
+         "h.file must have the shape (3, 3) of z, got (2, 2)"),
+        (np.diag([1.0, -1.0]), np.ones((2, 2, 1)),
+         "h.file must have the shape (2, 2) of z, got (2, 2, 1)"),
+    ],
+    ids=["z-empty", "z-1x1", "z-rectangular", "z-vector", "h-smaller", "h-3d"],
+)
+def test_eb_verify_file_sources_name_the_bad_field(tmp_path, capsys, z, h, message):
+    np.save(tmp_path / "z.npy", z)
+    fields = {"z": {"file": str(tmp_path / "z.npy")}}
+    if h is not None:
+        np.save(tmp_path / "h.npy", h)
+        fields["h"] = {"file": str(tmp_path / "h.npy")}
+    manifest = write_manifest(tmp_path / "m.json", out=str(tmp_path / "eb"), **fields)
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "eb").exists()
+
+
 # -- generate ----------------------------------------------------------------
 
 
@@ -692,6 +721,41 @@ def test_huge_vertex_count_is_refused(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "vertex count 1000000000 needs 8000000000000000000 bytes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, command, message",
+    [
+        ("sdpa", "solve", "n = 0"),
+        ("edges", "solve", "vertex count 0 is below 1"),
+        ("edges", "generate", "vertex count 0 is below 1"),
+        ("edges-negative", "generate", "vertex count -2 is below 1"),
+    ],
+    ids=["solve-sdpa-n0", "solve-edges-n0", "generate-edges-n0", "generate-edges-negative"],
+)
+def test_zero_size_problems_are_refused(tmp_path, capsys, source, command, message):
+    # A problem of order 0 has no iterate: every exit is one error line, and
+    # no output is written.
+    out = tmp_path / "o"
+    if source == "sdpa":
+        path = tmp_path / "empty.dat-s"
+        path.write_text("0\n1\n0\n")
+        manifest = write_manifest(tmp_path / "m.json", instance=str(path), out=str(out))
+    else:
+        path = tmp_path / "graph.txt"
+        path.write_text("-2\n" if source == "edges-negative" else "0\n")
+        manifest = write_manifest(
+            tmp_path / "m.json", generator={"kind": "maxcut", "edges": str(path)}, out=str(out)
+        )
+    argv = (["solve", "--manifest", manifest] if command == "solve"
+            else ["generate", "maxcut", "--edges", str(path), "--out", str(out)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    if source != "sdpa":
+        assert str(path) in err
     assert err.count("\n") == 1
     assert not out.exists()
 

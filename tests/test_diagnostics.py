@@ -3,14 +3,16 @@ import pytest
 
 from sdpadmm.diagnostics import (
     backward_error_terms,
+    dual_witness,
     face_projections,
     nd_check,
+    primal_witness,
     rank_trace,
     rate_fit,
     sc_check,
     tangent_s_part,
 )
-from sdpadmm.linalg import eig_sym, split_counts, svec_dim, svec_stack
+from sdpadmm.linalg import eig_sym, null_space, rotate_to_eigenbasis, split_counts, svec, svec_dim
 from sdpadmm.linearization import build_omega, fix_basis
 from sdpadmm.problem import SdpProblem, build_kernel, generate_planted
 from sdpadmm.solver import IterationRecord, SolveStatus, SolverConfig, solve
@@ -93,7 +95,7 @@ def _embedded_block_basis(q, idx):
             cols.append(q @ e @ q.T)
     if not cols:
         return np.zeros((svec_dim(n), 0))
-    return svec_stack(np.stack(cols))
+    return svec(np.stack(cols)).T
 
 
 def _rank(mat, tau):
@@ -112,7 +114,7 @@ def _joint_rank_deficits(p, dec, tau=1e-8):
     lam = dec.lam
     thr = tau * max(1.0, float(np.max(np.abs(lam))))
     r, s = int(np.sum(lam > thr)), int(np.sum(lam < -thr))
-    w1 = svec_stack(p.A) if p.m > 0 else np.zeros((svec_dim(n), 0))
+    w1 = svec(p.A).T if p.m > 0 else np.zeros((svec_dim(n), 0))
     w2 = _embedded_block_basis(dec.Q, list(range(r, n)))
     primal = _rank(w1, tau) + _rank(w2, tau) - _rank(np.hstack([w1, w2]), tau)
     u, sv, _ = np.linalg.svd(w1, full_matrices=True)
@@ -142,6 +144,66 @@ def test_nd_witnesses_match_joint_rank_oracle(n, m, r, degeneracy, side):
         assert sc_check(cert.zstar(1.0)).sc_holds
         fix = fix_basis(build_omega(dec), build_kernel(prob))
         assert fix.dim == rep.primal_witness_dim + rep.dual_witness_dim
+
+
+# Oracle: test-local copies of the witnesses that the svec-prefix ones
+# replaced, with the svec of the old lower-triangle row-major order: the
+# primal map stacks the svec of the leading block over the sqrt(2)-scaled
+# off-block, and the dual map is the svec of the leading block.
+
+
+def _svec_tril(stack):
+    n = stack.shape[-1]
+    rows, cols = np.tril_indices(n)
+    out = stack[:, rows, cols].T.copy()
+    out[rows != cols, :] *= np.sqrt(2.0)
+    return out
+
+
+def _offblock_primal_witness(at, r):
+    m, n, _ = at.shape
+    off = np.sqrt(2.0) * at[:, :r, r:].reshape(m, r * (n - r)).T
+    return null_space(np.vstack([_svec_tril(at[:, :r, :r]), off]))
+
+
+def _tril_dual_witness(at, k):
+    # Rows reordered from the lower-triangle order into the order of svec:
+    # entry (i, j), i <= j, of the upper triangle is (j, i) of the lower one.
+    iu, ju = np.triu_indices(k)
+    return null_space(_svec_tril(at[:, :k, :k]).T)[ju * (ju + 1) // 2 + iu]
+
+
+def _assert_same_span(new, old):
+    assert new.shape == old.shape
+    assert np.linalg.norm(new @ new.T - old @ old.T) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, m, r, degeneracy",
+    [
+        (24, 100, 3, "primal_nd_fail"),
+        (10, 20, 3, "primal_nd_fail"),
+        (20, 40, 3, "none"),
+        (16, 60, 2, "none"),
+        (10, 10, 5, "none"),
+    ],
+)
+def test_witnesses_match_the_offblock_oracle(n, m, r, degeneracy):
+    for seed in (0, 1, 2):
+        prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
+        dec = eig_sym(cert.zstar(1.0))
+        at = rotate_to_eigenbasis(dec, prob.A)
+        rk, s = split_counts(dec.lam)
+        _assert_same_span(primal_witness(at, rk), _offblock_primal_witness(at, rk))
+        _assert_same_span(dual_witness(at, n - s), _tril_dual_witness(at, n - s))
+
+
+@pytest.mark.parametrize("r", [0, 2, 5])
+def test_witnesses_without_constraints_match_the_offblock_oracle(r):
+    at = np.zeros((0, 5, 5))
+    assert primal_witness(at, r).shape == _offblock_primal_witness(at, r).shape == (0, 0)
+    _assert_same_span(dual_witness(at, r), _tril_dual_witness(at, r))
+    assert dual_witness(at, r).shape == (svec_dim(r), svec_dim(r))
 
 
 def test_nd_check_and_fix_basis_share_one_threshold():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sdpadmm.errors import NumericalFailureError
 from sdpadmm.linalg import (
     RANK_TAU,
-    SQRT2,
     eig_sym,
     psd_project,
     psd_split,
@@ -16,9 +15,9 @@ from sdpadmm.linalg import (
     split_counts,
     svec,
     svec_dim,
-    svec_stack,
     sylvester_solve,
     symmetrize,
+    triangle_maps,
 )
 from sdpadmm.problem import haar_orthogonal
 
@@ -66,24 +65,43 @@ def test_svec_isometry_property(n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
-def test_svec_index_maps_match_the_tril_formulas(n):
+def test_svec_index_maps_match_the_triu_formulas(n):
     rng = np.random.default_rng(n)
-    rows, cols = np.tril_indices(n)
+    rows, cols = np.triu_indices(n)
+    off = rows != cols
+    sqrt2 = np.sqrt(2.0)
+    # Position of (i, j), i <= j, row-major in the upper triangle.
+    assert np.array_equal(rows * n - rows * (rows - 1) // 2 + cols - rows, np.arange(rows.size))
+    upper, weights, mirror = triangle_maps(n)
+    assert np.array_equal(upper, rows * n + cols)
+    assert np.array_equal(weights, np.where(off, 2.0, 1.0))
+    assert np.array_equal(mirror[upper], mirror[cols * n + rows])
+    assert np.array_equal(mirror[upper], np.arange(rows.size))
+    # Built once per n, and read-only.
+    assert triangle_maps(n)[0] is upper
+    assert not any(arr.flags.writeable for arr in (upper, weights, mirror))
     stack = np.stack([random_sym(n, rng) for _ in range(3)])
     # A transposed view reads the same entries as the C-ordered matrix.
     for a in (stack[0], np.asfortranarray(stack[1]), stack[2].T):
         want = a[rows, cols].copy()
-        want[rows != cols] *= SQRT2
+        want[off] *= sqrt2
         assert np.array_equal(svec(a), want)
         w = want.copy()
-        w[rows != cols] /= SQRT2
+        w[off] /= sqrt2
         mat = np.zeros((n, n))
         mat[rows, cols] = w
         mat[cols, rows] = w
         assert np.array_equal(smat(want), mat)
-    want = stack[:, rows, cols].T.copy()
-    want[rows != cols, :] *= SQRT2
-    assert np.array_equal(svec_stack(stack), want)
+    # Along the trailing axes of a stack: one row per matrix, and back.
+    want = stack[:, rows, cols].copy()
+    want[:, off] *= sqrt2
+    assert np.array_equal(svec(stack), want)
+    assert np.array_equal(smat(want), smat(want[None])[0])
+    assert svec(np.zeros((0, n, n))).shape == (0, svec_dim(n))
+    # The trailing k x k block is the last t(k) entries.
+    k = n // 2
+    tail = svec(stack[0])[svec_dim(n) - svec_dim(k) :]
+    assert np.array_equal(tail, svec(stack[0][n - k :, n - k :]))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdpadmm import problem as problem_mod
 from sdpadmm.errors import SdpaFormatError, UnsupportedBlockError
-from sdpadmm.linalg import svec, svec_dim, svec_stack
+from sdpadmm.linalg import svec, svec_dim
 from sdpadmm.problem import (
     SdpProblem,
     apply_A,
@@ -61,6 +61,15 @@ def test_problem_rejects_too_many_constraints():
         SdpProblem(C=np.eye(2), A=a, b=np.zeros(4))
 
 
+def test_problem_rejects_order_zero():
+    # An n = 0 problem has no iterate; it is refused at construction, before
+    # any kernel reads flat position 0 of an empty matrix.
+    with pytest.raises(ValueError, match="n = 0"):
+        SdpProblem(C=np.zeros((0, 0)), A=np.zeros((0, 0, 0)), b=np.zeros(0))
+    with pytest.raises(ValueError, match="n = 0"):
+        SdpProblem.from_table(C=np.zeros((0, 0)), table=np.zeros((0, 0)), b=np.zeros(0))
+
+
 def test_problem_symmetrizes_inputs():
     a = np.array([[[1.0, 2.0], [0.0, 3.0]]])
     p = SdpProblem(C=np.array([[1.0, 1.0], [0.0, 1.0]]), A=a, b=np.ones(1))
@@ -81,7 +90,7 @@ def test_apply_A_matches_svec_product(small_planted):
     p, _, _ = small_planted
     rng = np.random.default_rng(0)
     x = random_sym(p.n, rng)
-    stack = svec_stack(p.A)
+    stack = svec(p.A).T
     assert np.allclose(apply_A(p, x), stack.T @ svec(x), atol=1e-12)
 
 
@@ -157,11 +166,11 @@ def test_projector_orthogonality_and_idempotence(small_planted):
 
 def test_kernel_gram_factorization(small_planted):
     p, _, kern = small_planted
-    stack = svec_stack(p.A)
+    stack = svec(p.A).T
     assert np.array_equal(p.R, np.triu(p.R)) and p.R.flags.f_contiguous
     assert np.allclose(p.R.T @ p.R, stack.T @ stack, rtol=1e-10, atol=0)
     # The rows of B = R^-T A are orthonormal in the trace inner product.
-    basis = svec_stack(apply_Bt(kern, np.eye(p.m)))
+    basis = svec(apply_Bt(kern, np.eye(p.m))).T
     assert np.linalg.norm(basis.T @ basis - np.eye(p.m)) <= 1e-13 * p.m
     assert np.linalg.norm(apply_A(p, kern.at_pinv_b) - p.b) <= 1e-10 * max(
         1.0, np.linalg.norm(p.b)
@@ -371,7 +380,7 @@ def test_cond_R_is_the_condition_number_of_R():
 
 # Oracle: test-local copy of the dense-stack operator that the packed table
 # replaced: gemv/gemm on the flattened (m, n*n) stack, the Gram matrix from
-# svec_stack, and scipy's cho_factor/cho_solve.
+# svec, and scipy's cho_factor/cho_solve.
 
 
 class DenseStackOracle:
@@ -380,7 +389,7 @@ class DenseStackOracle:
         self.stack = 0.5 * (a + a.transpose(0, 2, 1))
         m, n, _ = self.stack.shape
         self.m, self.n = m, n
-        sv = svec_stack(self.stack) if m > 0 else np.zeros((svec_dim(n), 0))
+        sv = svec(self.stack).T if m > 0 else np.zeros((svec_dim(n), 0))
         self.gram = sv.T @ sv
         self.cho = scipy.linalg.cho_factor(self.gram) if m > 0 else None
 
@@ -692,6 +701,15 @@ def test_sdpa_io_matches_loop_oracle(tmp_path, comment):
         back = load_sdpa(new)
         _assert_same_problem(back, old_load_sdpa(new))
         _assert_same_problem(back, prob)
+
+
+@pytest.mark.parametrize("idx", [0, 3, 5], ids=["planted", "maxcut", "special"])
+def test_svec_of_the_constraints_is_the_weighted_table(idx):
+    # One packed order: svec(A_i) is row i of the table with its off-diagonal
+    # entries scaled by sqrt(2), bit for bit.
+    p = _oracle_problems()[idx]
+    iu, ju = np.triu_indices(p.n)
+    assert np.array_equal(svec(p.A), p.table * np.sqrt(np.where(iu == ju, 1.0, 2.0)))
 
 
 def test_load_sdpa_sdplib_style_matches_loop_oracle(tmp_path):

@@ -356,7 +356,7 @@ def test_one_constraint_pass_each_way_per_iteration(monkeypatch, small_planted):
     assert t.calls == {
         "eig": extractions,
         "constraint_op": long["apply_A"] + long["apply_B"] + long["apply_Bt"],
-        "normal_solve": extractions,
+        "primal_residual": extractions,
         "record": len(records),
     }
     assert set(t.seconds) == set(PHASES) and all(v >= 0.0 for v in t.seconds.values())
