@@ -5,9 +5,11 @@ classification, and minimal-face trace diagnostics."""
 
 from .diagnostics import (
     ComplementarityReport,
+    EigenFrame,
     NondegeneracyReport,
     RateFit,
     backward_error_terms,
+    eigen_frame,
     face_projections,
     nd_check,
     rank_trace,
@@ -47,6 +49,7 @@ from .linearization import (
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
+    rotated_M,
 )
 from .problem import (
     ConstraintKernel,

@@ -148,26 +148,39 @@ def _load_edge_list(path):
     count, then one '1-based i j' pair per line."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if line:
-                entries.append(line.split())
+                entries.append((number, line))
     if not entries:
         raise ValueError(f"edge list {path} is empty")
-    n = int(entries[0][0])
+
+    def integers(entry, count, what):
+        # The first ``count`` tokens of a data line as integers; a ValueError
+        # names the file and the 1-based line number and text.
+        number, line = entry
+        tokens = line.split()
+        try:
+            if len(tokens) < count:
+                raise ValueError
+            return [int(tok) for tok in tokens[:count]]
+        except ValueError:
+            raise ValueError(f"edge list {path}: line {number} {line!r} is not {what}") from None
+
+    (n,) = integers(entries[0], 1, "a vertex count")
     if n < 1:
         raise ValueError(f"edge list {path}: vertex count {n} is below 1")
     try:
         adj = np.zeros((n, n))
     except MemoryError as exc:
         raise ValueError(f"edge list {path}: vertex count {n} needs {8 * n * n} bytes") from exc
-    for tok in entries[1:]:
-        if len(tok) < 2:
-            raise ValueError(f"edge list {path}: line {' '.join(tok)!r} is not an 'i j' pair")
-        i, j = int(tok[0]) - 1, int(tok[1]) - 1
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"bad edge ({tok[0]}, {tok[1]}) for n = {n}")
-        adj[i, j] = adj[j, i] = 1.0
+    for entry in entries[1:]:
+        i, j = integers(entry, 2, "an 'i j' pair")
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise ValueError(
+                f"edge list {path}: line {entry[0]} has bad edge ({i}, {j}) for n = {n}"
+            )
+        adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1.0
     return adj
 
 
@@ -251,9 +264,13 @@ def diagnose_run(run_dir):
 
     The run is replayed against its own limit for exactly the recorded
     iterations, with no time limit, so a time-limited run is analysed on the
-    trajectory it took. A norm or ``Fix(M)`` that fails
-    numerically leaves its fields ``None`` and sets ``failure``; a malformed
-    ``summary.json`` raises ``ValueError`` naming the file or the field."""
+    trajectory it took. The rank tests, ``Fix(M)`` and both norms read one
+    rotation of the constraints into the limit's eigenbasis. A norm or
+    ``Fix(M)`` that is not computed stays ``None``, with the reason under
+    ``skipped``; one that fails numerically also sets ``failure``.
+    ``operator_applications`` counts the operator applications of each
+    Lanczos estimate. A malformed ``summary.json`` raises ``ValueError``
+    naming the file or the field."""
     summary_path = os.path.join(run_dir, "summary.json")
     z_path = os.path.join(run_dir, "z_final.npy")
     if not (os.path.exists(summary_path) and os.path.exists(z_path)):
@@ -268,15 +285,18 @@ def diagnose_run(run_dir):
 
     dec = eig_sym(z_final)
     sc = diagnostics.sc_check(dec)
+    frame = diagnostics.eigen_frame(kernel, dec.Q)
     report = {
         "run": run_dir,
         "status": summary["status"],
         "sc": sc.__dict__,
-        "nd": diagnostics.nd_check(prob, dec).__dict__,
+        "nd": diagnostics.nd_check(prob, dec, frame).__dict__,
         "k_id": None,
         "op_norm_M": None,
         "op_norm_M_minus_fix": None,
         "fix_dim": None,
+        "skipped": {},
+        "operator_applications": {},
         "failure": None,
         "fits": [],
         "provenance": _provenance(),
@@ -291,13 +311,19 @@ def diagnose_run(run_dir):
     if sc.sc_holds:
         os_ = linearization.build_omega(dec)
         try:
-            report["op_norm_M"] = linearization.op_norm_M(os_, kernel)
-            fix = linearization.fix_basis(os_, kernel)
+            report["op_norm_M"] = linearization.op_norm_M(os_, kernel, frame)
+            fix = linearization.fix_basis(os_, kernel, frame)
             report["fix_dim"] = fix.dim
-            report["op_norm_M_minus_fix"] = linearization.op_norm_M_minus_fix(os_, kernel, fix)
+            report["op_norm_M_minus_fix"] = linearization.op_norm_M_minus_fix(
+                os_, kernel, fix, frame
+            )
         except NumericalFailureError as exc:
             # Report what was computed; the norms left unset stay None.
             report["failure"] = {"message": str(exc), "details": exc.details}
+    report["operator_applications"] = frame.applications
+    reason = "numerical failure" if sc.sc_holds else "strict complementarity fails"
+    unset = [key for key in ("op_norm_M", "fix_dim", "op_norm_M_minus_fix") if report[key] is None]
+    report["skipped"] = dict.fromkeys(unset, reason)
 
     if summary["status"] == SolveStatus.CONVERGED.value and records:
         idx_id = next((i for i, r in enumerate(records) if r.k == k_id), 0) if k_id is not None else 0
@@ -334,11 +360,16 @@ def _cmd_diagnose(args):
     print(f"primal ND       {holds[nd['primal_nd']]}")
     print(f"dual ND         {holds[nd['dual_nd']]}")
     print(f"rank id at k    {report['k_id']}")
+    applications = report["operator_applications"]
     if report["op_norm_M"] is not None:
-        print(f"||M||           {report['op_norm_M']:.6f}")
+        print(f"||M||           {report['op_norm_M']:.6f}  "
+              f"({applications['op_norm_M']} operator applications)")
     if report["op_norm_M_minus_fix"] is not None:
         print(f"||M - P_Fix||   {report['op_norm_M_minus_fix']:.6f}  "
-              f"(dim Fix = {report['fix_dim']})")
+              f"(dim Fix = {report['fix_dim']}, "
+              f"{applications['op_norm_M_minus_fix']} operator applications)")
+    for key, reason in report["skipped"].items():
+        print(f"skipped         {key}: {reason}")
     if failure is not None:
         print(f"norm failure    {failure['message']}")
     for f in report["fits"]:

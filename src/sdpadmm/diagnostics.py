@@ -9,21 +9,24 @@ scaled KKT system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     SpectralDecomp,
     eig_sym,
+    leading_block,
     null_space,
     rotate_to_eigenbasis,
     split_counts,
     svec,
     svec_dim,
+    svec_order,
     symmetrize,
 )
-from .problem import ConstraintKernel, SdpProblem, project_null, project_range
+from .problem import ConstraintKernel, SdpProblem, basis_coords, project_null, project_range
 
 RATE_WINDOW_FRAC = 0.3
 RATE_MIN_WINDOW = 10
@@ -87,32 +90,67 @@ class NondegeneracyReport:
     dual_nd: bool
 
 
+@dataclass
+class EigenFrame:
+    """The constraints in the eigenbasis Q of a reference, formed once per
+    reference, in the svec coordinates v = svec(Q'HQ) of S^n:
+
+    - ``at`` (m, t(n)), row i svec(Q'A_iQ), the rotated table: its first
+      t(n) - t(n - r) columns give the primal witness and its leading-block
+      columns the dual one;
+    - ``bt`` = R^-T at, with orthonormal rows: B(H) = bt @ v, and the range
+      projector P is v -> bt'(bt v);
+    - ``applications``: how many times each Lanczos estimate run on the
+      frame applied its operator op* o op, by estimate name.
+    """
+
+    at: np.ndarray
+    bt: np.ndarray
+    applications: dict = field(default_factory=dict)
+
+
+def _rotated_table(p: SdpProblem, q):
+    """svec(Q'A_iQ) for every constraint: the (m, t(n)) table of the
+    constraints in the orthonormal basis Q."""
+    return svec(q.T @ p.A @ q)
+
+
+def eigen_frame(kernel: ConstraintKernel, q) -> EigenFrame:
+    """The :class:`EigenFrame` of the problem of ``kernel`` in the basis Q."""
+    at = _rotated_table(kernel.problem, q)
+    return EigenFrame(at=at, bt=basis_coords(kernel, at))
+
+
 def primal_witness(at, r):
     """Basis (m, d) of the null space of y -> the first t(n) - t(n - r)
-    entries of svec(A~(y)), for the rotated stack ``at`` = (A~_i): the
-    isometric image of A*(y) outside the trailing block."""
-    n = at.shape[-1]
-    return null_space(svec(at)[:, : svec_dim(n) - svec_dim(n - r)].T)
+    entries of svec(A~(y)), for the rotated table ``at``: the isometric
+    image of A*(y) outside the trailing block."""
+    n = svec_order(at.shape[1])
+    return null_space(at[:, : svec_dim(n) - svec_dim(n - r)].T)
 
 
 def dual_witness(at, k):
     """Basis (t(k), d), in svec coordinates, of the U in S^k with
-    <A~_i[:k, :k], U> = 0 for every i."""
-    return null_space(svec(at[:, :k, :k]))
+    <A~_i[:k, :k], U> = 0 for every i, for the rotated table ``at``."""
+    return null_space(at[:, leading_block(svec_order(at.shape[1]), k)])
 
 
-def nd_check(p: SdpProblem, dec: SpectralDecomp) -> NondegeneracyReport:
+def nd_check(
+    p: SdpProblem, dec: SpectralDecomp, frame: EigenFrame | None = None
+) -> NondegeneracyReport:
     """Primal and dual nondegeneracy at the split of ``dec``.
 
     ``dec`` is the eigendecomposition of the limit Zstar; its positive block
     carries the primal rank r and its negative block the dual rank s. The
     split and both witness spaces use ``linalg.RANK_TAU``, as ``fix_basis``
     does, so each witness dimension is that family's share of dim Fix(M).
+    The witnesses read ``frame.at`` when given a frame of ``dec.Q``, and
+    rotate the constraints here otherwise.
     """
     if dec.n != p.n:
         raise ValueError(f"decomposition dimension {dec.n} != problem dimension {p.n}")
     r, s = split_counts(dec.lam)
-    at = rotate_to_eigenbasis(dec, p.A)
+    at = _rotated_table(p, dec.Q) if frame is None else frame.at
     primal = primal_witness(at, r).shape[1]
     dual = dual_witness(at, p.n - s).shape[1]
     return NondegeneracyReport(
@@ -160,14 +198,33 @@ def face_projections(dec: SpectralDecomp, x, s_mat, sigma):
     The primal face zeroes the leading r x r block, the dual face the trailing
     s x s block; near-zero eigenvalues are lumped with the other side.
     """
+    return face_norms(dec)(np.asarray(x, dtype=float), sigma * np.asarray(s_mat, dtype=float))
+
+
+def face_norms(dec: SpectralDecomp):
+    """:func:`face_projections` at ``dec`` as a function of (X, sigma*S),
+    with the split of ``dec`` counted once: each call is two rotations and
+    three norms sqrt(v.v), which is what ``np.linalg.norm`` computes."""
     r, s = split_counts(dec.lam)
-    n = dec.n
-    tx = rotate_to_eigenbasis(dec, np.asarray(x, dtype=float))
-    ts = rotate_to_eigenbasis(dec, sigma * np.asarray(s_mat, dtype=float))
-    ho = float(np.linalg.norm(tx[r:, :r] - ts[r:, :r]))
-    tx[:r, :r] = 0.0
-    ts[n - s :, n - s :] = 0.0
-    return float(np.linalg.norm(tx)), float(np.linalg.norm(ts)), ho
+    k = dec.n - s
+    q = dec.Q
+
+    def norms(x, sig_s):
+        # Q'XQ as ``rotate_to_eigenbasis`` forms it, so the norms are the same
+        # bits.
+        tx = q.T @ x @ q
+        ts = q.T @ sig_s @ q
+        ho = _fro(tx[r:, :r] - ts[r:, :r])
+        tx[:r, :r] = 0.0
+        ts[k:, k:] = 0.0
+        return _fro(tx), _fro(ts), ho
+
+    return norms
+
+
+def _fro(a):
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,27 @@ def svec(a):
     return np.sqrt(weights) * a.reshape(a.shape[:-2] + (n * n,)).take(upper, axis=-1)
 
 
-def smat(v):
-    """Inverse of :func:`svec`, along the last axis."""
-    v = np.asarray(v, dtype=float)
-    t = v.shape[-1]
+def svec_order(t):
+    """The order n with t(n) = t; ValueError if t is not triangular."""
     n = int(round((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0))
     if svec_dim(n) != t:
         raise ValueError(f"vector length {t} is not a triangular number")
+    return n
+
+
+def leading_block(n, k):
+    """Positions, in the packed order of order n, of the entries of the
+    leading k x k block, listed in the packed order of order k: on a matrix
+    that vanishes outside that block, ``svec`` read there is the svec of the
+    block."""
+    i, j = np.divmod(triangle_maps(k)[0], k)
+    return triangle_maps(n)[2][i * n + j]
+
+
+def smat(v):
+    """Inverse of :func:`svec`, along the last axis."""
+    v = np.asarray(v, dtype=float)
+    n = svec_order(v.shape[-1])
     _, weights, mirror = triangle_maps(n)
     return (v / np.sqrt(weights)).take(mirror, axis=-1).reshape(v.shape[:-1] + (n, n))
 

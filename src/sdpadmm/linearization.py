@@ -16,8 +16,11 @@ error. M is firmly nonexpansive; its fixed subspace and the operator norms
 ||M|| and ||M - Pi_Fix|| govern the local contraction rate; both are computed
 by Lanczos (ARPACK) on the self-adjoint composition op* o op.
 
-All Hadamard products act in the rotated coordinates of the reference
-eigenbasis; the range projector P acts in the original coordinates.
+In ``apply_M`` and ``apply_M_adjoint``, the definitions, the Hadamard
+products act in the rotated coordinates of the reference eigenbasis and the
+range projector P in the original ones. The norms and Fix(M) work in the
+svec coordinates of the eigenbasis alone (``diagnostics.EigenFrame``), where
+Omega o is elementwise and P is two passes over the rotated basis.
 """
 
 from __future__ import annotations
@@ -26,10 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import dual_witness, primal_witness
+from .diagnostics import EigenFrame, dual_witness, eigen_frame, primal_witness
 from .errors import NumericalFailureError
-from .linalg import RANK_TAU, SpectralDecomp, psd_project, smat, svec, svec_dim, symmetrize
-from .problem import ConstraintKernel, apply_Bt, project_range
+from .linalg import (
+    RANK_TAU,
+    SpectralDecomp,
+    leading_block,
+    psd_project,
+    smat,
+    svec_dim,
+    symmetrize,
+    triangle_maps,
+)
+from .problem import ConstraintKernel, project_range
 
 NORM_TOL = 1e-12
 
@@ -151,42 +163,75 @@ def psi_residual(os_: OmegaStructure, kernel: ConstraintKernel, z, zstar):
     return e - 2.0 * project_range(kernel, e)
 
 
-def _op_norm(apply_op, apply_op_adj, n):
-    """Operator norm of a linear map on S^n: the square root of the largest
-    eigenvalue of the self-adjoint composition op* o op, found by Lanczos
-    (ARPACK ``eigsh``) in svec coordinates from a fixed seeded start vector,
-    so repeated calls return identical values. For n = 1, below ARPACK's
-    minimum size, the norm is |op(E11)|."""
+def rotated_M(os_: OmegaStructure, frame: EigenFrame):
+    """M~ and its adjoint: M and M* on the svec coordinates v = svec(Q'HQ)
+    of the frame of ``os_.Q``. With w the entries of Omega in
+    ``triangle_maps`` order and P~v = bt'(bt v),
+
+        M~v = w o v + P~(v - 2 w o v),   M~*g = P~g + w o (g - 2 P~g).
+
+    An application is elementwise work and two passes over ``bt``: no smat,
+    svec or rotation."""
+    w = os_.omega.reshape(-1).take(triangle_maps(os_.n)[0])
+    bt = frame.bt
+
+    def op(v):
+        g = w * v
+        return g + (bt @ (v - 2.0 * g)) @ bt
+
+    def adjoint(g):
+        pg = (bt @ g) @ bt
+        return pg + w * (g - 2.0 * pg)
+
+    return op, adjoint
+
+
+def _op_norm(apply_op, apply_op_adj, frame, name):
+    """Operator norm of a linear map on the t(n) svec coordinates of
+    ``frame``: the square root of the largest eigenvalue of the self-adjoint
+    composition op* o op, found by Lanczos (ARPACK ``eigsh``) from a fixed
+    seeded start vector, so repeated calls return identical values. The
+    number of applications of op* o op is stored in
+    ``frame.applications[name]``. For t(n) = 1, below ARPACK's minimum
+    size, the norm is |op(1)|, from one application of op."""
     # Imported here: only diagnose estimates norms, and loading ARPACK would
     # add resident memory to every solve and eb-verify run.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    t = svec_dim(n)
+    t = frame.bt.shape[1]
     if t == 1:
-        return float(np.linalg.norm(apply_op(np.ones((1, 1)))))
-    gram = LinearOperator(
-        (t, t), matvec=lambda v: svec(apply_op_adj(apply_op(smat(v)))), dtype=float
-    )
+        frame.applications[name] = 1
+        return float(abs(apply_op(np.ones(1))[0]))
+    count = 0
+
+    def gram(v):
+        nonlocal count
+        count += 1
+        return apply_op_adj(apply_op(v))
+
     v0 = np.random.default_rng(0).standard_normal(t)
     try:
-        lam = eigsh(gram, k=1, which="LA", v0=v0, tol=NORM_TOL, return_eigenvectors=False)
+        lam = eigsh(
+            LinearOperator((t, t), matvec=gram, dtype=float),
+            k=1, which="LA", v0=v0, tol=NORM_TOL, return_eigenvectors=False,
+        )
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(
             "Lanczos did not converge for the operator norm",
             svec_dim=t,
             converged=len(exc.eigenvalues),
         ) from exc
+    frame.applications[name] = count
     return float(np.sqrt(max(lam[0], 0.0)))
 
 
-def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel):
-    """||M|| by Lanczos on M* o M. At most 1 (up to roundoff) by firm
-    nonexpansiveness; strictly below 1 exactly when Fix(M) = {0}."""
-    return _op_norm(
-        lambda h: apply_M(os_, kernel, h),
-        lambda g: apply_M_adjoint(os_, kernel, g),
-        os_.n,
-    )
+def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None):
+    """||M|| by Lanczos on M~* o M~ in the frame of ``os_.Q`` (made here
+    when not given). At most 1 (up to roundoff) by firm nonexpansiveness;
+    strictly below 1 exactly when Fix(M) = {0}."""
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
+    return _op_norm(*rotated_M(os_, frame), frame, "op_norm_M")
 
 
 @dataclass
@@ -200,6 +245,7 @@ class FixSubspace:
 
     basis: np.ndarray  # (dim, n, n)
     dim: int
+    rows: np.ndarray  # (dim, t(n)): svec(Q' basis_k Q) in the reference eigenbasis
 
     def project(self, h):
         if self.dim == 0:
@@ -208,36 +254,51 @@ class FixSubspace:
         return np.einsum("k,kij->ij", coef, self.basis)
 
 
-def fix_basis(os_: OmegaStructure, kernel: ConstraintKernel) -> FixSubspace:
-    """Construct Fix(M) explicitly from the rotated constraints.
+def fix_basis(
+    os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None
+) -> FixSubspace:
+    """Construct Fix(M) explicitly from the rotated constraints of the frame
+    of ``os_.Q`` (made here when not given).
 
-    Two independent families: leading-block members Q1 U Q1' for U in the
-    dual witness space (A annihilates them), and trailing-block members A*(y)
-    for y in the primal witness space (they lie in range(A*) and vanish
-    outside the trailing block). The first family is orthonormal through svec.
-    The second is B*q for the orthonormal columns q of a QR of R y, since
-    A*(y) = B*(R y). The families live in orthogonal coordinate blocks, so
-    stacking keeps orthonormality.
+    Two independent families, built as rows in the svec coordinates of the
+    eigenbasis: leading-block members Q1 U Q1' for U in the dual witness
+    space (A annihilates them), and trailing-block members A*(y) for y in the
+    primal witness space (they lie in range(A*) and vanish outside the
+    trailing block). The first family is orthonormal through svec. The
+    second is B*q for the orthonormal columns q of a QR of R y, since
+    A*(y) = B*(R y); its rows are q' bt. The families live in orthogonal
+    coordinate blocks, so stacking keeps orthonormality.
     """
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
     n, r = os_.n, os_.r
-    at = os_.rotate_in(kernel.problem.A)
-    q1 = os_.Q[:, :r]
-    members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, r).T]
-    y = primal_witness(at, r)
-    if y.shape[1]:
-        q, _ = np.linalg.qr(kernel.problem.R @ y)
-        members.extend(apply_Bt(kernel, q.T))
-    basis = np.stack(members, axis=0) if members else np.zeros((0, n, n))
-    return FixSubspace(basis=basis, dim=basis.shape[0])
+    u = dual_witness(frame.at, r)
+    lead = np.zeros((u.shape[1], svec_dim(n)))
+    lead[:, leading_block(n, r)] = u.T
+    q, _ = np.linalg.qr(kernel.problem.R @ primal_witness(frame.at, r))
+    rows = np.vstack([lead, q.T @ frame.bt])
+    return FixSubspace(basis=os_.rotate_out(smat(rows)), dim=rows.shape[0], rows=rows)
 
 
-def op_norm_M_minus_fix(os_: OmegaStructure, kernel: ConstraintKernel, fix: FixSubspace):
-    """||M - Pi_Fix|| by Lanczos, strictly below one; raises
+def op_norm_M_minus_fix(
+    os_: OmegaStructure,
+    kernel: ConstraintKernel,
+    fix: FixSubspace,
+    frame: EigenFrame | None = None,
+):
+    """||M - Pi_Fix|| by Lanczos on the rotated operators of the frame of
+    ``os_.Q`` (made here when not given), strictly below one; raises
     NumericalFailureError if the computed value does not clear 1 - 1e-8."""
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
+    op, adjoint = rotated_M(os_, frame)
+    # Pi_Fix is self-adjoint: v -> F'(F v) for the rows F of the basis.
+    f = fix.rows
     value = _op_norm(
-        lambda h: apply_M(os_, kernel, h) - fix.project(h),
-        lambda g: apply_M_adjoint(os_, kernel, g) - fix.project(g),
-        os_.n,
+        lambda v: op(v) - (f @ v) @ f,
+        lambda g: adjoint(g) - (f @ g) @ f,
+        frame,
+        "op_norm_M_minus_fix",
     )
     if value >= 1.0 - 1e-8:
         raise NumericalFailureError(

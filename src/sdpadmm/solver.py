@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import face_projections
+from .diagnostics import face_norms
 from .errors import NumericalFailureError, require_integer, require_number
 from .linalg import SpectralDecomp, SpectralSplit, eig_sym, psd_split, split_counts, symmetrize
 from .problem import (
@@ -262,7 +262,7 @@ def solve(
     sigma = cfg.sigma
     const = _step_const(kernel, sigma)
     scales = _scales(p)
-    ref_dec = eig_sym(reference) if reference is not None else None
+    faces = face_norms(eig_sym(reference)) if reference is not None else None
     timings = PhaseTimings()
     z = initial_z(p, cfg)
     # Basis coordinates of const and Z0, which the loop carries, and of C,
@@ -291,13 +291,11 @@ def solve(
             lam_min_abs_z=float(np.min(np.abs(dec.lam))),
             norm_z_diff=step,
         )
-        if ref_dec is not None:
+        if faces is not None:
             rec.h_norm = float(np.linalg.norm(z_cur - reference))
             # Q'(X - sigma*S)Q has the off-block of Q'(Z - reference)Q,
             # because Q'(reference)Q is diagonal.
-            rec.face_x_norm, rec.face_s_norm, rec.ho_norm = face_projections(
-                ref_dec, x_part, neg_part, 1.0
-            )
+            rec.face_x_norm, rec.face_s_norm, rec.ho_norm = faces(x_part, neg_part)
         if keep_z:
             rec.z = z_cur.copy()
         return rec

@@ -450,11 +450,15 @@ def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
     assert report["k_id"] is not None
     assert report["op_norm_M"] is not None and report["op_norm_M"] < 1.0
     assert report["failure"] is None
+    assert report["skipped"] == {}
+    counts = report["operator_applications"]
+    assert set(counts) == {"op_norm_M", "op_norm_M_minus_fix"} and min(counts.values()) > 0
     assert any(f["sequence"] == "h_norm" for f in report["fits"])
     for fit in report["fits"]:
         if fit["sequence"] == "h_norm":
             assert fit["rho_hat"] <= report["op_norm_M"] + 0.02
     assert "SC              holds" in captured.out
+    assert f"({counts['op_norm_M']} operator applications)" in captured.out
     # diagnose writes only diagnostics.json; what solve wrote stays as it was.
     assert main(["diagnose", "--run", str(out)]) == 0
     assert main(["diagnose", "--run", str(out), "--out", str(tmp_path / "elsewhere")]) == 0
@@ -556,9 +560,35 @@ def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypat
     }
     assert report["op_norm_M_minus_fix"] is None
     assert report["op_norm_M"] is not None and report["fix_dim"] == 0
+    assert report["skipped"] == {"op_norm_M_minus_fix": "numerical failure"}
+    assert list(report["operator_applications"]) == ["op_norm_M"]
     assert report["sc"]["sc_holds"] is True
     assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
     assert "norm failure" in captured.out
+    assert "skipped         op_norm_M_minus_fix: numerical failure" in captured.out
+
+
+def test_diagnose_says_why_it_skipped_the_norms(planted_manifest, capsys):
+    # A limit with a zero eigenvalue fails strict complementarity: the norms
+    # and Fix(M) are not computed, and the report says why.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    dec = linalg.eig_sym(np.load(out / "z_final.npy"))
+    lam = dec.lam.copy()
+    lam[np.argmin(np.abs(lam))] = 0.0
+    np.save(out / "z_final.npy", linalg.symmetrize((dec.Q * lam) @ dec.Q.T))
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert cli.diagnose_run(str(out)) == report
+    assert report["sc"]["sc_holds"] is False
+    quantities = ["op_norm_M", "fix_dim", "op_norm_M_minus_fix"]
+    assert report["skipped"] == dict.fromkeys(quantities, "strict complementarity fails")
+    assert all(report[key] is None for key in quantities)
+    assert report["operator_applications"] == {} and report["failure"] is None
+    for key in quantities:
+        assert f"skipped         {key}: strict complementarity fails" in captured.out
 
 
 def test_diagnose_missing_artifacts(tmp_path, capsys):
@@ -757,6 +787,33 @@ def test_zero_size_problems_are_refused(tmp_path, capsys, source, command, messa
     if source != "sdpa":
         assert str(path) in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abc\n1 2\n", "line 1 'abc' is not a vertex count"),
+        ("# a path\n3\n1 2\n1 x\n", "line 4 '1 x' is not an 'i j' pair"),
+        ("3\n1 2\n2 7\n", "line 3 has bad edge (2, 7) for n = 3"),
+    ],
+    ids=["count", "edge", "range"],
+)
+def test_edge_list_errors_name_the_file_and_line(tmp_path, capsys, command, text, message):
+    edges = tmp_path / "graph.txt"
+    edges.write_text(text)
+    out = tmp_path / "o"
+    if command == "solve":
+        manifest = write_manifest(
+            tmp_path / "m.json", generator={"kind": "maxcut", "edges": str(edges)}, out=str(out)
+        )
+        argv = ["solve", "--manifest", manifest]
+    else:
+        argv = ["generate", "maxcut", "--edges", str(edges), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: edge list {edges}: {message}\n"
     assert not out.exists()
 
 

@@ -194,16 +194,16 @@ def test_witnesses_match_the_offblock_oracle(n, m, r, degeneracy):
         dec = eig_sym(cert.zstar(1.0))
         at = rotate_to_eigenbasis(dec, prob.A)
         rk, s = split_counts(dec.lam)
-        _assert_same_span(primal_witness(at, rk), _offblock_primal_witness(at, rk))
-        _assert_same_span(dual_witness(at, n - s), _tril_dual_witness(at, n - s))
+        _assert_same_span(primal_witness(svec(at), rk), _offblock_primal_witness(at, rk))
+        _assert_same_span(dual_witness(svec(at), n - s), _tril_dual_witness(at, n - s))
 
 
 @pytest.mark.parametrize("r", [0, 2, 5])
 def test_witnesses_without_constraints_match_the_offblock_oracle(r):
     at = np.zeros((0, 5, 5))
-    assert primal_witness(at, r).shape == _offblock_primal_witness(at, r).shape == (0, 0)
-    _assert_same_span(dual_witness(at, r), _tril_dual_witness(at, r))
-    assert dual_witness(at, r).shape == (svec_dim(r), svec_dim(r))
+    assert primal_witness(svec(at), r).shape == _offblock_primal_witness(at, r).shape == (0, 0)
+    _assert_same_span(dual_witness(svec(at), r), _tril_dual_witness(at, r))
+    assert dual_witness(svec(at), r).shape == (svec_dim(r), svec_dim(r))
 
 
 def test_nd_check_and_fix_basis_share_one_threshold():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpadmm.diagnostics import dual_witness, eigen_frame, nd_check, primal_witness
 from sdpadmm.elimination import run_elimination
 from sdpadmm.errors import NumericalFailureError
-from sdpadmm.linalg import RANK_TAU, eig_sym, psd_project, smat, svec, svec_dim
+from sdpadmm.linalg import RANK_TAU, SpectralDecomp, eig_sym, psd_project, smat, svec, svec_dim
 from sdpadmm.problem import (
     SdpProblem,
+    apply_Bt,
     build_kernel,
     generate_planted,
     haar_orthogonal,
@@ -28,6 +30,7 @@ from sdpadmm.linearization import (
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
+    rotated_M,
 )
 from sdpadmm.solver import SolverConfig, solve, step_fixed_point
 
@@ -394,6 +397,109 @@ def test_op_norm_minus_fix_degenerate_matches_dense(diagnose_shape):
         h, g = random_sym(n, rng), random_sym(n, rng)
         assert np.linalg.norm(fix.project(fix.project(h)) - fix.project(h)) <= 1e-10
         assert abs(np.sum(fix.project(h) * g) - np.sum(h * fix.project(g))) <= 1e-10
+
+
+# -- the eigenbasis frame ------------------------------------------------------
+
+
+def _stack_fix_basis(os_, kern):
+    """Oracle: Fix(M) as built before the frame, from the rotated (m, n, n)
+    stack, with the leading family Q1 smat(u) Q1' and the trailing family
+    B*q formed by apply_Bt."""
+    at = svec(os_.rotate_in(kern.problem.A))
+    q1 = os_.Q[:, : os_.r]
+    members = [q1 @ smat(u) @ q1.T for u in dual_witness(at, os_.r).T]
+    q, _ = np.linalg.qr(kern.problem.R @ primal_witness(at, os_.r))
+    members.extend(apply_Bt(kern, q.T))
+    return np.stack(members) if members else np.zeros((0, os_.n, os_.n))
+
+
+def _frame_cases(diagnose_shape, small_planted):
+    p, cert, kern = small_planted
+    yield build_omega(eig_sym(cert.zstar(1.0))), kern
+    yield diagnose_shape[:2]
+    os_, kern, _ = degenerate_limit(7, 12, 2, instance_seed=6, seed=1)
+    yield os_, kern
+
+
+def test_rotated_M_matches_the_matrix_operators(diagnose_shape, small_planted):
+    for os_, kern in _frame_cases(diagnose_shape, small_planted):
+        frame = eigen_frame(kern, os_.Q)
+        assert np.linalg.norm(frame.bt @ frame.bt.T - np.eye(kern.problem.m)) <= 1e-12
+        op, adjoint = rotated_M(os_, frame)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            v = rng.standard_normal(svec_dim(os_.n))
+            h = os_.rotate_out(smat(v))
+            want = svec(os_.rotate_in(apply_M(os_, kern, h)))
+            assert np.linalg.norm(op(v) - want) <= 1e-12 * np.linalg.norm(v)
+            want = svec(os_.rotate_in(apply_M_adjoint(os_, kern, h)))
+            assert np.linalg.norm(adjoint(v) - want) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_fix_rows_are_the_rotated_basis(diagnose_shape, small_planted):
+    for os_, kern in _frame_cases(diagnose_shape, small_planted):
+        frame = eigen_frame(kern, os_.Q)
+        fix = fix_basis(os_, kern, frame)
+        assert fix.rows.shape == (fix.dim, svec_dim(os_.n))
+        assert np.linalg.norm(fix.rows - svec(os_.rotate_in(fix.basis))) <= 1e-12
+        assert np.linalg.norm(fix.rows @ fix.rows.T - np.eye(fix.dim)) <= 1e-12
+        # The same subspace as the stack construction: equal projectors.
+        old = svec(_stack_fix_basis(os_, kern))
+        new = svec(fix.basis)
+        assert old.shape == new.shape
+        assert np.linalg.norm(old.T @ old - new.T @ new) <= 1e-12
+
+
+def test_one_frame_gives_the_per_function_witnesses(diagnose_shape, small_planted):
+    # nd_check and fix_basis read the frame's table; alone, each rotates the
+    # constraints itself. The witness dimensions and Fix(M) are the same.
+    for os_, kern in _frame_cases(diagnose_shape, small_planted):
+        prob = kern.problem
+        dec = SpectralDecomp(Q=os_.Q, lam=os_.lam)
+        frame = eigen_frame(kern, dec.Q)
+        assert nd_check(prob, dec, frame) == nd_check(prob, dec)
+        shared, alone = fix_basis(os_, kern, frame), fix_basis(os_, kern)
+        assert shared.dim == alone.dim == _stack_fix_basis(os_, kern).shape[0]
+        assert np.array_equal(shared.rows, alone.rows)
+
+
+def test_norm_estimates_count_their_applications(diagnose_shape):
+    os_, kern, fix = diagnose_shape
+    frame = eigen_frame(kern, os_.Q)
+    norm_m = op_norm_M(os_, kern, frame)
+    norm_mf = op_norm_M_minus_fix(os_, kern, fix, frame)
+    counts = dict(frame.applications)
+    assert set(counts) == {"op_norm_M", "op_norm_M_minus_fix"}
+    assert all(isinstance(c, int) and c > 0 for c in counts.values())
+    assert op_norm_M(os_, kern, frame) == norm_m == op_norm_M(os_, kern)
+    assert op_norm_M_minus_fix(os_, kern, fix, frame) == norm_mf
+    assert frame.applications == counts
+
+
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.data(),
+    st.sampled_from(["none", "primal_nd_fail"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_rotated_M_properties(n, data, degeneracy, seed):
+    # A primal witness needs a trailing block of order at least 2.
+    r = data.draw(st.integers(1, n - 2 if degeneracy == "primal_nd_fail" else n - 1))
+    m = data.draw(st.integers(1, svec_dim(n) - 1))
+    prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
+    kern = build_kernel(prob)
+    os_ = build_omega(eig_sym(cert.zstar(1.0)))
+    op, adjoint = rotated_M(os_, eigen_frame(kern, os_.Q))
+    rng = np.random.default_rng(seed)
+    v, g = rng.standard_normal((2, svec_dim(n)))
+    mv = op(v)
+    norm_v, norm_g = np.linalg.norm(v), np.linalg.norm(g)
+    assert np.linalg.norm(mv) <= (1.0 + 1e-12) * norm_v
+    assert abs(mv @ g - v @ adjoint(g)) <= 1e-12 * norm_v * norm_g
+    want = svec(os_.rotate_in(apply_M(os_, kern, os_.rotate_out(smat(v)))))
+    assert np.linalg.norm(mv - want) <= 1e-12 * norm_v
 
 
 # -- directional derivative path ----------------------------------------------
