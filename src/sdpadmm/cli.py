@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__, diagnostics, linearization
-from .elimination import eb_scan, run_elimination
+from .elimination import eb_reference, eb_scan, run_elimination
 from .errors import (
     NumericalFailureError,
     require_integer,
@@ -40,7 +40,7 @@ from .errors import (
     require_object,
     require_path,
 )
-from .linalg import eig_sym, psd_project, symmetrize
+from .linalg import eig_sym, sym_norm2, symmetrize
 from .problem import (
     build_kernel,
     generate_maxcut,
@@ -50,6 +50,7 @@ from .problem import (
     write_sdpa,
 )
 from .solver import (
+    PhaseTimings,
     SolveStatus,
     SolverConfig,
     solve,
@@ -254,12 +255,17 @@ def _cmd_solve(args):
     return 2, line
 
 
+# Timed phases of diagnose: reading the run, the limit's decomposition with
+# the SC and ND tests on its frame, the replay, ||M|| with Fix(M) and
+# ||M - Pi_Fix||, and the rate fits.
+DIAGNOSE_PHASES = ("load", "frame", "replay", "norms", "fits")
+
 # Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
 _FIT_SEQUENCES = (("r_max", "r_max"), ("h_norm", "h_norm"), ("ho_norm", "ho_norm"),
                   ("face_X_norm", "face_x_norm"), ("face_S_norm", "face_s_norm"))
 
 
-def diagnose_run(run_dir):
+def diagnose_run(run_dir, timings=None):
     """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
 
     The run is replayed against its own limit for exactly the recorded
@@ -270,27 +276,34 @@ def diagnose_run(run_dir):
     ``skipped``; one that fails numerically also sets ``failure``.
     ``operator_applications`` counts the operator applications of each
     Lanczos estimate. A malformed ``summary.json`` raises ``ValueError``
-    naming the file or the field."""
+    naming the file or the field. ``timings``, a
+    ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time of each phase;
+    it stays out of the report, which repeats between commands."""
+    if timings is None:
+        timings = PhaseTimings.of(*DIAGNOSE_PHASES)
     summary_path = os.path.join(run_dir, "summary.json")
     z_path = os.path.join(run_dir, "z_final.npy")
     if not (os.path.exists(summary_path) and os.path.exists(z_path)):
         raise ValueError(f"run directory {run_dir} is missing summary.json or z_final.npy")
-    summary = _load_manifest(summary_path)
-    require_keys("summary.json", summary, "instance_file", "status", "iterations")
-    require_path("instance_file", summary["instance_file"])
-    require_integer("iterations", summary["iterations"])
-    prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
-    kernel = build_kernel(prob)
-    z_final = np.load(z_path)
+    with timings.phase("load"):
+        summary = _load_manifest(summary_path)
+        require_keys("summary.json", summary, "instance_file", "status", "iterations")
+        require_path("instance_file", summary["instance_file"])
+        require_integer("iterations", summary["iterations"])
+        prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
+        kernel = build_kernel(prob)
+        z_final = np.load(z_path)
 
-    dec = eig_sym(z_final)
-    sc = diagnostics.sc_check(dec)
-    frame = diagnostics.eigen_frame(kernel, dec.Q)
+    with timings.phase("frame"):
+        dec = eig_sym(z_final)
+        sc = diagnostics.sc_check(dec)
+        frame = diagnostics.eigen_frame(kernel, dec.Q)
+        nd = diagnostics.nd_check(prob, dec, frame)
     report = {
         "run": run_dir,
         "status": summary["status"],
         "sc": sc.__dict__,
-        "nd": diagnostics.nd_check(prob, dec, frame).__dict__,
+        "nd": nd.__dict__,
         "k_id": None,
         "op_norm_M": None,
         "op_norm_M_minus_fix": None,
@@ -305,17 +318,18 @@ def diagnose_run(run_dir):
     cfg = _config_from_manifest(summary)
     cfg.max_iter = summary["iterations"]
     cfg.time_limit_secs = None
-    _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
+    with timings.phase("replay"):
+        _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
     k_id = report["k_id"] = diagnostics.rank_trace(records, sc)
 
     if sc.sc_holds:
         os_ = linearization.build_omega(dec)
         try:
-            report["op_norm_M"] = linearization.op_norm_M(os_, kernel, frame)
-            fix = linearization.fix_basis(os_, kernel, frame)
+            report["op_norm_M"] = timings.call("norms", linearization.op_norm_M, os_, kernel, frame)
+            fix = timings.call("norms", linearization.fix_basis, os_, kernel, frame)
             report["fix_dim"] = fix.dim
-            report["op_norm_M_minus_fix"] = linearization.op_norm_M_minus_fix(
-                os_, kernel, fix, frame
+            report["op_norm_M_minus_fix"] = timings.call(
+                "norms", linearization.op_norm_M_minus_fix, os_, kernel, fix, frame
             )
         except NumericalFailureError as exc:
             # Report what was computed; the norms left unset stay None.
@@ -335,7 +349,8 @@ def diagnose_run(run_dir):
             if keep.sum() < window:
                 continue
             try:
-                fit = diagnostics.rate_fit(vals[keep], window, ks=ks[keep], name=name)
+                fit = timings.call("fits", diagnostics.rate_fit, vals[keep], window,
+                                   ks=ks[keep], name=name)
             except ValueError:
                 continue  # a tail that cannot be fit gets no entry
             report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
@@ -344,10 +359,12 @@ def diagnose_run(run_dir):
 
 
 def _cmd_diagnose(args):
-    report = diagnose_run(args.run)
+    timings = PhaseTimings.of(*DIAGNOSE_PHASES)
+    report = diagnose_run(args.run, timings)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     _write_json(report, os.path.join(out_dir, "diagnostics.json"))
+    _write_json(timings.to_json(), os.path.join(out_dir, "diagnose_timings.json"))
 
     sc, nd, failure = report["sc"], report["nd"], report["failure"]
     holds = {True: "holds", False: "fails"}
@@ -416,7 +433,7 @@ def _eb_inputs(manifest):
         require_integer("seed", seed)
         rng = np.random.default_rng(seed)
         h = symmetrize(rng.standard_normal(z.shape))
-        h /= np.linalg.norm(h, 2)
+        h /= sym_norm2(h)
     return z, h
 
 
@@ -427,20 +444,32 @@ def _cmd_eb_verify(args):
     if args.out is not None:
         manifest["out"] = args.out
     scales = manifest.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
-    if not isinstance(scales, list):
-        raise ValueError(f"scales must be a list of positive numbers, got {scales!r}")
+    if not isinstance(scales, list) or not scales:
+        raise ValueError(f"scales must be a non-empty list of positive numbers, got {scales!r}")
     for t in scales:
         require_number("scales", t)
     out_dir = manifest.get("out", ".")
     require_path("out", out_dir)
-    z, h = _eb_inputs(manifest)
-    report = eb_scan(z, h, scales)
+    timings = PhaseTimings.of("inputs", "reference", "scan", "elimination")
+    with timings.phase("inputs"):
+        z, h = _eb_inputs(manifest)
+    with timings.phase("reference"):
+        ref = eb_reference(z, h)
+    with timings.phase("scan"):
+        report = eb_scan(z, h, scales, reference=ref)
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, "eb_report.csv"))
     _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))
     t_min = float(min(scales))
-    v, iters, _ = run_elimination(z, t_min * h)
-    deviation = float(np.linalg.norm(v - psd_project(z + t_min * h)))
+    with timings.phase("elimination"):
+        # Z's decomposition, the rotation of H and Pi(Z + t_min H) are the
+        # scan's. The sweeps need nothing else of the reference, so it is
+        # released before they run.
+        start, (proj, _) = ref.elimination_state(t_min), ref.projection(t_min)
+        del ref
+        v, iters, _ = run_elimination(z, t_min * h, start=start)
+        deviation = float(np.linalg.norm(v - proj))
+    _write_json(timings.to_json(), os.path.join(out_dir, "eb_timings.json"))
     print(f"elimination agreement at t={t_min:g}: deviation={deviation:.3e} ({iters} sweeps)")
     line = (
         f"status: ok max_refined_ratio={float(np.max(report.ratios)):.3e} "

@@ -101,12 +101,29 @@ class EigenFrame:
     - ``bt`` = R^-T at, with orthonormal rows: B(H) = bt @ v, and the range
       projector P is v -> bt'(bt v);
     - ``applications``: how many times each Lanczos estimate run on the
-      frame applied its operator op* o op, by estimate name.
+      frame applied its operator op* o op, by estimate name;
+    - ``witnesses``: the witness null spaces taken so far, by kind and
+      split, so that ``nd_check`` and ``fix_basis`` share them.
     """
 
     at: np.ndarray
     bt: np.ndarray
     applications: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)
+
+    def primal_witness(self, r):
+        """:func:`primal_witness` of ``at``, taken once per r."""
+        key = ("primal", r)
+        if key not in self.witnesses:
+            self.witnesses[key] = primal_witness(self.at, r)
+        return self.witnesses[key]
+
+    def dual_witness(self, k):
+        """:func:`dual_witness` of ``at``, taken once per k."""
+        key = ("dual", k)
+        if key not in self.witnesses:
+            self.witnesses[key] = dual_witness(self.at, k)
+        return self.witnesses[key]
 
 
 def _rotated_table(p: SdpProblem, q):
@@ -144,15 +161,18 @@ def nd_check(
     carries the primal rank r and its negative block the dual rank s. The
     split and both witness spaces use ``linalg.RANK_TAU``, as ``fix_basis``
     does, so each witness dimension is that family's share of dim Fix(M).
-    The witnesses read ``frame.at`` when given a frame of ``dec.Q``, and
-    rotate the constraints here otherwise.
+    The witnesses are the frame's when given a frame of ``dec.Q``; otherwise
+    the constraints are rotated here.
     """
     if dec.n != p.n:
         raise ValueError(f"decomposition dimension {dec.n} != problem dimension {p.n}")
     r, s = split_counts(dec.lam)
-    at = _rotated_table(p, dec.Q) if frame is None else frame.at
-    primal = primal_witness(at, r).shape[1]
-    dual = dual_witness(at, p.n - s).shape[1]
+    if frame is None:
+        at = _rotated_table(p, dec.Q)
+        witnesses = primal_witness(at, r), dual_witness(at, p.n - s)
+    else:
+        witnesses = frame.primal_witness(r), frame.dual_witness(p.n - s)
+    primal, dual = (w.shape[1] for w in witnesses)
     return NondegeneracyReport(
         primal_witness_dim=primal,
         dual_witness_dim=dual,

@@ -6,16 +6,26 @@ computed without refactorizing: in the eigenbasis of Z, repeatedly solve a
 Sylvester equation for the off-block, rotate it away with the exponential of
 the induced skew-symmetric matrix, and accumulate the rotations. The
 off-block norm decays quadratically, the block spectra stay definite, and the
-accumulated projection estimate converges to Pi(Z + H).
+accumulated projection estimate converges to Pi(Z + H). Each sweep
+decomposes its two diagonal blocks once, for both the separation ``eta`` and
+the Sylvester solve, and hands the ||Zo||_2 of its decay check on to the next
+sweep's entry gate.
 
 The same machinery doubles as a measurement harness for the first-order
 expansion of Pi around Z: the residual against the Hadamard-multiplier
 differential scales with ||H_O|| * ||H|| rather than ||H||^2, which the scan
-report exposes as ratio families over a range of perturbation sizes.
+report exposes as ratio families over a range of perturbation sizes. An
+:class:`EbReference` computes what every scale t shares once: one
+``eig_sym`` of Z and one rotation of H. The first-order term Q(Omega o
+Q'(tH)Q)Q' and the norms ||H~_O||_2 and ||tH||_2 are linear in t, so a scale
+costs one projection of Z + tH and one symmetric eigenvalue solve for the
+residual's norm. The elimination agreement check starts from the same
+decomposition of Z and compares with the scan's projection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,24 +33,31 @@ import numpy as np
 from .errors import NumericalFailureError
 from .linalg import (
     eig_sym,
-    psd_project,
+    positive_part,
     skew_exp,
     sylvester_solve,
+    sym_norm2,
     symmetrize,
 )
-from .linearization import build_omega, hadamard
+from .linearization import OmegaStructure, build_omega
 
 ELIMINATION_TOL = 1e-13
 ELIMINATION_MAX_ITER = 60
 
 
-def _eta(zx, zs):
-    """d / (lam_min(Zx) - lam_max(Zs)) with d = sqrt(min block edge)."""
-    r = zx.shape[0]
-    s = zs.shape[0]
-    d = np.sqrt(min(r, s))
-    sep = float(np.linalg.eigvalsh(zx)[0] - np.linalg.eigvalsh(zs)[-1])
+def _eta(lam_x, lam_s):
+    """(eta, sep) from the ascending spectra ``lam_x`` of Zx and ``lam_s`` of
+    Zs, the block eigenvalues that the sweep's Sylvester solve reuses:
+    sep = lam_min(Zx) - lam_max(Zs) and eta = d / sep with
+    d = sqrt(min block edge)."""
+    d = np.sqrt(min(lam_x.size, lam_s.size))
+    sep = float(lam_x[0] - lam_s[-1])
     return d / sep, sep
+
+
+def _norm2(a):
+    """Spectral norm of a (rectangular) block; 0 for an empty one."""
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def decay_coefficient(eta, z0_norm):
@@ -61,7 +78,8 @@ class EliminationState:
 
     Invariants maintained along the run: T symmetric, Zx positive definite,
     Zs negative definite, Y orthogonal, and V = Y1 Zx Y1' (Y1 the first r
-    columns of Y) is the current estimate of the projection.
+    columns of Y) is the current estimate of the projection. The block
+    eigendecompositions and ||Zo||_2 are taken at most once per state.
     """
 
     ell: int
@@ -69,6 +87,7 @@ class EliminationState:
     r: int
     y: np.ndarray
     z0_norm: float  # spectral norm of Z + H, invariant under the rotations
+    zo_norm: float | None = None  # ||Zo||_2 when already known
 
     @property
     def zx(self):
@@ -87,6 +106,17 @@ class EliminationState:
         y1 = self.y[:, : self.r]
         return symmetrize(y1 @ self.zx @ y1.T)
 
+    @functools.cached_property
+    def block_eigh(self):
+        """``np.linalg.eigh`` of Zx and of Zs."""
+        return np.linalg.eigh(self.zx), np.linalg.eigh(self.zs)
+
+    def zo_norm2(self):
+        """||Zo||_2, taken once and kept in ``zo_norm``."""
+        if self.zo_norm is None:
+            self.zo_norm = _norm2(self.zo)
+        return self.zo_norm
+
 
 def eliminate_step(state: EliminationState) -> EliminationState:
     """One elimination sweep: Sylvester solve, skew rotation R, then
@@ -98,17 +128,18 @@ def eliminate_step(state: EliminationState) -> EliminationState:
     quadratically with the coefficient of :func:`decay_coefficient`, which is
     asserted at runtime.
     """
-    eta, sep = _eta(state.zx, state.zs)
+    (lam_x, _), (lam_s, _) = eigs = state.block_eigh
+    eta, sep = _eta(lam_x, lam_s)
     if sep <= 0.0:
         raise ValueError("definiteness invariant violated: blocks are no longer separated")
-    zo_norm = float(np.linalg.norm(state.zo, 2)) if state.zo.size else 0.0
+    zo_norm = state.zo_norm2()
     if zo_norm > 3.0 / (4.0 * eta):
         raise ValueError(
             f"perturbation too large for elimination: ||Zo||_2 = {zo_norm:.3e} "
             f"exceeds 3/(4 eta) = {3.0 / (4.0 * eta):.3e}"
         )
     r = state.r
-    w_o = sylvester_solve(state.zx, state.zs, state.zo)
+    w_o = sylvester_solve(state.zx, state.zs, state.zo, eigs=eigs)
     w = np.zeros_like(state.t)
     w[r:, :r] = w_o
     w[:r, r:] = -w_o.T
@@ -120,7 +151,7 @@ def eliminate_step(state: EliminationState) -> EliminationState:
         y=state.y @ rot,
         z0_norm=state.z0_norm,
     )
-    zo_new_norm = float(np.linalg.norm(new.zo, 2)) if new.zo.size else 0.0
+    zo_new_norm = new.zo_norm2()
     bound = decay_coefficient(eta, state.z0_norm) * zo_norm**2
     if zo_new_norm > bound * (1.0 + 1e-9) + 1e-300:
         raise NumericalFailureError(
@@ -132,6 +163,26 @@ def eliminate_step(state: EliminationState) -> EliminationState:
     return new
 
 
+def _start(os_: OmegaStructure, ht, z0_norm, zo_norm=None) -> EliminationState:
+    """The state at Z + H from the structure ``os_`` of Z and the symmetric
+    H~ = Q'HQ: T = diag(lam) + H~, which is Q'(Z + H)Q up to rounding, and
+    Y = Q. ``z0_norm`` is ||Z + H||_2; ``zo_norm``, ||H~_O||_2 if known."""
+    if os_.r == 0 or os_.r == os_.n:
+        raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
+    state = EliminationState(
+        ell=0,
+        t=np.diag(os_.lam) + ht,
+        r=os_.r,
+        y=os_.Q.copy(),
+        z0_norm=z0_norm,
+        zo_norm=zo_norm,
+    )
+    # Eigenvalues only: a caller that runs no sweep needs no eigenvectors.
+    if np.linalg.eigvalsh(state.zx)[0] <= 0.0 or np.linalg.eigvalsh(state.zs)[-1] >= 0.0:
+        raise ValueError("perturbation too large: diagonal blocks of Z + H lost definiteness")
+    return state
+
+
 def init_elimination(z, h) -> EliminationState:
     """Z + H rotated into the eigenbasis of the nonsingular reference Z.
 
@@ -140,32 +191,23 @@ def init_elimination(z, h) -> EliminationState:
     """
     z = symmetrize(z)
     h = symmetrize(h)
-    dec = eig_sym(z)
-    r = build_omega(dec).r  # ValueError on a singular reference
-    if r == 0 or r == dec.n:
-        raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
-    state = EliminationState(
-        ell=0,
-        t=symmetrize(dec.Q.T @ (z + h) @ dec.Q),
-        r=r,
-        y=dec.Q.copy(),
-        z0_norm=float(np.linalg.norm(z + h, 2)),
-    )
-    if np.linalg.eigvalsh(state.zx)[0] <= 0.0 or np.linalg.eigvalsh(state.zs)[-1] >= 0.0:
-        raise ValueError("perturbation too large: diagonal blocks of Z + H lost definiteness")
-    return state
+    os_ = build_omega(eig_sym(z))  # ValueError on a singular reference
+    return _start(os_, symmetrize(os_.rotate_in(h)), sym_norm2(z + h))
 
 
-def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
+def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER, start=None):
     """Compute Pi(Z + H) by iterative elimination.
 
     Returns ``(V, iterations, final_off_norm)`` where ``V`` agrees with the
     eigendecomposition-based projection to well below the stopping threshold
     ``ELIMINATION_TOL * max(1, ||Z + H||_F)`` on the off-block. Quadratic
     decay keeps the iteration count tiny; exceeding ``max_iter`` raises
-    NumericalFailureError with the decay history.
+    NumericalFailureError with the decay history. ``start`` is the initial
+    state of (z, h) when the caller already has it
+    (:meth:`EbReference.elimination_state`), made by
+    :func:`init_elimination` otherwise.
     """
-    state = init_elimination(z, h)
+    state = init_elimination(z, h) if start is None else start
     scale = max(1.0, float(np.linalg.norm(state.t)))
     history = []
     for _ in range(max_iter + 1):
@@ -186,12 +228,67 @@ def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
 # ---------------------------------------------------------------------------
 
 
-def _residual(os_, pz, z, h):
-    """(lhs, ho_norm, h_norm) at Z with structure ``os_`` and Pi(Z) = ``pz``."""
-    lhs = float(np.linalg.norm(psd_project(z + h) - pz - hadamard(os_, os_.omega, h), 2))
-    ho = os_.offblock(h)
-    ho_norm = float(np.linalg.norm(ho, 2)) if ho.size else 0.0
-    return lhs, ho_norm, float(np.linalg.norm(h, 2))
+@dataclass
+class EbReference:
+    """A reference Z and a direction H (both symmetric), with what every
+    scale t of a scan shares, formed once:
+
+    - ``os_``, the multiplier structure of Z from its one ``eig_sym``;
+    - ``ht`` = Q'HQ, the one rotation of H;
+    - ``pz`` = Pi(Z);
+    - ``first`` = Q(Omega o ht)Q', the first-order term at t = 1;
+    - ``ho_norm`` = ||ht_O||_2, the off-block in Z's eigenbasis, and
+      ``h_norm`` = ||H||_2.
+
+    The first-order term and both norms are linear in t, so scale t reads
+    them times t. ``last`` keeps ``(t, Pi(Z + tH), ||Z + tH||_2)`` of the
+    last scale projected, from one ``eig_sym`` of Z + tH.
+    """
+
+    z: np.ndarray
+    h: np.ndarray
+    os_: OmegaStructure
+    ht: np.ndarray
+    pz: np.ndarray
+    first: np.ndarray
+    ho_norm: float
+    h_norm: float
+    last: tuple = ()
+
+    def projection(self, t):
+        """(Pi(Z + tH), ||Z + tH||_2), decomposed again only for a scale
+        other than the last one."""
+        if not self.last or self.last[0] != t:
+            dec = eig_sym(self.z + t * self.h)
+            self.last = (t, positive_part(dec), float(np.max(np.abs(dec.lam))))
+        return self.last[1:]
+
+    def residual(self, t):
+        """||Pi(Z + tH) - Pi(Z) - t Q(Omega o H~)Q'||_2 at scale t."""
+        return sym_norm2(self.projection(t)[0] - self.pz - t * self.first)
+
+    def elimination_state(self, t):
+        """The elimination state at Z + tH, from the decomposition of Z and
+        the rotation of H made once, with the scale's ||Z + tH||_2."""
+        return _start(self.os_, t * self.ht, self.projection(t)[1], zo_norm=t * self.ho_norm)
+
+
+def eb_reference(z, h) -> EbReference:
+    """The :class:`EbReference` of Z and H; ValueError on a singular Z."""
+    z = symmetrize(z)
+    h = symmetrize(h)
+    os_ = build_omega(eig_sym(z))
+    ht = symmetrize(os_.rotate_in(h))
+    return EbReference(
+        z=z,
+        h=h,
+        os_=os_,
+        ht=ht,
+        pz=os_.proj_zstar(),
+        first=os_.rotate_out(os_.omega * ht),
+        ho_norm=_norm2(ht[os_.n - os_.s :, : os_.r]),
+        h_norm=sym_norm2(h),
+    )
 
 
 def linearization_residual(z, h):
@@ -202,9 +299,8 @@ def linearization_residual(z, h):
     eigendecomposition path, the off-block norm ||H~_O||_2 in Z's eigenbasis,
     and ||H||_2.
     """
-    z = symmetrize(z)
-    os_ = build_omega(eig_sym(z))
-    return _residual(os_, os_.proj_zstar(), z, symmetrize(h))
+    ref = eb_reference(z, h)
+    return ref.residual(1.0), ref.ho_norm, ref.h_norm
 
 
 @dataclass
@@ -243,25 +339,27 @@ class EbReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def eb_scan(z, h, scales) -> EbReport:
+def eb_scan(z, h, scales, reference=None) -> EbReport:
     """Measure the linearization residual of Pi at Z for perturbations t * H.
 
-    Z is decomposed once for all scales; each Pi(Z + t H) is evaluated
-    through the eigendecomposition path so the measurement stays independent
-    of the elimination procedure. All reported norms are spectral norms.
+    ``reference``, the :class:`EbReference` of (z, h), is made here when not
+    given: Z is decomposed and H rotated once for all scales, and the
+    smallest scale's projection is left in ``reference.last``. Each
+    Pi(Z + t H) is evaluated through the eigendecomposition path so the
+    measurement stays independent of the elimination procedure. All reported
+    norms are spectral norms.
     """
     scales = np.asarray(list(scales), dtype=float)
     if scales.size == 0 or np.any(scales <= 0.0):
-        raise ValueError("scales must be positive")
-    z = symmetrize(z)
-    h = symmetrize(h)
-    os_ = build_omega(eig_sym(z))
-    pz = os_.proj_zstar()
+        raise ValueError("scales must be a non-empty list of positive numbers")
+    ref = eb_reference(z, h) if reference is None else reference
     lhs = np.empty_like(scales)
-    ho = np.empty_like(scales)
-    hn = np.empty_like(scales)
-    for i, t in enumerate(scales):
-        lhs[i], ho[i], hn[i] = _residual(os_, pz, z, t * h)
+    # Largest scale first, so that the projection the reference keeps is the
+    # smallest scale's, which the elimination check reads.
+    for i in np.argsort(-scales, kind="stable"):
+        lhs[i] = ref.residual(scales[i])
+    ho = scales * ref.ho_norm
+    hn = scales * ref.h_norm
     tiny = 1e-300
     return EbReport(
         scales=scales,

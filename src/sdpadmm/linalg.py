@@ -3,9 +3,10 @@
 The one packed upper-triangle order of symmetric matrices (``triangle_maps``)
 and the isometric vectorization in that order (svec/smat), deterministic
 spectral decomposition, the PSD split of a matrix from the eigenvectors of its
-smaller sign group, projection onto the PSD cone, the eigenvalue rank-split
-rule, numerical null spaces, two-sided Sylvester solves for definite block
-pairs, and exponentials of skew-symmetric matrices. Everything operates on
+smaller sign group, projection onto the PSD cone, the spectral norm of a
+symmetric matrix from its eigenvalues, the eigenvalue rank-split rule,
+numerical null spaces, two-sided Sylvester solves for definite block pairs,
+and exponentials of skew-symmetric matrices. Everything operates on
 plain float64 ndarrays; symmetry is enforced by averaging at entry points.
 """
 
@@ -216,9 +217,21 @@ def eig_sym(a, split=False):
 
 def psd_project(a):
     """Orthogonal projection onto the PSD cone: zero out negative eigenvalues."""
-    dec = eig_sym(a)
+    return positive_part(eig_sym(a))
+
+
+def positive_part(dec):
+    """Pi(A) = Q diag(max(lam, 0)) Q' from a decomposition ``dec`` of A (any
+    object with ``Q`` and ``lam``)."""
     pos = np.clip(dec.lam, 0.0, None)
     return symmetrize((dec.Q * pos) @ dec.Q.T)
+
+
+def sym_norm2(a):
+    """Spectral norm of a symmetric matrix, max |lam|, from its eigenvalues
+    alone; 0 for an empty matrix."""
+    lam = np.linalg.eigvalsh(a)
+    return float(max(lam[-1], -lam[0])) if lam.size else 0.0
 
 
 def psd_split(dec: SpectralDecomp):
@@ -265,7 +278,7 @@ def null_space(mat):
     return vt[rank:].T
 
 
-def sylvester_solve(zx, zs, zo):
+def sylvester_solve(zx, zs, zo, eigs=None):
     """Solve ``W @ Zx + (-Zs) @ W = Zo`` for W.
 
     Parameters
@@ -273,6 +286,8 @@ def sylvester_solve(zx, zs, zo):
     zx : (r, r) symmetric positive definite array
     zs : (s, s) symmetric negative definite array
     zo : (s, r) array, right-hand side
+    eigs : ``(np.linalg.eigh(zx), np.linalg.eigh(zs))``, computed here when
+        not given
 
     With Zx = Vx diag(lam_x) Vx' and Zs = Vs diag(lam_s) Vs', the equation
     decouples entrywise in the two eigenbases:
@@ -288,15 +303,14 @@ def sylvester_solve(zx, zs, zo):
         If the Kronecker-sum operator W -> W Zx - Zs W is estimated
         worse-conditioned than ``SYLVESTER_COND_LIMIT``.
     """
-    zx = symmetrize(zx)
-    zs = symmetrize(zs)
     zo = np.asarray(zo, dtype=float)
-    r = zx.shape[0]
-    s = zs.shape[0]
+    if eigs is None:
+        eigs = (np.linalg.eigh(symmetrize(zx)), np.linalg.eigh(symmetrize(zs)))
+    (lam_x, vx), (lam_s, vs) = eigs
+    r = lam_x.shape[0]
+    s = lam_s.shape[0]
     if zo.shape != (s, r):
         raise ValueError(f"off-block has shape {zo.shape}, expected {(s, r)}")
-    lam_x, vx = np.linalg.eigh(zx)
-    lam_s, vs = np.linalg.eigh(zs)
     if lam_x[0] <= 0.0:
         raise ValueError(f"first block not positive definite (lam_min = {lam_x[0]:.3e})")
     if lam_s[-1] >= 0.0:

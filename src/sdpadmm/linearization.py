@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import EigenFrame, dual_witness, eigen_frame, primal_witness
+from .diagnostics import EigenFrame, eigen_frame
 from .errors import NumericalFailureError
 from .linalg import (
     RANK_TAU,
     SpectralDecomp,
     leading_block,
+    positive_part,
     psd_project,
     smat,
     svec_dim,
@@ -87,8 +88,7 @@ class OmegaStructure:
     theta_t_comp = theta_comp
 
     def proj_zstar(self):
-        pos = np.clip(self.lam, 0.0, None)
-        return symmetrize((self.Q * pos) @ self.Q.T)
+        return positive_part(self)
 
     def rotate_in(self, h):
         return self.Q.T @ h @ self.Q
@@ -186,14 +186,14 @@ def rotated_M(os_: OmegaStructure, frame: EigenFrame):
     return op, adjoint
 
 
-def _op_norm(apply_op, apply_op_adj, frame, name):
-    """Operator norm of a linear map on the t(n) svec coordinates of
+def _op_norm(gram, apply_op, frame, name):
+    """Operator norm of a linear map op on the t(n) svec coordinates of
     ``frame``: the square root of the largest eigenvalue of the self-adjoint
-    composition op* o op, found by Lanczos (ARPACK ``eigsh``) from a fixed
+    ``gram`` = op* o op, found by Lanczos (ARPACK ``eigsh``) from a fixed
     seeded start vector, so repeated calls return identical values. The
-    number of applications of op* o op is stored in
+    number of applications of ``gram`` is stored in
     ``frame.applications[name]``. For t(n) = 1, below ARPACK's minimum
-    size, the norm is |op(1)|, from one application of op."""
+    size, the norm is |op(1)|, from one application of ``apply_op``."""
     # Imported here: only diagnose estimates norms, and loading ARPACK would
     # add resident memory to every solve and eb-verify run.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -204,15 +204,15 @@ def _op_norm(apply_op, apply_op_adj, frame, name):
         return float(abs(apply_op(np.ones(1))[0]))
     count = 0
 
-    def gram(v):
+    def counted(v):
         nonlocal count
         count += 1
-        return apply_op_adj(apply_op(v))
+        return gram(v)
 
     v0 = np.random.default_rng(0).standard_normal(t)
     try:
         lam = eigsh(
-            LinearOperator((t, t), matvec=gram, dtype=float),
+            LinearOperator((t, t), matvec=counted, dtype=float),
             k=1, which="LA", v0=v0, tol=NORM_TOL, return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
@@ -231,7 +231,8 @@ def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame |
     strictly below 1 exactly when Fix(M) = {0}."""
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
-    return _op_norm(*rotated_M(os_, frame), frame, "op_norm_M")
+    op, adjoint = rotated_M(os_, frame)
+    return _op_norm(lambda v: adjoint(op(v)), op, frame, "op_norm_M")
 
 
 @dataclass
@@ -272,10 +273,10 @@ def fix_basis(
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
     n, r = os_.n, os_.r
-    u = dual_witness(frame.at, r)
+    u = frame.dual_witness(r)
     lead = np.zeros((u.shape[1], svec_dim(n)))
     lead[:, leading_block(n, r)] = u.T
-    q, _ = np.linalg.qr(kernel.problem.R @ primal_witness(frame.at, r))
+    q, _ = np.linalg.qr(kernel.problem.R @ frame.primal_witness(r))
     rows = np.vstack([lead, q.T @ frame.bt])
     return FixSubspace(basis=os_.rotate_out(smat(rows)), dim=rows.shape[0], rows=rows)
 
@@ -292,11 +293,13 @@ def op_norm_M_minus_fix(
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
     op, adjoint = rotated_M(os_, frame)
-    # Pi_Fix is self-adjoint: v -> F'(F v) for the rows F of the basis.
+    # Pi_Fix = F'F for the rows F of the basis. M fixes Fix(M) = Fix(M*), so
+    # M Pi_Fix = Pi_Fix = Pi_Fix M and (M - Pi_Fix)*(M - Pi_Fix) =
+    # M*M - Pi_Fix: one projection per application.
     f = fix.rows
     value = _op_norm(
+        lambda v: adjoint(op(v)) - (f @ v) @ f,
         lambda v: op(v) - (f @ v) @ f,
-        lambda g: adjoint(g) - (f @ g) @ f,
         frame,
         "op_norm_M_minus_fix",
     )

@@ -26,6 +26,7 @@ reference path.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import time
@@ -138,7 +139,7 @@ class PhaseTimings:
     constraint-operator passes (``apply_A`` on the table once, for A(C), and
     ``apply_B`` and ``apply_Bt`` on the basis), the one product
     with R' per iterate that gives A(X) - b (``primal_residual``) and trace
-    records."""
+    records. :meth:`of` makes the same record for the phases of a command."""
 
     seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     calls: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
@@ -150,8 +151,21 @@ class PhaseTimings:
         self.calls[phase] += 1
         return out
 
+    @classmethod
+    def of(cls, *phases):
+        """Timings of the named phases instead of a solve's."""
+        return cls(dict.fromkeys(phases, 0.0), dict.fromkeys(phases, 0))
+
+    @contextlib.contextmanager
+    def phase(self, name):
+        """Time the enclosed block as one call of ``name``."""
+        t0 = time.perf_counter()
+        yield
+        self.seconds[name] += time.perf_counter() - t0
+        self.calls[name] += 1
+
     def to_json(self):
-        return {ph: {"seconds": self.seconds[ph], "calls": self.calls[ph]} for ph in PHASES}
+        return {ph: {"seconds": sec, "calls": self.calls[ph]} for ph, sec in self.seconds.items()}
 
 
 @dataclass

@@ -459,15 +459,23 @@ def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
             assert fit["rho_hat"] <= report["op_norm_M"] + 0.02
     assert "SC              holds" in captured.out
     assert f"({counts['op_norm_M']} operator applications)" in captured.out
-    # diagnose writes only diagnostics.json; what solve wrote stays as it was.
+    # diagnose writes only diagnostics.json and its phase timings; what solve
+    # wrote stays as it was.
     assert main(["diagnose", "--run", str(out)]) == 0
     assert main(["diagnose", "--run", str(out), "--out", str(tmp_path / "elsewhere")]) == 0
     capsys.readouterr()
     assert {name: (out / name).read_bytes() for name in RUN_FILES} == written
-    assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["diagnostics.json"]
+    assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == [
+        "diagnose_timings.json", "diagnostics.json"
+    ]
     assert (tmp_path / "elsewhere" / "diagnostics.json").read_bytes() == (
         out / "diagnostics.json"
     ).read_bytes()
+    timings = json.loads((out / "diagnose_timings.json").read_text())
+    assert list(timings) == ["load", "frame", "replay", "norms", "fits"]
+    calls = {phase: t["calls"] for phase, t in timings.items()}
+    assert calls == {"load": 1, "frame": 1, "replay": 1, "norms": 3, "fits": len(report["fits"])}
+    assert all(t["seconds"] >= 0.0 for t in timings.values())
 
 
 def test_diagnose_unconverged_run_banner(tmp_path, capsys):
@@ -650,6 +658,45 @@ def test_eb_verify_random_inputs(tmp_path, capsys):
     assert lines[0] == "t,lhs,ho_norm,refined_ratio,classic_ratio"
     assert len(lines) == 4
     assert "elimination agreement" in captured.out
+    # Phase timings go to their own file, never into the hashed report.
+    timings = json.loads((tmp_path / "eb" / "eb_timings.json").read_text())
+    assert list(timings) == ["inputs", "reference", "scan", "elimination"]
+    assert all(t["calls"] == 1 and t["seconds"] >= 0.0 for t in timings.values())
+    report = json.loads((tmp_path / "eb" / "eb_report.json").read_text())
+    assert set(report) == {"t", "lhs", "ho_norm", "refined_ratio", "classic_ratio"}
+
+
+def test_eb_verify_decomposes_z_once_and_each_scale_once(tmp_path, capsys, monkeypatch):
+    # One eig_sym of Z, one of each Z + tH; the elimination check reuses Z's
+    # and the smallest scale's.
+    original, calls = linalg.eig_sym, []
+
+    def counting(a, split=False):
+        calls.append(a.shape)
+        return original(a, split=split)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "sdpadmm"]:
+        if getattr(mod, "eig_sym", None) is original:
+            monkeypatch.setattr(mod, "eig_sym", counting)
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        z={"random": {"n": 8, "seed": 3}},
+        scales=[1e-1, 1e-2, 1e-3],
+        out=str(tmp_path / "eb"),
+    )
+    assert main(["eb-verify", "--manifest", manifest]) == 0
+    assert "elimination agreement" in capsys.readouterr().out
+    assert calls == [(8, 8)] * 4
+
+
+@pytest.mark.parametrize("scales", [[], [0.1, -0.1]], ids=["empty", "negative"])
+def test_eb_verify_states_the_scale_rule(tmp_path, capsys, scales):
+    manifest = write_manifest(tmp_path / "m.json", scales=scales, out=str(tmp_path / "eb"))
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scales must be a non-empty list of positive numbers")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "eb").exists()
 
 
 def test_eb_verify_singular_reference(tmp_path, capsys):

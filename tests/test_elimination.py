@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from sdpadmm import elimination
 from sdpadmm.elimination import (
+    ELIMINATION_TOL,
     EliminationState,
     decay_coefficient,
+    eb_reference,
     eb_scan,
     eliminate_step,
     init_elimination,
@@ -11,7 +14,8 @@ from sdpadmm.elimination import (
     run_elimination,
 )
 from sdpadmm.errors import NumericalFailureError
-from sdpadmm.linalg import eig_sym, psd_project, sylvester_solve, symmetrize
+from sdpadmm.linalg import eig_sym, psd_project, skew_exp, sylvester_solve, symmetrize
+from sdpadmm.linearization import build_omega, hadamard
 from sdpadmm.problem import haar_orthogonal
 
 from conftest import random_indefinite, random_sym
@@ -175,6 +179,142 @@ def test_run_mass_oracle_agreement():
         )
 
 
+# -- the path before the shared reference ------------------------------------
+
+
+def old_run_elimination(z, h, max_iter=60):
+    """Oracle: elimination as run before the shared reference, with Z + H
+    rotated as a whole, every norm by SVD and the block spectra taken anew
+    for eta and again in the Sylvester solve. Returns (V, sweeps)."""
+    z, h = symmetrize(z), symmetrize(h)
+    dec = eig_sym(z)
+    r = build_omega(dec).r
+    t = symmetrize(dec.Q.T @ (z + h) @ dec.Q)
+    y = dec.Q.copy()
+    z0_norm = np.linalg.norm(z + h, 2)
+    scale = max(1.0, np.linalg.norm(t))
+    for ell in range(max_iter + 1):
+        zx, zs, zo = t[:r, :r], t[r:, r:], t[r:, :r]
+        if np.linalg.norm(zo) <= ELIMINATION_TOL * scale:
+            return symmetrize(y[:, :r] @ zx @ y[:, :r].T), ell
+        eta = np.sqrt(min(r, t.shape[0] - r)) / (
+            np.linalg.eigvalsh(zx)[0] - np.linalg.eigvalsh(zs)[-1]
+        )
+        zo_norm = np.linalg.norm(zo, 2)
+        w = np.zeros_like(t)
+        w[r:, :r] = sylvester_solve(zx, zs, zo)
+        w[:r, r:] = -w[r:, :r].T
+        rot = skew_exp(w)
+        t = symmetrize(rot.T @ t @ rot)
+        y = y @ rot
+        assert np.linalg.norm(t[r:, :r], 2) <= decay_coefficient(eta, z0_norm) * zo_norm**2 * (
+            1.0 + 1e-9
+        )
+    raise AssertionError("the oracle did not converge")
+
+
+def old_scan_point(z, h, t):
+    """Oracle: one scale of the scan before the shared reference: Z
+    decomposed, Q(Omega o Q'(tH)Q)Q' formed at the scale, every norm by
+    SVD."""
+    z, h = symmetrize(z), symmetrize(h)
+    os_ = build_omega(eig_sym(z))
+    th = t * h
+    lhs = np.linalg.norm(psd_project(z + th) - os_.proj_zstar() - hadamard(os_, os_.omega, th), 2)
+    return lhs, np.linalg.norm(os_.offblock(th), 2), np.linalg.norm(th, 2)
+
+
+def test_eb_scan_matches_the_per_scale_evaluation():
+    rng = np.random.default_rng(15)
+    scales = [1e-1, 1e-2, 1e-3, 1e-4, 1e-6]
+    for _ in range(20):
+        n = int(rng.integers(2, 24))
+        r = int(rng.integers(1, n))
+        z = random_indefinite(n, r, rng, gap=0.3, top=float(rng.choice([1.0, 50.0])))
+        h = random_sym(n, rng)
+        report = eb_scan(z, h, scales)
+        # Near the roundoff floor only an absolute bound on lhs holds.
+        floor = 1e-13 * max(1.0, np.linalg.norm(z, 2))
+        for i, t in enumerate(scales):
+            lhs, ho_norm, h_norm = old_scan_point(z, h, t)
+            assert abs(report.lhs[i] - lhs) <= floor
+            assert abs(report.ho_norms[i] - ho_norm) <= 1e-13 * ho_norm
+            assert abs(report.lhs[i] / report.classic_ratios[i] - h_norm**2) <= 1e-13 * h_norm**2
+
+
+def test_eb_scan_reads_a_given_reference():
+    rng = np.random.default_rng(16)
+    z, h = make_pair(9, 4, rng, h_scale=1.0)
+    ref = eb_reference(z, h)
+    shared = eb_scan(z, h, [1e-1, 1e-3], reference=ref)
+    alone = eb_scan(z, h, [1e-1, 1e-3])
+    for field in ("lhs", "ho_norms", "ratios", "classic_ratios"):
+        assert np.array_equal(getattr(shared, field), getattr(alone, field))
+    # The smallest scale's Pi(Z + tH) is kept, and equals the projection of
+    # Z + tH, whatever the order of the scales.
+    ref = eb_reference(z, h)
+    eb_scan(z, h, [1e-3, 1e-2, 1e-1], reference=ref)
+    proj, norm = ref.projection(1e-3)
+    assert ref.last[1] is proj
+    assert np.array_equal(proj, psd_project(z + 1e-3 * h))
+    assert abs(norm - np.linalg.norm(z + 1e-3 * h, 2)) <= 1e-13 * norm
+
+
+def test_reference_rejects_a_singular_z():
+    with pytest.raises(ValueError, match="nonsingular"):
+        eb_reference(np.diag([1.0, 0.0, -1.0]), np.eye(3))
+
+
+def test_run_keeps_the_sweep_count_of_the_old_path():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(3, 20))
+        r = int(rng.integers(1, n))
+        z = random_indefinite(n, r, rng, gap=0.3)
+        h = random_sym(n, rng)
+        h *= 0.05 / np.linalg.norm(h, 2)
+        v_old, sweeps = old_run_elimination(z, h)
+        v, iters, _ = run_elimination(z, h)
+        ref = eb_reference(z, 2.0 * h)
+        v_ref, iters_ref, _ = run_elimination(z, h, start=ref.elimination_state(0.5))
+        assert iters == iters_ref == sweeps
+        scale = max(1.0, np.linalg.norm(z + h))
+        assert np.linalg.norm(v - v_old) <= 1e-12 * scale
+        assert np.linalg.norm(v_ref - v_old) <= 1e-12 * scale
+
+
+def test_start_state_matches_init_elimination():
+    rng = np.random.default_rng(18)
+    z, h = make_pair(8, 3, rng)
+    state = init_elimination(z, h)
+    start = eb_reference(z, 10.0 * h).elimination_state(0.1)
+    assert np.linalg.norm(start.t - state.t) <= 1e-13
+    assert np.array_equal(start.y, state.y)
+    assert abs(start.z0_norm - state.z0_norm) <= 1e-13 * state.z0_norm
+    assert abs(start.zo_norm - np.linalg.norm(state.zo, 2)) <= 1e-13 * start.zo_norm
+
+
+def test_monkeypatched_decay_bound_still_raises(monkeypatch):
+    rng = np.random.default_rng(19)
+    z, h = make_pair(6, 3, rng)
+    monkeypatch.setattr(elimination, "decay_coefficient", lambda eta, z0_norm: 0.0)
+    with pytest.raises(NumericalFailureError, match="decay bound"):
+        run_elimination(z, h)
+    with pytest.raises(NumericalFailureError, match="decay bound"):
+        run_elimination(z, h, start=eb_reference(z, h).elimination_state(1.0))
+
+
+def test_start_state_keeps_the_entry_gate_and_definiteness():
+    # The off-block norm handed to the first sweep still meets its gate.
+    z, h = np.diag([0.5, -0.5]), np.array([[0.0, 5.0], [5.0, 0.0]])
+    with pytest.raises(ValueError, match="too large for elimination"):
+        run_elimination(z, h, start=eb_reference(z, h).elimination_state(1.0))
+    with pytest.raises(ValueError, match="lost definiteness"):
+        eb_reference(z, np.diag([-1.0, 0.0])).elimination_state(1.0)
+    with pytest.raises(ValueError, match="indefinite"):
+        eb_reference(np.eye(3), np.eye(3)).elimination_state(0.1)
+
+
 # -- residual scan -----------------------------------------------------------
 
 
@@ -233,7 +373,7 @@ def test_eb_scan_anisotropic_cubic_decay():
 
 
 def test_eb_scan_validates_scales():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty list of positive numbers"):
         eb_scan(np.diag([1.0, -1.0]), np.zeros((2, 2)), [])
     with pytest.raises(ValueError):
         eb_scan(np.diag([1.0, -1.0]), np.zeros((2, 2)), [0.1, -0.1])

@@ -16,6 +16,7 @@ from sdpadmm.linalg import (
     svec,
     svec_dim,
     sylvester_solve,
+    sym_norm2,
     symmetrize,
     triangle_maps,
 )
@@ -395,6 +396,22 @@ def test_sylvester_residual_property(r, s, seed):
     assert resid <= 1e-10 * max(1.0, np.linalg.norm(zo))
 
 
+def test_sylvester_given_block_eigs_matches_and_keeps_its_gates():
+    rng = np.random.default_rng(21)
+    zx, zs = _definite_pair(4, 3, rng)
+    zo = rng.standard_normal((3, 4))
+    eigs = (np.linalg.eigh(zx), np.linalg.eigh(zs))
+    assert np.array_equal(sylvester_solve(zx, zs, zo, eigs=eigs), sylvester_solve(zx, zs, zo))
+    with pytest.raises(ValueError, match="shape"):
+        sylvester_solve(zx, zs, zo.T, eigs=eigs)
+    near = (np.diag([1e-13, 1e2]), np.diag([-1e2, -1e-13]))
+    with pytest.raises(NumericalFailureError):
+        sylvester_solve(*near, np.zeros((2, 2)), eigs=tuple(np.linalg.eigh(b) for b in near))
+    bad = (np.diag([1.0, -0.1]), -np.eye(2))
+    with pytest.raises(ValueError, match="positive definite"):
+        sylvester_solve(*bad, np.zeros((2, 2)), eigs=tuple(np.linalg.eigh(b) for b in bad))
+
+
 def test_sylvester_rejects_indefinite_blocks():
     with pytest.raises(ValueError):
         sylvester_solve(np.diag([1.0, -0.1]), -np.eye(2), np.zeros((2, 2)))
@@ -406,6 +423,37 @@ def test_sylvester_ill_conditioned_failure():
     # Definite blocks nearly touching at zero while the spread stays large.
     with pytest.raises(NumericalFailureError):
         sylvester_solve(np.diag([1e-13, 1e2]), np.diag([-1e2, -1e-13]), np.zeros((2, 2)))
+
+
+# -- sym_norm2 ---------------------------------------------------------------
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.sampled_from(["mixed", "negative", "positive", "negative_dominated"]),
+)
+@example(n=1, seed=0, log_scale=0.0, kind="negative")
+@example(n=5, seed=1, log_scale=0.0, kind="negative_dominated")
+@settings(max_examples=60, deadline=None)
+def test_sym_norm2_matches_the_svd_norm(n, seed, log_scale, kind):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    if kind == "negative":
+        lam = -np.abs(lam)
+    elif kind == "positive":
+        lam = np.abs(lam)
+    elif kind == "negative_dominated":
+        lam[0] = -5.0  # the largest magnitude is a negative eigenvalue
+    q = haar_orthogonal(n, rng)
+    a = symmetrize((q * (10.0**log_scale * lam)) @ q.T)
+    want = np.linalg.norm(a, 2)
+    assert abs(sym_norm2(a) - want) <= 1e-13 * want
+
+
+def test_sym_norm2_of_an_empty_matrix_is_zero():
+    assert sym_norm2(np.zeros((0, 0))) == 0.0
 
 
 # -- skew_exp ----------------------------------------------------------------

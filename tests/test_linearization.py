@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpadmm import diagnostics
 from sdpadmm.diagnostics import dual_witness, eigen_frame, nd_check, primal_witness
 from sdpadmm.elimination import run_elimination
 from sdpadmm.errors import NumericalFailureError
-from sdpadmm.linalg import RANK_TAU, SpectralDecomp, eig_sym, psd_project, smat, svec, svec_dim
+from sdpadmm.linalg import (
+    RANK_TAU,
+    SpectralDecomp,
+    eig_sym,
+    psd_project,
+    smat,
+    split_counts,
+    svec,
+    svec_dim,
+)
 from sdpadmm.problem import (
     SdpProblem,
     apply_Bt,
@@ -451,17 +461,67 @@ def test_fix_rows_are_the_rotated_basis(diagnose_shape, small_planted):
         assert np.linalg.norm(old.T @ old - new.T @ new) <= 1e-12
 
 
-def test_one_frame_gives_the_per_function_witnesses(diagnose_shape, small_planted):
-    # nd_check and fix_basis read the frame's table; alone, each rotates the
-    # constraints itself. The witness dimensions and Fix(M) are the same.
+def test_one_frame_gives_the_per_function_witnesses(diagnose_shape, small_planted, monkeypatch):
+    # nd_check and fix_basis read the frame's table and share its witness
+    # null spaces; alone, each rotates the constraints and takes both SVDs
+    # itself. The witness dimensions and Fix(M) are the same.
+    svds = []
+    original = diagnostics.null_space
+
+    def counting(mat):
+        svds.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(diagnostics, "null_space", counting)
     for os_, kern in _frame_cases(diagnose_shape, small_planted):
         prob = kern.problem
         dec = SpectralDecomp(Q=os_.Q, lam=os_.lam)
+        r, s = split_counts(dec.lam)
+        assert r == os_.r == os_.n - s  # the splits agree, SC holds
         frame = eigen_frame(kern, dec.Q)
-        assert nd_check(prob, dec, frame) == nd_check(prob, dec)
-        shared, alone = fix_basis(os_, kern, frame), fix_basis(os_, kern)
+        del svds[:]
+        report = nd_check(prob, dec, frame)
+        shared = fix_basis(os_, kern, frame)
+        assert len(svds) == 2
+        del svds[:]
+        assert report == nd_check(prob, dec)
+        alone = fix_basis(os_, kern)
+        assert len(svds) == 4
         assert shared.dim == alone.dim == _stack_fix_basis(os_, kern).shape[0]
         assert np.array_equal(shared.rows, alone.rows)
+
+
+def test_op_norm_minus_fix_one_projection_matches_two(diagnose_shape):
+    # (M - Pi)*(M - Pi) = M*M - Pi because M fixes Fix(M) = Fix(M*): the
+    # one-projection operator equals the two-projection one up to the fixed
+    # point residual of the computed basis, (M* - I)Pi + Pi(M - I), and the
+    # norm matches the dense norm of either.
+    for os_, kern, fix in (degenerate_limit(7, 12, 2, instance_seed=6, seed=1), diagnose_shape):
+        assert fix.dim >= 1
+        frame = eigen_frame(kern, os_.Q)
+        op, adjoint = rotated_M(os_, frame)
+        f = fix.rows
+        resid = np.linalg.norm([adjoint(row) - row for row in f])
+        assert resid <= 1e-9
+
+        def two(v):
+            u = op(v) - (f @ v) @ f
+            return adjoint(u) - (f @ u) @ f
+
+        def one(v):
+            return adjoint(op(v)) - (f @ v) @ f
+
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.standard_normal(svec_dim(os_.n))
+            assert np.linalg.norm(one(v) - two(v)) <= (2.0 * resid + 1e-12) * np.linalg.norm(v)
+        eye = np.eye(svec_dim(os_.n))
+        gram_two = np.stack([two(e) for e in eye], axis=1)
+        want = np.sqrt(np.linalg.eigvalsh(0.5 * (gram_two + gram_two.T))[-1])
+        got = op_norm_M_minus_fix(os_, kern, fix, frame)
+        assert abs(got - want) <= 1e-10
+        dense = dense_norm(lambda h: apply_M(os_, kern, h) - fix.project(h), os_.n)
+        assert abs(got - dense) <= 1e-10
 
 
 def test_norm_estimates_count_their_applications(diagnose_shape):
