@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__, diagnostics, linearization
-from .elimination import eb_reference, eb_scan, run_elimination
+from .elimination import eb_reference
 from .errors import (
     NumericalFailureError,
     require_integer,
@@ -256,8 +256,8 @@ def _cmd_solve(args):
 
 
 # Timed phases of diagnose: reading the run, the limit's decomposition with
-# the SC and ND tests on its frame, the replay, ||M|| with Fix(M) and
-# ||M - Pi_Fix||, and the rate fits.
+# the SC and ND tests on its frame, the replay, Fix(M) and ||M - Pi_Fix||,
+# and the rate fits.
 DIAGNOSE_PHASES = ("load", "frame", "replay", "norms", "fits")
 
 # Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
@@ -270,13 +270,14 @@ def diagnose_run(run_dir, timings=None):
 
     The run is replayed against its own limit for exactly the recorded
     iterations, with no time limit, so a time-limited run is analysed on the
-    trajectory it took. The rank tests, ``Fix(M)`` and both norms read one
-    rotation of the constraints into the limit's eigenbasis. A norm or
-    ``Fix(M)`` that is not computed stays ``None``, with the reason under
-    ``skipped``; one that fails numerically also sets ``failure``.
-    ``operator_applications`` counts the operator applications of each
-    Lanczos estimate. A malformed ``summary.json`` raises ``ValueError``
-    naming the file or the field. ``timings``, a
+    trajectory it took. The rank tests, ``Fix(M)`` and the one Lanczos
+    estimate, of ||M - Pi_Fix||, read one rotation of the constraints into
+    the limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
+    ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
+    stays ``None``, with the reason under ``skipped``; one that fails
+    numerically also sets ``failure``. ``operator_applications`` counts the
+    estimate's operator applications. A malformed ``summary.json`` raises
+    ``ValueError`` naming the file or the field. ``timings``, a
     ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time of each phase;
     it stays out of the report, which repeats between commands."""
     if timings is None:
@@ -324,16 +325,18 @@ def diagnose_run(run_dir, timings=None):
 
     if sc.sc_holds:
         os_ = linearization.build_omega(dec)
+        fix = timings.call("norms", linearization.fix_basis, os_, kernel, frame)
+        report["fix_dim"] = fix.dim
         try:
-            report["op_norm_M"] = timings.call("norms", linearization.op_norm_M, os_, kernel, frame)
-            fix = timings.call("norms", linearization.fix_basis, os_, kernel, frame)
-            report["fix_dim"] = fix.dim
-            report["op_norm_M_minus_fix"] = timings.call(
+            estimate = report["op_norm_M_minus_fix"] = timings.call(
                 "norms", linearization.op_norm_M_minus_fix, os_, kernel, fix, frame
             )
         except NumericalFailureError as exc:
-            # Report what was computed; the norms left unset stay None.
+            # Report what was computed; the norms left unset stay None. An
+            # estimate refused by the gate is still ||M|| when Fix(M) = {0}.
             report["failure"] = {"message": str(exc), "details": exc.details}
+            estimate = exc.details.get("value")
+        report["op_norm_M"] = linearization.norm_M(fix.dim, estimate)
     report["operator_applications"] = frame.applications
     reason = "numerical failure" if sc.sc_holds else "strict complementarity fails"
     unset = [key for key in ("op_norm_M", "fix_dim", "op_norm_M_minus_fix") if report[key] is None]
@@ -377,14 +380,13 @@ def _cmd_diagnose(args):
     print(f"primal ND       {holds[nd['primal_nd']]}")
     print(f"dual ND         {holds[nd['dual_nd']]}")
     print(f"rank id at k    {report['k_id']}")
-    applications = report["operator_applications"]
     if report["op_norm_M"] is not None:
-        print(f"||M||           {report['op_norm_M']:.6f}  "
-              f"({applications['op_norm_M']} operator applications)")
+        reason = f"dim Fix = {report['fix_dim']} > 0" if report["fix_dim"] else "= ||M - P_Fix||"
+        print(f"||M||           {report['op_norm_M']:.6f}  ({reason})")
     if report["op_norm_M_minus_fix"] is not None:
         print(f"||M - P_Fix||   {report['op_norm_M_minus_fix']:.6f}  "
               f"(dim Fix = {report['fix_dim']}, "
-              f"{applications['op_norm_M_minus_fix']} operator applications)")
+              f"{report['operator_applications']['op_norm_M_minus_fix']} operator applications)")
     for key, reason in report["skipped"].items():
         print(f"skipped         {key}: {reason}")
     if failure is not None:
@@ -456,19 +458,16 @@ def _cmd_eb_verify(args):
     with timings.phase("reference"):
         ref = eb_reference(z, h)
     with timings.phase("scan"):
-        report = eb_scan(z, h, scales, reference=ref)
+        report = ref.scan(scales)
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, "eb_report.csv"))
     _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))
     t_min = float(min(scales))
     with timings.phase("elimination"):
         # Z's decomposition, the rotation of H and Pi(Z + t_min H) are the
-        # scan's. The sweeps need nothing else of the reference, so it is
-        # released before they run.
-        start, (proj, _) = ref.elimination_state(t_min), ref.projection(t_min)
-        del ref
-        v, iters, _ = run_elimination(z, t_min * h, start=start)
-        deviation = float(np.linalg.norm(v - proj))
+        # scan's.
+        v, iters, _ = ref.eliminate(t_min)
+        deviation = float(np.linalg.norm(v - ref.projection(t_min)[0]))
     _write_json(timings.to_json(), os.path.join(out_dir, "eb_timings.json"))
     print(f"elimination agreement at t={t_min:g}: deviation={deviation:.3e} ({iters} sweeps)")
     line = (

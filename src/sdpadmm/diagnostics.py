@@ -100,7 +100,7 @@ class EigenFrame:
       columns the dual one;
     - ``bt`` = R^-T at, with orthonormal rows: B(H) = bt @ v, and the range
       projector P is v -> bt'(bt v);
-    - ``applications``: how many times each Lanczos estimate run on the
+    - ``applications``: how many times the Lanczos estimate run on the
       frame applied its operator op* o op, by estimate name;
     - ``witnesses``: the witness null spaces taken so far, by kind and
       split, so that ``nd_check`` and ``fix_basis`` share them.

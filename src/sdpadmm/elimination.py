@@ -19,8 +19,9 @@ report exposes as ratio families over a range of perturbation sizes. An
 ``eig_sym`` of Z and one rotation of H. The first-order term Q(Omega o
 Q'(tH)Q)Q' and the norms ||H~_O||_2 and ||tH||_2 are linear in t, so a scale
 costs one projection of Z + tH and one symmetric eigenvalue solve for the
-residual's norm. The elimination agreement check starts from the same
-decomposition of Z and compares with the scan's projection.
+residual's norm (:meth:`EbReference.scan`). The elimination agreement check
+(:meth:`EbReference.eliminate`) starts from the same decomposition of Z and
+is compared with the scan's projection.
 """
 
 from __future__ import annotations
@@ -195,19 +196,20 @@ def init_elimination(z, h) -> EliminationState:
     return _start(os_, symmetrize(os_.rotate_in(h)), sym_norm2(z + h))
 
 
-def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER, start=None):
+def run_elimination(z, h, max_iter=ELIMINATION_MAX_ITER):
     """Compute Pi(Z + H) by iterative elimination.
 
     Returns ``(V, iterations, final_off_norm)`` where ``V`` agrees with the
     eigendecomposition-based projection to well below the stopping threshold
     ``ELIMINATION_TOL * max(1, ||Z + H||_F)`` on the off-block. Quadratic
     decay keeps the iteration count tiny; exceeding ``max_iter`` raises
-    NumericalFailureError with the decay history. ``start`` is the initial
-    state of (z, h) when the caller already has it
-    (:meth:`EbReference.elimination_state`), made by
-    :func:`init_elimination` otherwise.
+    NumericalFailureError with the decay history.
     """
-    state = init_elimination(z, h) if start is None else start
+    return _eliminate(init_elimination(z, h), max_iter)
+
+
+def _eliminate(state: EliminationState, max_iter):
+    """:func:`run_elimination` from its initial state."""
     scale = max(1.0, float(np.linalg.norm(state.t)))
     history = []
     for _ in range(max_iter + 1):
@@ -271,6 +273,29 @@ class EbReference:
         """The elimination state at Z + tH, from the decomposition of Z and
         the rotation of H made once, with the scale's ||Z + tH||_2."""
         return _start(self.os_, t * self.ht, self.projection(t)[1], zo_norm=t * self.ho_norm)
+
+    def eliminate(self, t, max_iter=ELIMINATION_MAX_ITER):
+        """:func:`run_elimination` of (Z, tH) from :meth:`elimination_state`."""
+        return _eliminate(self.elimination_state(t), max_iter)
+
+    def scan(self, scales) -> EbReport:
+        """Measure the linearization residual of Pi at Z for perturbations
+        t * H, t in ``scales``. Each Pi(Z + tH) is evaluated through the
+        eigendecomposition path, so the measurement stays independent of the
+        elimination procedure; the smallest scale's projection is left in
+        ``last``. All reported norms are spectral norms."""
+        scales = np.asarray(list(scales), dtype=float)
+        if scales.size == 0 or np.any(scales <= 0.0):
+            raise ValueError("scales must be a non-empty list of positive numbers")
+        lhs = np.empty_like(scales)
+        # Largest scale first, so that the projection kept is the smallest
+        # scale's, which the elimination check reads.
+        for i in np.argsort(-scales, kind="stable"):
+            lhs[i] = self.residual(scales[i])
+        ho, hn = scales * self.ho_norm, scales * self.h_norm
+        return EbReport(scales=scales, lhs=lhs, ho_norms=ho,
+                        ratios=lhs / np.maximum(ho * hn, 1e-300),
+                        classic_ratios=lhs / np.maximum(hn**2, 1e-300))
 
 
 def eb_reference(z, h) -> EbReference:
@@ -339,32 +364,6 @@ class EbReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def eb_scan(z, h, scales, reference=None) -> EbReport:
-    """Measure the linearization residual of Pi at Z for perturbations t * H.
-
-    ``reference``, the :class:`EbReference` of (z, h), is made here when not
-    given: Z is decomposed and H rotated once for all scales, and the
-    smallest scale's projection is left in ``reference.last``. Each
-    Pi(Z + t H) is evaluated through the eigendecomposition path so the
-    measurement stays independent of the elimination procedure. All reported
-    norms are spectral norms.
-    """
-    scales = np.asarray(list(scales), dtype=float)
-    if scales.size == 0 or np.any(scales <= 0.0):
-        raise ValueError("scales must be a non-empty list of positive numbers")
-    ref = eb_reference(z, h) if reference is None else reference
-    lhs = np.empty_like(scales)
-    # Largest scale first, so that the projection the reference keeps is the
-    # smallest scale's, which the elimination check reads.
-    for i in np.argsort(-scales, kind="stable"):
-        lhs[i] = ref.residual(scales[i])
-    ho = scales * ref.ho_norm
-    hn = scales * ref.h_norm
-    tiny = 1e-300
-    return EbReport(
-        scales=scales,
-        lhs=lhs,
-        ho_norms=ho,
-        ratios=lhs / np.maximum(ho * hn, tiny),
-        classic_ratios=lhs / np.maximum(hn**2, tiny),
-    )
+def eb_scan(z, h, scales) -> EbReport:
+    """:meth:`EbReference.scan` of (Z, H): Z decomposed, H rotated once."""
+    return eb_reference(z, h).scan(scales)

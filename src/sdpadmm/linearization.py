@@ -13,8 +13,10 @@ linearizes as
 
 with a residual Psi that is second order in the off-diagonal block of the
 error. M is firmly nonexpansive; its fixed subspace and the operator norms
-||M|| and ||M - Pi_Fix|| govern the local contraction rate; both are computed
-by Lanczos (ARPACK) on the self-adjoint composition op* o op.
+||M|| and ||M - Pi_Fix|| govern the local contraction rate. ||M - Pi_Fix|| is
+computed by Lanczos (ARPACK) on the self-adjoint composition op* o op, and
+||M|| is read off Fix(M) (:func:`norm_M`): exactly 1 when Fix(M) is nonzero,
+||M - Pi_Fix|| when it is {0}.
 
 In ``apply_M`` and ``apply_M_adjoint``, the definitions, the Hadamard
 products act in the rotated coordinates of the reference eigenbasis and the
@@ -37,7 +39,6 @@ from .linalg import (
     leading_block,
     positive_part,
     psd_project,
-    smat,
     svec_dim,
     symmetrize,
     triangle_maps,
@@ -51,8 +52,8 @@ NORM_TOL = 1e-12
 class OmegaStructure:
     """Hadamard multipliers of the projection derivative at a reference:
     Q, eigenvalues ``lam`` (descending), the counts r of positive (alpha) and
-    s of negative (gamma) eigenvalues, the multiplier matrix ``omega`` and
-    its gamma-alpha corner ``theta`` (s x r); the complements are
+    s of negative (gamma) eigenvalues and the multiplier matrix ``omega``,
+    whose gamma-alpha corner ``theta`` (s x r) is a view; the complements are
     ``1 - omega`` and ``1 - theta``. The n - r - s eigenvalues between them
     form the beta block, empty at a nonsingular reference."""
 
@@ -61,7 +62,6 @@ class OmegaStructure:
     r: int
     s: int
     omega: np.ndarray
-    theta: np.ndarray
 
     @property
     def n(self):
@@ -78,6 +78,10 @@ class OmegaStructure:
     @property
     def gamma(self):
         return np.arange(self.n - self.s, self.n)
+
+    @property
+    def theta(self):
+        return self.omega[self.n - self.s :, : self.r]
 
     @property
     def theta_comp(self):
@@ -113,12 +117,11 @@ def build_directional(dec: SpectralDecomp) -> OmegaStructure:
     thr = RANK_TAU * (float(np.max(np.abs(lam))) if n else 0.0)
     r = int(np.sum(lam > thr))
     s = int(np.sum(lam < -thr))
-    theta = lam[None, :r] / (lam[None, :r] - lam[n - s :, None])
     omega = np.zeros((n, n))
     omega[:r, : n - s] = omega[: n - s, :r] = 1.0
-    omega[n - s :, :r] = theta
-    omega[:r, n - s :] = theta.T
-    return OmegaStructure(Q=dec.Q.copy(), lam=lam.copy(), r=r, s=s, omega=omega, theta=theta)
+    omega[n - s :, :r] = lam[None, :r] / (lam[None, :r] - lam[n - s :, None])
+    omega[:r, n - s :] = omega[n - s :, :r].T
+    return OmegaStructure(Q=dec.Q.copy(), lam=lam.copy(), r=r, s=s, omega=omega)
 
 
 def build_omega(dec: SpectralDecomp) -> OmegaStructure:
@@ -186,73 +189,22 @@ def rotated_M(os_: OmegaStructure, frame: EigenFrame):
     return op, adjoint
 
 
-def _op_norm(gram, apply_op, frame, name):
-    """Operator norm of a linear map op on the t(n) svec coordinates of
-    ``frame``: the square root of the largest eigenvalue of the self-adjoint
-    ``gram`` = op* o op, found by Lanczos (ARPACK ``eigsh``) from a fixed
-    seeded start vector, so repeated calls return identical values. The
-    number of applications of ``gram`` is stored in
-    ``frame.applications[name]``. For t(n) = 1, below ARPACK's minimum
-    size, the norm is |op(1)|, from one application of ``apply_op``."""
-    # Imported here: only diagnose estimates norms, and loading ARPACK would
-    # add resident memory to every solve and eb-verify run.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    t = frame.bt.shape[1]
-    if t == 1:
-        frame.applications[name] = 1
-        return float(abs(apply_op(np.ones(1))[0]))
-    count = 0
-
-    def counted(v):
-        nonlocal count
-        count += 1
-        return gram(v)
-
-    v0 = np.random.default_rng(0).standard_normal(t)
-    try:
-        lam = eigsh(
-            LinearOperator((t, t), matvec=counted, dtype=float),
-            k=1, which="LA", v0=v0, tol=NORM_TOL, return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        raise NumericalFailureError(
-            "Lanczos did not converge for the operator norm",
-            svec_dim=t,
-            converged=len(exc.eigenvalues),
-        ) from exc
-    frame.applications[name] = count
-    return float(np.sqrt(max(lam[0], 0.0)))
-
-
-def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None):
-    """||M|| by Lanczos on M~* o M~ in the frame of ``os_.Q`` (made here
-    when not given). At most 1 (up to roundoff) by firm nonexpansiveness;
-    strictly below 1 exactly when Fix(M) = {0}."""
-    if frame is None:
-        frame = eigen_frame(kernel, os_.Q)
-    op, adjoint = rotated_M(os_, frame)
-    return _op_norm(lambda v: adjoint(op(v)), op, frame, "op_norm_M")
-
-
 @dataclass
 class FixSubspace:
-    """Orthonormal basis of the fixed subspace of M.
+    """Orthonormal basis of the fixed subspace of M, as the rows of ``rows``
+    (dim, t(n)): svec(Q' F_k Q) of each member F_k in the reference
+    eigenbasis, so Pi_Fix v = rows'(rows v) in those coordinates.
 
     Members have zero off-diagonal block in the reference basis, a leading
     block whose embedding annihilates A, and a trailing block whose embedding
     lies in range(A*).
     """
 
-    basis: np.ndarray  # (dim, n, n)
-    dim: int
-    rows: np.ndarray  # (dim, t(n)): svec(Q' basis_k Q) in the reference eigenbasis
+    rows: np.ndarray
 
-    def project(self, h):
-        if self.dim == 0:
-            return np.zeros_like(h)
-        coef = np.einsum("kij,ij->k", self.basis, h)
-        return np.einsum("k,kij->ij", coef, self.basis)
+    @property
+    def dim(self):
+        return self.rows.shape[0]
 
 
 def fix_basis(
@@ -277,32 +229,79 @@ def fix_basis(
     lead = np.zeros((u.shape[1], svec_dim(n)))
     lead[:, leading_block(n, r)] = u.T
     q, _ = np.linalg.qr(kernel.problem.R @ frame.primal_witness(r))
-    rows = np.vstack([lead, q.T @ frame.bt])
-    return FixSubspace(basis=os_.rotate_out(smat(rows)), dim=rows.shape[0], rows=rows)
+    return FixSubspace(rows=np.vstack([lead, q.T @ frame.bt]))
 
 
-def op_norm_M_minus_fix(
-    os_: OmegaStructure,
-    kernel: ConstraintKernel,
-    fix: FixSubspace,
-    frame: EigenFrame | None = None,
-):
-    """||M - Pi_Fix|| by Lanczos on the rotated operators of the frame of
-    ``os_.Q`` (made here when not given), strictly below one; raises
-    NumericalFailureError if the computed value does not clear 1 - 1e-8."""
-    if frame is None:
-        frame = eigen_frame(kernel, os_.Q)
+def _norm_minus_fix(os_: OmegaStructure, fix: FixSubspace, frame: EigenFrame):
+    """||M - Pi_Fix|| in the svec coordinates of ``frame``, ungated: the
+    square root of the top eigenvalue of (M~ - Pi_Fix)*(M~ - Pi_Fix) by
+    Lanczos (ARPACK ``eigsh``) from a fixed seeded start vector, so repeated
+    calls agree bit for bit; the count of operator applications goes to
+    ``frame.applications``. At t(n) = 1, below ARPACK's minimum size, that
+    composition is its one entry."""
+    # Imported here: only diagnose estimates norms, and loading ARPACK would
+    # add resident memory to every solve and eb-verify run.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     op, adjoint = rotated_M(os_, frame)
     # Pi_Fix = F'F for the rows F of the basis. M fixes Fix(M) = Fix(M*), so
     # M Pi_Fix = Pi_Fix = Pi_Fix M and (M - Pi_Fix)*(M - Pi_Fix) =
-    # M*M - Pi_Fix: one projection per application.
+    # M*M - Pi_Fix: one projection per application, zero when Fix(M) = {0}.
     f = fix.rows
-    value = _op_norm(
-        lambda v: adjoint(op(v)) - (f @ v) @ f,
-        lambda v: op(v) - (f @ v) @ f,
-        frame,
-        "op_norm_M_minus_fix",
-    )
+    t = f.shape[1]
+    count = 0
+
+    def gram(v):
+        nonlocal count
+        count += 1
+        return adjoint(op(v)) - (f @ v) @ f
+
+    if t == 1:
+        lam = gram(np.ones(1))
+    else:
+        try:
+            lam = eigsh(
+                LinearOperator((t, t), matvec=gram, dtype=float), k=1, which="LA",
+                v0=np.random.default_rng(0).standard_normal(t), tol=NORM_TOL,
+                return_eigenvectors=False,
+            )
+        except ArpackNoConvergence as exc:
+            raise NumericalFailureError(
+                "Lanczos did not converge for the operator norm",
+                svec_dim=t,
+                converged=len(exc.eigenvalues),
+            ) from exc
+    frame.applications["op_norm_M_minus_fix"] = count
+    return float(np.sqrt(max(lam[0], 0.0)))
+
+
+def norm_M(fix_dim: int, norm_minus_fix):
+    """||M|| read off Fix(M): M is nonexpansive, so ||M|| = 1 exactly when it
+    fixes a nonzero vector (``fix_dim`` > 0); when Fix(M) = {0}, Pi_Fix = 0
+    and ||M|| = ||M - Pi_Fix||, ``norm_minus_fix`` (None if not known)."""
+    return 1.0 if fix_dim > 0 else norm_minus_fix
+
+
+def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None):
+    """||M|| by :func:`norm_M`, from Fix(M) in the frame of ``os_.Q`` (made
+    here when not given) and, only when Fix(M) = {0}, the Lanczos estimate
+    of ||M - Pi_Fix|| without the separation gate."""
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
+    fix = fix_basis(os_, kernel, frame)
+    return norm_M(fix.dim, None if fix.dim else _norm_minus_fix(os_, fix, frame))
+
+
+def op_norm_M_minus_fix(
+    os_: OmegaStructure, kernel: ConstraintKernel, fix: FixSubspace, frame: EigenFrame | None = None
+):
+    """||M - Pi_Fix|| by Lanczos on the rotated operators of the frame of
+    ``os_.Q`` (made here when not given), strictly below one; raises
+    NumericalFailureError, with the estimate under ``value``, if it does not
+    clear 1 - 1e-8."""
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
+    value = _norm_minus_fix(os_, fix, frame)
     if value >= 1.0 - 1e-8:
         raise NumericalFailureError(
             f"||M - Pi_Fix|| = {value!r} is not separated from 1", value=value

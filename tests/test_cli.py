@@ -451,14 +451,18 @@ def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
     assert report["op_norm_M"] is not None and report["op_norm_M"] < 1.0
     assert report["failure"] is None
     assert report["skipped"] == {}
+    # ND holds, so Fix(M) = {0} and ||M|| is the one estimate, ||M - P_Fix||.
+    assert report["fix_dim"] == 0
+    assert report["op_norm_M"] == report["op_norm_M_minus_fix"]
     counts = report["operator_applications"]
-    assert set(counts) == {"op_norm_M", "op_norm_M_minus_fix"} and min(counts.values()) > 0
+    assert set(counts) == {"op_norm_M_minus_fix"} and counts["op_norm_M_minus_fix"] > 0
     assert any(f["sequence"] == "h_norm" for f in report["fits"])
     for fit in report["fits"]:
         if fit["sequence"] == "h_norm":
             assert fit["rho_hat"] <= report["op_norm_M"] + 0.02
     assert "SC              holds" in captured.out
-    assert f"({counts['op_norm_M']} operator applications)" in captured.out
+    assert f"||M||           {report['op_norm_M']:.6f}  (= ||M - P_Fix||)" in captured.out
+    assert f"(dim Fix = 0, {counts['op_norm_M_minus_fix']} operator applications)" in captured.out
     # diagnose writes only diagnostics.json and its phase timings; what solve
     # wrote stays as it was.
     assert main(["diagnose", "--run", str(out)]) == 0
@@ -474,7 +478,7 @@ def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
     timings = json.loads((out / "diagnose_timings.json").read_text())
     assert list(timings) == ["load", "frame", "replay", "norms", "fits"]
     calls = {phase: t["calls"] for phase, t in timings.items()}
-    assert calls == {"load": 1, "frame": 1, "replay": 1, "norms": 3, "fits": len(report["fits"])}
+    assert calls == {"load": 1, "frame": 1, "replay": 1, "norms": 2, "fits": len(report["fits"])}
     assert all(t["seconds"] >= 0.0 for t in timings.values())
 
 
@@ -566,14 +570,71 @@ def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypat
         "message": "Lanczos did not converge",
         "details": {"svec_dim": 55, "converged": 0},
     }
-    assert report["op_norm_M_minus_fix"] is None
-    assert report["op_norm_M"] is not None and report["fix_dim"] == 0
-    assert report["skipped"] == {"op_norm_M_minus_fix": "numerical failure"}
-    assert list(report["operator_applications"]) == ["op_norm_M"]
+    # Fix(M) = {0}, so ||M|| was that estimate, and is unknown too.
+    assert report["op_norm_M_minus_fix"] is None and report["op_norm_M"] is None
+    assert report["fix_dim"] == 0
+    assert report["skipped"] == dict.fromkeys(["op_norm_M", "op_norm_M_minus_fix"],
+                                              "numerical failure")
+    assert report["operator_applications"] == {}
     assert report["sc"]["sc_holds"] is True
     assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
     assert "norm failure" in captured.out
     assert "skipped         op_norm_M_minus_fix: numerical failure" in captured.out
+
+
+def test_diagnose_keeps_a_refused_estimate_as_the_norm_of_M(planted_manifest, capsys, monkeypatch):
+    # The separation gate refuses the estimate at fix_dim 0; ||M|| is still
+    # that value, since Pi_Fix = 0 there.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli.linearization, "_norm_minus_fix", lambda *args: 1.0 - 1e-12)
+    assert main(["diagnose", "--run", str(out)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert report["fix_dim"] == 0
+    assert report["op_norm_M"] == 1.0 - 1e-12
+    assert report["op_norm_M_minus_fix"] is None
+    assert report["failure"]["details"] == {"value": 1.0 - 1e-12}
+    assert "not separated from 1" in report["failure"]["message"]
+    assert report["skipped"] == {"op_norm_M_minus_fix": "numerical failure"}
+    assert "(= ||M - P_Fix||)" in captured.out
+
+
+@pytest.mark.parametrize("degeneracy", ["none", "primal_nd_fail"])
+def test_diagnose_runs_one_lanczos_estimate(tmp_path, capsys, monkeypatch, degeneracy):
+    import scipy.sparse.linalg
+
+    out = tmp_path / "run"
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        generator={"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1,
+                   "degeneracy": degeneracy},
+        sigma=1.0, max_iter=100_000, tol_rmax=1e-10, seed=1, init="gaussian", out=str(out),
+    )
+    assert main(["solve", "--manifest", manifest]) == 0
+    calls = []
+    original = scipy.sparse.linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    assert main(["diagnose", "--run", str(out)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert len(calls) == 1
+    assert list(report["operator_applications"]) == ["op_norm_M_minus_fix"]
+    assert report["nd"]["primal_nd"] is (degeneracy == "none")
+    if degeneracy == "none":
+        assert report["fix_dim"] == 0
+        assert report["op_norm_M"] == report["op_norm_M_minus_fix"]
+    else:
+        assert report["fix_dim"] > 0
+        assert report["op_norm_M"] == 1.0
+        assert report["op_norm_M_minus_fix"] < 1.0
+        assert f"(dim Fix = {report['fix_dim']} > 0)" in captured.out
 
 
 def test_diagnose_says_why_it_skipped_the_norms(planted_manifest, capsys):

@@ -246,14 +246,14 @@ def test_eb_scan_reads_a_given_reference():
     rng = np.random.default_rng(16)
     z, h = make_pair(9, 4, rng, h_scale=1.0)
     ref = eb_reference(z, h)
-    shared = eb_scan(z, h, [1e-1, 1e-3], reference=ref)
+    shared = ref.scan([1e-1, 1e-3])
     alone = eb_scan(z, h, [1e-1, 1e-3])
     for field in ("lhs", "ho_norms", "ratios", "classic_ratios"):
         assert np.array_equal(getattr(shared, field), getattr(alone, field))
     # The smallest scale's Pi(Z + tH) is kept, and equals the projection of
     # Z + tH, whatever the order of the scales.
     ref = eb_reference(z, h)
-    eb_scan(z, h, [1e-3, 1e-2, 1e-1], reference=ref)
+    ref.scan([1e-3, 1e-2, 1e-1])
     proj, norm = ref.projection(1e-3)
     assert ref.last[1] is proj
     assert np.array_equal(proj, psd_project(z + 1e-3 * h))
@@ -276,7 +276,7 @@ def test_run_keeps_the_sweep_count_of_the_old_path():
         v_old, sweeps = old_run_elimination(z, h)
         v, iters, _ = run_elimination(z, h)
         ref = eb_reference(z, 2.0 * h)
-        v_ref, iters_ref, _ = run_elimination(z, h, start=ref.elimination_state(0.5))
+        v_ref, iters_ref, _ = ref.eliminate(0.5)
         assert iters == iters_ref == sweeps
         scale = max(1.0, np.linalg.norm(z + h))
         assert np.linalg.norm(v - v_old) <= 1e-12 * scale
@@ -301,14 +301,14 @@ def test_monkeypatched_decay_bound_still_raises(monkeypatch):
     with pytest.raises(NumericalFailureError, match="decay bound"):
         run_elimination(z, h)
     with pytest.raises(NumericalFailureError, match="decay bound"):
-        run_elimination(z, h, start=eb_reference(z, h).elimination_state(1.0))
+        eb_reference(z, h).eliminate(1.0)
 
 
 def test_start_state_keeps_the_entry_gate_and_definiteness():
     # The off-block norm handed to the first sweep still meets its gate.
     z, h = np.diag([0.5, -0.5]), np.array([[0.0, 5.0], [5.0, 0.0]])
     with pytest.raises(ValueError, match="too large for elimination"):
-        run_elimination(z, h, start=eb_reference(z, h).elimination_state(1.0))
+        eb_reference(z, h).eliminate(1.0)
     with pytest.raises(ValueError, match="lost definiteness"):
         eb_reference(z, np.diag([-1.0, 0.0])).elimination_state(1.0)
     with pytest.raises(ValueError, match="indefinite"):

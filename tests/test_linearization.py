@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpadmm import diagnostics
+from sdpadmm import diagnostics, linearization
 from sdpadmm.diagnostics import dual_witness, eigen_frame, nd_check, primal_witness
 from sdpadmm.elimination import run_elimination
 from sdpadmm.errors import NumericalFailureError
@@ -29,6 +29,7 @@ from sdpadmm.problem import (
     project_range,
 )
 from sdpadmm.linearization import (
+    FixSubspace,
     apply_M,
     apply_M_adjoint,
     apply_M_directional,
@@ -37,6 +38,7 @@ from sdpadmm.linearization import (
     directional_derivative,
     fix_basis,
     hadamard,
+    norm_M,
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
@@ -73,6 +75,8 @@ def test_build_omega_2x2():
     assert os_.r == 1
     assert np.allclose(os_.theta, [[2.0 / 3.0]])
     assert np.allclose(os_.omega, [[1.0, 2.0 / 3.0], [2.0 / 3.0, 0.0]])
+    # One copy of the corner: theta is a view of omega.
+    assert np.shares_memory(os_.theta, os_.omega)
 
 
 def test_build_omega_3x3_double_positive():
@@ -290,6 +294,21 @@ def degenerate_limit(n, m, r, instance_seed, **cfg):
     return os_, kern, fix_basis(os_, kern)
 
 
+def fix_members(os_, fix):
+    """Oracle: the members of Fix(M) as a (dim, n, n) stack, Q smat(row) Q'."""
+    return os_.rotate_out(smat(fix.rows))
+
+
+def fix_projector(os_, fix):
+    """Oracle: Pi_Fix on S^n, by inner products with the member stack."""
+    members = fix_members(os_, fix)
+
+    def project(h):
+        return np.einsum("k,kij->ij", np.einsum("kij,ij->k", members, h), members)
+
+    return project
+
+
 @pytest.fixture(scope="module")
 def diagnose_shape():
     """The (24, 100, 3) primal-ND-failing instance of the diagnose benchmark
@@ -304,11 +323,12 @@ def test_op_norm_matches_dense_oracle(diagnose_shape):
     got = op_norm_M(planted, kern)
     assert got < 1.0
     assert abs(got - dense_norm(lambda h: apply_M(planted, kern, h), 6)) <= 1e-10
-    # Fix(M) is nontrivial at the diagnose shape, so ||M|| = 1 there.
+    assert op_norm_M(planted, kern) == got  # fixed start vector: bit-identical
+    # Fix(M) is nontrivial at the diagnose shape, so ||M|| = 1 exactly there.
     os_, kern, _ = diagnose_shape
     got = op_norm_M(os_, kern)
+    assert got == 1.0
     assert abs(got - dense_norm(lambda h: apply_M(os_, kern, h), os_.n)) <= 1e-10
-    assert op_norm_M(os_, kern) == got  # fixed start vector: bit-identical
 
 
 def test_op_norm_single_entry():
@@ -355,7 +375,8 @@ def test_fix_basis_degenerate_instance():
     os_, kern, fix = degenerate_limit(8, 14, 3, instance_seed=5, seed=0)
     assert fix.dim >= 1
     r = os_.r
-    for b in fix.basis:
+    members = fix_members(os_, fix)
+    for b in members:
         bt = os_.rotate_in(b)
         assert np.linalg.norm(bt[r:, :r]) <= 1e-9  # no off-block
         lead = np.zeros_like(b)
@@ -367,7 +388,7 @@ def test_fix_basis_degenerate_instance():
         assert np.linalg.norm(project_null(kern, trail)) <= 1e-9
         # membership: fixed by the operator
         assert np.linalg.norm(apply_M(os_, kern, b) - b) <= 1e-9
-    gram = np.einsum("aij,bij->ab", fix.basis, fix.basis)
+    gram = np.einsum("aij,bij->ab", members, members)
     assert np.linalg.norm(gram - np.eye(fix.dim)) <= 1e-10
 
 
@@ -387,26 +408,57 @@ def test_op_norm_minus_fix(small_planted):
     assert fix.dim == 0
     a = op_norm_M(os_, kern)
     b = op_norm_M_minus_fix(os_, kern, fix)
-    assert abs(a - b) <= 1e-9
+    # Pi_Fix = 0: the two norms are one estimate.
+    assert a == b
 
 
 def test_op_norm_minus_fix_degenerate_matches_dense(diagnose_shape):
     for os_, kern, fix in (degenerate_limit(7, 12, 2, instance_seed=6, seed=1), diagnose_shape):
         n = os_.n
         assert fix.dim >= 1
-        for b in fix.basis:
-            resid = apply_M(os_, kern, b) - fix.project(b)
+        project = fix_projector(os_, fix)
+        for b in fix_members(os_, fix):
+            resid = apply_M(os_, kern, b) - project(b)
             assert np.linalg.norm(resid) <= 1e-9
         got = op_norm_M_minus_fix(os_, kern, fix)
-        expected = dense_norm(lambda h: apply_M(os_, kern, h) - fix.project(h), n)
+        expected = dense_norm(lambda h: apply_M(os_, kern, h) - project(h), n)
         assert got < 1.0 - 1e-8
         assert abs(got - expected) <= 1e-10
         assert op_norm_M_minus_fix(os_, kern, fix) == got  # bit-identical
         # projector sanity: idempotent and self-adjoint
         rng = np.random.default_rng(11)
         h, g = random_sym(n, rng), random_sym(n, rng)
-        assert np.linalg.norm(fix.project(fix.project(h)) - fix.project(h)) <= 1e-10
-        assert abs(np.sum(fix.project(h) * g) - np.sum(h * fix.project(g))) <= 1e-10
+        assert np.linalg.norm(project(project(h)) - project(h)) <= 1e-10
+        assert abs(np.sum(project(h) * g) - np.sum(h * project(g))) <= 1e-10
+
+
+def test_separation_gate_refuses_a_short_basis():
+    # Without one of its members, Pi_Fix no longer removes a fixed direction
+    # of M, so ||M - Pi_Fix|| = 1 and the gate refuses the estimate.
+    os_, kern, fix = degenerate_limit(7, 12, 2, instance_seed=6, seed=1)
+    assert fix.dim >= 1
+    with pytest.raises(NumericalFailureError, match="not separated from 1") as info:
+        op_norm_M_minus_fix(os_, kern, FixSubspace(rows=fix.rows[1:]))
+    assert info.value.details["value"] >= 1.0 - 1e-8
+    json.dumps(info.value.details)
+
+
+def test_norm_M_reads_fix():
+    assert norm_M(3, 0.25) == 1.0
+    assert norm_M(3, None) == 1.0
+    assert norm_M(0, 0.25) == 0.25
+    assert norm_M(0, None) is None
+
+
+def test_op_norm_M_alone_is_not_gated(small_planted, monkeypatch):
+    # At Fix(M) = {0}, ||M|| is the estimate even where ||M - Pi_Fix|| is
+    # refused by the separation gate.
+    p, cert, kern = small_planted
+    os_ = build_omega(eig_sym(cert.zstar(1.0)))
+    monkeypatch.setattr(linearization, "_norm_minus_fix", lambda *args: 1.0 - 1e-12)
+    assert op_norm_M(os_, kern) == 1.0 - 1e-12
+    with pytest.raises(NumericalFailureError, match="not separated from 1"):
+        op_norm_M_minus_fix(os_, kern, fix_basis(os_, kern))
 
 
 # -- the eigenbasis frame ------------------------------------------------------
@@ -452,11 +504,10 @@ def test_fix_rows_are_the_rotated_basis(diagnose_shape, small_planted):
         frame = eigen_frame(kern, os_.Q)
         fix = fix_basis(os_, kern, frame)
         assert fix.rows.shape == (fix.dim, svec_dim(os_.n))
-        assert np.linalg.norm(fix.rows - svec(os_.rotate_in(fix.basis))) <= 1e-12
         assert np.linalg.norm(fix.rows @ fix.rows.T - np.eye(fix.dim)) <= 1e-12
         # The same subspace as the stack construction: equal projectors.
         old = svec(_stack_fix_basis(os_, kern))
-        new = svec(fix.basis)
+        new = svec(fix_members(os_, fix))
         assert old.shape == new.shape
         assert np.linalg.norm(old.T @ old - new.T @ new) <= 1e-12
 
@@ -520,19 +571,20 @@ def test_op_norm_minus_fix_one_projection_matches_two(diagnose_shape):
         want = np.sqrt(np.linalg.eigvalsh(0.5 * (gram_two + gram_two.T))[-1])
         got = op_norm_M_minus_fix(os_, kern, fix, frame)
         assert abs(got - want) <= 1e-10
-        dense = dense_norm(lambda h: apply_M(os_, kern, h) - fix.project(h), os_.n)
+        dense = dense_norm(lambda h: apply_M(os_, kern, h) - fix_projector(os_, fix)(h), os_.n)
         assert abs(got - dense) <= 1e-10
 
 
 def test_norm_estimates_count_their_applications(diagnose_shape):
     os_, kern, fix = diagnose_shape
     frame = eigen_frame(kern, os_.Q)
-    norm_m = op_norm_M(os_, kern, frame)
+    # Fix(M) is nontrivial: ||M|| is 1 without a Lanczos estimate.
+    assert op_norm_M(os_, kern, frame) == 1.0 == op_norm_M(os_, kern)
+    assert frame.applications == {}
     norm_mf = op_norm_M_minus_fix(os_, kern, fix, frame)
     counts = dict(frame.applications)
-    assert set(counts) == {"op_norm_M", "op_norm_M_minus_fix"}
+    assert set(counts) == {"op_norm_M_minus_fix"}
     assert all(isinstance(c, int) and c > 0 for c in counts.values())
-    assert op_norm_M(os_, kern, frame) == norm_m == op_norm_M(os_, kern)
     assert op_norm_M_minus_fix(os_, kern, fix, frame) == norm_mf
     assert frame.applications == counts
 
