@@ -271,15 +271,16 @@ def diagnose_run(run_dir, timings=None):
     The run is replayed against its own limit for exactly the recorded
     iterations, with no time limit, so a time-limited run is analysed on the
     trajectory it took. The rank tests, ``Fix(M)`` and the one Lanczos
-    estimate, of ||M - Pi_Fix||, read one rotation of the constraints into
-    the limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
+    estimate, of ||M - Pi_Fix||, read one rotation of the basis of range(A*)
+    into the limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
     ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
     stays ``None``, with the reason under ``skipped``; one that fails
     numerically also sets ``failure``. ``operator_applications`` counts the
-    estimate's operator applications. A malformed ``summary.json`` raises
-    ``ValueError`` naming the file or the field. ``timings``, a
-    ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time of each phase;
-    it stays out of the report, which repeats between commands."""
+    estimate's operator applications. A malformed ``summary.json``, or a
+    ``z_final.npy`` that is not (n, n), raises ``ValueError`` naming the
+    file or the field. ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``,
+    receives the time of each phase; it stays out of the report, which
+    repeats between commands."""
     if timings is None:
         timings = PhaseTimings.of(*DIAGNOSE_PHASES)
     summary_path = os.path.join(run_dir, "summary.json")
@@ -294,6 +295,8 @@ def diagnose_run(run_dir, timings=None):
         prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
         kernel = build_kernel(prob)
         z_final = np.load(z_path)
+        if z_final.shape != (prob.n, prob.n):
+            raise ValueError(f"z_final.npy has shape {z_final.shape}, expected {(prob.n,) * 2}")
 
     with timings.phase("frame"):
         dec = eig_sym(z_final)

@@ -26,7 +26,9 @@ from .linalg import (
     svec_order,
     symmetrize,
 )
-from .problem import ConstraintKernel, SdpProblem, basis_coords, project_null, project_range
+from .problem import (
+    ConstraintKernel, SdpProblem, apply_Bt, build_kernel, project_null, project_range,
+)
 
 RATE_WINDOW_FRAC = 0.3
 RATE_MIN_WINDOW = 10
@@ -69,19 +71,20 @@ def sc_check(zstar) -> ComplementarityReport:
 
 @dataclass
 class NondegeneracyReport:
-    """Primal and dual nondegeneracy read off the rotated constraints.
+    """Primal and dual nondegeneracy read off the rotated basis of range(A*).
 
     With Q the eigenbasis of the limit, r its positive and s its negative
-    count, and A~_i = Q' A_i Q (Alizadeh, Haeberly and Overton, Math. Prog.
-    77, 1997):
+    count, and B~_i = Q' B_i Q for the orthonormal basis B_i of range(A*)
+    (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997):
 
-    - ``primal_witness_dim`` is the dimension of {y : A~(y) vanishes on the
+    - ``primal_witness_dim`` is the dimension of {u : B~*(u) vanishes on the
       leading r rows}, i.e. of range(A*) inside the normal space of Xstar;
-    - ``dual_witness_dim`` is the dimension of {U in S^(n-s) : <A~_i[:n-s,
+    - ``dual_witness_dim`` is the dimension of {U in S^(n-s) : <B~_i[:n-s,
       :n-s], U> = 0 for all i}, i.e. of null(A) inside the normal space of
       Sstar.
 
-    Each side is nondegenerate iff its witness space is {0}.
+    Each side is nondegenerate iff its witness space is {0}: a property of
+    range(A*), not of the constraints that span it.
     """
 
     primal_witness_dim: int
@@ -92,64 +95,55 @@ class NondegeneracyReport:
 
 @dataclass
 class EigenFrame:
-    """The constraints in the eigenbasis Q of a reference, formed once per
+    """range(A*) in the eigenbasis Q of a reference, formed once per
     reference, in the svec coordinates v = svec(Q'HQ) of S^n:
 
-    - ``at`` (m, t(n)), row i svec(Q'A_iQ), the rotated table: its first
-      t(n) - t(n - r) columns give the primal witness and its leading-block
-      columns the dual one;
-    - ``bt`` = R^-T at, with orthonormal rows: B(H) = bt @ v, and the range
-      projector P is v -> bt'(bt v);
+    - ``bt`` (m, t(n)), row i svec(Q'B_iQ) for the orthonormal basis B of
+      the kernel, so its rows are orthonormal: B(H) = bt @ v, and the range
+      projector P is v -> bt'(bt v). Its first t(n) - t(n - r) columns give
+      the primal witness and its leading-block columns the dual one;
     - ``applications``: how many times the Lanczos estimate run on the
       frame applied its operator op* o op, by estimate name;
     - ``witnesses``: the witness null spaces taken so far, by kind and
       split, so that ``nd_check`` and ``fix_basis`` share them.
     """
 
-    at: np.ndarray
     bt: np.ndarray
     applications: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
 
     def primal_witness(self, r):
-        """:func:`primal_witness` of ``at``, taken once per r."""
-        key = ("primal", r)
-        if key not in self.witnesses:
-            self.witnesses[key] = primal_witness(self.at, r)
-        return self.witnesses[key]
+        """:func:`primal_witness` of ``bt``, taken once per r."""
+        if ("primal", r) not in self.witnesses:
+            self.witnesses["primal", r] = primal_witness(self.bt, r)
+        return self.witnesses["primal", r]
 
     def dual_witness(self, k):
-        """:func:`dual_witness` of ``at``, taken once per k."""
-        key = ("dual", k)
-        if key not in self.witnesses:
-            self.witnesses[key] = dual_witness(self.at, k)
-        return self.witnesses[key]
-
-
-def _rotated_table(p: SdpProblem, q):
-    """svec(Q'A_iQ) for every constraint: the (m, t(n)) table of the
-    constraints in the orthonormal basis Q."""
-    return svec(q.T @ p.A @ q)
+        """:func:`dual_witness` of ``bt``, taken once per k."""
+        if ("dual", k) not in self.witnesses:
+            self.witnesses["dual", k] = dual_witness(self.bt, k)
+        return self.witnesses["dual", k]
 
 
 def eigen_frame(kernel: ConstraintKernel, q) -> EigenFrame:
-    """The :class:`EigenFrame` of the problem of ``kernel`` in the basis Q."""
-    at = _rotated_table(kernel.problem, q)
-    return EigenFrame(at=at, bt=basis_coords(kernel, at))
+    """The :class:`EigenFrame` of range(A*) in the basis Q: the (m, n, n)
+    stack of the basis matrices B_i of ``kernel``, rotated once."""
+    return EigenFrame(bt=svec(q.T @ apply_Bt(kernel, np.eye(kernel.problem.m)) @ q))
 
 
-def primal_witness(at, r):
-    """Basis (m, d) of the null space of y -> the first t(n) - t(n - r)
-    entries of svec(A~(y)), for the rotated table ``at``: the isometric
-    image of A*(y) outside the trailing block."""
-    n = svec_order(at.shape[1])
-    return null_space(at[:, : svec_dim(n) - svec_dim(n - r)].T)
+def primal_witness(table, r):
+    """Basis (m, d) of the null space of u -> the first t(n) - t(n - r)
+    entries of u' table, for an (m, t(n)) table of rotated matrices: the u
+    whose combination of the rows vanishes outside the trailing block. For
+    ``bt``, the coordinates of range(A*) in the normal space of Xstar."""
+    n = svec_order(table.shape[1])
+    return null_space(table[:, : svec_dim(n) - svec_dim(n - r)].T)
 
 
-def dual_witness(at, k):
-    """Basis (t(k), d), in svec coordinates, of the U in S^k with
-    <A~_i[:k, :k], U> = 0 for every i, for the rotated table ``at``."""
-    return null_space(at[:, leading_block(svec_order(at.shape[1]), k)])
+def dual_witness(table, k):
+    """Basis (t(k), d), in svec coordinates, of the U in S^k orthogonal to
+    the leading k x k block of every row of the (m, t(n)) ``table``."""
+    return null_space(table[:, leading_block(svec_order(table.shape[1]), k)])
 
 
 def nd_check(
@@ -161,18 +155,15 @@ def nd_check(
     carries the primal rank r and its negative block the dual rank s. The
     split and both witness spaces use ``linalg.RANK_TAU``, as ``fix_basis``
     does, so each witness dimension is that family's share of dim Fix(M).
-    The witnesses are the frame's when given a frame of ``dec.Q``; otherwise
-    the constraints are rotated here.
+    The witnesses are those of ``frame``, the frame of ``dec.Q``, made here
+    from ``build_kernel(p)`` when not given.
     """
     if dec.n != p.n:
         raise ValueError(f"decomposition dimension {dec.n} != problem dimension {p.n}")
-    r, s = split_counts(dec.lam)
     if frame is None:
-        at = _rotated_table(p, dec.Q)
-        witnesses = primal_witness(at, r), dual_witness(at, p.n - s)
-    else:
-        witnesses = frame.primal_witness(r), frame.dual_witness(p.n - s)
-    primal, dual = (w.shape[1] for w in witnesses)
+        frame = eigen_frame(build_kernel(p), dec.Q)
+    r, s = split_counts(dec.lam)
+    primal, dual = (w.shape[1] for w in (frame.primal_witness(r), frame.dual_witness(p.n - s)))
     return NondegeneracyReport(
         primal_witness_dim=primal,
         dual_witness_dim=dual,

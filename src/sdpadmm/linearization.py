@@ -210,17 +210,17 @@ class FixSubspace:
 def fix_basis(
     os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None
 ) -> FixSubspace:
-    """Construct Fix(M) explicitly from the rotated constraints of the frame
-    of ``os_.Q`` (made here when not given).
+    """Construct Fix(M) explicitly from the frame of ``os_.Q`` (made here
+    when not given).
 
     Two independent families, built as rows in the svec coordinates of the
     eigenbasis: leading-block members Q1 U Q1' for U in the dual witness
-    space (A annihilates them), and trailing-block members A*(y) for y in the
-    primal witness space (they lie in range(A*) and vanish outside the
-    trailing block). The first family is orthonormal through svec. The
-    second is B*q for the orthonormal columns q of a QR of R y, since
-    A*(y) = B*(R y); its rows are q' bt. The families live in orthogonal
-    coordinate blocks, so stacking keeps orthonormality.
+    space (A annihilates them), and trailing-block members B*(u) for u in
+    the primal witness space (they lie in range(A*) and vanish outside the
+    trailing block). The first family is orthonormal through svec; the
+    second is too, as the witness u has orthonormal columns and the rows of
+    ``bt`` are orthonormal, and its rows are u' bt. The families live in
+    orthogonal coordinate blocks, so stacking keeps orthonormality.
     """
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
@@ -228,8 +228,7 @@ def fix_basis(
     u = frame.dual_witness(r)
     lead = np.zeros((u.shape[1], svec_dim(n)))
     lead[:, leading_block(n, r)] = u.T
-    q, _ = np.linalg.qr(kernel.problem.R @ frame.primal_witness(r))
-    return FixSubspace(rows=np.vstack([lead, q.T @ frame.bt]))
+    return FixSubspace(rows=np.vstack([lead, frame.primal_witness(r).T @ frame.bt]))
 
 
 def _norm_minus_fix(os_: OmegaStructure, fix: FixSubspace, frame: EigenFrame):

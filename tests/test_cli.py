@@ -701,6 +701,21 @@ def test_diagnose_rejects_malformed_summary(tmp_path, capsys, summary, message):
     assert not (run / "diagnostics.json").exists()
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (9,)])
+def test_diagnose_rejects_a_z_final_of_another_order(tmp_path, capsys, shape):
+    # Checked on loading, before any decomposition reads the matrix.
+    run = tmp_path / "run"
+    run.mkdir()
+    write_sdpa(generate_planted(3, 4, 1, seed=0)[0], run / "instance.dat-s")
+    np.save(run / "z_final.npy", np.zeros(shape))
+    summary = {"instance_file": "instance.dat-s", "status": "converged", "iterations": 3}
+    (run / "summary.json").write_text(json.dumps(summary))
+    assert main(["diagnose", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: z_final.npy has shape {shape}, expected (3, 3)\n"
+    assert not (run / "diagnostics.json").exists()
+
+
 # -- eb-verify ---------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from sdpadmm.problem import (
     SdpProblem,
     apply_Bt,
     build_kernel,
+    generate_maxcut,
     generate_planted,
     haar_orthogonal,
     project_null,
@@ -514,7 +515,7 @@ def test_fix_rows_are_the_rotated_basis(diagnose_shape, small_planted):
 
 def test_one_frame_gives_the_per_function_witnesses(diagnose_shape, small_planted, monkeypatch):
     # nd_check and fix_basis read the frame's table and share its witness
-    # null spaces; alone, each rotates the constraints and takes both SVDs
+    # null spaces; alone, each makes its own frame and takes both SVDs
     # itself. The witness dimensions and Fix(M) are the same.
     svds = []
     original = diagnostics.null_space
@@ -540,6 +541,86 @@ def test_one_frame_gives_the_per_function_witnesses(diagnose_shape, small_plante
         assert len(svds) == 4
         assert shared.dim == alone.dim == _stack_fix_basis(os_, kern).shape[0]
         assert np.array_equal(shared.rows, alone.rows)
+
+
+def _planted_limit(n, m, r, degeneracy="none"):
+    prob, cert = generate_planted(n, m, r, seed=1, degeneracy=degeneracy)
+    return build_omega(eig_sym(cert.zstar(1.0))), build_kernel(prob)
+
+
+def _maxcut_limit():
+    """Omega structure and kernel at the solved limit of max-cut on G(12, 0.4)."""
+    upper = np.triu(np.random.default_rng(0).random((12, 12)) < 0.4, 1)
+    prob = generate_maxcut((upper | upper.T).astype(float))
+    cfg = SolverConfig(sigma=1.0, max_iter=200_000, tol_rmax=1e-10, seed=0, trace_every=100)
+    state, _, _ = solve(prob, cfg)
+    return build_omega(eig_sym(state.Z)), build_kernel(prob)
+
+
+@pytest.mark.parametrize(
+    "family, dims",
+    [("planted-nd", (0, 0)), ("primal-nd-fail", (31, 0)), ("dual-nd-fail", (0, 5)),
+     ("maxcut", (0, 0))],
+)
+def test_frame_matches_the_rotated_constraint_table(diagnose_shape, family, dims):
+    # Oracle: the path the frame of B~ = svec(Q'B_iQ) replaced. The witnesses
+    # of the rotated constraint table svec(Q'A_iQ), and the trailing family
+    # of Fix(M) from a QR of R y (``_stack_fix_basis``). A = R'B with R
+    # invertible, so both give the same spaces.
+    os_, kern = {
+        "planted-nd": lambda: _planted_limit(20, 40, 3),
+        "primal-nd-fail": lambda: diagnose_shape[:2],
+        "dual-nd-fail": lambda: _planted_limit(10, 10, 5),
+        "maxcut": _maxcut_limit,
+    }[family]()
+    at = svec(os_.rotate_in(kern.problem.A))
+    k = os_.n - os_.s
+    report = nd_check(kern.problem, SpectralDecomp(Q=os_.Q, lam=os_.lam))
+    assert (report.primal_witness_dim, report.dual_witness_dim) == dims
+    assert dims == (primal_witness(at, os_.r).shape[1], dual_witness(at, k).shape[1])
+    fix = fix_basis(os_, kern)
+    old = svec(_stack_fix_basis(os_, kern))
+    new = svec(fix_members(os_, fix))
+    assert fix.dim == old.shape[0] == sum(dims)
+    assert np.linalg.norm(old.T @ old - new.T @ new) <= 1e-10
+
+
+def _mixing(m, rng, cond=1e3):
+    """A random (m, m) matrix with condition number ``cond`` (1 at m = 1)."""
+    spectrum = np.logspace(0.0, -np.log10(cond), m)
+    return (haar_orthogonal(m, rng) * spectrum) @ haar_orthogonal(m, rng)
+
+
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.data(),
+    st.sampled_from(["none", "primal_nd_fail"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_mixing_the_constraints_changes_no_witness(n, data, degeneracy, seed):
+    # A -> MA, b -> Mb for an invertible M keeps range(A*), so the witnesses
+    # and Fix(M) stay, and the kernel's orthonormal basis B changes by an
+    # orthogonal U: the mixed frame's table is U bt.
+    r = data.draw(st.integers(1, n - 2 if degeneracy == "primal_nd_fail" else n - 1))
+    m = data.draw(st.integers(1, svec_dim(n) - 1))
+    prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
+    mix = _mixing(m, np.random.default_rng(seed))
+    mixed = SdpProblem.from_table(prob.C, mix @ prob.table, mix @ prob.b)
+    dec = eig_sym(cert.zstar(1.0))
+    os_ = build_omega(dec)
+    reports, rows, tables = [], [], []
+    for p in (prob, mixed):
+        kern = build_kernel(p)
+        frame = eigen_frame(kern, dec.Q)
+        reports.append(nd_check(p, dec, frame))
+        rows.append(fix_basis(os_, kern, frame).rows)
+        tables.append(frame.bt)
+    assert reports[0] == reports[1]
+    assert np.linalg.norm(rows[0].T @ rows[0] - rows[1].T @ rows[1]) <= 1e-10
+    u = tables[1] @ tables[0].T
+    assert np.linalg.norm(u @ u.T - np.eye(m)) <= 1e-10
+    assert np.linalg.norm(tables[1] - u @ tables[0]) <= 1e-10
 
 
 def test_op_norm_minus_fix_one_projection_matches_two(diagnose_shape):
