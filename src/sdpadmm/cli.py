@@ -9,11 +9,18 @@ override manifest fields, which override defaults. Identical manifest and
 seed produce byte-identical trace CSVs; wall-clock metadata lives only in the
 JSON summary.
 
+``generate`` spells a generator object from its flags (``--n`` is the field
+``n``) and builds it through ``_instance_from_manifest``, as ``solve`` does
+with its manifest's. ``.npy`` inputs (``z_final.npy``, eb-verify's
+``z.file`` and ``h.file``) must hold a numpy array of real numbers.
+
 ``solve`` writes a run directory once (the instance file as read, or as
 generated, and every ``SolverConfig`` field); ``diagnose`` only reads it. The
 ``diagnose`` report comes from ``diagnose_run(run_dir)``, which returns the
 ``diagnostics.json`` object (a malformed ``summary.json`` is a ValueError
-naming the file or the field); the command only writes and prints it.
+naming the file or the field); the command only writes and prints it. The
+summary must hold every ``SolverConfig`` field, and the replay must reach the
+recorded iteration count, so that the report is about the recorded run.
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ from .solver import (
 
 _CFG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
+# The flags of ``generate`` that are fields of the manifest's generator object.
+_GENERATOR_FLAGS = ("kind", "n", "m", "r", "seed", "degeneracy", "edges")
+
 
 def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
@@ -88,6 +98,21 @@ def _load_manifest(path):
     return manifest
 
 
+def _load_matrix(path, what):
+    """The array in the ``.npy`` file ``path`` as floats; a ValueError names
+    the field ``what`` unless the file holds a numpy array of real numbers
+    (not an ``.npz`` archive, a pickle or a complex array)."""
+    with open(path, "rb") as fh:  # also closes the file an .npz archive keeps open
+        try:
+            val = np.load(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
+    if not isinstance(val, np.ndarray) or val.dtype.kind not in "fiu":
+        got = f"dtype {val.dtype}" if isinstance(val, np.ndarray) else type(val).__name__
+        raise ValueError(f"{what} must be a .npy array of real numbers, got {got}")
+    return val.astype(float, copy=False)
+
+
 def _apply_overrides(manifest, args):
     overrides = {
         "sigma": args.sigma,
@@ -112,7 +137,13 @@ def _config_from_manifest(manifest):
 
 def _instance_from_manifest(manifest):
     """Build (problem, name, certificate-or-None) from the manifest's single
-    instance source."""
+    instance source: an SDPA ``instance`` path, or a ``generator`` object.
+
+    This is the only place that turns a generator object into an instance;
+    ``solve`` reads the object from its manifest and ``generate`` builds it
+    from its flags. A planted instance is named
+    ``planted-n{n}-m{m}-r{r}-s{seed}`` and comes with its certificate; a
+    max-cut one is named after its edge file and has none."""
     has_path = "instance" in manifest
     has_gen = "generator" in manifest
     if has_path == has_gen:
@@ -276,9 +307,11 @@ def diagnose_run(run_dir, timings=None):
     ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
     stays ``None``, with the reason under ``skipped``; one that fails
     numerically also sets ``failure``. ``operator_applications`` counts the
-    estimate's operator applications. A malformed ``summary.json``, or a
-    ``z_final.npy`` that is not (n, n), raises ``ValueError`` naming the
-    file or the field. ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``,
+    estimate's operator applications. A malformed ``summary.json`` (one
+    missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
+    a real (n, n) array, or a replay that stops before the recorded
+    ``iterations`` raises ``ValueError`` naming the file, the field or both
+    iteration counts. ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``,
     receives the time of each phase; it stays out of the report, which
     repeats between commands."""
     if timings is None:
@@ -294,9 +327,15 @@ def diagnose_run(run_dir, timings=None):
         require_integer("iterations", summary["iterations"])
         prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
         kernel = build_kernel(prob)
-        z_final = np.load(z_path)
+        z_final = _load_matrix(z_path, "z_final.npy")
         if z_final.shape != (prob.n, prob.n):
             raise ValueError(f"z_final.npy has shape {z_final.shape}, expected {(prob.n,) * 2}")
+        # The replay must be the recorded run: no SolverConfig field may fall
+        # back to its default.
+        require_keys("summary.json", summary, *_CFG_KEYS)
+        cfg = _config_from_manifest(summary)
+        cfg.max_iter = summary["iterations"]
+        cfg.time_limit_secs = None
 
     with timings.phase("frame"):
         dec = eig_sym(z_final)
@@ -319,11 +358,11 @@ def diagnose_run(run_dir, timings=None):
         "provenance": _provenance(),
     }
 
-    cfg = _config_from_manifest(summary)
-    cfg.max_iter = summary["iterations"]
-    cfg.time_limit_secs = None
     with timings.phase("replay"):
-        _, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
+        replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
+    if replay.k != cfg.max_iter:
+        raise ValueError(f"the replay stopped at k = {replay.k}, but summary.json records "
+                         f"{cfg.max_iter} iterations")
     k_id = report["k_id"] = diagnostics.rank_trace(records, sc)
 
     if sc.sc_holds:
@@ -409,7 +448,7 @@ def _eb_inputs(manifest):
     hsrc = require_object("h", manifest.get("h", {"random": {"seed": 1}}))
     if "file" in zsrc:
         require_path("file", zsrc["file"])
-        z = np.load(zsrc["file"])
+        z = _load_matrix(zsrc["file"], "z.file")
         if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
             raise ValueError(f"z.file must be a square matrix of order >= 2, got shape {z.shape}")
         z = symmetrize(z)
@@ -428,7 +467,7 @@ def _eb_inputs(manifest):
         z = symmetrize((q * lam) @ q.T)
     if "file" in hsrc:
         require_path("file", hsrc["file"])
-        h = np.load(hsrc["file"])
+        h = _load_matrix(hsrc["file"], "h.file")
         if h.shape != z.shape:
             raise ValueError(f"h.file must have the shape {z.shape} of z, got {h.shape}")
         h = symmetrize(h)
@@ -481,37 +520,27 @@ def _cmd_eb_verify(args):
 
 
 def _cmd_generate(args):
-    if args.kind == "planted":
-        for field in ("n", "m", "r"):
-            if getattr(args, field) is None:
-                raise ValueError(f"generate planted needs --{field}")
-        prob, cert = generate_planted(
-            args.n, args.m, args.r, args.seed or 0, degeneracy=args.degeneracy
-        )
-        out = args.out or f"planted-n{args.n}-m{args.m}-r{args.r}-seed{args.seed or 0}.dat-s"
-        write_sdpa(prob, out, comment=os.path.basename(out))
-        rp, rd, comp = cert.kkt_residuals(prob)
-        sidecar = {
-            "Xstar": cert.Xstar.tolist(),
-            "ystar": cert.ystar.tolist(),
-            "Sstar": cert.Sstar.tolist(),
-            "Qstar": cert.Qstar.tolist(),
-            "r": cert.r,
-            "s": cert.s,
-            "seed": args.seed or 0,
-            "degeneracy": args.degeneracy,
-            "kkt_residuals": {"primal": rp, "dual": rd, "complementarity": comp},
-        }
-        _write_json(sidecar, out + ".cert.json")
-        return 0, f"status: wrote {out} and {out}.cert.json"
-    if args.kind == "maxcut":
-        if not args.edges:
-            raise ValueError("generate maxcut needs --edges FILE")
-        prob = generate_maxcut(_load_edge_list(args.edges))
-        out = args.out or (os.path.splitext(args.edges)[0] + ".dat-s")
-        write_sdpa(prob, out, comment=os.path.basename(out))
+    gen = {key: getattr(args, key) for key in _GENERATOR_FLAGS if getattr(args, key) is not None}
+    prob, name, cert = _instance_from_manifest({"generator": gen})
+    stem = os.path.splitext(args.edges)[0] if args.kind == "maxcut" else name
+    out = args.out or stem + ".dat-s"
+    write_sdpa(prob, out, comment=os.path.basename(out))
+    if cert is None:
         return 0, f"status: wrote {out}"
-    raise ValueError(f"unknown generate kind {args.kind!r}")
+    rp, rd, comp = cert.kkt_residuals(prob)
+    sidecar = {
+        "Xstar": cert.Xstar.tolist(),
+        "ystar": cert.ystar.tolist(),
+        "Sstar": cert.Sstar.tolist(),
+        "Qstar": cert.Qstar.tolist(),
+        "r": cert.r,
+        "s": cert.s,
+        "seed": gen.get("seed", 0),
+        "degeneracy": gen["degeneracy"],
+        "kkt_residuals": {"primal": rp, "dual": rd, "complementarity": comp},
+    }
+    _write_json(sidecar, out + ".cert.json")
+    return 0, f"status: wrote {out} and {out}.cert.json"
 
 
 def _build_parser():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import platform
+import re
 import sys
 
 import numpy as np
@@ -716,6 +717,85 @@ def test_diagnose_rejects_a_z_final_of_another_order(tmp_path, capsys, shape):
     assert not (run / "diagnostics.json").exists()
 
 
+@pytest.mark.parametrize("field", cli._CFG_KEYS)
+def test_diagnose_requires_every_config_field(planted_manifest, capsys, field):
+    # A missing field would replay at its default: another run than the one
+    # recorded.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    del summary[field]
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: summary.json is missing {field!r}\n"
+    assert not (out / "diagnostics.json").exists()
+
+
+def test_diagnose_refuses_a_replay_that_stops_early(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    summary["tol_rmax"] = 1e-4
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"error: the replay stopped at k = (\d+), but summary.json records (\d+) iterations\n", err
+    )
+    assert match and int(match[1]) < int(match[2]) == summary["iterations"]
+    assert not (out / "diagnostics.json").exists()
+
+
+def _save_npz(path, a):
+    # An .npz archive under a .npy name.
+    with open(path, "wb") as fh:
+        np.savez(fh, a=a)
+
+
+def _save_text(path, a):
+    path.write_text(" ".join(map(str, a.ravel())))
+
+
+_NOT_REAL = [
+    (_save_npz, "{what} must be a .npy array of real numbers, got NpzFile"),
+    (lambda path, a: np.save(path, a + 1j),
+     "{what} must be a .npy array of real numbers, got dtype complex128"),
+    (_save_text, "{what}: This file contains pickled (object) data."),
+]
+
+
+@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text"])
+def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, message):
+    run = tmp_path / "run"
+    run.mkdir()
+    write_sdpa(generate_planted(3, 4, 1, seed=0)[0], run / "instance.dat-s")
+    save(run / "z_final.npy", np.diag([1.0, -1.0, -2.0]))
+    summary = {"instance_file": "instance.dat-s", "status": "converged", "iterations": 3}
+    (run / "summary.json").write_text(json.dumps(summary))
+    assert main(["diagnose", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(what="z_final.npy"))
+    assert err.count("\n") == 1
+    assert not (run / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("what", ["z.file", "h.file"])
+@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text"])
+def test_eb_verify_reads_file_sources_only_as_real_arrays(tmp_path, capsys, what, save, message):
+    z = np.diag([1.0, 2.0, -1.0])
+    fields = {"z": {"file": str(tmp_path / "z.npy")}, "h": {"file": str(tmp_path / "h.npy")}}
+    for name, a in (("z", z), ("h", np.eye(3))):
+        (save if what == f"{name}.file" else np.save)(tmp_path / f"{name}.npy", a)
+    manifest = write_manifest(tmp_path / "m.json", out=str(tmp_path / "eb"), **fields)
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(what=what))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "eb").exists()
+
+
 # -- eb-verify ---------------------------------------------------------------
 
 
@@ -833,6 +913,57 @@ def test_generate_planted_files(tmp_path, capsys):
     cert = json.loads((tmp_path / "inst.dat-s.cert.json").read_text())
     assert max(cert["kkt_residuals"].values()) <= 1e-10
     assert np.asarray(cert["Xstar"]).shape == (8, 8)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        {"kind": "planted", "n": 9, "m": 16, "r": 2, "seed": 5, "degeneracy": "none"},
+        {"kind": "planted", "n": 9, "m": 16, "r": 2, "seed": 5, "degeneracy": "primal_nd_fail"},
+        {"kind": "maxcut", "edges": "graph.txt"},
+    ],
+    ids=["planted-none", "planted-primal-nd-fail", "maxcut"],
+)
+def test_generate_and_a_solve_manifest_give_one_instance(tmp_path, capsys, monkeypatch, gen):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text("5\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n")
+    flags = [f"--{key}={val}" for key, val in gen.items() if key != "kind"]
+    assert main(["generate", gen["kind"], *flags, "--out", "gen.dat-s"]) == 0
+    manifest = write_manifest(tmp_path / "m.json", generator=gen, max_iter=1, out="run")
+    assert main(["solve", "--manifest", manifest]) == 2
+    capsys.readouterr()
+    generated, solved = load_sdpa("gen.dat-s"), load_sdpa("run/instance.dat-s")
+    for field in ("C", "table", "b"):
+        assert getattr(generated, field).tobytes() == getattr(solved, field).tobytes()
+
+
+def test_generate_default_names(tmp_path, capsys, monkeypatch):
+    # Planted: the manifest's instance name, in the working directory.
+    # Max-cut: the edge file's stem, beside it.
+    monkeypatch.chdir(tmp_path)
+    gen = {"kind": "planted", "n": 8, "m": 14, "r": 2, "seed": 3}
+    name = cli._instance_from_manifest({"generator": gen})[1]
+    assert name == "planted-n8-m14-r2-s3"
+    assert main(["generate", "planted", "--n", "8", "--m", "14", "--r", "2", "--seed", "3"]) == 0
+    assert capsys.readouterr().err == f"status: wrote {name}.dat-s and {name}.dat-s.cert.json\n"
+    (tmp_path / "g").mkdir()
+    (tmp_path / "g" / "graph.txt").write_text("3\n1 2\n2 3\n")
+    assert main(["generate", "maxcut", "--edges", "g/graph.txt"]) == 0
+    assert capsys.readouterr().err == "status: wrote g/graph.dat-s\n"
+    assert sorted(p.name for p in tmp_path.rglob("*.dat-s*")) == [
+        "graph.dat-s", f"{name}.dat-s", f"{name}.dat-s.cert.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["planted", "--n", "8", "--r", "2"], "m"), (["maxcut"], "edges")],
+    ids=["planted-m", "maxcut-edges"],
+)
+def test_generate_names_the_missing_generator_field(tmp_path, capsys, monkeypatch, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *argv]) == 1
+    assert capsys.readouterr().err == f"error: generator is missing {field!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_invalid_rank(tmp_path, capsys):

@@ -1,17 +1,22 @@
 """The README's examples run as written."""
 
+import json
 import pathlib
 import re
+import shlex
+
+from sdpadmm.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def fenced_block(heading, language):
     """Source of the first ``language`` code fence under the ``## heading``
-    of README.md."""
+    of README.md (``language`` "" is a fence with no language)."""
     section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
-    match = re.match(rf"\s*```{language}\n(.*?)\n```\n", section, re.S)
-    assert match, f"no {language} fence opens the section {heading!r}"
+    section = section.split("\n## ", 1)[0]
+    match = re.search(rf"^```{language}\n(.*?)\n```$", section, re.S | re.M)
+    assert match, f"no {language} fence in the section {heading!r}"
     return match.group(1)
 
 
@@ -22,3 +27,23 @@ def test_library_quickstart_runs(capsys):
     assert lines[1].startswith("NondegeneracyReport(primal_witness_dim=0, dual_witness_dim=0")
     # The planted instance is nondegenerate, so Fix(M) = {0} and ||M|| < 1.
     assert 0.0 < float(lines[-1]) < 1.0
+
+
+def test_command_line_example_runs(tmp_path, capsys, monkeypatch):
+    # The fence's generate line writes the instance that the "Solve manifest"
+    # example then solves.
+    (line,) = [line for line in fenced_block("Command line", "").splitlines()
+               if line.startswith("sdpadmm generate planted ")]
+    argv = shlex.split(line, comments=True)[1:]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    manifest = json.loads(fenced_block("Command line", "json"))
+    assert manifest["instance"] == argv[argv.index("--out") + 1]
+    for key in ("instance", "out"):
+        manifest[key] = str(tmp_path / manifest[key])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["solve", "--manifest", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1].startswith("status: converged ")
+    summary = json.loads((tmp_path / manifest["out"] / "summary.json").read_text())
+    assert summary["status"] == "converged"
