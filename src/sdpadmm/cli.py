@@ -4,15 +4,19 @@ Subcommands: ``solve`` (run the solver on an instance, emit a trace CSV and a
 JSON summary), ``diagnose`` (post-hoc analysis of a finished run directory),
 ``eb-verify`` (projection linearization residual scan plus elimination
 agreement check), and ``generate`` (write planted or max-cut instances as
-.dat-s files). Runs are described by JSON manifests; command-line flags
-override manifest fields, which override defaults. Identical manifest and
-seed produce byte-identical trace CSVs; wall-clock metadata lives only in the
-JSON summary.
+.dat-s files). Runs are described by JSON manifests. Each flag of
+``solve``, ``eb-verify`` and ``generate`` is the field of its name (``--tol``
+sets ``tol_rmax``); a flag given overrides the manifest's field, and a field
+given by neither takes the default of the code that reads it
+(``SolverConfig``, ``generate_planted``). A field that no reader knows is an
+error. Identical manifest and seed produce byte-identical trace CSVs;
+wall-clock metadata lives only in the JSON summary. Every JSON file written
+is standard JSON: a non-finite number is written as ``null``.
 
-``generate`` spells a generator object from its flags (``--n`` is the field
-``n``) and builds it through ``_instance_from_manifest``, as ``solve`` does
-with its manifest's. ``.npy`` inputs (``z_final.npy``, eb-verify's
-``z.file`` and ``h.file``) must hold a numpy array of real numbers.
+``generate`` spells a generator object from its flags and builds it through
+``_instance_from_manifest``, as ``solve`` does with its manifest's. ``.npy``
+inputs (``z_final.npy``, eb-verify's ``z.file`` and ``h.file``) must hold a
+numpy array of real numbers.
 
 ``solve`` writes a run directory once (the instance file as read, or as
 generated, and every ``SolverConfig`` field); ``diagnose`` only reads it. The
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import math
 import os
 import platform
 import shutil
@@ -65,14 +71,23 @@ from .solver import (
 )
 
 _CFG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+_PLANTED = inspect.signature(generate_planted)
 
-# The flags of ``generate`` that are fields of the manifest's generator object.
-_GENERATOR_FLAGS = ("kind", "n", "m", "r", "seed", "degeneracy", "edges")
+
+def _finite(obj):
+    """``obj`` with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
 
 
 def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump(_finite(obj), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -113,19 +128,10 @@ def _load_matrix(path, what):
     return val.astype(float, copy=False)
 
 
-def _apply_overrides(manifest, args):
-    overrides = {
-        "sigma": args.sigma,
-        "max_iter": args.max_iter,
-        "tol_rmax": args.tol,
-        "seed": args.seed,
-        "init": args.init,
-        "out": args.out,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            manifest[key] = val
-    return manifest
+def _flags(args):
+    """The fields given as flags: every option of ``args`` but ``--manifest``.
+    An option's ``dest`` is its field, and an option not given is absent."""
+    return {key: val for key, val in vars(args).items() if key not in ("command", "manifest")}
 
 
 def _config_from_manifest(manifest):
@@ -136,14 +142,17 @@ def _config_from_manifest(manifest):
 
 
 def _instance_from_manifest(manifest):
-    """Build (problem, name, certificate-or-None) from the manifest's single
-    instance source: an SDPA ``instance`` path, or a ``generator`` object.
+    """Build (problem, name, certificate-or-None, generator-or-None) from the
+    manifest's single instance source: an SDPA ``instance`` path, or a
+    ``generator`` object, which comes back with its defaults filled in.
 
     This is the only place that turns a generator object into an instance;
     ``solve`` reads the object from its manifest and ``generate`` builds it
-    from its flags. A planted instance is named
-    ``planted-n{n}-m{m}-r{r}-s{seed}`` and comes with its certificate; a
-    max-cut one is named after its edge file and has none."""
+    from its flags. A planted object holds ``kind`` and the parameters of
+    ``generate_planted``, whose signature gives the defaults; it is named
+    ``planted-n{n}-m{m}-r{r}-s{seed}`` and comes with its certificate. A
+    max-cut object holds ``kind`` and ``edges``; it is named after its edge
+    file and has no certificate."""
     has_path = "instance" in manifest
     has_gen = "generator" in manifest
     if has_path == has_gen:
@@ -151,27 +160,21 @@ def _instance_from_manifest(manifest):
     if has_path:
         path = manifest["instance"]
         require_path("instance", path)
-        return load_sdpa(path), os.path.basename(path), None
+        return load_sdpa(path), os.path.basename(path), None, None
     gen = require_object("generator", manifest["generator"])
     kind = gen.get("kind")
     if kind == "planted":
-        require_keys("generator", gen, "n", "m", "r")
-        prob, cert = generate_planted(
-            n=gen["n"],
-            m=gen["m"],
-            r=gen["r"],
-            seed=gen.get("seed", 0),
-            degeneracy=gen.get("degeneracy", "none"),
-            spectrum_floor=gen.get("spectrum_floor", 0.5),
-            spectrum_ceil=gen.get("spectrum_ceil", 2.0),
-        )
-        name = f"planted-n{gen['n']}-m{gen['m']}-r{gen['r']}-s{gen.get('seed', 0)}"
-        return prob, name, cert
+        require_keys("generator", gen, "n", "m", "r", allowed=("kind", *_PLANTED.parameters))
+        bound = _PLANTED.bind(**{key: val for key, val in gen.items() if key != "kind"})
+        bound.apply_defaults()
+        gen = {"kind": kind, **bound.arguments}
+        prob, cert = generate_planted(**bound.arguments)
+        return prob, "planted-n{n}-m{m}-r{r}-s{seed}".format(**gen), cert, gen
     if kind == "maxcut":
-        require_keys("generator", gen, "edges")
+        require_keys("generator", gen, "edges", allowed=("kind",))
         require_path("edges", gen["edges"])
         adjacency = _load_edge_list(gen["edges"])
-        return generate_maxcut(adjacency), os.path.basename(gen["edges"]), None
+        return generate_maxcut(adjacency), os.path.basename(gen["edges"]), None, gen
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -217,14 +220,12 @@ def _load_edge_list(path):
 
 
 def _run_solve_manifest(manifest):
-    """Execute one solve manifest; returns the summary dict (also written to
-    the output directory together with the trace and the final iterate)."""
-    out_dir = manifest.get("out")
-    if out_dir is None:
-        raise ValueError("manifest is missing an output directory ('out')")
-    require_path("out", out_dir)
+    """Execute one solve manifest, whose fields and ``out`` ``_cmd_solve``
+    has checked; returns the summary dict (also written to the output
+    directory together with the trace and the final iterate)."""
+    out_dir = manifest["out"]
     cfg = _config_from_manifest(manifest)
-    prob, name, _ = _instance_from_manifest(manifest)
+    prob, name, *_ = _instance_from_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
     instance_file = os.path.join(out_dir, "instance.dat-s")
     source = manifest.get("instance")
@@ -265,9 +266,18 @@ def _run_solve_manifest(manifest):
 
 
 def _cmd_solve(args):
-    manifests = [_apply_overrides(_load_manifest(path), args) for path in args.manifest]
+    manifests = [{**_load_manifest(path), **_flags(args)} for path in args.manifest]
     if not manifests:
         raise ValueError("solve needs at least one --manifest")
+    # Before any run starts: known fields only, and one output directory per run.
+    outs = {}
+    for i, man in enumerate(manifests):
+        require_keys("manifest", man, "out", allowed=("instance", "generator", *_CFG_KEYS))
+        require_path("out", man["out"])
+        first = outs.setdefault(os.path.realpath(man["out"]), i)
+        if first != i:
+            raise ValueError(f"manifests {args.manifest[first]} and {args.manifest[i]} share "
+                             f"the output directory {man['out']}")
     summaries = [_run_solve_manifest(man) for man in manifests]
     statuses = [s["status"] for s in summaries]
     n_conv = sum(1 for s in statuses if s == SolveStatus.CONVERGED.value)
@@ -443,19 +453,27 @@ def _cmd_diagnose(args):
     return (0 if failure is None else 1), line
 
 
+def _matrix_file(src, name, fits, rule):
+    """The symmetrized matrix in the file of the source ``{"file": path}``
+    called ``name``; a ValueError states ``rule`` unless ``fits(shape)``."""
+    require_keys(name, src, allowed=("file",))
+    require_path("file", src["file"])
+    a = _load_matrix(src["file"], f"{name}.file")
+    if not fits(a.shape):
+        raise ValueError(f"{name}.file must {rule}{a.shape}")
+    return symmetrize(a)
+
+
 def _eb_inputs(manifest):
-    zsrc = require_object("z", manifest.get("z", {"random": {"n": 8, "seed": 0}}))
-    hsrc = require_object("h", manifest.get("h", {"random": {"seed": 1}}))
+    zsrc = require_object("z", manifest.get("z", {"random": {"n": 8}}))
+    hsrc = require_object("h", manifest.get("h", {"random": {}}))
     if "file" in zsrc:
-        require_path("file", zsrc["file"])
-        z = _load_matrix(zsrc["file"], "z.file")
-        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
-            raise ValueError(f"z.file must be a square matrix of order >= 2, got shape {z.shape}")
-        z = symmetrize(z)
+        z = _matrix_file(zsrc, "z", lambda shape: len(shape) == 2 and shape[0] == shape[1] >= 2,
+                         "be a square matrix of order >= 2, got shape ")
     else:
-        require_keys("z", zsrc, "random")
+        require_keys("z", zsrc, "random", allowed=())
         rnd = require_object("z.random", zsrc["random"])
-        require_keys("z.random", rnd, "n")
+        require_keys("z.random", rnd, "n", allowed=("seed",))
         n, seed = rnd["n"], rnd.get("seed", 0)
         require_integer("n", n)
         require_integer("seed", seed)
@@ -466,14 +484,13 @@ def _eb_inputs(manifest):
         lam = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) < (n + 1) // 2, 1.0, -1.0)
         z = symmetrize((q * lam) @ q.T)
     if "file" in hsrc:
-        require_path("file", hsrc["file"])
-        h = _load_matrix(hsrc["file"], "h.file")
-        if h.shape != z.shape:
-            raise ValueError(f"h.file must have the shape {z.shape} of z, got {h.shape}")
-        h = symmetrize(h)
+        h = _matrix_file(hsrc, "h", lambda shape: shape == z.shape,
+                         f"have the shape {z.shape} of z, got ")
     else:
-        require_keys("h", hsrc, "random")
-        seed = require_object("h.random", hsrc["random"]).get("seed", 1)
+        require_keys("h", hsrc, "random", allowed=())
+        rnd = require_object("h.random", hsrc["random"])
+        require_keys("h.random", rnd, allowed=("seed",))
+        seed = rnd.get("seed", 1)
         require_integer("seed", seed)
         rng = np.random.default_rng(seed)
         h = symmetrize(rng.standard_normal(z.shape))
@@ -484,9 +501,8 @@ def _eb_inputs(manifest):
 def _cmd_eb_verify(args):
     if len(args.manifest) > 1:
         raise ValueError("eb-verify takes at most one --manifest")
-    manifest = _load_manifest(args.manifest[0]) if args.manifest else {}
-    if args.out is not None:
-        manifest["out"] = args.out
+    manifest = {**(_load_manifest(args.manifest[0]) if args.manifest else {}), **_flags(args)}
+    require_keys("manifest", manifest, allowed=("z", "h", "scales", "out"))
     scales = manifest.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
     if not isinstance(scales, list) or not scales:
         raise ValueError(f"scales must be a non-empty list of positive numbers, got {scales!r}")
@@ -520,10 +536,11 @@ def _cmd_eb_verify(args):
 
 
 def _cmd_generate(args):
-    gen = {key: getattr(args, key) for key in _GENERATOR_FLAGS if getattr(args, key) is not None}
-    prob, name, cert = _instance_from_manifest({"generator": gen})
-    stem = os.path.splitext(args.edges)[0] if args.kind == "maxcut" else name
-    out = args.out or stem + ".dat-s"
+    gen = _flags(args)
+    out = gen.pop("out", None)
+    prob, name, cert, gen = _instance_from_manifest({"generator": gen})
+    stem = os.path.splitext(gen["edges"])[0] if gen["kind"] == "maxcut" else name
+    out = out or stem + ".dat-s"
     write_sdpa(prob, out, comment=os.path.basename(out))
     if cert is None:
         return 0, f"status: wrote {out}"
@@ -535,7 +552,7 @@ def _cmd_generate(args):
         "Qstar": cert.Qstar.tolist(),
         "r": cert.r,
         "s": cert.s,
-        "seed": gen.get("seed", 0),
+        "seed": gen["seed"],
         "degeneracy": gen["degeneracy"],
         "kkt_residuals": {"primal": rp, "dual": rd, "complementarity": comp},
     }
@@ -546,35 +563,39 @@ def _cmd_generate(args):
 def _build_parser():
     parser = argparse.ArgumentParser(prog="sdpadmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options of solve, eb-verify and generate are fields (``_flags``):
+    # each dest is a field's name, and an option not given stays unset.
+    fields = {"argument_default": argparse.SUPPRESS}
 
     def add_io(sp):
         sp.add_argument("--manifest", action="append", default=[], help="JSON manifest path")
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out")
 
-    sp_solve = sub.add_parser("solve", help="run the solver on manifest-described instances")
+    sp_solve = sub.add_parser("solve", help="run the solver on manifest-described instances",
+                              **fields)
     add_io(sp_solve)
-    sp_solve.add_argument("--sigma", type=float, default=None)
-    sp_solve.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sp_solve.add_argument("--tol", type=float, default=None)
-    sp_solve.add_argument("--seed", type=int, default=None)
-    sp_solve.add_argument("--init", choices=("zero", "gaussian"), default=None)
+    sp_solve.add_argument("--sigma", type=float)
+    sp_solve.add_argument("--max-iter", type=int)
+    sp_solve.add_argument("--tol", dest="tol_rmax", type=float)
+    sp_solve.add_argument("--seed", type=int)
+    sp_solve.add_argument("--init")
 
     sp_diag = sub.add_parser("diagnose", help="analyze a finished run directory")
     sp_diag.add_argument("--run", required=True, help="run directory written by solve")
     sp_diag.add_argument("--out", default=None)
 
-    sp_eb = sub.add_parser("eb-verify", help="projection linearization residual scan")
+    sp_eb = sub.add_parser("eb-verify", help="projection linearization residual scan", **fields)
     add_io(sp_eb)
 
-    sp_gen = sub.add_parser("generate", help="write instances as .dat-s files")
-    sp_gen.add_argument("kind", choices=("planted", "maxcut"))
-    sp_gen.add_argument("--n", type=int, default=None)
-    sp_gen.add_argument("--m", type=int, default=None)
-    sp_gen.add_argument("--r", type=int, default=None)
-    sp_gen.add_argument("--seed", type=int, default=None)
-    sp_gen.add_argument("--degeneracy", choices=("none", "primal_nd_fail"), default="none")
-    sp_gen.add_argument("--edges", default=None)
-    sp_gen.add_argument("--out", default=None)
+    sp_gen = sub.add_parser("generate", help="write instances as .dat-s files", **fields)
+    sp_gen.add_argument("kind", help="planted or maxcut")
+    sp_gen.add_argument("--n", type=int)
+    sp_gen.add_argument("--m", type=int)
+    sp_gen.add_argument("--r", type=int)
+    sp_gen.add_argument("--seed", type=int)
+    sp_gen.add_argument("--degeneracy")
+    sp_gen.add_argument("--edges")
+    sp_gen.add_argument("--out")
     return parser
 
 

@@ -168,8 +168,6 @@ def _start(os_: OmegaStructure, ht, z0_norm, zo_norm=None) -> EliminationState:
     """The state at Z + H from the structure ``os_`` of Z and the symmetric
     H~ = Q'HQ: T = diag(lam) + H~, which is Q'(Z + H)Q up to rounding, and
     Y = Q. ``z0_norm`` is ||Z + H||_2; ``zo_norm``, ||H~_O||_2 if known."""
-    if os_.r == 0 or os_.r == os_.n:
-        raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
     state = EliminationState(
         ell=0,
         t=np.diag(os_.lam) + ht,
@@ -184,6 +182,15 @@ def _start(os_: OmegaStructure, ht, z0_norm, zo_norm=None) -> EliminationState:
     return state
 
 
+def _reference(z):
+    """The multiplier structure of the reference Z from its one ``eig_sym``;
+    ValueError unless Z is nonsingular and indefinite."""
+    os_ = build_omega(eig_sym(z))
+    if os_.r == 0 or os_.r == os_.n:
+        raise ValueError("reference matrix must be indefinite (both eigenvalue signs)")
+    return os_
+
+
 def init_elimination(z, h) -> EliminationState:
     """Z + H rotated into the eigenbasis of the nonsingular reference Z.
 
@@ -192,7 +199,7 @@ def init_elimination(z, h) -> EliminationState:
     """
     z = symmetrize(z)
     h = symmetrize(h)
-    os_ = build_omega(eig_sym(z))  # ValueError on a singular reference
+    os_ = _reference(z)
     return _start(os_, symmetrize(os_.rotate_in(h)), sym_norm2(z + h))
 
 
@@ -299,10 +306,11 @@ class EbReference:
 
 
 def eb_reference(z, h) -> EbReference:
-    """The :class:`EbReference` of Z and H; ValueError on a singular Z."""
+    """The :class:`EbReference` of Z and H; ValueError on a singular or
+    definite Z."""
     z = symmetrize(z)
     h = symmetrize(h)
-    os_ = build_omega(eig_sym(z))
+    os_ = _reference(z)
     ht = symmetrize(os_.rotate_in(h))
     return EbReference(
         z=z,
@@ -353,13 +361,9 @@ class EbReport:
         }
 
     def write_csv(self, path):
-        lines = ["t,lhs,ho_norm,refined_ratio,classic_ratio"]
-        for i in range(len(self.scales)):
-            lines.append(
-                f"{float(self.scales[i])!r},{float(self.lhs[i])!r},"
-                f"{float(self.ho_norms[i])!r},{float(self.ratios[i])!r},"
-                f"{float(self.classic_ratios[i])!r}"
-            )
+        """The columns of :meth:`to_dict`, one row per scale."""
+        cols = self.to_dict()
+        lines = [",".join(cols), *(",".join(map(repr, row)) for row in zip(*cols.values()))]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -49,9 +49,14 @@ def require_object(name, val):
     return val
 
 
-def require_keys(name, obj, *keys):
+def require_keys(name, obj, *keys, allowed=None):
     """Raise ValueError naming ``name`` and the first of ``keys`` missing from
-    the JSON object ``obj``."""
+    the JSON object ``obj``; then, unless ``allowed`` is None, the first key
+    of ``obj`` that is neither one of ``keys`` nor in ``allowed``."""
     for key in keys:
         if key not in obj:
             raise ValueError(f"{name} is missing {key!r}")
+    if allowed is not None:
+        for key in obj:
+            if key not in keys and key not in allowed:
+                raise ValueError(f"{name} has unknown field {key!r}")

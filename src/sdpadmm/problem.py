@@ -523,7 +523,7 @@ def generate_planted(
     n,
     m,
     r,
-    seed,
+    seed=0,
     degeneracy="none",
     spectrum_floor=0.5,
     spectrum_ceil=2.0,

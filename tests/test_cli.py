@@ -283,6 +283,61 @@ def test_missing_nested_manifest_keys_are_named(tmp_path, capsys, command, field
     assert not (tmp_path / "o").exists()
 
 
+_PLANTED = {"kind": "planted", "n": 6, "m": 8, "r": 2, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, fields, message",
+    [
+        (["solve"], {"generator": _PLANTED, "tol": 1e-3}, "manifest has unknown field 'tol'"),
+        (["solve"], {"generator": {**_PLANTED, "degenracy": "primal_nd_fail"}},
+         "generator has unknown field 'degenracy'"),
+        (["solve"], {"generator": {"kind": "maxcut", "edges": "g.txt", "seed": 3}},
+         "generator has unknown field 'seed'"),
+        (["generate", "maxcut", "--edges", "g.txt", "--n", "5"], None,
+         "generator has unknown field 'n'"),
+        (["eb-verify"], {"scale": 0.1}, "manifest has unknown field 'scale'"),
+        (["eb-verify"], {"z": {"random": {"n": 4, "N": 8}}}, "z.random has unknown field 'N'"),
+        (["eb-verify"], {"h": {"random": {"seed": 1, "n": 4}}}, "h.random has unknown field 'n'"),
+        (["eb-verify"], {"h": {"file": "h.npy", "random": {}}}, "h has unknown field 'random'"),
+    ],
+    ids=["solve-tol", "planted-degenracy", "maxcut-seed", "generate-maxcut-n", "eb-scale",
+         "z-random-N", "h-random-n", "h-file-and-random"],
+)
+def test_unknown_fields_are_refused(tmp_path, capsys, monkeypatch, argv, fields, message):
+    # A misspelled field never falls back to a default: one error line, and
+    # no output.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("3\n1 2\n2 3\n")
+    np.save(tmp_path / "h.npy", np.eye(8))
+    if fields is None:
+        argv = [*argv, "--out", "o"]
+    else:
+        argv = [*argv, "--manifest", write_manifest(tmp_path / "m.json", out="o", **fields)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--manifest", "m.json", "--init", "bogus"], "unknown init mode 'bogus'"),
+        (["generate", "planted", "--n", "6", "--m", "8", "--r", "2", "--degeneracy", "bogus"],
+         "unknown degeneracy mode 'bogus'"),
+        (["generate", "bogus"], "unknown generator kind 'bogus'"),
+    ],
+    ids=["init", "degeneracy", "kind"],
+)
+def test_values_are_checked_by_the_code_that_reads_them(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    write_manifest(tmp_path / "m.json", generator=_PLANTED)
+    assert main([*argv, "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_eb_verify_rejects_too_small_z(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path / "m.json", out=str(tmp_path / "o"), z={"random": {"n": 0}}
@@ -427,6 +482,52 @@ def test_solve_batch_jobs(tmp_path, capsys):
     assert "2/2" in captured.err
     assert (tmp_path / "run1" / "summary.json").exists()
     assert (tmp_path / "run2" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("outs", [None, ("run", "x/../run")], ids=["flag", "fields"])
+def test_solve_refuses_manifests_that_share_an_output_directory(tmp_path, capsys, monkeypatch,
+                                                                  outs):
+    monkeypatch.chdir(tmp_path)
+    paths = [
+        write_manifest(tmp_path / f"m{seed}.json", generator={**_PLANTED, "seed": seed},
+                       max_iter=5, **({} if outs is None else {"out": outs[seed]}))
+        for seed in (0, 1)
+    ]
+    flags = ["--out", "run"] if outs is None else []
+    argv = ["solve", "--manifest", paths[0], "--manifest", paths[1], *flags]
+    assert main(argv) == 1
+    shared = "run" if outs is None else outs[1]
+    assert capsys.readouterr().err == (
+        f"error: manifests {paths[0]} and {paths[1]} share the output directory {shared}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "fields, code, name, read",
+    [
+        ({"sigma": 1e300}, 1, "summary.json", lambda summary: summary["r_d"]),
+        ({"max_iter": 0, "init": "zero"}, 2, "diagnostics.json", lambda rep: rep["sc"]["eigengap"]),
+    ],
+    ids=["numerical-failure", "zero-limit"],
+)
+def test_json_outputs_write_non_finite_numbers_as_null(tmp_path, capsys, fields, code, name, read):
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", generator=_PLANTED, out=str(out), **fields)
+    assert main(["solve", "--manifest", manifest]) == code
+    assert main(["diagnose", "--run", str(out)]) == 0
+    capsys.readouterr()
+    for path in out.glob("*.json"):
+        _strict_json(path)
+    assert read(_strict_json(out / name)) is None
 
 
 # -- diagnose ----------------------------------------------------------------
@@ -868,6 +969,18 @@ def test_eb_verify_singular_reference(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lam", [[1.0, 2.0, 3.0], [-1.0, -2.0]], ids=["positive", "negative"])
+def test_eb_verify_refuses_a_definite_reference(tmp_path, capsys, lam):
+    np.save(tmp_path / "z.npy", np.diag(lam))
+    manifest = write_manifest(
+        tmp_path / "m.json", z={"file": str(tmp_path / "z.npy")}, out=str(tmp_path / "eb")
+    )
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: reference matrix must be indefinite (both eigenvalue signs)\n"
+    assert not (tmp_path / "eb").exists()
+
+
 _SQUARE = "z.file must be a square matrix of order >= 2, got shape"
 
 
@@ -913,6 +1026,15 @@ def test_generate_planted_files(tmp_path, capsys):
     cert = json.loads((tmp_path / "inst.dat-s.cert.json").read_text())
     assert max(cert["kkt_residuals"].values()) <= 1e-10
     assert np.asarray(cert["Xstar"]).shape == (8, 8)
+
+
+def test_generate_sidecar_records_the_default_seed_and_degeneracy(tmp_path, capsys):
+    out = tmp_path / "inst.dat-s"
+    argv = ["generate", "planted", "--n", "8", "--m", "14", "--r", "2", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cert = json.loads((tmp_path / "inst.dat-s.cert.json").read_text())
+    assert (cert["seed"], cert["degeneracy"]) == (0, "none")
 
 
 @pytest.mark.parametrize(

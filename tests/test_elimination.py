@@ -265,6 +265,13 @@ def test_reference_rejects_a_singular_z():
         eb_reference(np.diag([1.0, 0.0, -1.0]), np.eye(3))
 
 
+@pytest.mark.parametrize("lam", [[1.0, 2.0, 3.0], [-1.0, -2.0]], ids=["positive", "negative"])
+def test_reference_rejects_a_definite_z(lam):
+    # Before any scale is scanned, not at the elimination check after it.
+    with pytest.raises(ValueError, match="indefinite"):
+        eb_reference(np.diag(lam), np.eye(len(lam)))
+
+
 def test_run_keeps_the_sweep_count_of_the_old_path():
     rng = np.random.default_rng(17)
     for _ in range(40):
