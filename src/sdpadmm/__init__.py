@@ -66,12 +66,14 @@ from .problem import (
     write_sdpa,
 )
 from .solver import (
+    Checkpoint,
     IterationRecord,
     SolveStatus,
     SolverConfig,
     SolverState,
     residuals,
     solve,
+    read_trace_csv,
     step_fixed_point,
     write_trace_csv,
     z_difference_identity,

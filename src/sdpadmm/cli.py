@@ -19,12 +19,14 @@ inputs (``z_final.npy``, eb-verify's ``z.file`` and ``h.file``) must hold a
 numpy array of real numbers.
 
 ``solve`` writes a run directory once (the instance file as read, or as
-generated, and every ``SolverConfig`` field); ``diagnose`` only reads it. The
-``diagnose`` report comes from ``diagnose_run(run_dir)``, which returns the
-``diagnostics.json`` object (a malformed ``summary.json`` is a ValueError
-naming the file or the field); the command only writes and prints it. The
-summary must hold every ``SolverConfig`` field, and the replay must reach the
-recorded iteration count, so that the report is about the recorded run.
+generated, every ``SolverConfig`` field, and the run's restart points in
+``checkpoints.npz``); ``diagnose`` only reads it. The ``diagnose`` report
+comes from ``diagnose_run(run_dir)``, which returns the ``diagnostics.json``
+object (a malformed ``summary.json`` is a ValueError naming the file or the
+field); the command only writes and prints it. The summary must hold every
+``SolverConfig`` field, the replay must reach the recorded iteration count,
+and every record it replays must equal the ``trace.csv`` row of its
+iterate, so that the report is about the recorded run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -63,10 +66,13 @@ from .problem import (
     write_sdpa,
 )
 from .solver import (
+    Checkpoint,
     PhaseTimings,
     SolveStatus,
     SolverConfig,
+    read_trace_csv,
     solve,
+    trace_fields,
     write_trace_csv,
 )
 
@@ -241,6 +247,11 @@ def _run_solve_manifest(manifest):
 
     np.save(os.path.join(out_dir, "z_final.npy"), state.Z)
     write_trace_csv(records, os.path.join(out_dir, "trace.csv"))
+    cps = state.checkpoints
+    np.savez(os.path.join(out_dir, "checkpoints.npz"),
+             k=np.array([c.k for c in cps], dtype=np.int64),
+             z=np.array([c.z for c in cps]).reshape(len(cps), prob.n, prob.n),
+             u_z=np.array([c.u_z for c in cps]).reshape(len(cps), prob.m))
     summary = {
         "instance": name,
         "instance_file": "instance.dat-s",
@@ -297,8 +308,8 @@ def _cmd_solve(args):
 
 
 # Timed phases of diagnose: reading the run, the limit's decomposition with
-# the SC and ND tests on its frame, the replay, Fix(M) and ||M - Pi_Fix||,
-# and the rate fits.
+# the SC and ND tests on its frame, the replay with the trace and checkpoints
+# it reads, Fix(M) and ||M - Pi_Fix||, and the rate fits.
 DIAGNOSE_PHASES = ("load", "frame", "replay", "norms", "fits")
 
 # Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
@@ -309,21 +320,30 @@ _FIT_SEQUENCES = (("r_max", "r_max"), ("h_norm", "h_norm"), ("ho_norm", "ho_norm
 def diagnose_run(run_dir, timings=None):
     """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
 
-    The run is replayed against its own limit for exactly the recorded
+    The run is replayed against its own limit up to exactly the recorded
     iterations, with no time limit, so a time-limited run is analysed on the
-    trajectory it took. The rank tests, ``Fix(M)`` and the one Lanczos
-    estimate, of ||M - Pi_Fix||, read one rotation of the basis of range(A*)
-    into the limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
+    trajectory it took. The replay starts from the latest restart point in
+    ``checkpoints.npz`` at or before the first row a rate fit reads (at or
+    before the last iterate when nothing is fitted), one point earlier while
+    a fit would read a value from before the start, and from iterate 0 when
+    the file is absent. Rows before the start are read from ``trace.csv``
+    as recorded, and so is ``k_id``; every replayed record must equal the
+    row of its iterate in all ``trace_fields``.
+
+    The rank tests, ``Fix(M)`` and the one Lanczos estimate, of
+    ||M - Pi_Fix||, read one rotation of the basis of range(A*) into the
+    limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
     ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
     stays ``None``, with the reason under ``skipped``; one that fails
     numerically also sets ``failure``. ``operator_applications`` counts the
     estimate's operator applications. A malformed ``summary.json`` (one
     missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
-    a real (n, n) array, or a replay that stops before the recorded
-    ``iterations`` raises ``ValueError`` naming the file, the field or both
-    iteration counts. ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``,
-    receives the time of each phase; it stays out of the report, which
-    repeats between commands."""
+    a real (n, n) array, a replay that stops before the recorded
+    ``iterations``, or one that differs from ``trace.csv``, raises
+    ``ValueError`` naming the file, the field or the iteration counts.
+    ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time
+    of each phase; it stays out of the report, which repeats between
+    commands."""
     if timings is None:
         timings = PhaseTimings.of(*DIAGNOSE_PHASES)
     summary_path = os.path.join(run_dir, "summary.json")
@@ -369,11 +389,25 @@ def diagnose_run(run_dir, timings=None):
     }
 
     with timings.phase("replay"):
-        replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final)
-    if replay.k != cfg.max_iter:
-        raise ValueError(f"the replay stopped at k = {replay.k}, but summary.json records "
-                         f"{cfg.max_iter} iterations")
-    k_id = report["k_id"] = diagnostics.rank_trace(records, sc)
+        rows = read_trace_csv(os.path.join(run_dir, "trace.csv"))
+        points = _load_checkpoints(os.path.join(run_dir, "checkpoints.npz"), prob.n, prob.m)
+        k_id = report["k_id"] = diagnostics.rank_trace(rows, sc)
+        fitted = summary["status"] == SolveStatus.CONVERGED.value and bool(rows)
+        # Start at the latest restart point at or before the first row a fit reads.
+        if fitted:
+            idx_id = next((i for i, r in enumerate(rows) if r.k == k_id), 0)
+            window = diagnostics.trailing_window(len(rows) - 1, idx_id)
+            first = rows[max(0, len(rows) - 1 - window)].k
+        else:
+            first = cfg.max_iter
+        start = max(k for k in points if k <= first)
+        while True:
+            records = _replay(prob, cfg, kernel, z_final, points[start], rows)
+            if start == 0 or not fitted or all(
+                np.count_nonzero(ks >= start) >= window for _, ks, _ in _positive_tails(records)
+            ):
+                break
+            start = max(k for k in points if k < start)  # a fit reads from before the start
 
     if sc.sc_holds:
         os_ = linearization.build_omega(dec)
@@ -394,23 +428,64 @@ def diagnose_run(run_dir, timings=None):
     unset = [key for key in ("op_norm_M", "fix_dim", "op_norm_M_minus_fix") if report[key] is None]
     report["skipped"] = dict.fromkeys(unset, reason)
 
-    if summary["status"] == SolveStatus.CONVERGED.value and records:
-        idx_id = next((i for i, r in enumerate(records) if r.k == k_id), 0) if k_id is not None else 0
-        window = diagnostics.trailing_window(len(records) - 1, idx_id)
-        ks = np.array([r.k for r in records[:-1]], dtype=float)
-        for name, field in _FIT_SEQUENCES:
-            vals = np.array([getattr(r, field) for r in records[:-1]], dtype=float)
-            keep = vals > 0.0
-            if keep.sum() < window:
+    if fitted:
+        for name, ks, vals in _positive_tails(records):
+            if len(vals) < window:
                 continue
             try:
-                fit = timings.call("fits", diagnostics.rate_fit, vals[keep], window,
-                                   ks=ks[keep], name=name)
+                fit = timings.call("fits", diagnostics.rate_fit, vals, window, ks=ks, name=name)
             except ValueError:
                 continue  # a tail that cannot be fit gets no entry
             report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
                                    "window": list(fit.window)})
     return report
+
+
+def _load_checkpoints(path, n, m):
+    """The restart points of a run by k: ``None`` at 0, which restarts from
+    the run's ``initial_z``, and the ``Checkpoint`` objects in
+    ``checkpoints.npz`` at ``path``. A run directory without the file
+    restarts from 0 only."""
+    if not os.path.exists(path):
+        return {0: None}
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            ks, zs, us = (npz.get(key, np.empty(0)) for key in ("k", "z", "u_z"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoints.npz: {exc}") from None
+    c = len(ks)
+    if ks.shape != (c,) or zs.shape != (c, n, n) or us.shape != (c, m):
+        raise ValueError(f"checkpoints.npz must hold arrays k, z and u_z of shapes (c,), "
+                         f"(c, {n}, {n}) and (c, {m})")
+    return {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
+
+
+def _replay(prob, cfg, kernel, z_final, point, rows):
+    """The trace of the recorded run against ``z_final``: the ``rows`` of
+    ``trace.csv`` before the restart point ``point``, then the records of
+    the run replayed from it. A replay that stops early, or whose records
+    differ from the rows from ``point`` on, is a ValueError."""
+    start = 0 if point is None else point.k
+    replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final, start=point)
+    if replay.k != cfg.max_iter:
+        raise ValueError(f"the replay stopped at k = {replay.k}, but summary.json records "
+                         f"{cfg.max_iter} iterations")
+    for got, want in itertools.zip_longest(records, [r for r in rows if r.k >= start]):
+        if got is None or want is None or trace_fields(got) != trace_fields(want):
+            raise ValueError(f"the replay from k = {start} (checkpoints.npz) differs from "
+                             f"trace.csv at k = {(got or want).k}")
+    return [r for r in rows if r.k < start] + records
+
+
+def _positive_tails(records):
+    """(name, ks, values) of each fitted sequence over all records but the
+    last, at its positive values; a row read from ``trace.csv`` has none of
+    the sequences taken against the limit."""
+    ks = np.array([r.k for r in records[:-1]], dtype=float)
+    for name, field in _FIT_SEQUENCES:
+        vals = np.array([getattr(r, field) for r in records[:-1]], dtype=float)
+        keep = vals > 0.0
+        yield name, ks[keep], vals[keep]
 
 
 def _cmd_diagnose(args):
@@ -515,6 +590,11 @@ def _cmd_eb_verify(args):
         z, h = _eb_inputs(manifest)
     with timings.phase("reference"):
         ref = eb_reference(z, h)
+    # An off-block at rounding level would divide the residual by noise.
+    floor = z.shape[0] * np.finfo(float).eps * ref.h_norm
+    if ref.ho_norm <= floor:
+        raise ValueError(f"H has no off-block in the eigenbasis of Z: ||H~_O||_2 = "
+                         f"{ref.ho_norm:.3e} <= n * eps * ||H||_2 = {floor:.3e}")
     with timings.phase("scan"):
         report = ref.scan(scales)
     os.makedirs(out_dir, exist_ok=True)

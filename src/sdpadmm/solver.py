@@ -22,6 +22,12 @@ and the primal residual is A(X) - b = R'(u_X - b_hat), one triangular
 product. The dual residual needs no A*y: A*y + S - C = (Z+ - Z)/sigma.
 ``step_fixed_point`` and ``residuals`` keep the direct evaluation as the
 reference path.
+
+A run restarts exactly from any iterate k at which it kept ``(k, Z_k, u_Z)``:
+Z_k decomposed again gives the same bits, and u_Z is the carried vector, not
+B(Z_k) recomputed, which differs in its last bits. ``solve`` keeps such a
+``Checkpoint`` at every power of two; iterate 0 is ``initial_z``, so every
+run is a restart, from 0 unless told otherwise.
 """
 
 from __future__ import annotations
@@ -29,8 +35,11 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
+import operator
+import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +141,15 @@ class IterationRecord:
     z: np.ndarray | None = None
 
 
+class Checkpoint(NamedTuple):
+    """A restart point of ``solve``: iterate ``k``, its ``z`` and the basis
+    coordinates ``u_z`` the loop carried to it."""
+
+    k: int
+    z: np.ndarray
+    u_z: np.ndarray
+
+
 @dataclass
 class PhaseTimings:
     """Wall seconds and call counts of the phases of one solve: partial
@@ -176,7 +194,9 @@ class SolverState:
     In a state returned by ``solve``, ``decomp`` is what the loop's
     ``eig_sym`` returned for Z: a :class:`SpectralSplit`, with no
     eigenvectors. ``failure`` holds the message and details of a numerical
-    failure that ended the run, ``timings`` the phase timers of the run.
+    failure that ended the run, ``timings`` the phase timers of the run, and
+    ``checkpoints`` the restart points it kept: one per power of two up to
+    ``k``, each holding the loop's own arrays (the loop never mutates them).
     """
 
     k: int
@@ -188,6 +208,7 @@ class SolverState:
     decomp: SpectralSplit | SpectralDecomp
     failure: dict | None = None
     timings: PhaseTimings = field(default_factory=PhaseTimings)
+    checkpoints: list = field(default_factory=list)
 
 
 def residuals(p: SdpProblem, x, y, s_mat):
@@ -241,12 +262,16 @@ def initial_z(p: SdpProblem, cfg: SolverConfig):
     return symmetrize(rng.standard_normal((p.n, p.n)))
 
 
+# Overflow and invalid values in an iterate are reported by the loop, as a
+# NUMERICAL_FAILURE with non-finite residuals, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     p: SdpProblem,
     cfg: SolverConfig,
     kernel: ConstraintKernel | None = None,
     reference: np.ndarray | None = None,
     keep_z: bool = False,
+    start: Checkpoint | None = None,
 ):
     """Run the fixed-point iteration until r_max <= tol or a limit triggers.
 
@@ -260,6 +285,13 @@ def solve(
     keep_z : bool
         Store a copy of Z on each sampled record (memory scales with the
         number of records).
+    start : optional Checkpoint
+        Run from that iterate instead of from ``initial_z``: the records from
+        ``start.k`` on and the final state are those of the run from 0, bit
+        for bit. A Z or u_z of another shape, or a ``k`` outside
+        ``0..max_iter``, is a ValueError. ``state.checkpoints`` holds the
+        run's restart points, each power of two from ``start.k`` to the
+        final ``k``.
 
     Returns
     -------
@@ -278,15 +310,24 @@ def solve(
     scales = _scales(p)
     faces = face_norms(eig_sym(reference)) if reference is not None else None
     timings = PhaseTimings()
-    z = initial_z(p, cfg)
     # Basis coordinates of const and Z0, which the loop carries, and of C,
     # which only y and b'y read; C's are R^-T A(C), from the run's one
     # table pass.
-    u_const, u_z = (timings.call("constraint_op", apply_B, kernel, v) for v in (const, z))
+    u_const = timings.call("constraint_op", apply_B, kernel, const)
+    if start is None:
+        z = initial_z(p, cfg)
+        start = Checkpoint(0, z, timings.call("constraint_op", apply_B, kernel, z))
+    elif np.shape(start.z) != (p.n, p.n) or np.shape(start.u_z) != u_const.shape:
+        raise ValueError(f"start holds Z of shape {np.shape(start.z)} and u_z of shape "
+                         f"{np.shape(start.u_z)}, expected {(p.n, p.n)} and {u_const.shape}")
+    elif not 0 <= start.k <= cfg.max_iter:
+        raise ValueError(f"start k = {start.k} is outside 0..max_iter = {cfg.max_iter}")
+    z, u_z = start.z, start.u_z
     u_c = basis_coords(kernel, timings.call("constraint_op", apply_A, p, p.C))
-    # Not guarded: a failure here is one of the initial point, before any
+    # Not guarded: a failure here is one of the start point, before any
     # iterate exists to report.
     dec = timings.call("eig", eig_sym, z, split=True)
+    checkpoints: list[Checkpoint] = []
     records: list[IterationRecord] = []
     status = SolveStatus.ITER_LIMIT
     failure = None
@@ -314,7 +355,9 @@ def solve(
             rec.z = z_cur.copy()
         return rec
 
-    for k in range(cfg.max_iter + 1):
+    for k in range(start.k, cfg.max_iter + 1):
+        if k > 0 and k & (k - 1) == 0:
+            checkpoints.append(Checkpoint(k, z, u_z))
         x_part, neg_part = dec.plus, dec.minus
         u_x = timings.call("constraint_op", apply_B, kernel, x_part)
         u_zx = u_z - 2.0 * u_x
@@ -364,7 +407,7 @@ def solve(
 
     state = SolverState(
         k=k, Z=z, X=x_part, y=multipliers(kernel, u_y), S=neg_part / sigma, residuals=res,
-        decomp=dec, failure=failure, timings=timings,
+        decomp=dec, failure=failure, timings=timings, checkpoints=checkpoints,
     )
     return state, records, status
 
@@ -397,6 +440,12 @@ def z_difference_identity(
 # ---------------------------------------------------------------------------
 
 
+# The IterationRecord fields of the TRACE_HEADER columns.
+trace_fields = operator.attrgetter(
+    "k", "r_p", "r_d", "r_gap", "r_max", "rank_x", "rank_s", "lam_min_abs_z", "norm_z_diff"
+)
+
+
 def write_trace_csv(records, path):
     """Fixed-header CSV, one record per row; shortest round-trip floats so
     identical runs produce byte-identical files."""
@@ -409,3 +458,25 @@ def write_trace_csv(records, path):
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_trace_csv(path):
+    """The records of a file that ``write_trace_csv`` wrote, with the
+    ``trace_fields`` as written; a ValueError names the file and the line of
+    a header or row that is not in that format."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines() or [""]
+    name = os.path.basename(path)
+    if header != TRACE_HEADER:
+        raise ValueError(f"{name}: line 1 is not the header {TRACE_HEADER}")
+    records = []
+    for number, row in enumerate(rows, 2):
+        try:
+            k, r_p, r_d, r_gap, r_max, rank_x, rank_s, lam, step = row.split(",")
+            records.append(IterationRecord(
+                int(k), float(r_p), float(r_d), float(r_gap), float(r_max), int(rank_x),
+                int(rank_s), float(lam), float(step),
+            ))
+        except ValueError:
+            raise ValueError(f"{name}: line {number} {row!r} is not a trace row") from None
+    return records

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import platform
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     assert all(t["seconds"] >= 0.0 for t in timings.values())
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == TRACE_HEADER
+    # A restart point at each power of two up to the last iterate.
+    with np.load(out / "checkpoints.npz", allow_pickle=False) as cps:
+        assert sorted(cps.files) == ["k", "u_z", "z"]
+        count = summary["iterations"].bit_length()
+        assert cps["k"].tolist() == [2**j for j in range(count)]
+        assert cps["z"].shape == (count, 10, 10) and cps["u_z"].shape == (count, 20)
 
 
 def test_summary_records_every_config_field(planted_manifest, capsys):
@@ -510,7 +517,16 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
+def test_numerical_failure_prints_only_its_status_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", generator=_PLANTED, out=str(out), sigma=1e300)
+    assert main(["solve", "--manifest", manifest]) == 1
+    assert capsys.readouterr().err == (
+        "status: numerical_failure instance=planted-n6-m8-r2-s0 k=0 r_max=inf\n"
+    )
+
+
 @pytest.mark.parametrize(
     "fields, code, name, read",
     [
@@ -533,7 +549,7 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path, capsys, fields,
 # -- diagnose ----------------------------------------------------------------
 
 
-RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s")
+RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s", "checkpoints.npz")
 
 
 def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
@@ -630,6 +646,155 @@ def test_diagnose_replays_recorded_iterations(tmp_path, capsys, monkeypatch):
     ((state, _, _),) = replays
     assert state.k == 51
     assert np.array_equal(state.Z, np.load(out / "z_final.npy"))
+
+
+def _time_limited(out):
+    # The run as if its time limit had stopped it, as in
+    # test_diagnose_replays_recorded_iterations.
+    summary = json.loads((out / "summary.json").read_text())
+    summary.update(status="time_limit", max_iter=3000, time_limit_secs=60.0)
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
+def _sc_failing_limit(out):
+    # As in test_diagnose_says_why_it_skipped_the_norms.
+    dec = linalg.eig_sym(np.load(out / "z_final.npy"))
+    lam = dec.lam.copy()
+    lam[np.argmin(np.abs(lam))] = 0.0
+    np.save(out / "z_final.npy", linalg.symmetrize((dec.Q * lam) @ dec.Q.T))
+
+
+def _write_graph(path):
+    rng = np.random.default_rng(5)
+    pairs = [(i, j) for i in range(1, 13) for j in range(i + 1, 13) if rng.random() < 0.4]
+    path.write_text("12\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+    return str(path)
+
+
+_ND_FAIL = {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1,
+            "degeneracy": "primal_nd_fail"}
+
+
+@pytest.mark.parametrize(
+    "fields, edit",
+    [
+        ({"generator": {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1}}, None),
+        ({"generator": _ND_FAIL}, None),
+        ({"generator": "maxcut", "tol_rmax": 1e-8}, None),
+        ({"generator": _ND_FAIL, "trace_every": 3}, None),
+        ({"generator": _PLANTED, "max_iter": 51}, _time_limited),
+        ({"generator": _ND_FAIL, "max_iter": 40}, None),
+        ({"generator": _ND_FAIL}, _sc_failing_limit),
+    ],
+    ids=["nd", "primal-nd-fail", "maxcut", "trace-every-3", "time-limited", "unconverged",
+         "sc-fails"],
+)
+def test_diagnose_from_a_checkpoint_matches_the_full_replay(tmp_path, capsys, monkeypatch,
+                                                             fields, edit):
+    # The replay from k = 0 is the oracle: the same run directory without
+    # checkpoints.npz gives the same report.
+    out = tmp_path / "run"
+    if fields["generator"] == "maxcut":
+        fields = {**fields, "generator": {"kind": "maxcut",
+                                          "edges": _write_graph(tmp_path / "g.txt")}}
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1, **fields)
+    assert main(["solve", "--manifest", manifest]) in (0, 2)
+    capsys.readouterr()
+    if edit is not None:
+        edit(out)
+    starts = []
+
+    def recording_solve(*args, start=None, **kwargs):
+        starts.append(start)
+        return solve(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    report = cli.diagnose_run(str(out))
+    # Each diagnose replays only a tail, from a power of two.
+    (point,) = starts
+    assert point.k > 0 and point.k & (point.k - 1) == 0
+    shutil.copytree(out, tmp_path / "full")
+    (tmp_path / "full" / "checkpoints.npz").unlink()
+    starts.clear()
+    oracle = cli.diagnose_run(str(tmp_path / "full"))
+    assert starts == [None]
+    assert {**oracle, "run": report["run"]} == report
+
+
+def test_diagnose_steps_back_when_a_fit_reads_before_the_start(planted_manifest, capsys,
+                                                               monkeypatch):
+    # With face_S_norm zero on the last 100 iterates, its fit window ends
+    # earlier and reaches before the first start chosen; the replay steps
+    # back one checkpoint, and the report is still the full replay's.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    last = json.loads((out / "summary.json").read_text())["iterations"]
+    starts = []
+
+    def zeroing_solve(*args, start=None, **kwargs):
+        starts.append(start)
+        state, records, status = solve(*args, start=start, **kwargs)
+        for rec in records:
+            if rec.k >= last - 100:
+                rec.face_s_norm = 0.0
+        return state, records, status
+
+    monkeypatch.setattr(cli, "solve", zeroing_solve)
+    report = cli.diagnose_run(str(out))
+    first, second = starts
+    assert second.k == first.k // 2
+    (fit,) = [f for f in report["fits"] if f["sequence"] == "face_S_norm"]
+    assert second.k <= fit["window"][0] < first.k and fit["window"][1] == last - 101
+    (out / "checkpoints.npz").unlink()
+    starts.clear()
+    assert cli.diagnose_run(str(out)) == report
+    assert starts == [None]
+
+
+def _diagnose_error(out, capsys):
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert not (out / "diagnostics.json").exists()
+    match = re.fullmatch(r"error: the replay from k = (\d+) \(checkpoints.npz\) differs from "
+                         r"trace.csv at k = (\d+)\n", err)
+    assert match, err
+    return int(match[1]), int(match[2])
+
+
+def test_diagnose_refuses_a_perturbed_checkpoint(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    with np.load(out / "checkpoints.npz") as npz:
+        cps = dict(npz)
+    cps["z"][:, 0, 0] += 1e-9
+    np.savez(out / "checkpoints.npz", **cps)
+    start, k = _diagnose_error(out, capsys)
+    assert start == k and start in cps["k"].tolist()
+
+
+def test_diagnose_refuses_checkpoints_of_another_shape(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    with np.load(out / "checkpoints.npz") as npz:
+        np.savez(out / "checkpoints.npz", k=npz["k"], z=npz["z"])
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: checkpoints.npz must hold arrays k, z and u_z of "
+                                       "shapes (c,), (c, 10, 10) and (c, 20)\n")
+    assert not (out / "diagnostics.json").exists()
+
+
+def test_diagnose_refuses_a_hand_edited_trace_row_after_the_start(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    fields = lines[-3].split(",")
+    fields[1] = repr(float(fields[1]) * (1.0 + 1e-12))
+    lines[-3] = ",".join(fields)
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    start, k = _diagnose_error(out, capsys)
+    assert 0 < start < k == int(fields[0])
 
 
 def test_diagnose_decomposes_z_final_twice(planted_manifest, capsys, monkeypatch):
@@ -978,6 +1143,23 @@ def test_eb_verify_refuses_a_definite_reference(tmp_path, capsys, lam):
     assert main(["eb-verify", "--manifest", manifest]) == 1
     err = capsys.readouterr().err
     assert err == "error: reference matrix must be indefinite (both eigenvalue signs)\n"
+    assert not (tmp_path / "eb").exists()
+
+
+def test_eb_verify_refuses_an_h_without_off_block(tmp_path, capsys):
+    # H block-diagonal in Z's eigenbasis: the refined ratio would divide a
+    # rounding-level residual by a zero off-block.
+    np.save(tmp_path / "z.npy", np.diag([1.0, 2.0, -1.0, -3.0]))
+    h = np.zeros((4, 4))
+    h[:2, :2] = [[1.0, 0.5], [0.5, 2.0]]
+    h[2:, 2:] = [[3.0, 1.0], [1.0, -1.0]]
+    np.save(tmp_path / "h.npy", h)
+    manifest = write_manifest(tmp_path / "m.json", z={"file": str(tmp_path / "z.npy")},
+                              h={"file": str(tmp_path / "h.npy")}, out=str(tmp_path / "eb"))
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: H has no off-block in the eigenbasis of Z: \|\|H~_O\|\|_2 = "
+                        r"0\.000e\+00 <= n \* eps \* \|\|H\|\|_2 = \S+\n", err), err
     assert not (tmp_path / "eb").exists()
 
 

@@ -25,9 +25,11 @@ from sdpadmm.solver import (
     SolverConfig,
     SolverState,
     initial_z,
+    read_trace_csv,
     residuals,
     solve,
     step_fixed_point,
+    trace_fields,
     write_trace_csv,
     z_difference_identity,
 )
@@ -532,6 +534,70 @@ def test_carried_constraint_image_matches_direct_pass(sigma, seed, max_iter):
         carried = u_zx + 2.0 * coords(apply_A(prob, x))
         direct = coords(apply_A(prob, rec.z))
         assert np.linalg.norm(carried - direct) <= 1e-13 * (1.0 + np.linalg.norm(direct))
+
+
+@pytest.mark.parametrize("trace_every", [1, 3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_planted(10, 20, 3, seed=1)[0],
+        lambda: generate_planted(10, 20, 3, seed=1, degeneracy="primal_nd_fail")[0],
+        lambda: generate_maxcut(_random_graph(20, 0.3, seed=5)),
+    ],
+    ids=["planted", "primal_nd_fail", "maxcut"],
+)
+def test_solve_restarts_exactly_from_every_checkpoint(make, trace_every):
+    p = make()
+    kern = build_kernel(p)
+    cfg = SolverConfig(max_iter=20_000, tol_rmax=1e-10, trace_every=trace_every, seed=1)
+    limit = solve(p, cfg, kernel=kern)[0].Z
+    full, records, status = solve(p, cfg, kernel=kern, reference=limit, keep_z=True)
+    assert status is SolveStatus.CONVERGED
+    assert [c.k for c in full.checkpoints] == [2**j for j in range(full.k.bit_length())]
+    for point in full.checkpoints:
+        state, tail, got_status = solve(p, cfg, kernel=kern, reference=limit, keep_z=True,
+                                        start=point)
+        want = [r for r in records if r.k >= point.k]
+        assert [dataclasses.replace(r, z=None) for r in tail] == [
+            dataclasses.replace(r, z=None) for r in want
+        ]
+        assert all(np.array_equal(got.z, rec.z) for got, rec in zip(tail, want))
+        assert got_status is status and state.k == full.k and state.failure is None
+        for name in ("Z", "X", "y", "S"):
+            assert np.array_equal(getattr(state, name), getattr(full, name))
+        assert state.residuals == full.residuals
+        assert np.array_equal(state.decomp.lam, full.decomp.lam)
+        kept = [c for c in full.checkpoints if c.k >= point.k]
+        assert [c.k for c in state.checkpoints] == [c.k for c in kept]
+        for mine, theirs in zip(state.checkpoints, kept):
+            assert np.array_equal(mine.z, theirs.z) and np.array_equal(mine.u_z, theirs.u_z)
+
+
+def test_solve_refuses_a_start_that_does_not_fit_the_run(small_planted):
+    p, _, kern = small_planted
+    cfg = SolverConfig(max_iter=8, tol_rmax=1e-16, seed=2)
+    state, _, _ = solve(p, cfg, kernel=kern)
+    point = state.checkpoints[-1]
+    assert point.k == 8 and point.z is state.Z
+    for bad in (point._replace(z=point.z[:-1, :-1]), point._replace(u_z=point.u_z[:-1])):
+        with pytest.raises(ValueError, match="shape"):
+            solve(p, cfg, kernel=kern, start=bad)
+    with pytest.raises(ValueError, match="start k = 8 is outside 0..max_iter = 7"):
+        solve(p, dataclasses.replace(cfg, max_iter=7), kernel=kern, start=point)
+
+
+def test_trace_csv_reads_back_the_records_it_wrote(tmp_path, small_planted):
+    p, _, kern = small_planted
+    cfg = SolverConfig(max_iter=30, tol_rmax=1e-16, trace_every=4, seed=3)
+    _, records, _ = solve(p, cfg, kernel=kern, reference=np.eye(p.n))
+    write_trace_csv(records, tmp_path / "trace.csv")
+    got = read_trace_csv(tmp_path / "trace.csv")
+    assert list(map(trace_fields, got)) == list(map(trace_fields, records))
+    assert all(r.h_norm is None and r.z is None for r in got)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    (tmp_path / "trace.csv").write_text("\n".join([*lines[:3], lines[3] + ",1"]) + "\n")
+    with pytest.raises(ValueError, match=r"trace.csv: line 4 '.*,1' is not a trace row"):
+        read_trace_csv(tmp_path / "trace.csv")
 
 
 def test_solver_config_validation():
