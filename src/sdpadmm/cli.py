@@ -19,8 +19,11 @@ inputs (``z_final.npy``, eb-verify's ``z.file`` and ``h.file``) must hold a
 numpy array of real numbers.
 
 ``solve`` writes a run directory once (the instance file as read, or as
-generated, every ``SolverConfig`` field, and the run's restart points in
-``checkpoints.npz``); ``diagnose`` only reads it. The ``diagnose`` report
+generated, the arrays the run iterated on in ``instance.npz``, every
+``SolverConfig`` field, and the run's restart points in
+``checkpoints.npz``); ``diagnose`` only reads it, taking the problem from
+``instance.npz`` and parsing the instance file only in a directory without
+one. The ``diagnose`` report
 comes from ``diagnose_run(run_dir)``, which returns the ``diagnostics.json``
 object (a malformed ``summary.json`` is a ValueError naming the file or the
 field); the command only writes and prints it. The summary must hold every
@@ -32,7 +35,10 @@ iterate, so that the report is about the recorded run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
+import glob
 import inspect
 import itertools
 import json
@@ -42,6 +48,7 @@ import platform
 import shutil
 import sys
 import time
+import zipfile
 
 import numpy as np
 import scipy
@@ -56,8 +63,9 @@ from .errors import (
     require_object,
     require_path,
 )
-from .linalg import eig_sym, sym_norm2, symmetrize
+from .linalg import eig_sym, svec_dim, sym_norm2, symmetrize
 from .problem import (
+    SdpProblem,
     build_kernel,
     generate_maxcut,
     generate_planted,
@@ -97,10 +105,33 @@ def _write_json(obj, path):
         fh.write("\n")
 
 
+@functools.cache
+def _openblas_threads_reader():
+    """``scipy_openblas_get_num_threads64_`` of the OpenBLAS bundled with
+    numpy, or None where numpy bundles none. The library is the one numpy
+    has loaded, so the handle reads this process's thread count."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    try:
+        reader = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    reader.argtypes = []
+    reader.restype = ctypes.c_int
+    return reader
+
+
+def _blas_threads():
+    """The thread count of numpy's OpenBLAS in this process, or None."""
+    reader = _openblas_threads_reader()
+    return None if reader is None else int(reader())
+
+
 def _provenance():
     """What a command ran on: the package, Python, numpy and scipy versions,
-    and the BLAS that numpy and scipy were built with. It holds no timestamp
-    and no instance hash, so it repeats between commands."""
+    the BLAS that numpy and scipy were built with, and the thread count of
+    numpy's BLAS, which decides how it rounds. It holds no timestamp and no
+    instance hash, so it repeats between commands."""
     return {
         "sdpadmm": __version__,
         "python": platform.python_version(),
@@ -108,6 +139,7 @@ def _provenance():
         "scipy": scipy.__version__,
         "numpy_blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
         "scipy_blas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+        "blas_threads": _blas_threads(),
     }
 
 
@@ -126,7 +158,7 @@ def _load_matrix(path, what):
     with open(path, "rb") as fh:  # also closes the file an .npz archive keeps open
         try:
             val = np.load(fh, allow_pickle=False)
-        except ValueError as exc:
+        except (ValueError, EOFError) as exc:
             raise ValueError(f"{what}: {exc}") from None
     if not isinstance(val, np.ndarray) or val.dtype.kind not in "fiu":
         got = f"dtype {val.dtype}" if isinstance(val, np.ndarray) else type(val).__name__
@@ -239,6 +271,11 @@ def _run_solve_manifest(manifest):
         write_sdpa(prob, instance_file, comment=name)
     elif not (os.path.exists(instance_file) and os.path.samefile(source, instance_file)):
         shutil.copyfile(source, instance_file)
+    # The arrays the run iterates on, so that diagnose need not parse the
+    # text again; the table is stored on its column support only.
+    support = prob._support
+    np.savez(os.path.join(out_dir, "instance.npz"), C=prob.C, b=prob.b, support=support,
+             columns=prob.table[:, support])
     kernel = build_kernel(prob)
 
     t0 = time.monotonic()
@@ -320,15 +357,17 @@ _FIT_SEQUENCES = (("r_max", "r_max"), ("h_norm", "h_norm"), ("ho_norm", "ho_norm
 def diagnose_run(run_dir, timings=None):
     """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
 
-    The run is replayed against its own limit up to exactly the recorded
-    iterations, with no time limit, so a time-limited run is analysed on the
-    trajectory it took. The replay starts from the latest restart point in
-    ``checkpoints.npz`` at or before the first row a rate fit reads (at or
-    before the last iterate when nothing is fitted), one point earlier while
-    a fit would read a value from before the start, and from iterate 0 when
-    the file is absent. Rows before the start are read from ``trace.csv``
-    as recorded, and so is ``k_id``; every replayed record must equal the
-    row of its iterate in all ``trace_fields``.
+    The problem is rebuilt from ``instance.npz``, whose arrays must fit the
+    ``n`` and ``m`` of ``summary.json``; a run directory without it parses
+    its instance file. The run is replayed against its own limit up to
+    exactly the recorded iterations, with no time limit, so a time-limited
+    run is analysed on the trajectory it took. The replay starts from the
+    latest restart point in ``checkpoints.npz`` at or before the first row a
+    rate fit reads (at or before the last iterate when nothing is fitted),
+    one point earlier while a fit would read a value from before the start,
+    and from iterate 0 when the file is absent. Rows before the start are
+    read from ``trace.csv`` as recorded, and so is ``k_id``; every replayed
+    record must equal the row of its iterate in all ``trace_fields``.
 
     The rank tests, ``Fix(M)`` and the one Lanczos estimate, of
     ||M - Pi_Fix||, read one rotation of the basis of range(A*) into the
@@ -338,9 +377,11 @@ def diagnose_run(run_dir, timings=None):
     numerically also sets ``failure``. ``operator_applications`` counts the
     estimate's operator applications. A malformed ``summary.json`` (one
     missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
-    a real (n, n) array, a replay that stops before the recorded
-    ``iterations``, or one that differs from ``trace.csv``, raises
-    ``ValueError`` naming the file, the field or the iteration counts.
+    a real (n, n) array, a malformed ``instance.npz`` or ``checkpoints.npz``,
+    a replay that stops before the recorded ``iterations``, or one that
+    differs from ``trace.csv``, raises ``ValueError`` naming the file, the
+    field or the iteration counts; the last names the recorded and current
+    BLAS thread counts when they differ.
     ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time
     of each phase; it stays out of the report, which repeats between
     commands."""
@@ -355,7 +396,7 @@ def diagnose_run(run_dir, timings=None):
         require_keys("summary.json", summary, "instance_file", "status", "iterations")
         require_path("instance_file", summary["instance_file"])
         require_integer("iterations", summary["iterations"])
-        prob = load_sdpa(os.path.join(run_dir, summary["instance_file"]))
+        prob = _load_instance(run_dir, summary)
         kernel = build_kernel(prob)
         z_final = _load_matrix(z_path, "z_final.npy")
         if z_final.shape != (prob.n, prob.n):
@@ -402,7 +443,7 @@ def diagnose_run(run_dir, timings=None):
             first = cfg.max_iter
         start = max(k for k in points if k <= first)
         while True:
-            records = _replay(prob, cfg, kernel, z_final, points[start], rows)
+            records = _replay(prob, cfg, kernel, z_final, points[start], rows, summary)
             if start == 0 or not fitted or all(
                 np.count_nonzero(ks >= start) >= window for _, ks, _ in _positive_tails(records)
             ):
@@ -441,6 +482,63 @@ def diagnose_run(run_dir, timings=None):
     return report
 
 
+def _load_archive(path, **shapes):
+    """The arrays of the ``np.savez`` archive at ``path``, one per keyword of
+    ``shapes`` and in its order. Each keyword's value is its array's shape,
+    in which a string stands for a length that the arrays share. A
+    ValueError names the file unless the archive holds exactly these arrays,
+    none pickled, each of real numbers and of its shape."""
+    name = os.path.basename(path)
+    with open(path, "rb") as fh:  # also closes the file the archive keeps open
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            arrays = dict(npz) if isinstance(npz, np.lib.npyio.NpzFile) else {}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    for key, a in arrays.items():
+        if a.dtype.kind not in "fiu":
+            raise ValueError(f"{name}: array {key!r} must hold real numbers, got dtype {a.dtype}")
+    lengths = {}
+
+    def fits(a, shape):
+        return a.ndim == len(shape) and all(
+            lengths.setdefault(dim, size) == size if isinstance(dim, str) else dim == size
+            for dim, size in zip(shape, a.shape)
+        )
+
+    if arrays.keys() != shapes.keys() or not all(fits(arrays[k], s) for k, s in shapes.items()):
+        *rest, last = shapes
+        spelled = [f"({', '.join(map(str, s))}{',' * (len(s) == 1)})" for s in shapes.values()]
+        raise ValueError(f"{name} must hold arrays {', '.join(rest)} and {last} of shapes "
+                         f"{', '.join(spelled[:-1])} and {spelled[-1]}")
+    return [arrays[key] for key in shapes]
+
+
+def _load_instance(run_dir, summary):
+    """The problem of the run in ``run_dir``: rebuilt from ``instance.npz``,
+    the arrays the run iterated on, whose shapes must fit ``summary``'s
+    ``n`` and ``m``; or, in a run directory without that file, parsed from
+    its instance file. Either way ``SdpProblem.from_table`` checks it."""
+    path = os.path.join(run_dir, "instance.npz")
+    if not os.path.exists(path):
+        return load_sdpa(os.path.join(run_dir, summary["instance_file"]))
+    require_keys("summary.json", summary, "n", "m")
+    n, m = summary["n"], summary["m"]
+    require_integer("n", n)
+    require_integer("m", m)
+    C, b, support, columns = _load_archive(path, C=(n, n), b=(m,), support=("s",),
+                                           columns=(m, "s"))
+    t = svec_dim(n)
+    if support.dtype.kind not in "iu" or not np.all(support[1:] > support[:-1]) or (
+        support.size and (support[0] < 0 or support[-1] >= t)
+    ):
+        raise ValueError(f"instance.npz: support must hold strictly increasing integers "
+                         f"in 0..{t - 1}")
+    table = np.zeros((m, t))
+    table[:, support] = columns
+    return SdpProblem.from_table(C, table, b)
+
+
 def _load_checkpoints(path, n, m):
     """The restart points of a run by k: ``None`` at 0, which restarts from
     the run's ``initial_z``, and the ``Checkpoint`` objects in
@@ -448,23 +546,17 @@ def _load_checkpoints(path, n, m):
     restarts from 0 only."""
     if not os.path.exists(path):
         return {0: None}
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            ks, zs, us = (npz.get(key, np.empty(0)) for key in ("k", "z", "u_z"))
-    except ValueError as exc:
-        raise ValueError(f"checkpoints.npz: {exc}") from None
-    c = len(ks)
-    if ks.shape != (c,) or zs.shape != (c, n, n) or us.shape != (c, m):
-        raise ValueError(f"checkpoints.npz must hold arrays k, z and u_z of shapes (c,), "
-                         f"(c, {n}, {n}) and (c, {m})")
+    ks, zs, us = _load_archive(path, k=("c",), z=("c", n, n), u_z=("c", m))
     return {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
 
 
-def _replay(prob, cfg, kernel, z_final, point, rows):
+def _replay(prob, cfg, kernel, z_final, point, rows, summary):
     """The trace of the recorded run against ``z_final``: the ``rows`` of
     ``trace.csv`` before the restart point ``point``, then the records of
     the run replayed from it. A replay that stops early, or whose records
-    differ from the rows from ``point`` on, is a ValueError."""
+    differ from the rows from ``point`` on, is a ValueError; when
+    ``summary``'s provenance records another BLAS thread count than this
+    process runs, the error names both."""
     start = 0 if point is None else point.k
     replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final, start=point)
     if replay.k != cfg.max_iter:
@@ -472,8 +564,13 @@ def _replay(prob, cfg, kernel, z_final, point, rows):
                          f"{cfg.max_iter} iterations")
     for got, want in itertools.zip_longest(records, [r for r in rows if r.k >= start]):
         if got is None or want is None or trace_fields(got) != trace_fields(want):
+            provenance = summary.get("provenance")
+            solved = provenance.get("blas_threads") if isinstance(provenance, dict) else None
+            threads = _blas_threads()
+            why = (f"; summary.json records {solved} BLAS threads, this process runs {threads}"
+                   if None not in (solved, threads) and solved != threads else "")
             raise ValueError(f"the replay from k = {start} (checkpoints.npz) differs from "
-                             f"trace.csv at k = {(got or want).k}")
+                             f"trace.csv at k = {(got or want).k}{why}")
     return [r for r in rows if r.k < start] + records
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
+import pickle
 import platform
 import re
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -72,6 +75,16 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
         count = summary["iterations"].bit_length()
         assert cps["k"].tolist() == [2**j for j in range(count)]
         assert cps["z"].shape == (count, 10, 10) and cps["u_z"].shape == (count, 20)
+    # The arrays the run iterated on: the table on its column support, which
+    # rebuilds the parsed instance bit for bit.
+    parsed = load_sdpa(out / "instance.dat-s")
+    with np.load(out / "instance.npz", allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["C", "b", "columns", "support"]
+        table = np.zeros_like(parsed.table)
+        table[:, npz["support"]] = npz["columns"]
+        for got, want in [(npz["C"], parsed.C), (table, parsed.table), (npz["b"], parsed.b)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_summary_records_every_config_field(planted_manifest, capsys):
@@ -100,9 +113,21 @@ def test_summary_and_diagnostics_record_provenance(planted_manifest, capsys):
         "scipy": scipy.__version__,
         "numpy_blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
         "scipy_blas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+        "blas_threads": cli._blas_threads(),
     }
     for name in ("summary.json", "diagnostics.json"):
         assert json.loads((out / name).read_text())["provenance"] == want
+
+
+def test_blas_threads_reads_the_count_of_its_process():
+    if cli._openblas_threads_reader() is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    src = os.path.dirname(os.path.dirname(sdpadmm.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    code = "from sdpadmm import cli; print(cli._blas_threads())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "1\n"
 
 
 def sdpa_source(path):
@@ -549,7 +574,8 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path, capsys, fields,
 # -- diagnose ----------------------------------------------------------------
 
 
-RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s", "checkpoints.npz")
+RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s", "checkpoints.npz",
+             "instance.npz")
 
 
 def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
@@ -785,16 +811,153 @@ def test_diagnose_refuses_checkpoints_of_another_shape(planted_manifest, capsys)
     assert not (out / "diagnostics.json").exists()
 
 
-def test_diagnose_refuses_a_hand_edited_trace_row_after_the_start(planted_manifest, capsys):
-    manifest, out = planted_manifest
-    assert main(["solve", "--manifest", manifest]) == 0
+def _edit_trace_row(out):
+    # Scales r_p of the third-last trace row by 1 + 1e-12; returns its k.
     lines = (out / "trace.csv").read_text().splitlines()
     fields = lines[-3].split(",")
     fields[1] = repr(float(fields[1]) * (1.0 + 1e-12))
     lines[-3] = ",".join(fields)
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    return int(fields[0])
+
+
+def test_diagnose_refuses_a_hand_edited_trace_row_after_the_start(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    edited = _edit_trace_row(out)
     start, k = _diagnose_error(out, capsys)
-    assert 0 < start < k == int(fields[0])
+    assert 0 < start < k == edited
+
+
+def test_diagnose_names_both_blas_thread_counts(planted_manifest, capsys, monkeypatch):
+    # The reader is replaced, so no BLAS thread count is set or started.
+    manifest, out = planted_manifest
+    monkeypatch.setattr(cli, "_blas_threads", lambda: 3)
+    assert main(["solve", "--manifest", manifest]) == 0
+    assert json.loads((out / "summary.json").read_text())["provenance"]["blas_threads"] == 3
+    edited = _edit_trace_row(out)
+    monkeypatch.setattr(cli, "_blas_threads", lambda: 5)
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: the replay from k = \d+ \(checkpoints.npz\) differs from "
+                        rf"trace.csv at k = {edited}; summary.json records 3 BLAS threads, "
+                        rf"this process runs 5\n", err), err
+    assert not (out / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"generator": {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1}},
+        {"generator": _ND_FAIL},
+        {"generator": "maxcut", "tol_rmax": 1e-8},
+        {"generator": _ND_FAIL, "trace_every": 3},
+        {"instance": "generated"},
+    ],
+    ids=["nd", "primal-nd-fail", "maxcut", "trace-every-3", "generated-file"],
+)
+def test_diagnose_from_instance_npz_matches_the_parsed_instance(tmp_path, capsys, monkeypatch,
+                                                                  fields):
+    # Parsing instance.dat-s is the oracle: the same run directory without
+    # instance.npz gives the same report.
+    out = tmp_path / "run"
+    if fields.get("generator") == "maxcut":
+        fields = {**fields, "generator": {"kind": "maxcut",
+                                          "edges": _write_graph(tmp_path / "g.txt")}}
+    if "instance" in fields:
+        path = tmp_path / "g.dat-s"
+        assert main(["generate", "planted", "--n", "12", "--m", "30", "--r", "3", "--seed", "2",
+                     "--out", str(path)]) == 0
+        fields = {"instance": str(path)}
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1, **fields)
+    assert main(["solve", "--manifest", manifest]) in (0, 2)
+    capsys.readouterr()
+    parsed = []
+
+    def recording_load_sdpa(path):
+        parsed.append(path)
+        return load_sdpa(path)
+
+    monkeypatch.setattr(cli, "load_sdpa", recording_load_sdpa)
+    report = cli.diagnose_run(str(out))
+    assert parsed == []
+    shutil.copytree(out, tmp_path / "parsed")
+    (tmp_path / "parsed" / "instance.npz").unlink()
+    oracle = cli.diagnose_run(str(tmp_path / "parsed"))
+    assert len(parsed) == 1
+    assert {**oracle, "run": report["run"]} == report
+
+
+def test_diagnose_refuses_a_tampered_instance_npz(planted_manifest, capsys):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    with np.load(out / "instance.npz") as npz:
+        arrays = dict(npz)
+    arrays["columns"][3, 5] *= 1.0 + 1e-12
+    np.savez(out / "instance.npz", **arrays)
+    start, k = _diagnose_error(out, capsys)
+    assert start == k and start > 0
+
+
+_SHAPES = ("instance.npz must hold arrays C, b, support and columns of shapes (10, 10), (20,), "
+           "(s,) and (20, s)")
+_SUPPORT = "instance.npz: support must hold strictly increasing integers in 0..54"
+
+
+def _resaved(edit):
+    # Writes the archive's arrays back after ``edit`` changed them.
+    def write(path, arrays):
+        edit(arrays)
+        np.savez(path, **arrays)
+    return write
+
+
+def _npy(path, arrays):
+    with open(path, "wb") as fh:
+        np.save(fh, arrays["C"])
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_resaved(lambda a: a.pop("b")), _SHAPES),
+        (_resaved(lambda a: a.update(table=np.zeros((20, 55)))), _SHAPES),
+        (_resaved(lambda a: a.update(b=a["b"].astype(object))),
+         "instance.npz: Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda path, a: path.write_bytes(pickle.dumps(a)),
+         "instance.npz: This file contains pickled (object) data."),
+        (_resaved(lambda a: a.update(C=a["C"] + 0j)),
+         "instance.npz: array 'C' must hold real numbers, got dtype complex128"),
+        (_resaved(lambda a: a.update(b=a["b"].astype(str))),
+         "instance.npz: array 'b' must hold real numbers, got dtype <U"),
+        (_resaved(lambda a: a.update(C=a["C"][:9, :9])), _SHAPES),
+        (_resaved(lambda a: a.update(columns=a["columns"][:, 1:])), _SHAPES),
+        (_resaved(lambda a: a.update(support=a["support"][::-1].copy())), _SUPPORT),
+        (_resaved(lambda a: a.update(support=a["support"] + 1)), _SUPPORT),
+        (_resaved(lambda a: a.update(support=a["support"] - 1)), _SUPPORT),
+        (_resaved(lambda a: a.update(support=a["support"].astype(float))), _SUPPORT),
+        (_npy, _SHAPES),
+        (lambda path, a: path.write_bytes(b""), "instance.npz: No data left in file"),
+        (lambda path, a: path.write_bytes(path.read_bytes()[:100]),
+         "instance.npz: File is not a zip file"),
+    ],
+    ids=["missing-key", "extra-key", "object-array", "pickle", "complex", "text", "n", "s",
+         "support-order", "support-above", "support-below", "support-float", "npy", "empty",
+         "truncated"],
+)
+def test_diagnose_refuses_a_malformed_instance_npz(planted_manifest, capsys, write, message):
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    with np.load(out / "instance.npz") as npz:
+        arrays = dict(npz)
+    write(out / "instance.npz", arrays)
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_diagnose_decomposes_z_final_twice(planted_manifest, capsys, monkeypatch):
@@ -1029,10 +1192,11 @@ _NOT_REAL = [
     (lambda path, a: np.save(path, a + 1j),
      "{what} must be a .npy array of real numbers, got dtype complex128"),
     (_save_text, "{what}: This file contains pickled (object) data."),
+    (lambda path, a: path.write_bytes(b""), "{what}: No data left in file"),
 ]
 
 
-@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text"])
+@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text", "empty"])
 def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, message):
     run = tmp_path / "run"
     run.mkdir()
@@ -1048,7 +1212,7 @@ def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, mes
 
 
 @pytest.mark.parametrize("what", ["z.file", "h.file"])
-@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text"])
+@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text", "empty"])
 def test_eb_verify_reads_file_sources_only_as_real_arrays(tmp_path, capsys, what, save, message):
     z = np.diag([1.0, 2.0, -1.0])
     fields = {"z": {"file": str(tmp_path / "z.npy")}, "h": {"file": str(tmp_path / "h.npy")}}
