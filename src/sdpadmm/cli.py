@@ -19,17 +19,16 @@ inputs (``z_final.npy``, eb-verify's ``z.file`` and ``h.file``) must hold a
 numpy array of real numbers.
 
 ``solve`` writes a run directory once (the instance file as read, or as
-generated, the arrays the run iterated on in ``instance.npz``, every
-``SolverConfig`` field, and the run's restart points in
-``checkpoints.npz``); ``diagnose`` only reads it, taking the problem from
-``instance.npz`` and parsing the instance file only in a directory without
-one. The ``diagnose`` report
-comes from ``diagnose_run(run_dir)``, which returns the ``diagnostics.json``
-object (a malformed ``summary.json`` is a ValueError naming the file or the
-field); the command only writes and prints it. The summary must hold every
-``SolverConfig`` field, the replay must reach the recorded iteration count,
-and every record it replays must equal the ``trace.csv`` row of its
-iterate, so that the report is about the recorded run.
+generated, every ``SolverConfig`` field, and ``run.npz``: the arrays the run
+iterated on and its restart points); ``diagnose`` only reads it, parsing
+``instance.dat-s`` only in a directory without ``run.npz``. The
+``diagnose`` report comes from ``diagnose_run(run_dir)``, which returns the
+``diagnostics.json`` object (a malformed ``summary.json`` is a ValueError
+naming the file or the field); the command only writes and prints it. The
+summary must hold every ``SolverConfig`` field, the replay must reach the
+recorded iteration count, and every record it replays must equal the
+``trace.csv`` row of its iterate, so that the report is about the recorded
+run.
 """
 
 from __future__ import annotations
@@ -271,11 +270,6 @@ def _run_solve_manifest(manifest):
         write_sdpa(prob, instance_file, comment=name)
     elif not (os.path.exists(instance_file) and os.path.samefile(source, instance_file)):
         shutil.copyfile(source, instance_file)
-    # The arrays the run iterates on, so that diagnose need not parse the
-    # text again; the table is stored on its column support only.
-    support = prob._support
-    np.savez(os.path.join(out_dir, "instance.npz"), C=prob.C, b=prob.b, support=support,
-             columns=prob.table[:, support])
     kernel = build_kernel(prob)
 
     t0 = time.monotonic()
@@ -284,14 +278,16 @@ def _run_solve_manifest(manifest):
 
     np.save(os.path.join(out_dir, "z_final.npy"), state.Z)
     write_trace_csv(records, os.path.join(out_dir, "trace.csv"))
-    cps = state.checkpoints
-    np.savez(os.path.join(out_dir, "checkpoints.npz"),
-             k=np.array([c.k for c in cps], dtype=np.int64),
+    # What diagnose replays: the arrays the run iterated on, so that it need
+    # not parse the text again (the table on its column support only), and
+    # the run's restart points.
+    support, cps = prob._support, state.checkpoints
+    np.savez(os.path.join(out_dir, "run.npz"), C=prob.C, b=prob.b, support=support,
+             columns=prob.table[:, support], k=np.array([c.k for c in cps], dtype=np.int64),
              z=np.array([c.z for c in cps]).reshape(len(cps), prob.n, prob.n),
              u_z=np.array([c.u_z for c in cps]).reshape(len(cps), prob.m))
     summary = {
         "instance": name,
-        "instance_file": "instance.dat-s",
         "n": prob.n,
         "m": prob.m,
         "cond_R": prob.cond_R,
@@ -345,29 +341,32 @@ def _cmd_solve(args):
 
 
 # Timed phases of diagnose: reading the run, the limit's decomposition with
-# the SC and ND tests on its frame, the replay with the trace and checkpoints
-# it reads, Fix(M) and ||M - Pi_Fix||, and the rate fits.
+# the SC and ND tests on its frame, the replay with the trace it reads,
+# Fix(M) and ||M - Pi_Fix||, and the rate fits.
 DIAGNOSE_PHASES = ("load", "frame", "replay", "norms", "fits")
 
 # Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
-_FIT_SEQUENCES = (("r_max", "r_max"), ("h_norm", "h_norm"), ("ho_norm", "ho_norm"),
-                  ("face_X_norm", "face_x_norm"), ("face_S_norm", "face_s_norm"))
+_FIT_SEQUENCES = (("r_max", "r_max"), ("norm_z_diff", "norm_z_diff"), ("h_norm", "h_norm"),
+                  ("ho_norm", "ho_norm"), ("face_X_norm", "face_x_norm"),
+                  ("face_S_norm", "face_s_norm"))
 
 
 def diagnose_run(run_dir, timings=None):
     """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
 
-    The problem is rebuilt from ``instance.npz``, whose arrays must fit the
-    ``n`` and ``m`` of ``summary.json``; a run directory without it parses
-    its instance file. The run is replayed against its own limit up to
-    exactly the recorded iterations, with no time limit, so a time-limited
-    run is analysed on the trajectory it took. The replay starts from the
-    latest restart point in ``checkpoints.npz`` at or before the first row a
-    rate fit reads (at or before the last iterate when nothing is fitted),
-    one point earlier while a fit would read a value from before the start,
-    and from iterate 0 when the file is absent. Rows before the start are
-    read from ``trace.csv`` as recorded, and so is ``k_id``; every replayed
-    record must equal the row of its iterate in all ``trace_fields``.
+    The problem and the run's restart points are read from ``run.npz``,
+    whose arrays must fit the ``n`` and ``m`` of ``summary.json``; a run
+    directory without it parses ``instance.dat-s`` and restarts from
+    iterate 0. The run is replayed once against its own limit up to exactly
+    the recorded iterations, with no time limit, so a time-limited run is
+    analysed on the trajectory it took. The fit window is fixed from
+    ``trace.csv`` before the replay: the last ``trailing_window`` rows
+    before the final one, past ``k_id``. The replay starts from the latest
+    restart point at or before the window's first row (at or before the
+    last iterate when nothing is fitted), and every record it replays must
+    equal the row of its iterate in all ``trace_fields``. Each sequence of
+    ``_FIT_SEQUENCES`` is fit on its positive values in the window; one
+    with fewer than ``RATE_MIN_WINDOW`` of them gets no entry.
 
     The rank tests, ``Fix(M)`` and the one Lanczos estimate, of
     ||M - Pi_Fix||, read one rotation of the basis of range(A*) into the
@@ -377,11 +376,11 @@ def diagnose_run(run_dir, timings=None):
     numerically also sets ``failure``. ``operator_applications`` counts the
     estimate's operator applications. A malformed ``summary.json`` (one
     missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
-    a real (n, n) array, a malformed ``instance.npz`` or ``checkpoints.npz``,
-    a replay that stops before the recorded ``iterations``, or one that
-    differs from ``trace.csv``, raises ``ValueError`` naming the file, the
-    field or the iteration counts; the last names the recorded and current
-    BLAS thread counts when they differ.
+    a real (n, n) array, a malformed ``run.npz``, a replay that stops before
+    the recorded ``iterations``, or one that differs from ``trace.csv``,
+    raises ``ValueError`` naming the file, the field or the iteration
+    counts; the last names the recorded and current BLAS thread counts when
+    they differ.
     ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time
     of each phase; it stays out of the report, which repeats between
     commands."""
@@ -393,10 +392,9 @@ def diagnose_run(run_dir, timings=None):
         raise ValueError(f"run directory {run_dir} is missing summary.json or z_final.npy")
     with timings.phase("load"):
         summary = _load_manifest(summary_path)
-        require_keys("summary.json", summary, "instance_file", "status", "iterations")
-        require_path("instance_file", summary["instance_file"])
+        require_keys("summary.json", summary, "status", "iterations")
         require_integer("iterations", summary["iterations"])
-        prob = _load_instance(run_dir, summary)
+        prob, points = _load_run(run_dir, summary)
         kernel = build_kernel(prob)
         z_final = _load_matrix(z_path, "z_final.npy")
         if z_final.shape != (prob.n, prob.n):
@@ -431,10 +429,11 @@ def diagnose_run(run_dir, timings=None):
 
     with timings.phase("replay"):
         rows = read_trace_csv(os.path.join(run_dir, "trace.csv"))
-        points = _load_checkpoints(os.path.join(run_dir, "checkpoints.npz"), prob.n, prob.m)
         k_id = report["k_id"] = diagnostics.rank_trace(rows, sc)
         fitted = summary["status"] == SolveStatus.CONVERGED.value and bool(rows)
-        # Start at the latest restart point at or before the first row a fit reads.
+        # The fit window, fixed before the replay: the last trailing_window
+        # rows before the final one. One replay, from the latest restart
+        # point at or before its first row.
         if fitted:
             idx_id = next((i for i, r in enumerate(rows) if r.k == k_id), 0)
             window = diagnostics.trailing_window(len(rows) - 1, idx_id)
@@ -442,13 +441,7 @@ def diagnose_run(run_dir, timings=None):
         else:
             first = cfg.max_iter
         start = max(k for k in points if k <= first)
-        while True:
-            records = _replay(prob, cfg, kernel, z_final, points[start], rows, summary)
-            if start == 0 or not fitted or all(
-                np.count_nonzero(ks >= start) >= window for _, ks, _ in _positive_tails(records)
-            ):
-                break
-            start = max(k for k in points if k < start)  # a fit reads from before the start
+        records = _replay(prob, cfg, kernel, z_final, points[start], rows, summary)
 
     if sc.sc_holds:
         os_ = linearization.build_omega(dec)
@@ -470,13 +463,19 @@ def diagnose_run(run_dir, timings=None):
     report["skipped"] = dict.fromkeys(unset, reason)
 
     if fitted:
-        for name, ks, vals in _positive_tails(records):
-            if len(vals) < window:
+        in_window = [r for r in records[:-1] if r.k >= first]
+        ks = np.array([r.k for r in in_window], dtype=float)
+        for name, field in _FIT_SEQUENCES:
+            vals = np.array([getattr(r, field) for r in in_window], dtype=float)
+            keep = vals > 0.0
+            count = np.count_nonzero(keep)
+            if count < diagnostics.RATE_MIN_WINDOW:
                 continue
             try:
-                fit = timings.call("fits", diagnostics.rate_fit, vals, window, ks=ks, name=name)
+                fit = timings.call("fits", diagnostics.rate_fit, vals[keep], count, ks=ks[keep],
+                                   name=name)
             except ValueError:
-                continue  # a tail that cannot be fit gets no entry
+                continue  # a window that cannot be fit gets no entry
             report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
                                    "window": list(fit.window)})
     return report
@@ -514,49 +513,42 @@ def _load_archive(path, **shapes):
     return [arrays[key] for key in shapes]
 
 
-def _load_instance(run_dir, summary):
-    """The problem of the run in ``run_dir``: rebuilt from ``instance.npz``,
-    the arrays the run iterated on, whose shapes must fit ``summary``'s
-    ``n`` and ``m``; or, in a run directory without that file, parsed from
-    its instance file. Either way ``SdpProblem.from_table`` checks it."""
-    path = os.path.join(run_dir, "instance.npz")
+def _load_run(run_dir, summary):
+    """The problem of the run in ``run_dir`` and its restart points by k.
+
+    Both come from ``run.npz``: the arrays the run iterated on, whose shapes
+    must fit ``summary``'s ``n`` and ``m``, and the ``Checkpoint`` objects;
+    the point ``None`` at 0 restarts from the run's ``initial_z``. A run
+    directory without that file parses ``instance.dat-s`` and restarts from
+    0 only. Either way ``SdpProblem.from_table`` checks the problem."""
+    path = os.path.join(run_dir, "run.npz")
     if not os.path.exists(path):
-        return load_sdpa(os.path.join(run_dir, summary["instance_file"]))
+        return load_sdpa(os.path.join(run_dir, "instance.dat-s")), {0: None}
     require_keys("summary.json", summary, "n", "m")
     n, m = summary["n"], summary["m"]
     require_integer("n", n)
     require_integer("m", m)
-    C, b, support, columns = _load_archive(path, C=(n, n), b=(m,), support=("s",),
-                                           columns=(m, "s"))
+    C, b, support, columns, ks, zs, us = _load_archive(
+        path, C=(n, n), b=(m,), support=("s",), columns=(m, "s"), k=("c",), z=("c", n, n),
+        u_z=("c", m))
     t = svec_dim(n)
     if support.dtype.kind not in "iu" or not np.all(support[1:] > support[:-1]) or (
         support.size and (support[0] < 0 or support[-1] >= t)
     ):
-        raise ValueError(f"instance.npz: support must hold strictly increasing integers "
+        raise ValueError(f"run.npz: support must hold strictly increasing integers "
                          f"in 0..{t - 1}")
     table = np.zeros((m, t))
     table[:, support] = columns
-    return SdpProblem.from_table(C, table, b)
-
-
-def _load_checkpoints(path, n, m):
-    """The restart points of a run by k: ``None`` at 0, which restarts from
-    the run's ``initial_z``, and the ``Checkpoint`` objects in
-    ``checkpoints.npz`` at ``path``. A run directory without the file
-    restarts from 0 only."""
-    if not os.path.exists(path):
-        return {0: None}
-    ks, zs, us = _load_archive(path, k=("c",), z=("c", n, n), u_z=("c", m))
-    return {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
+    points = {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
+    return SdpProblem.from_table(C, table, b), points
 
 
 def _replay(prob, cfg, kernel, z_final, point, rows, summary):
-    """The trace of the recorded run against ``z_final``: the ``rows`` of
-    ``trace.csv`` before the restart point ``point``, then the records of
-    the run replayed from it. A replay that stops early, or whose records
-    differ from the rows from ``point`` on, is a ValueError; when
-    ``summary``'s provenance records another BLAS thread count than this
-    process runs, the error names both."""
+    """The records of the recorded run against ``z_final``, replayed from
+    the restart point ``point``. A replay that stops early, or whose records
+    differ from the ``rows`` of ``trace.csv`` from ``point`` on, is a
+    ValueError; when ``summary``'s provenance records another BLAS thread
+    count than this process runs, the error names both."""
     start = 0 if point is None else point.k
     replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final, start=point)
     if replay.k != cfg.max_iter:
@@ -569,20 +561,9 @@ def _replay(prob, cfg, kernel, z_final, point, rows, summary):
             threads = _blas_threads()
             why = (f"; summary.json records {solved} BLAS threads, this process runs {threads}"
                    if None not in (solved, threads) and solved != threads else "")
-            raise ValueError(f"the replay from k = {start} (checkpoints.npz) differs from "
-                             f"trace.csv at k = {(got or want).k}{why}")
-    return [r for r in rows if r.k < start] + records
-
-
-def _positive_tails(records):
-    """(name, ks, values) of each fitted sequence over all records but the
-    last, at its positive values; a row read from ``trace.csv`` has none of
-    the sequences taken against the limit."""
-    ks = np.array([r.k for r in records[:-1]], dtype=float)
-    for name, field in _FIT_SEQUENCES:
-        vals = np.array([getattr(r, field) for r in records[:-1]], dtype=float)
-        keep = vals > 0.0
-        yield name, ks[keep], vals[keep]
+            raise ValueError(f"the replay from k = {start} differs from trace.csv at "
+                             f"k = {(got or want).k}{why}")
+    return records
 
 
 def _cmd_diagnose(args):

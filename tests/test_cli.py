@@ -14,11 +14,11 @@ import scipy
 
 import sdpadmm
 
-from sdpadmm import cli, linalg
+from sdpadmm import cli, diagnostics, linalg
 from sdpadmm.cli import main
 from sdpadmm.errors import NumericalFailureError
 from sdpadmm.problem import generate_planted, load_sdpa, write_sdpa
-from sdpadmm.solver import TRACE_HEADER, SolverConfig, solve
+from sdpadmm.solver import TRACE_HEADER, SolverConfig, read_trace_csv, solve
 
 
 def write_manifest(path, **fields):
@@ -69,17 +69,17 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
     assert all(t["seconds"] >= 0.0 for t in timings.values())
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == TRACE_HEADER
-    # A restart point at each power of two up to the last iterate.
-    with np.load(out / "checkpoints.npz", allow_pickle=False) as cps:
-        assert sorted(cps.files) == ["k", "u_z", "z"]
-        count = summary["iterations"].bit_length()
-        assert cps["k"].tolist() == [2**j for j in range(count)]
-        assert cps["z"].shape == (count, 10, 10) and cps["u_z"].shape == (count, 20)
-    # The arrays the run iterated on: the table on its column support, which
-    # rebuilds the parsed instance bit for bit.
+    assert "instance_file" not in summary
+    assert not (out / "instance.npz").exists() and not (out / "checkpoints.npz").exists()
+    # run.npz: the arrays the run iterated on, the table on its column
+    # support, which rebuilds the parsed instance bit for bit, and a restart
+    # point at each power of two up to the last iterate.
     parsed = load_sdpa(out / "instance.dat-s")
-    with np.load(out / "instance.npz", allow_pickle=False) as npz:
-        assert sorted(npz.files) == ["C", "b", "columns", "support"]
+    with np.load(out / "run.npz", allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["C", "b", "columns", "k", "support", "u_z", "z"]
+        count = summary["iterations"].bit_length()
+        assert npz["k"].tolist() == [2**j for j in range(count)]
+        assert npz["z"].shape == (count, 10, 10) and npz["u_z"].shape == (count, 20)
         table = np.zeros_like(parsed.table)
         table[:, npz["support"]] = npz["columns"]
         for got, want in [(npz["C"], parsed.C), (table, parsed.table), (npz["b"], parsed.b)]:
@@ -574,8 +574,7 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path, capsys, fields,
 # -- diagnose ----------------------------------------------------------------
 
 
-RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s", "checkpoints.npz",
-             "instance.npz")
+RUN_FILES = ("trace.csv", "summary.json", "z_final.npy", "instance.dat-s", "run.npz")
 
 
 def test_diagnose_finished_run(planted_manifest, tmp_path, capsys):
@@ -711,47 +710,108 @@ _ND_FAIL = {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1,
         ({"generator": _PLANTED, "max_iter": 51}, _time_limited),
         ({"generator": _ND_FAIL, "max_iter": 40}, None),
         ({"generator": _ND_FAIL}, _sc_failing_limit),
+        ({"instance": "generated"}, None),
     ],
     ids=["nd", "primal-nd-fail", "maxcut", "trace-every-3", "time-limited", "unconverged",
-         "sc-fails"],
+         "sc-fails", "generated-file"],
 )
 def test_diagnose_from_a_checkpoint_matches_the_full_replay(tmp_path, capsys, monkeypatch,
                                                              fields, edit):
-    # The replay from k = 0 is the oracle: the same run directory without
-    # checkpoints.npz gives the same report.
+    # Parsing instance.dat-s and replaying from k = 0 is the oracle: the same
+    # run directory without run.npz gives the same report.
     out = tmp_path / "run"
-    if fields["generator"] == "maxcut":
+    if fields.get("generator") == "maxcut":
         fields = {**fields, "generator": {"kind": "maxcut",
                                           "edges": _write_graph(tmp_path / "g.txt")}}
+    if "instance" in fields:
+        path = tmp_path / "g.dat-s"
+        assert main(["generate", "planted", "--n", "12", "--m", "30", "--r", "3", "--seed", "2",
+                     "--out", str(path)]) == 0
+        fields = {"instance": str(path)}
     manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1, **fields)
     assert main(["solve", "--manifest", manifest]) in (0, 2)
     capsys.readouterr()
     if edit is not None:
         edit(out)
-    starts = []
+    starts, parsed = [], []
 
     def recording_solve(*args, start=None, **kwargs):
         starts.append(start)
         return solve(*args, start=start, **kwargs)
 
+    def recording_load_sdpa(path):
+        parsed.append(path)
+        return load_sdpa(path)
+
     monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(cli, "load_sdpa", recording_load_sdpa)
     report = cli.diagnose_run(str(out))
-    # Each diagnose replays only a tail, from a power of two.
+    # One replay, of a tail from a power of two, and no text parsed.
     (point,) = starts
     assert point.k > 0 and point.k & (point.k - 1) == 0
+    assert parsed == []
     shutil.copytree(out, tmp_path / "full")
-    (tmp_path / "full" / "checkpoints.npz").unlink()
+    (tmp_path / "full" / "run.npz").unlink()
     starts.clear()
     oracle = cli.diagnose_run(str(tmp_path / "full"))
-    assert starts == [None]
+    assert starts == [None] and len(parsed) == 1
     assert {**oracle, "run": report["run"]} == report
 
 
-def test_diagnose_steps_back_when_a_fit_reads_before_the_start(planted_manifest, capsys,
-                                                               monkeypatch):
-    # With face_S_norm zero on the last 100 iterates, its fit window ends
-    # earlier and reaches before the first start chosen; the replay steps
-    # back one checkpoint, and the report is still the full replay's.
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"generator": {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1}},
+        {"generator": _ND_FAIL},
+        {"generator": "maxcut", "tol_rmax": 1e-8},
+        {"generator": _ND_FAIL, "trace_every": 3},
+        {"instance": "generated"},
+    ],
+    ids=["nd", "primal-nd-fail", "maxcut", "trace-every-3", "generated-file"],
+)
+def test_diagnose_from_instance_npz_matches_the_parsed_instance(tmp_path, capsys, monkeypatch,
+                                                                  fields):
+    # The instance arrays of run.npz (C, b, support, columns) against the
+    # oracle of parsing instance.dat-s, with the same restart points from
+    # run.npz: the replay and the report are the same.
+    out = tmp_path / "run"
+    if fields.get("generator") == "maxcut":
+        fields = {**fields, "generator": {"kind": "maxcut",
+                                          "edges": _write_graph(tmp_path / "g.txt")}}
+    if "instance" in fields:
+        path = tmp_path / "g.dat-s"
+        assert main(["generate", "planted", "--n", "12", "--m", "30", "--r", "3", "--seed", "2",
+                     "--out", str(path)]) == 0
+        fields = {"instance": str(path)}
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1, **fields)
+    assert main(["solve", "--manifest", manifest]) in (0, 2)
+    capsys.readouterr()
+    parsed = []
+
+    def recording_load_sdpa(path):
+        parsed.append(path)
+        return load_sdpa(path)
+
+    monkeypatch.setattr(cli, "load_sdpa", recording_load_sdpa)
+    report = cli.diagnose_run(str(out))
+    assert parsed == []
+    load_run = cli._load_run
+
+    def parsed_instance(run_dir, summary):
+        _, points = load_run(run_dir, summary)
+        return load_sdpa(os.path.join(run_dir, "instance.dat-s")), points
+
+    monkeypatch.setattr(cli, "_load_run", parsed_instance)
+    assert cli.diagnose_run(str(out)) == report
+
+
+def test_diagnose_fits_the_positive_rows_of_a_window_fixed_from_the_trace(planted_manifest,
+                                                                          capsys, monkeypatch):
+    # The window is the last trailing_window rows of trace.csv before the
+    # final one; zeros inside it shrink a sequence's fit to its positive rows
+    # (face_S_norm, zero on the last 40 iterates) or drop the sequence when
+    # fewer than RATE_MIN_WINDOW are left (face_X_norm, zero on the last
+    # 100). Either way the replay runs once.
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
     last = json.loads((out / "summary.json").read_text())["iterations"]
@@ -761,20 +821,52 @@ def test_diagnose_steps_back_when_a_fit_reads_before_the_start(planted_manifest,
         starts.append(start)
         state, records, status = solve(*args, start=start, **kwargs)
         for rec in records:
-            if rec.k >= last - 100:
+            if rec.k >= last - 40:
                 rec.face_s_norm = 0.0
+            if rec.k >= last - 100:
+                rec.face_x_norm = 0.0
         return state, records, status
 
     monkeypatch.setattr(cli, "solve", zeroing_solve)
     report = cli.diagnose_run(str(out))
-    first, second = starts
-    assert second.k == first.k // 2
-    (fit,) = [f for f in report["fits"] if f["sequence"] == "face_S_norm"]
-    assert second.k <= fit["window"][0] < first.k and fit["window"][1] == last - 101
-    (out / "checkpoints.npz").unlink()
+    rows = read_trace_csv(out / "trace.csv")
+    idx_id = [r.k for r in rows].index(report["k_id"])
+    window = diagnostics.trailing_window(len(rows) - 1, idx_id)
+    first = rows[len(rows) - 1 - window].k
+    assert last - 100 < first < last - 40 - diagnostics.RATE_MIN_WINDOW
+    # One replay, from the latest power of two at or before the window.
+    (point,) = starts
+    assert point.k <= first < 2 * point.k
+    fits = {f["sequence"]: f["window"] for f in report["fits"]}
+    assert fits["h_norm"] == [first, last - 1]
+    assert fits["face_S_norm"] == [first, last - 41]
+    assert "face_X_norm" not in fits
+    (out / "run.npz").unlink()
     starts.clear()
     assert cli.diagnose_run(str(out)) == report
     assert starts == [None]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "generator",
+    [{"n": 20, "m": 40, "r": 3}, {"n": 16, "m": 30, "r": 4, "degeneracy": "primal_nd_fail"},
+     {"n": 12, "m": 10, "r": 6}],
+    ids=["nd", "primal-nd-fail", "dual-nd-fail"],
+)
+def test_norm_z_diff_fit_lies_between_the_h_norm_fit_and_the_norm(tmp_path, capsys, generator,
+                                                                    seed):
+    # The step length ||Z_{k+1} - Z_k|| needs no reference. Its rate is at
+    # most ||M - P_Fix|| (+ 1e-3), and no lower than the h_norm fit, which
+    # the distance to the run's own last iterate steepens.
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=seed, tol_rmax=1e-10,
+                              generator={"kind": "planted", "seed": seed, **generator})
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    report = cli.diagnose_run(str(out))
+    fits = {f["sequence"]: f["rho_hat"] for f in report["fits"]}
+    assert fits["h_norm"] <= fits["norm_z_diff"] <= report["op_norm_M_minus_fix"] + 1e-3
 
 
 def _diagnose_error(out, capsys):
@@ -782,8 +874,8 @@ def _diagnose_error(out, capsys):
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
     assert not (out / "diagnostics.json").exists()
-    match = re.fullmatch(r"error: the replay from k = (\d+) \(checkpoints.npz\) differs from "
-                         r"trace.csv at k = (\d+)\n", err)
+    match = re.fullmatch(r"error: the replay from k = (\d+) differs from trace.csv at "
+                         r"k = (\d+)\n", err)
     assert match, err
     return int(match[1]), int(match[2])
 
@@ -791,24 +883,12 @@ def _diagnose_error(out, capsys):
 def test_diagnose_refuses_a_perturbed_checkpoint(planted_manifest, capsys):
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
-    with np.load(out / "checkpoints.npz") as npz:
-        cps = dict(npz)
-    cps["z"][:, 0, 0] += 1e-9
-    np.savez(out / "checkpoints.npz", **cps)
+    with np.load(out / "run.npz") as npz:
+        arrays = dict(npz)
+    arrays["z"][:, 0, 0] += 1e-9
+    np.savez(out / "run.npz", **arrays)
     start, k = _diagnose_error(out, capsys)
-    assert start == k and start in cps["k"].tolist()
-
-
-def test_diagnose_refuses_checkpoints_of_another_shape(planted_manifest, capsys):
-    manifest, out = planted_manifest
-    assert main(["solve", "--manifest", manifest]) == 0
-    with np.load(out / "checkpoints.npz") as npz:
-        np.savez(out / "checkpoints.npz", k=npz["k"], z=npz["z"])
-    capsys.readouterr()
-    assert main(["diagnose", "--run", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: checkpoints.npz must hold arrays k, z and u_z of "
-                                       "shapes (c,), (c, 10, 10) and (c, 20)\n")
-    assert not (out / "diagnostics.json").exists()
+    assert start == k and start in arrays["k"].tolist()
 
 
 def _edit_trace_row(out):
@@ -840,69 +920,26 @@ def test_diagnose_names_both_blas_thread_counts(planted_manifest, capsys, monkey
     capsys.readouterr()
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: the replay from k = \d+ \(checkpoints.npz\) differs from "
-                        rf"trace.csv at k = {edited}; summary.json records 3 BLAS threads, "
+    assert re.fullmatch(rf"error: the replay from k = \d+ differs from trace.csv at "
+                        rf"k = {edited}; summary.json records 3 BLAS threads, "
                         rf"this process runs 5\n", err), err
     assert not (out / "diagnostics.json").exists()
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"generator": {"kind": "planted", "n": 10, "m": 20, "r": 3, "seed": 1}},
-        {"generator": _ND_FAIL},
-        {"generator": "maxcut", "tol_rmax": 1e-8},
-        {"generator": _ND_FAIL, "trace_every": 3},
-        {"instance": "generated"},
-    ],
-    ids=["nd", "primal-nd-fail", "maxcut", "trace-every-3", "generated-file"],
-)
-def test_diagnose_from_instance_npz_matches_the_parsed_instance(tmp_path, capsys, monkeypatch,
-                                                                  fields):
-    # Parsing instance.dat-s is the oracle: the same run directory without
-    # instance.npz gives the same report.
-    out = tmp_path / "run"
-    if fields.get("generator") == "maxcut":
-        fields = {**fields, "generator": {"kind": "maxcut",
-                                          "edges": _write_graph(tmp_path / "g.txt")}}
-    if "instance" in fields:
-        path = tmp_path / "g.dat-s"
-        assert main(["generate", "planted", "--n", "12", "--m", "30", "--r", "3", "--seed", "2",
-                     "--out", str(path)]) == 0
-        fields = {"instance": str(path)}
-    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1, **fields)
-    assert main(["solve", "--manifest", manifest]) in (0, 2)
-    capsys.readouterr()
-    parsed = []
-
-    def recording_load_sdpa(path):
-        parsed.append(path)
-        return load_sdpa(path)
-
-    monkeypatch.setattr(cli, "load_sdpa", recording_load_sdpa)
-    report = cli.diagnose_run(str(out))
-    assert parsed == []
-    shutil.copytree(out, tmp_path / "parsed")
-    (tmp_path / "parsed" / "instance.npz").unlink()
-    oracle = cli.diagnose_run(str(tmp_path / "parsed"))
-    assert len(parsed) == 1
-    assert {**oracle, "run": report["run"]} == report
-
-
-def test_diagnose_refuses_a_tampered_instance_npz(planted_manifest, capsys):
+def test_diagnose_refuses_a_tampered_run_npz(planted_manifest, capsys):
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
-    with np.load(out / "instance.npz") as npz:
+    with np.load(out / "run.npz") as npz:
         arrays = dict(npz)
     arrays["columns"][3, 5] *= 1.0 + 1e-12
-    np.savez(out / "instance.npz", **arrays)
+    np.savez(out / "run.npz", **arrays)
     start, k = _diagnose_error(out, capsys)
     assert start == k and start > 0
 
 
-_SHAPES = ("instance.npz must hold arrays C, b, support and columns of shapes (10, 10), (20,), "
-           "(s,) and (20, s)")
-_SUPPORT = "instance.npz: support must hold strictly increasing integers in 0..54"
+_SHAPES = ("run.npz must hold arrays C, b, support, columns, k, z and u_z of shapes (10, 10), "
+           "(20,), (s,), (20, s), (c,), (c, 10, 10) and (c, 20)")
+_SUPPORT = "run.npz: support must hold strictly increasing integers in 0..54"
 
 
 def _resaved(edit):
@@ -924,13 +961,13 @@ def _npy(path, arrays):
         (_resaved(lambda a: a.pop("b")), _SHAPES),
         (_resaved(lambda a: a.update(table=np.zeros((20, 55)))), _SHAPES),
         (_resaved(lambda a: a.update(b=a["b"].astype(object))),
-         "instance.npz: Object arrays cannot be loaded when allow_pickle=False"),
+         "run.npz: Object arrays cannot be loaded when allow_pickle=False"),
         (lambda path, a: path.write_bytes(pickle.dumps(a)),
-         "instance.npz: This file contains pickled (object) data."),
+         "run.npz: This file contains pickled (object) data."),
         (_resaved(lambda a: a.update(C=a["C"] + 0j)),
-         "instance.npz: array 'C' must hold real numbers, got dtype complex128"),
+         "run.npz: array 'C' must hold real numbers, got dtype complex128"),
         (_resaved(lambda a: a.update(b=a["b"].astype(str))),
-         "instance.npz: array 'b' must hold real numbers, got dtype <U"),
+         "run.npz: array 'b' must hold real numbers, got dtype <U"),
         (_resaved(lambda a: a.update(C=a["C"][:9, :9])), _SHAPES),
         (_resaved(lambda a: a.update(columns=a["columns"][:, 1:])), _SHAPES),
         (_resaved(lambda a: a.update(support=a["support"][::-1].copy())), _SUPPORT),
@@ -938,20 +975,21 @@ def _npy(path, arrays):
         (_resaved(lambda a: a.update(support=a["support"] - 1)), _SUPPORT),
         (_resaved(lambda a: a.update(support=a["support"].astype(float))), _SUPPORT),
         (_npy, _SHAPES),
-        (lambda path, a: path.write_bytes(b""), "instance.npz: No data left in file"),
+        (lambda path, a: path.write_bytes(b""), "run.npz: No data left in file"),
         (lambda path, a: path.write_bytes(path.read_bytes()[:100]),
-         "instance.npz: File is not a zip file"),
+         "run.npz: File is not a zip file"),
+        (_resaved(lambda a: a.update(u_z=a["u_z"][1:])), _SHAPES),
     ],
     ids=["missing-key", "extra-key", "object-array", "pickle", "complex", "text", "n", "s",
          "support-order", "support-above", "support-below", "support-float", "npy", "empty",
-         "truncated"],
+         "truncated", "checkpoint-shape"],
 )
-def test_diagnose_refuses_a_malformed_instance_npz(planted_manifest, capsys, write, message):
+def test_diagnose_refuses_a_malformed_run_npz(planted_manifest, capsys, write, message):
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
-    with np.load(out / "instance.npz") as npz:
+    with np.load(out / "run.npz") as npz:
         arrays = dict(npz)
-    write(out / "instance.npz", arrays)
+    write(out / "run.npz", arrays)
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()
     assert main(["diagnose", "--run", str(out)]) == 1
@@ -1100,23 +1138,11 @@ def test_diagnose_missing_artifacts(tmp_path, capsys):
     "summary, message",
     [
         ([], "summary.json must contain a JSON object"),
-        ({"status": "converged", "iterations": 3}, "summary.json is missing 'instance_file'"),
-        ({"instance_file": "instance.dat-s", "iterations": 3}, "summary.json is missing 'status'"),
-        (
-            {"instance_file": "instance.dat-s", "status": "converged"},
-            "summary.json is missing 'iterations'",
-        ),
-        (
-            {"instance_file": 5, "status": "converged", "iterations": 3},
-            "instance_file must be a non-empty path string, got 5",
-        ),
-        (
-            {"instance_file": "instance.dat-s", "status": "converged", "iterations": "3"},
-            "iterations must be an integer, got '3'",
-        ),
+        ({"iterations": 3}, "summary.json is missing 'status'"),
+        ({"status": "converged"}, "summary.json is missing 'iterations'"),
+        ({"status": "converged", "iterations": "3"}, "iterations must be an integer, got '3'"),
     ],
-    ids=["list", "no-instance-file", "no-status", "no-iterations", "instance-file-int",
-         "iterations-string"],
+    ids=["list", "no-status", "no-iterations", "iterations-string"],
 )
 def test_diagnose_rejects_malformed_summary(tmp_path, capsys, summary, message):
     run = tmp_path / "run"
@@ -1138,7 +1164,7 @@ def test_diagnose_rejects_a_z_final_of_another_order(tmp_path, capsys, shape):
     run.mkdir()
     write_sdpa(generate_planted(3, 4, 1, seed=0)[0], run / "instance.dat-s")
     np.save(run / "z_final.npy", np.zeros(shape))
-    summary = {"instance_file": "instance.dat-s", "status": "converged", "iterations": 3}
+    summary = {"status": "converged", "iterations": 3}
     (run / "summary.json").write_text(json.dumps(summary))
     assert main(["diagnose", "--run", str(run)]) == 1
     err = capsys.readouterr().err
@@ -1202,7 +1228,7 @@ def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, mes
     run.mkdir()
     write_sdpa(generate_planted(3, 4, 1, seed=0)[0], run / "instance.dat-s")
     save(run / "z_final.npy", np.diag([1.0, -1.0, -2.0]))
-    summary = {"instance_file": "instance.dat-s", "status": "converged", "iterations": 3}
+    summary = {"status": "converged", "iterations": 3}
     (run / "summary.json").write_text(json.dumps(summary))
     assert main(["diagnose", "--run", str(run)]) == 1
     err = capsys.readouterr().err
