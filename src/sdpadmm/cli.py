@@ -62,7 +62,7 @@ from .errors import (
     require_object,
     require_path,
 )
-from .linalg import eig_sym, svec_dim, sym_norm2, symmetrize
+from .linalg import RANK_TAU, eig_sym, svec_dim, sym_norm2, symmetrize
 from .problem import (
     SdpProblem,
     build_kernel,
@@ -373,7 +373,9 @@ def diagnose_run(run_dir, timings=None):
     limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
     ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
     stays ``None``, with the reason under ``skipped``; one that fails
-    numerically also sets ``failure``. ``operator_applications`` counts the
+    numerically also sets ``failure``, and so does an estimate of
+    ||M - Pi_Fix|| that is not below 1 - 1e-8 (the separation gate), which
+    is still ||M|| when ``Fix(M)`` = {0}. ``operator_applications`` counts the
     estimate's operator applications. A malformed ``summary.json`` (one
     missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
     a real (n, n) array, a malformed ``run.npz``, a replay that stops before
@@ -447,15 +449,20 @@ def diagnose_run(run_dir, timings=None):
         os_ = linearization.build_omega(dec)
         fix = timings.call("norms", linearization.fix_basis, os_, kernel, frame)
         report["fix_dim"] = fix.dim
+        estimate = None
         try:
-            estimate = report["op_norm_M_minus_fix"] = timings.call(
+            estimate = timings.call(
                 "norms", linearization.op_norm_M_minus_fix, os_, kernel, fix, frame
             )
         except NumericalFailureError as exc:
-            # Report what was computed; the norms left unset stay None. An
-            # estimate refused by the gate is still ||M|| when Fix(M) = {0}.
             report["failure"] = {"message": str(exc), "details": exc.details}
-            estimate = exc.details.get("value")
+        # An estimate at 1 means Pi_Fix missed a fixed direction of M: no rate
+        # bound. The norms left unset stay None.
+        if estimate is not None and estimate >= 1.0 - 1e-8:
+            report["failure"] = {"message": f"||M - Pi_Fix|| = {estimate!r} is not separated "
+                                            "from 1", "details": {"value": estimate}}
+        else:
+            report["op_norm_M_minus_fix"] = estimate
         report["op_norm_M"] = linearization.norm_M(fix.dim, estimate)
     report["operator_applications"] = frame.applications
     reason = "numerical failure" if sc.sc_holds else "strict complementarity fails"
@@ -471,11 +478,8 @@ def diagnose_run(run_dir, timings=None):
             count = np.count_nonzero(keep)
             if count < diagnostics.RATE_MIN_WINDOW:
                 continue
-            try:
-                fit = timings.call("fits", diagnostics.rate_fit, vals[keep], count, ks=ks[keep],
-                                   name=name)
-            except ValueError:
-                continue  # a window that cannot be fit gets no entry
+            fit = timings.call("fits", diagnostics.rate_fit, vals[keep], count, ks=ks[keep],
+                               name=name)
             report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
                                    "window": list(fit.window)})
     return report
@@ -582,8 +586,10 @@ def _cmd_diagnose(args):
     print(f"status          {report['status']}")
     print(f"SC              {holds[sc['sc_holds']]}  "
           f"(r={sc['r']}, s={sc['s']}, min|lam|={sc['lam_min_abs_z']:.3e})")
-    print(f"primal ND       {holds[nd['primal_nd']]}")
-    print(f"dual ND         {holds[nd['dual_nd']]}")
+    for side in ("primal", "dual"):
+        below, above = ("none" if v is None else f"{v:.3e}" for v in nd[f"{side}_margin"])
+        print(f"{side + ' ND':<16}{holds[nd[f'{side}_nd']]}  "
+              f"(relative singular values {below} <= {RANK_TAU:g} < {above})")
     print(f"rank id at k    {report['k_id']}")
     if report["op_norm_M"] is not None:
         reason = f"dim Fix = {report['fix_dim']} > 0" if report["fix_dim"] else "= ||M - P_Fix||"

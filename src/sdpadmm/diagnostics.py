@@ -84,13 +84,18 @@ class NondegeneracyReport:
       Sstar.
 
     Each side is nondegenerate iff its witness space is {0}: a property of
-    range(A*), not of the constraints that span it.
+    range(A*), not of the constraints that span it. ``primal_margin`` and
+    ``dual_margin`` are the ``[below, above]`` singular values of each
+    witness map around the ``RANK_TAU`` cut, relative to its largest
+    (``linalg.null_space``): how far the verdict is from flipping.
     """
 
     primal_witness_dim: int
     dual_witness_dim: int
     primal_nd: bool
     dual_nd: bool
+    primal_margin: list
+    dual_margin: list
 
 
 @dataclass
@@ -104,8 +109,9 @@ class EigenFrame:
       the primal witness and its leading-block columns the dual one;
     - ``applications``: how many times the Lanczos estimate run on the
       frame applied its operator op* o op, by estimate name;
-    - ``witnesses``: the witness null spaces taken so far, by kind and
-      split, so that ``nd_check`` and ``fix_basis`` share them.
+    - ``witnesses``: the witness null spaces taken so far with their
+      margins, by kind and split, so that ``nd_check`` and ``fix_basis``
+      share them.
     """
 
     bt: np.ndarray
@@ -135,14 +141,16 @@ def primal_witness(table, r):
     """Basis (m, d) of the null space of u -> the first t(n) - t(n - r)
     entries of u' table, for an (m, t(n)) table of rotated matrices: the u
     whose combination of the rows vanishes outside the trailing block. For
-    ``bt``, the coordinates of range(A*) in the normal space of Xstar."""
+    ``bt``, the coordinates of range(A*) in the normal space of Xstar. Paired
+    with its margin, as ``linalg.null_space`` returns."""
     n = svec_order(table.shape[1])
     return null_space(table[:, : svec_dim(n) - svec_dim(n - r)].T)
 
 
 def dual_witness(table, k):
     """Basis (t(k), d), in svec coordinates, of the U in S^k orthogonal to
-    the leading k x k block of every row of the (m, t(n)) ``table``."""
+    the leading k x k block of every row of the (m, t(n)) ``table``. Paired
+    with its margin, as ``linalg.null_space`` returns."""
     return null_space(table[:, leading_block(svec_order(table.shape[1]), k)])
 
 
@@ -163,12 +171,15 @@ def nd_check(
     if frame is None:
         frame = eigen_frame(build_kernel(p), dec.Q)
     r, s = split_counts(dec.lam)
-    primal, dual = (w.shape[1] for w in (frame.primal_witness(r), frame.dual_witness(p.n - s)))
+    witnesses = frame.primal_witness(r), frame.dual_witness(p.n - s)
+    (primal, primal_margin), (dual, dual_margin) = ((w.shape[1], m) for w, m in witnesses)
     return NondegeneracyReport(
         primal_witness_dim=primal,
         dual_witness_dim=dual,
         primal_nd=(primal == 0),
         dual_nd=(dual == 0),
+        primal_margin=primal_margin,
+        dual_margin=dual_margin,
     )
 
 

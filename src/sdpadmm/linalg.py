@@ -269,13 +269,22 @@ def null_space(mat):
     """Orthonormal columns spanning the numerical null space of ``mat``: the
     right singular vectors whose singular values do not exceed
     ``RANK_TAU * sigma_max``. A matrix with no rows has the whole domain as null
-    space."""
+    space.
+
+    Returns ``(basis, [below, above])``, the margin read off the same SVD
+    relative to sigma_max: ``below`` is the largest singular value at or
+    under the cut (0.0 when only the columns past the rows span the null
+    space, None when it is {0}), ``above`` the smallest over it (None if
+    none)."""
     mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return np.eye(mat.shape[1])
-    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(sv > RANK_TAU * sv[0])) if sv[0] > 0.0 else 0
-    return vt[rank:].T
+    if mat.size:
+        _, sv, vt = np.linalg.svd(mat, full_matrices=True)
+    else:
+        sv, vt = np.zeros(0), np.eye(mat.shape[1])
+    rank = int(np.sum(sv > RANK_TAU * sv[0])) if sv.size and sv[0] > 0.0 else 0
+    rel = sv / sv[0] if rank else np.zeros_like(sv)
+    below = float(rel[rank]) if rank < sv.size else (0.0 if rank < vt.shape[0] else None)
+    return vt[rank:].T, [below, float(rel[rank - 1]) if rank else None]
 
 
 def sylvester_solve(zx, zs, zo, eigs=None):

@@ -225,23 +225,29 @@ def fix_basis(
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
     n, r = os_.n, os_.r
-    u = frame.dual_witness(r)
+    (u, _), (w, _) = frame.dual_witness(r), frame.primal_witness(r)
     lead = np.zeros((u.shape[1], svec_dim(n)))
     lead[:, leading_block(n, r)] = u.T
-    return FixSubspace(rows=np.vstack([lead, frame.primal_witness(r).T @ frame.bt]))
+    return FixSubspace(rows=np.vstack([lead, w.T @ frame.bt]))
 
 
-def _norm_minus_fix(os_: OmegaStructure, fix: FixSubspace, frame: EigenFrame):
-    """||M - Pi_Fix|| in the svec coordinates of ``frame``, ungated: the
-    square root of the top eigenvalue of (M~ - Pi_Fix)*(M~ - Pi_Fix) by
-    Lanczos (ARPACK ``eigsh``) from a fixed seeded start vector, so repeated
-    calls agree bit for bit; the count of operator applications goes to
-    ``frame.applications``. At t(n) = 1, below ARPACK's minimum size, that
-    composition is its one entry."""
+def op_norm_M_minus_fix(
+    os_: OmegaStructure, kernel: ConstraintKernel, fix: FixSubspace, frame: EigenFrame | None = None
+):
+    """||M - Pi_Fix|| in the svec coordinates of the frame of ``os_.Q`` (made
+    here when not given): the square root of the top eigenvalue of
+    (M~ - Pi_Fix)*(M~ - Pi_Fix) by Lanczos (ARPACK ``eigsh``) from a fixed
+    seeded start vector, so repeated calls agree bit for bit; the count of
+    operator applications goes to ``frame.applications``. At t(n) = 1,
+    below ARPACK's minimum size, that composition is its one entry. The
+    value is not gated: it is 1 when ``fix`` misses a fixed direction of M.
+    Raises NumericalFailureError when ARPACK does not converge."""
     # Imported here: only diagnose estimates norms, and loading ARPACK would
     # add resident memory to every solve and eb-verify run.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    if frame is None:
+        frame = eigen_frame(kernel, os_.Q)
     op, adjoint = rotated_M(os_, frame)
     # Pi_Fix = F'F for the rows F of the basis. M fixes Fix(M) = Fix(M*), so
     # M Pi_Fix = Pi_Fix = Pi_Fix M and (M - Pi_Fix)*(M - Pi_Fix) =
@@ -283,29 +289,12 @@ def norm_M(fix_dim: int, norm_minus_fix):
 
 def op_norm_M(os_: OmegaStructure, kernel: ConstraintKernel, frame: EigenFrame | None = None):
     """||M|| by :func:`norm_M`, from Fix(M) in the frame of ``os_.Q`` (made
-    here when not given) and, only when Fix(M) = {0}, the Lanczos estimate
-    of ||M - Pi_Fix|| without the separation gate."""
+    here when not given) and, only when Fix(M) = {0}, the estimate of
+    :func:`op_norm_M_minus_fix`."""
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
     fix = fix_basis(os_, kernel, frame)
-    return norm_M(fix.dim, None if fix.dim else _norm_minus_fix(os_, fix, frame))
-
-
-def op_norm_M_minus_fix(
-    os_: OmegaStructure, kernel: ConstraintKernel, fix: FixSubspace, frame: EigenFrame | None = None
-):
-    """||M - Pi_Fix|| by Lanczos on the rotated operators of the frame of
-    ``os_.Q`` (made here when not given), strictly below one; raises
-    NumericalFailureError, with the estimate under ``value``, if it does not
-    clear 1 - 1e-8."""
-    if frame is None:
-        frame = eigen_frame(kernel, os_.Q)
-    value = _norm_minus_fix(os_, fix, frame)
-    if value >= 1.0 - 1e-8:
-        raise NumericalFailureError(
-            f"||M - Pi_Fix|| = {value!r} is not separated from 1", value=value
-        )
-    return value
+    return norm_M(fix.dim, None if fix.dim else op_norm_M_minus_fix(os_, kernel, fix, frame))
 
 
 def directional_derivative(os_: OmegaStructure, h):

@@ -1056,17 +1056,21 @@ def test_diagnose_keeps_a_refused_estimate_as_the_norm_of_M(planted_manifest, ca
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli.linearization, "_norm_minus_fix", lambda *args: 1.0 - 1e-12)
+    monkeypatch.setattr(cli.linearization, "op_norm_M_minus_fix", lambda *args: 1.0 - 1e-12)
     assert main(["diagnose", "--run", str(out)]) == 1
     captured = capsys.readouterr()
     report = json.loads((out / "diagnostics.json").read_text())
     assert report["fix_dim"] == 0
     assert report["op_norm_M"] == 1.0 - 1e-12
     assert report["op_norm_M_minus_fix"] is None
-    assert report["failure"]["details"] == {"value": 1.0 - 1e-12}
-    assert "not separated from 1" in report["failure"]["message"]
+    assert report["failure"] == {"message": "||M - Pi_Fix|| = 0.999999999999 is not separated "
+                                            "from 1", "details": {"value": 1.0 - 1e-12}}
     assert report["skipped"] == {"op_norm_M_minus_fix": "numerical failure"}
-    assert "(= ||M - P_Fix||)" in captured.out
+    assert "||M||           1.000000  (= ||M - P_Fix||)" in captured.out
+    assert "||M - P_Fix||   " not in captured.out
+    assert "skipped         op_norm_M_minus_fix: numerical failure" in captured.out
+    assert ("norm failure    ||M - Pi_Fix|| = 0.999999999999 is not separated from 1"
+            in captured.out)
 
 
 @pytest.mark.parametrize("degeneracy", ["none", "primal_nd_fail"])
@@ -1510,8 +1514,10 @@ def test_huge_vertex_count_is_refused(tmp_path, capsys, command):
         ("edges", "solve", "vertex count 0 is below 1"),
         ("edges", "generate", "vertex count 0 is below 1"),
         ("edges-negative", "generate", "vertex count -2 is below 1"),
+        ("edges-empty", "generate", "is empty"),
     ],
-    ids=["solve-sdpa-n0", "solve-edges-n0", "generate-edges-n0", "generate-edges-negative"],
+    ids=["solve-sdpa-n0", "solve-edges-n0", "generate-edges-n0", "generate-edges-negative",
+         "generate-edges-empty"],
 )
 def test_zero_size_problems_are_refused(tmp_path, capsys, source, command, message):
     # A problem of order 0 has no iterate: every exit is one error line, and
@@ -1523,7 +1529,8 @@ def test_zero_size_problems_are_refused(tmp_path, capsys, source, command, messa
         manifest = write_manifest(tmp_path / "m.json", instance=str(path), out=str(out))
     else:
         path = tmp_path / "graph.txt"
-        path.write_text("-2\n" if source == "edges-negative" else "0\n")
+        text = {"edges-negative": "-2\n", "edges-empty": "# no graph\n"}.get(source, "0\n")
+        path.write_text(text)
         manifest = write_manifest(
             tmp_path / "m.json", generator={"kind": "maxcut", "edges": str(path)}, out=str(out)
         )
@@ -1611,6 +1618,11 @@ def test_removed_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_solve_needs_a_manifest(capsys):
+    assert main(["solve"]) == 1
+    assert capsys.readouterr().err == "error: solve needs at least one --manifest\n"
 
 
 @pytest.mark.parametrize("command", ["eb-verify"])

@@ -128,6 +128,17 @@ def test_run_rejects_singular_reference():
         run_elimination(np.eye(3), np.zeros((3, 3)))
 
 
+def test_run_without_sweeps_reports_its_history():
+    rng = np.random.default_rng(4)
+    z = random_indefinite(4, 2, rng, gap=0.5)
+    h = random_sym(4, rng)
+    h *= 0.01 / np.linalg.norm(h, 2)
+    with pytest.raises(NumericalFailureError, match="did not converge in 0 iterations") as info:
+        run_elimination(z, h, max_iter=0)
+    (off,) = info.value.details["history"]
+    assert off > 0.0
+
+
 def test_run_rejects_oversized_perturbation():
     rng = np.random.default_rng(4)
     z = random_indefinite(4, 2, rng, gap=0.5)

@@ -501,6 +501,8 @@ def test_skew_exp_orthogonal_output():
 def test_skew_exp_rejects_non_skew():
     with pytest.raises(ValueError):
         skew_exp(np.eye(3))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        skew_exp(np.zeros((2, 3)))
 
 
 def test_exp_remainder_bound_many_samples():

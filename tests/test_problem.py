@@ -61,6 +61,33 @@ def test_problem_rejects_too_many_constraints():
         SdpProblem(C=np.eye(2), A=a, b=np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SdpProblem(C=np.eye(3), A=np.zeros((2, 3, 4)), b=np.zeros(2)),
+         r"constraint stack has shape \(2, 3, 4\), expected \(m, n, n\)"),
+        (lambda: SdpProblem(C=np.eye(3), A=np.zeros((3,)), b=np.zeros(1)),
+         r"constraint stack has shape \(3,\), expected \(m, n, n\)"),
+        (lambda: SdpProblem(C=np.eye(3), A=np.stack([np.eye(2)]), b=np.ones(1)),
+         "constraint and cost dimensions disagree"),
+        (lambda: SdpProblem.from_table(C=np.eye(3), table=np.eye(1, 5), b=np.ones(1)),
+         "constraint and cost dimensions disagree"),
+        (lambda: SdpProblem(C=np.eye(2), A=np.stack([np.eye(2)]), b=np.ones(2)),
+         r"b has shape \(2,\), expected \(1,\)"),
+    ],
+    ids=["stack-not-square", "stack-1d", "stack-vs-cost", "table-vs-cost", "b-shape"],
+)
+def test_problem_rejects_mismatched_shapes(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_problem_takes_a_matrix_as_one_constraint():
+    p = SdpProblem(C=np.eye(2), A=np.diag([1.0, 2.0]), b=3.0)
+    assert p.m == 1 and np.array_equal(p.A, np.diag([1.0, 2.0])[None])
+    assert np.array_equal(p.b, [3.0])
+
+
 def test_problem_rejects_order_zero():
     # An n = 0 problem has no iterate; it is refused at construction, before
     # any kernel reads flat position 0 of an empty matrix.
@@ -809,6 +836,8 @@ def test_generate_planted_bad_rank():
         generate_planted(5, 6, 5, seed=0)
     with pytest.raises(ValueError):
         generate_planted(5, 15, 2, seed=0)  # m = t(n) leaves no slack
+    with pytest.raises(ValueError, match="need 0 < spectrum_floor <= spectrum_ceil"):
+        generate_planted(5, 6, 2, seed=0, spectrum_floor=2.0, spectrum_ceil=1.0)
 
 
 def test_generate_planted_spectrum_floor():
@@ -848,3 +877,5 @@ def test_generate_maxcut_rejects_bad_input():
         generate_maxcut(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         generate_maxcut(np.eye(3))
+    with pytest.raises(ValueError, match=r"adjacency has shape \(2, 3\), expected square"):
+        generate_maxcut(np.zeros((2, 3)))

@@ -598,6 +598,9 @@ def test_trace_csv_reads_back_the_records_it_wrote(tmp_path, small_planted):
     (tmp_path / "trace.csv").write_text("\n".join([*lines[:3], lines[3] + ",1"]) + "\n")
     with pytest.raises(ValueError, match=r"trace.csv: line 4 '.*,1' is not a trace row"):
         read_trace_csv(tmp_path / "trace.csv")
+    (tmp_path / "trace.csv").write_text("\n".join([lines[0] + ",extra", *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="trace.csv: line 1 is not the header"):
+        read_trace_csv(tmp_path / "trace.csv")
 
 
 def test_solver_config_validation():
@@ -609,6 +612,10 @@ def test_solver_config_validation():
         SolverConfig(init="explicit").validate()
     with pytest.raises(ValueError, match="unknown init mode"):
         SolverConfig(init="warmstart").validate()
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+        SolverConfig(max_iter=-1).validate()
+    with pytest.raises(ValueError, match="trace_every must be >= 1, got 0"):
+        SolverConfig(trace_every=0).validate()
 
 
 # A NaN tolerance never converges and a NaN sigma fails later inside scipy; a
