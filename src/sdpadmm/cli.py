@@ -150,17 +150,25 @@ def _load_manifest(path):
     return manifest
 
 
+def _np_load(path, what):
+    """The array of the ``.npy`` file at ``path``, or the arrays of the ``.npz``
+    archive there as a dict read whole while the file is open, nothing
+    pickled; a file numpy cannot read is a ValueError naming ``what``."""
+    with open(path, "rb") as fh:  # also closes the file an .npz archive keeps open
+        try:
+            val = np.load(fh, allow_pickle=False)
+            return dict(val) if isinstance(val, np.lib.npyio.NpzFile) else val
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{what}: {exc}") from None
+
+
 def _load_matrix(path, what):
     """The array in the ``.npy`` file ``path`` as floats; a ValueError names
     the field ``what`` unless the file holds a numpy array of real numbers
     (not an ``.npz`` archive, a pickle or a complex array)."""
-    with open(path, "rb") as fh:  # also closes the file an .npz archive keeps open
-        try:
-            val = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise ValueError(f"{what}: {exc}") from None
-    if not isinstance(val, np.ndarray) or val.dtype.kind not in "fiu":
-        got = f"dtype {val.dtype}" if isinstance(val, np.ndarray) else type(val).__name__
+    val = _np_load(path, what)
+    if isinstance(val, dict) or val.dtype.kind not in "fiu":
+        got = "an .npz archive" if isinstance(val, dict) else f"dtype {val.dtype}"
         raise ValueError(f"{what} must be a .npy array of real numbers, got {got}")
     return val.astype(float, copy=False)
 
@@ -217,7 +225,7 @@ def _instance_from_manifest(manifest):
 
 def _load_edge_list(path):
     """Edge-list file: optional '#' comments, first data line is the vertex
-    count, then one '1-based i j' pair per line."""
+    count alone, then one '1-based i j' pair per line and nothing else."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -228,14 +236,14 @@ def _load_edge_list(path):
         raise ValueError(f"edge list {path} is empty")
 
     def integers(entry, count, what):
-        # The first ``count`` tokens of a data line as integers; a ValueError
-        # names the file and the 1-based line number and text.
+        # The ``count`` tokens of a data line as integers; a ValueError names
+        # the file and the 1-based line number and text.
         number, line = entry
         tokens = line.split()
         try:
-            if len(tokens) < count:
+            if len(tokens) != count:
                 raise ValueError
-            return [int(tok) for tok in tokens[:count]]
+            return [int(tok) for tok in tokens]
         except ValueError:
             raise ValueError(f"edge list {path}: line {number} {line!r} is not {what}") from None
 
@@ -395,6 +403,10 @@ def diagnose_run(run_dir, timings=None):
     with timings.phase("load"):
         summary = _load_manifest(summary_path)
         require_keys("summary.json", summary, "status", "iterations")
+        statuses = [s.value for s in SolveStatus]
+        if summary["status"] not in statuses:
+            raise ValueError(f"status must be one of {', '.join(map(repr, statuses))}, "
+                             f"got {summary['status']!r}")
         require_integer("iterations", summary["iterations"])
         prob, points = _load_run(run_dir, summary)
         kernel = build_kernel(prob)
@@ -489,15 +501,12 @@ def _load_archive(path, **shapes):
     """The arrays of the ``np.savez`` archive at ``path``, one per keyword of
     ``shapes`` and in its order. Each keyword's value is its array's shape,
     in which a string stands for a length that the arrays share. A
-    ValueError names the file unless the archive holds exactly these arrays,
-    none pickled, each of real numbers and of its shape."""
+    ValueError names the file unless ``_np_load`` reads an archive there
+    of exactly these arrays, none pickled, each real and of its shape."""
     name = os.path.basename(path)
-    with open(path, "rb") as fh:  # also closes the file the archive keeps open
-        try:
-            npz = np.load(fh, allow_pickle=False)
-            arrays = dict(npz) if isinstance(npz, np.lib.npyio.NpzFile) else {}
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{name}: {exc}") from None
+    arrays = _np_load(path, name)
+    if not isinstance(arrays, dict):
+        arrays = {}
     for key, a in arrays.items():
         if a.dtype.kind not in "fiu":
             raise ValueError(f"{name}: array {key!r} must hold real numbers, got dtype {a.dtype}")
@@ -521,8 +530,9 @@ def _load_run(run_dir, summary):
     """The problem of the run in ``run_dir`` and its restart points by k.
 
     Both come from ``run.npz``: the arrays the run iterated on, whose shapes
-    must fit ``summary``'s ``n`` and ``m``, and the ``Checkpoint`` objects;
-    the point ``None`` at 0 restarts from the run's ``initial_z``. A run
+    must fit ``summary``'s ``n`` and ``m``, and the ``Checkpoint`` objects,
+    at a ``k`` of strictly increasing integers in ``1..iterations``; the
+    point ``None`` at 0 restarts from the run's ``initial_z``. A run
     directory without that file parses ``instance.dat-s`` and restarts from
     0 only. Either way ``SdpProblem.from_table`` checks the problem."""
     path = os.path.join(run_dir, "run.npz")
@@ -536,11 +546,12 @@ def _load_run(run_dir, summary):
         path, C=(n, n), b=(m,), support=("s",), columns=(m, "s"), k=("c",), z=("c", n, n),
         u_z=("c", m))
     t = svec_dim(n)
-    if support.dtype.kind not in "iu" or not np.all(support[1:] > support[:-1]) or (
-        support.size and (support[0] < 0 or support[-1] >= t)
-    ):
-        raise ValueError(f"run.npz: support must hold strictly increasing integers "
-                         f"in 0..{t - 1}")
+    for key, a, lo, hi in (("support", support, 0, t - 1), ("k", ks, 1, summary["iterations"])):
+        if a.dtype.kind not in "iu" or not np.all(a[1:] > a[:-1]) or (
+            a.size and (a[0] < lo or a[-1] > hi)
+        ):
+            raise ValueError(f"run.npz: {key} must hold strictly increasing integers "
+                             f"in {lo}..{hi}")
     table = np.zeros((m, t))
     table[:, support] = columns
     points = {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
@@ -775,7 +786,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         code, line = _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, NumericalFailureError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, NumericalFailureError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if line is not None:

@@ -276,13 +276,13 @@ class RateFit:
     sequence_name: str = ""
 
 
-def rate_fit(values, window, ks=None, name="") -> RateFit:
-    """Fit log(values) over the trailing ``window`` points.
+def rate_fit(values, window, ks, name="") -> RateFit:
+    """Fit log(values) against the iteration indices ``ks`` of the values
+    over the trailing ``window`` points.
 
-    rho_hat = exp(slope) is the per-step ratio; when ``ks`` gives the
-    iteration index of each value the slope is taken per iteration, which
-    makes fits of strided traces comparable. An all-equal tail fits exactly
-    with rho_hat = 1.
+    rho_hat = exp(slope) is the ratio per iteration, so fits of strided
+    traces are comparable, and ``RateFit.window`` is the first and last
+    iteration fitted. An all-equal tail fits exactly with rho_hat = 1.
     """
     values = np.asarray(values, dtype=float)
     if window < RATE_MIN_WINDOW:
@@ -292,15 +292,11 @@ def rate_fit(values, window, ks=None, name="") -> RateFit:
     tail = values[-window:]
     if np.any(tail <= 0.0) or not np.all(np.isfinite(tail)):
         raise ValueError("rate fit needs a positive finite tail")
-    if ks is None:
-        x = np.arange(window, dtype=float)
-        lo, hi = values.shape[0] - window, values.shape[0] - 1
-    else:
-        ks = np.asarray(ks, dtype=float)
-        if ks.shape != values.shape:
-            raise ValueError("ks must align with values")
-        x = ks[-window:]
-        lo, hi = int(ks[-window]), int(ks[-1])
+    ks = np.asarray(ks, dtype=float)
+    if ks.shape != values.shape:
+        raise ValueError("ks must align with values")
+    x = ks[-window:]
+    lo, hi = int(ks[-window]), int(ks[-1])
     y = np.log(tail)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

@@ -317,7 +317,7 @@ def eb_reference(z, h) -> EbReference:
         h=h,
         os_=os_,
         ht=ht,
-        pz=os_.proj_zstar(),
+        pz=positive_part(os_),
         first=os_.rotate_out(os_.omega * ht),
         ho_norm=_norm2(ht[os_.n - os_.s :, : os_.r]),
         h_norm=sym_norm2(h),

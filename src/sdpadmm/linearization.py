@@ -91,9 +91,6 @@ class OmegaStructure:
     theta_t = property(lambda self: self.theta)
     theta_t_comp = theta_comp
 
-    def proj_zstar(self):
-        return positive_part(self)
-
     def rotate_in(self, h):
         return self.Q.T @ h @ self.Q
 
@@ -162,7 +159,7 @@ def psi_residual(os_: OmegaStructure, kernel: ConstraintKernel, z, zstar):
     """
     z = symmetrize(z)
     zstar = symmetrize(zstar)
-    e = psd_project(z) - os_.proj_zstar() - hadamard(os_, os_.omega, z - zstar)
+    e = psd_project(z) - positive_part(os_) - hadamard(os_, os_.omega, z - zstar)
     return e - 2.0 * project_range(kernel, e)
 
 

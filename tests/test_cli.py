@@ -940,6 +940,7 @@ def test_diagnose_refuses_a_tampered_run_npz(planted_manifest, capsys):
 _SHAPES = ("run.npz must hold arrays C, b, support, columns, k, z and u_z of shapes (10, 10), "
            "(20,), (s,), (20, s), (c,), (c, 10, 10) and (c, 20)")
 _SUPPORT = "run.npz: support must hold strictly increasing integers in 0..54"
+_K = "run.npz: k must hold strictly increasing integers in 1.."
 
 
 def _resaved(edit):
@@ -979,10 +980,16 @@ def _npy(path, arrays):
         (lambda path, a: path.write_bytes(path.read_bytes()[:100]),
          "run.npz: File is not a zip file"),
         (_resaved(lambda a: a.update(u_z=a["u_z"][1:])), _SHAPES),
+        (_resaved(lambda a: a.update(k=a["k"] + 0.5)), _K),
+        (_resaved(lambda a: a.update(k=1000 * a["k"])), _K),
+        (_resaved(lambda a: a.update(k=-a["k"])), _K),
+        (_resaved(lambda a: a.update(k=a["k"][::-1].copy())), _K),
+        (_resaved(lambda a: a.update(k=np.append(a["k"][:-1], a["k"][-2]))), _K),
     ],
     ids=["missing-key", "extra-key", "object-array", "pickle", "complex", "text", "n", "s",
          "support-order", "support-above", "support-below", "support-float", "npy", "empty",
-         "truncated", "checkpoint-shape"],
+         "truncated", "checkpoint-shape", "k-float", "k-above", "k-negative", "k-order",
+         "k-repeated"],
 )
 def test_diagnose_refuses_a_malformed_run_npz(planted_manifest, capsys, write, message):
     manifest, out = planted_manifest
@@ -1145,8 +1152,10 @@ def test_diagnose_missing_artifacts(tmp_path, capsys):
         ({"iterations": 3}, "summary.json is missing 'status'"),
         ({"status": "converged"}, "summary.json is missing 'iterations'"),
         ({"status": "converged", "iterations": "3"}, "iterations must be an integer, got '3'"),
+        ({"status": "Converged", "iterations": 3}, "status must be one of 'converged', "
+         "'iter_limit', 'time_limit', 'numerical_failure', got 'Converged'"),
     ],
-    ids=["list", "no-status", "no-iterations", "iterations-string"],
+    ids=["list", "no-status", "no-iterations", "iterations-string", "status-unknown"],
 )
 def test_diagnose_rejects_malformed_summary(tmp_path, capsys, summary, message):
     run = tmp_path / "run"
@@ -1213,12 +1222,19 @@ def _save_npz(path, a):
         np.savez(fh, a=a)
 
 
+def _save_corrupt_npz(path, a):
+    # The first 100 bytes of an .npz archive under a .npy name.
+    _save_npz(path, a)
+    path.write_bytes(path.read_bytes()[:100])
+
+
 def _save_text(path, a):
     path.write_text(" ".join(map(str, a.ravel())))
 
 
 _NOT_REAL = [
-    (_save_npz, "{what} must be a .npy array of real numbers, got NpzFile"),
+    (_save_npz, "{what} must be a .npy array of real numbers, got an .npz archive"),
+    (_save_corrupt_npz, "{what}: File is not a zip file"),
     (lambda path, a: np.save(path, a + 1j),
      "{what} must be a .npy array of real numbers, got dtype complex128"),
     (_save_text, "{what}: This file contains pickled (object) data."),
@@ -1226,7 +1242,8 @@ _NOT_REAL = [
 ]
 
 
-@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text", "empty"])
+@pytest.mark.parametrize("save, message", _NOT_REAL,
+                         ids=["npz", "corrupt-npz", "complex", "text", "empty"])
 def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, message):
     run = tmp_path / "run"
     run.mkdir()
@@ -1242,7 +1259,8 @@ def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, mes
 
 
 @pytest.mark.parametrize("what", ["z.file", "h.file"])
-@pytest.mark.parametrize("save, message", _NOT_REAL, ids=["npz", "complex", "text", "empty"])
+@pytest.mark.parametrize("save, message", _NOT_REAL,
+                         ids=["npz", "corrupt-npz", "complex", "text", "empty"])
 def test_eb_verify_reads_file_sources_only_as_real_arrays(tmp_path, capsys, what, save, message):
     z = np.diag([1.0, 2.0, -1.0])
     fields = {"z": {"file": str(tmp_path / "z.npy")}, "h": {"file": str(tmp_path / "h.npy")}}
@@ -1507,6 +1525,28 @@ def test_huge_vertex_count_is_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "eb-verify"])
+def test_allocation_failures_are_error_lines(tmp_path, capsys, command):
+    # A matrix of order 10^9 needs 8 * 10^18 bytes: numpy refuses the
+    # allocation at once, and the MemoryError is one error line.
+    out = tmp_path / "o"
+    if command == "generate":
+        argv = ["generate", "planted", "--n", "1000000000", "--m", "5", "--r", "1",
+                "--out", str(out)]
+    elif command == "solve":
+        generator = {"kind": "planted", "n": 1_000_000_000, "m": 5, "r": 1}
+        argv = ["solve", "--manifest",
+                write_manifest(tmp_path / "m.json", generator=generator, out=str(out))]
+    else:
+        argv = ["eb-verify", "--manifest", write_manifest(
+            tmp_path / "m.json", z={"random": {"n": 1_000_000_000}}, out=str(out))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert "(1000000000, 1000000000)" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "source, command, message",
     [
@@ -1552,8 +1592,10 @@ def test_zero_size_problems_are_refused(tmp_path, capsys, source, command, messa
         ("abc\n1 2\n", "line 1 'abc' is not a vertex count"),
         ("# a path\n3\n1 2\n1 x\n", "line 4 '1 x' is not an 'i j' pair"),
         ("3\n1 2\n2 7\n", "line 3 has bad edge (2, 7) for n = 3"),
+        ("4 5\n1 2\n", "line 1 '4 5' is not a vertex count"),
+        ("4\n1 2 0.5\n", "line 2 '1 2 0.5' is not an 'i j' pair"),
     ],
-    ids=["count", "edge", "range"],
+    ids=["count", "edge", "range", "count-tokens", "edge-tokens"],
 )
 def test_edge_list_errors_name_the_file_and_line(tmp_path, capsys, command, text, message):
     edges = tmp_path / "graph.txt"

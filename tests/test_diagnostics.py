@@ -429,13 +429,14 @@ def test_rank_trace_never_stabilizes():
 
 def test_rate_fit_exact_geometric():
     values = 3.0 * 0.9 ** np.arange(60)
-    fit = rate_fit(values, window=30)
+    fit = rate_fit(values, window=30, ks=np.arange(60))
     assert abs(fit.rho_hat - 0.9) <= 1e-9
+    assert fit.window == (30, 59)  # the first and last iteration fitted
     assert fit.r2 >= 1.0 - 1e-12
 
 
 def test_rate_fit_constant_sequence():
-    fit = rate_fit(np.ones(20), window=10)
+    fit = rate_fit(np.ones(20), window=10, ks=np.arange(20))
     assert fit.rho_hat == 1.0
     assert fit.r2 == 1.0
 
@@ -443,7 +444,7 @@ def test_rate_fit_constant_sequence():
 def test_rate_fit_noisy_geometric():
     rng = np.random.default_rng(4)
     values = 0.95 ** np.arange(200) * (1.0 + 0.01 * rng.standard_normal(200))
-    fit = rate_fit(values, window=100)
+    fit = rate_fit(values, window=100, ks=np.arange(200))
     assert abs(fit.rho_hat - 0.95) <= 0.005
 
 
@@ -456,11 +457,11 @@ def test_rate_fit_strided_iterations():
 
 def test_rate_fit_rejects_bad_input():
     with pytest.raises(ValueError):
-        rate_fit(np.ones(15), window=5)
+        rate_fit(np.ones(15), window=5, ks=np.arange(15))
     with pytest.raises(ValueError):
-        rate_fit(np.ones(5), window=10)
+        rate_fit(np.ones(5), window=10, ks=np.arange(5))
     with pytest.raises(ValueError):
-        rate_fit(np.concatenate([np.ones(10), [-1.0], np.ones(10)]), window=15)
+        rate_fit(np.concatenate([np.ones(10), [-1.0], np.ones(10)]), window=15, ks=np.arange(21))
     with pytest.raises(ValueError, match="ks must align with values"):
         rate_fit(np.ones(15), window=10, ks=np.arange(14))
 
