@@ -150,16 +150,27 @@ def _load_manifest(path):
     return manifest
 
 
+# The leading bytes of a .npy file, of a zip archive and of an empty one.
+_NP_MAGIC = (b"\x93NUMPY", b"PK\x03\x04", b"PK\x05\x06")
+
+
 def _np_load(path, what):
     """The array of the ``.npy`` file at ``path``, or the arrays of the ``.npz``
     archive there as a dict read whole while the file is open, nothing
-    pickled; a file numpy cannot read is a ValueError naming ``what``."""
+    pickled; a file that starts as neither, or that numpy cannot read, is a
+    ValueError naming ``what``."""
     with open(path, "rb") as fh:  # also closes the file an .npz archive keeps open
+        if not fh.read(6).startswith(_NP_MAGIC):
+            raise ValueError(f"{what}: not a .npy file or .npz archive")
+        fh.seek(0)
         try:
             val = np.load(fh, allow_pickle=False)
             return dict(val) if isinstance(val, np.lib.npyio.NpzFile) else val
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{what}: {exc}") from None
+            # numpy refuses an object array by naming its allow_pickle switch,
+            # which no input of the package is loaded with.
+            text = "holds an object array" if "allow_pickle" in str(exc) else exc
+            raise ValueError(f"{what}: {text}") from None
 
 
 def _load_matrix(path, what):
@@ -692,15 +703,16 @@ def _cmd_eb_verify(args):
                          f"{ref.ho_norm:.3e} <= n * eps * ||H||_2 = {floor:.3e}")
     with timings.phase("scan"):
         report = ref.scan(scales)
-    os.makedirs(out_dir, exist_ok=True)
-    report.write_csv(os.path.join(out_dir, "eb_report.csv"))
-    _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))
     t_min = float(min(scales))
     with timings.phase("elimination"):
         # Z's decomposition, the rotation of H and Pi(Z + t_min H) are the
         # scan's.
         v, iters, _ = ref.eliminate(t_min)
         deviation = float(np.linalg.norm(v - ref.projection(t_min)[0]))
+    # A refused check leaves no file behind.
+    os.makedirs(out_dir, exist_ok=True)
+    report.write_csv(os.path.join(out_dir, "eb_report.csv"))
+    _write_json(report.to_dict(), os.path.join(out_dir, "eb_report.json"))
     _write_json(timings.to_json(), os.path.join(out_dir, "eb_timings.json"))
     print(f"elimination agreement at t={t_min:g}: deviation={deviation:.3e} ({iters} sweeps)")
     line = (

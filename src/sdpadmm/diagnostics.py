@@ -19,7 +19,6 @@ from .linalg import (
     eig_sym,
     leading_block,
     null_space,
-    rotate_to_eigenbasis,
     split_counts,
     svec,
     svec_dim,
@@ -196,7 +195,7 @@ def tangent_s_part(dec: SpectralDecomp, mat):
     near-zero eigenvalues are lumped with the negative block.
     """
     r, _ = split_counts(dec.lam)
-    t = rotate_to_eigenbasis(dec, np.asarray(mat, dtype=float)).copy()
+    t = dec.Q.T @ np.asarray(mat, dtype=float) @ dec.Q
     t[:r, :r] = 0.0
     return dec.Q @ t @ dec.Q.T
 
@@ -205,7 +204,7 @@ def offblock_norm(dec: SpectralDecomp, h):
     """Frobenius norm of the lower-left off-diagonal block of H in the
     eigenbasis of the reference (rows below the positive block, columns in it)."""
     r, _ = split_counts(dec.lam)
-    t = rotate_to_eigenbasis(dec, np.asarray(h, dtype=float))
+    t = dec.Q.T @ np.asarray(h, dtype=float) @ dec.Q
     return float(np.linalg.norm(t[r:, :r]))
 
 
@@ -232,8 +231,8 @@ def face_norms(dec: SpectralDecomp):
     q = dec.Q
 
     def norms(x, sig_s):
-        # Q'XQ as ``rotate_to_eigenbasis`` forms it, so the norms are the same
-        # bits.
+        # Q'XQ as ``tangent_s_part`` and ``offblock_norm`` form it, so the
+        # norms are the same bits.
         tx = q.T @ x @ q
         ts = q.T @ sig_s @ q
         ho = _fro(tx[r:, :r] - ts[r:, :r])

@@ -27,7 +27,7 @@ is compared with the scan's projection.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +54,6 @@ def _eta(lam_x, lam_s):
     d = np.sqrt(min(lam_x.size, lam_s.size))
     sep = float(lam_x[0] - lam_s[-1])
     return d / sep, sep
-
-
-def _norm2(a):
-    """Spectral norm of a (rectangular) block; 0 for an empty one."""
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def decay_coefficient(eta, z0_norm):
@@ -115,7 +110,7 @@ class EliminationState:
     def zo_norm2(self):
         """||Zo||_2, taken once and kept in ``zo_norm``."""
         if self.zo_norm is None:
-            self.zo_norm = _norm2(self.zo)
+            self.zo_norm = float(np.linalg.norm(self.zo, 2))
         return self.zo_norm
 
 
@@ -140,7 +135,7 @@ def eliminate_step(state: EliminationState) -> EliminationState:
             f"exceeds 3/(4 eta) = {3.0 / (4.0 * eta):.3e}"
         )
     r = state.r
-    w_o = sylvester_solve(state.zx, state.zs, state.zo, eigs=eigs)
+    w_o = sylvester_solve(state.zo, eigs)
     w = np.zeros_like(state.t)
     w[r:, :r] = w_o
     w[:r, r:] = -w_o.T
@@ -250,8 +245,8 @@ class EbReference:
       ``h_norm`` = ||H||_2.
 
     The first-order term and both norms are linear in t, so scale t reads
-    them times t. ``last`` keeps ``(t, Pi(Z + tH), ||Z + tH||_2)`` of the
-    last scale projected, from one ``eig_sym`` of Z + tH.
+    them times t. ``projections`` maps each scale t projected to
+    ``(Pi(Z + tH), ||Z + tH||_2)``, from one ``eig_sym`` of Z + tH.
     """
 
     z: np.ndarray
@@ -262,15 +257,14 @@ class EbReference:
     first: np.ndarray
     ho_norm: float
     h_norm: float
-    last: tuple = ()
+    projections: dict = field(default_factory=dict)
 
     def projection(self, t):
-        """(Pi(Z + tH), ||Z + tH||_2), decomposed again only for a scale
-        other than the last one."""
-        if not self.last or self.last[0] != t:
+        """(Pi(Z + tH), ||Z + tH||_2), decomposed once per scale."""
+        if t not in self.projections:
             dec = eig_sym(self.z + t * self.h)
-            self.last = (t, positive_part(dec), float(np.max(np.abs(dec.lam))))
-        return self.last[1:]
+            self.projections[t] = (positive_part(dec), float(np.max(np.abs(dec.lam))))
+        return self.projections[t]
 
     def residual(self, t):
         """||Pi(Z + tH) - Pi(Z) - t Q(Omega o H~)Q'||_2 at scale t."""
@@ -281,24 +275,20 @@ class EbReference:
         the rotation of H made once, with the scale's ||Z + tH||_2."""
         return _start(self.os_, t * self.ht, self.projection(t)[1], zo_norm=t * self.ho_norm)
 
-    def eliminate(self, t, max_iter=ELIMINATION_MAX_ITER):
+    def eliminate(self, t):
         """:func:`run_elimination` of (Z, tH) from :meth:`elimination_state`."""
-        return _eliminate(self.elimination_state(t), max_iter)
+        return _eliminate(self.elimination_state(t), ELIMINATION_MAX_ITER)
 
     def scan(self, scales) -> EbReport:
         """Measure the linearization residual of Pi at Z for perturbations
         t * H, t in ``scales``. Each Pi(Z + tH) is evaluated through the
         eigendecomposition path, so the measurement stays independent of the
-        elimination procedure; the smallest scale's projection is left in
-        ``last``. All reported norms are spectral norms."""
+        elimination procedure; each scale's projection is kept in
+        ``projections``. All reported norms are spectral norms."""
         scales = np.asarray(list(scales), dtype=float)
         if scales.size == 0 or np.any(scales <= 0.0):
             raise ValueError("scales must be a non-empty list of positive numbers")
-        lhs = np.empty_like(scales)
-        # Largest scale first, so that the projection kept is the smallest
-        # scale's, which the elimination check reads.
-        for i in np.argsort(-scales, kind="stable"):
-            lhs[i] = self.residual(scales[i])
+        lhs = np.array([self.residual(t) for t in scales])
         ho, hn = scales * self.ho_norm, scales * self.h_norm
         return EbReport(scales=scales, lhs=lhs, ho_norms=ho,
                         ratios=lhs / np.maximum(ho * hn, 1e-300),
@@ -319,7 +309,7 @@ def eb_reference(z, h) -> EbReference:
         ht=ht,
         pz=positive_part(os_),
         first=os_.rotate_out(os_.omega * ht),
-        ho_norm=_norm2(ht[os_.n - os_.s :, : os_.r]),
+        ho_norm=float(np.linalg.norm(ht[os_.n - os_.s :, : os_.r], 2)),
         h_norm=sym_norm2(h),
     )
 

@@ -260,11 +260,6 @@ def split_counts(lam):
     return int(np.count_nonzero(lam > thr)), int(np.count_nonzero(lam < -thr))
 
 
-def rotate_to_eigenbasis(dec: SpectralDecomp, a):
-    """Q.T @ A @ Q; an (m, n, n) stack is rotated matrix by matrix."""
-    return dec.Q.T @ a @ dec.Q
-
-
 def null_space(mat):
     """Orthonormal columns spanning the numerical null space of ``mat``: the
     right singular vectors whose singular values do not exceed
@@ -287,16 +282,14 @@ def null_space(mat):
     return vt[rank:].T, [below, float(rel[rank - 1]) if rank else None]
 
 
-def sylvester_solve(zx, zs, zo, eigs=None):
-    """Solve ``W @ Zx + (-Zs) @ W = Zo`` for W.
+def sylvester_solve(zo, eigs):
+    """Solve ``W @ Zx + (-Zs) @ W = Zo`` for W from the block spectra.
 
     Parameters
     ----------
-    zx : (r, r) symmetric positive definite array
-    zs : (s, s) symmetric negative definite array
     zo : (s, r) array, right-hand side
-    eigs : ``(np.linalg.eigh(zx), np.linalg.eigh(zs))``, computed here when
-        not given
+    eigs : ``(np.linalg.eigh(zx), np.linalg.eigh(zs))`` of the (r, r)
+        positive definite block Zx and the (s, s) negative definite block Zs
 
     With Zx = Vx diag(lam_x) Vx' and Zs = Vs diag(lam_s) Vs', the equation
     decouples entrywise in the two eigenbases:
@@ -313,8 +306,6 @@ def sylvester_solve(zx, zs, zo, eigs=None):
         worse-conditioned than ``SYLVESTER_COND_LIMIT``.
     """
     zo = np.asarray(zo, dtype=float)
-    if eigs is None:
-        eigs = (np.linalg.eigh(symmetrize(zx)), np.linalg.eigh(symmetrize(zs)))
     (lam_x, vx), (lam_s, vs) = eigs
     r = lam_x.shape[0]
     s = lam_s.shape[0]

@@ -244,15 +244,11 @@ def _step_const(kernel: ConstraintKernel, sigma):
     return kernel.at_pinv_b - sigma * project_null(kernel, kernel.problem.C)
 
 
-def _step_from_split(kernel, z, x_part, const):
-    return project_range(kernel, z - 2.0 * x_part) + x_part + const
-
-
 def step_fixed_point(p: SdpProblem, kernel: ConstraintKernel, cfg: SolverConfig, z):
     """One application of the fixed-point map to Z (one eigendecomposition)."""
     z = symmetrize(z)
     x_part, _ = psd_split(eig_sym(z))
-    return _step_from_split(kernel, z, x_part, _step_const(kernel, cfg.sigma))
+    return project_range(kernel, z - 2.0 * x_part) + x_part + _step_const(kernel, cfg.sigma)
 
 
 def initial_z(p: SdpProblem, cfg: SolverConfig):
@@ -425,8 +421,7 @@ def z_difference_identity(
     ``state.Z`` is decomposed here, independently of the stored X and S.
     """
     sigma = cfg.sigma
-    x_part, _ = psd_split(eig_sym(state.Z))
-    z_next = _step_from_split(kernel, state.Z, x_part, _step_const(kernel, sigma))
+    z_next = step_fixed_point(p, kernel, cfg, state.Z)
     lhs = float(np.linalg.norm(z_next - state.Z) ** 2)
     term_p = float(np.linalg.norm(project_range(kernel, state.X - kernel.at_pinv_b)) ** 2)
     term_d = float(np.linalg.norm(project_null(kernel, state.S - p.C)) ** 2)

@@ -962,9 +962,9 @@ def _npy(path, arrays):
         (_resaved(lambda a: a.pop("b")), _SHAPES),
         (_resaved(lambda a: a.update(table=np.zeros((20, 55)))), _SHAPES),
         (_resaved(lambda a: a.update(b=a["b"].astype(object))),
-         "run.npz: Object arrays cannot be loaded when allow_pickle=False"),
+         "run.npz: holds an object array"),
         (lambda path, a: path.write_bytes(pickle.dumps(a)),
-         "run.npz: This file contains pickled (object) data."),
+         "run.npz: not a .npy file or .npz archive"),
         (_resaved(lambda a: a.update(C=a["C"] + 0j)),
          "run.npz: array 'C' must hold real numbers, got dtype complex128"),
         (_resaved(lambda a: a.update(b=a["b"].astype(str))),
@@ -976,7 +976,7 @@ def _npy(path, arrays):
         (_resaved(lambda a: a.update(support=a["support"] - 1)), _SUPPORT),
         (_resaved(lambda a: a.update(support=a["support"].astype(float))), _SUPPORT),
         (_npy, _SHAPES),
-        (lambda path, a: path.write_bytes(b""), "run.npz: No data left in file"),
+        (lambda path, a: path.write_bytes(b""), "run.npz: not a .npy file or .npz archive"),
         (lambda path, a: path.write_bytes(path.read_bytes()[:100]),
          "run.npz: File is not a zip file"),
         (_resaved(lambda a: a.update(u_z=a["u_z"][1:])), _SHAPES),
@@ -1002,6 +1002,7 @@ def test_diagnose_refuses_a_malformed_run_npz(planted_manifest, capsys, write, m
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert "allow_pickle" not in err and "unsafely" not in err
     assert sorted(p.name for p in out.iterdir()) == before
 
 
@@ -1237,13 +1238,14 @@ _NOT_REAL = [
     (_save_corrupt_npz, "{what}: File is not a zip file"),
     (lambda path, a: np.save(path, a + 1j),
      "{what} must be a .npy array of real numbers, got dtype complex128"),
-    (_save_text, "{what}: This file contains pickled (object) data."),
-    (lambda path, a: path.write_bytes(b""), "{what}: No data left in file"),
+    (lambda path, a: np.save(path, a.astype(object)), "{what}: holds an object array"),
+    (_save_text, "{what}: not a .npy file or .npz archive"),
+    (lambda path, a: path.write_bytes(b""), "{what}: not a .npy file or .npz archive"),
 ]
 
 
 @pytest.mark.parametrize("save, message", _NOT_REAL,
-                         ids=["npz", "corrupt-npz", "complex", "text", "empty"])
+                         ids=["npz", "corrupt-npz", "complex", "object", "text", "empty"])
 def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, message):
     run = tmp_path / "run"
     run.mkdir()
@@ -1255,12 +1257,13 @@ def test_diagnose_reads_z_final_only_as_a_real_array(tmp_path, capsys, save, mes
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(what="z_final.npy"))
     assert err.count("\n") == 1
+    assert "allow_pickle" not in err and "unsafely" not in err
     assert not (run / "diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("what", ["z.file", "h.file"])
 @pytest.mark.parametrize("save, message", _NOT_REAL,
-                         ids=["npz", "corrupt-npz", "complex", "text", "empty"])
+                         ids=["npz", "corrupt-npz", "complex", "object", "text", "empty"])
 def test_eb_verify_reads_file_sources_only_as_real_arrays(tmp_path, capsys, what, save, message):
     z = np.diag([1.0, 2.0, -1.0])
     fields = {"z": {"file": str(tmp_path / "z.npy")}, "h": {"file": str(tmp_path / "h.npy")}}
@@ -1271,6 +1274,7 @@ def test_eb_verify_reads_file_sources_only_as_real_arrays(tmp_path, capsys, what
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(what=what))
     assert err.count("\n") == 1
+    assert "allow_pickle" not in err and "unsafely" not in err
     assert not (tmp_path / "eb").exists()
 
 
@@ -1302,7 +1306,7 @@ def test_eb_verify_random_inputs(tmp_path, capsys):
 
 def test_eb_verify_decomposes_z_once_and_each_scale_once(tmp_path, capsys, monkeypatch):
     # One eig_sym of Z, one of each Z + tH; the elimination check reuses Z's
-    # and the smallest scale's.
+    # and the smallest scale's, in either order of the scales.
     original, calls = linalg.eig_sym, []
 
     def counting(a, split=False):
@@ -1312,15 +1316,17 @@ def test_eb_verify_decomposes_z_once_and_each_scale_once(tmp_path, capsys, monke
     for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "sdpadmm"]:
         if getattr(mod, "eig_sym", None) is original:
             monkeypatch.setattr(mod, "eig_sym", counting)
-    manifest = write_manifest(
-        tmp_path / "m.json",
-        z={"random": {"n": 8, "seed": 3}},
-        scales=[1e-1, 1e-2, 1e-3],
-        out=str(tmp_path / "eb"),
-    )
-    assert main(["eb-verify", "--manifest", manifest]) == 0
-    assert "elimination agreement" in capsys.readouterr().out
-    assert calls == [(8, 8)] * 4
+    for scales in ([1e-1, 1e-2, 1e-3], [1e-3, 1e-2, 1e-1]):
+        calls.clear()
+        manifest = write_manifest(
+            tmp_path / "m.json",
+            z={"random": {"n": 8, "seed": 3}},
+            scales=scales,
+            out=str(tmp_path / "eb"),
+        )
+        assert main(["eb-verify", "--manifest", manifest]) == 0
+        assert "elimination agreement" in capsys.readouterr().out
+        assert calls == [(8, 8)] * 4
 
 
 @pytest.mark.parametrize("scales", [[], [0.1, -0.1]], ids=["empty", "negative"])
@@ -1329,6 +1335,19 @@ def test_eb_verify_states_the_scale_rule(tmp_path, capsys, scales):
     assert main(["eb-verify", "--manifest", manifest]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scales must be a non-empty list of positive numbers")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "eb").exists()
+
+
+def test_eb_verify_refused_elimination_writes_nothing(tmp_path, capsys):
+    # The scan succeeds at t = 10, but the elimination check refuses Z + 10 H;
+    # no report of the scan is left behind.
+    manifest = write_manifest(tmp_path / "m.json", z={"random": {"n": 3}}, scales=[10],
+                              out=str(tmp_path / "eb"))
+    assert main(["eb-verify", "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: perturbation too large: diagonal blocks of Z + H lost "
+                          "definiteness")
     assert err.count("\n") == 1
     assert not (tmp_path / "eb").exists()
 

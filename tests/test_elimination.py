@@ -28,6 +28,11 @@ from sdpadmm.problem import haar_orthogonal
 from conftest import random_indefinite, random_sym
 
 
+def solve_blocks(zx, zs, zo):
+    # sylvester_solve on the spectra of the two blocks, taken here.
+    return sylvester_solve(zo, (np.linalg.eigh(zx), np.linalg.eigh(zs)))
+
+
 def make_pair(n, r, rng, gap=0.5, h_scale=0.05):
     z = random_indefinite(n, r, rng, gap=gap)
     h = random_sym(n, rng)
@@ -220,7 +225,7 @@ def old_run_elimination(z, h, max_iter=60):
         )
         zo_norm = np.linalg.norm(zo, 2)
         w = np.zeros_like(t)
-        w[r:, :r] = sylvester_solve(zx, zs, zo)
+        w[r:, :r] = solve_blocks(zx, zs, zo)
         w[:r, r:] = -w[r:, :r].T
         rot = skew_exp(w)
         t = symmetrize(rot.T @ t @ rot)
@@ -268,12 +273,13 @@ def test_eb_scan_reads_a_given_reference():
     alone = eb_scan(z, h, [1e-1, 1e-3])
     for field in ("lhs", "ho_norms", "ratios", "classic_ratios"):
         assert np.array_equal(getattr(shared, field), getattr(alone, field))
-    # The smallest scale's Pi(Z + tH) is kept, and equals the projection of
-    # Z + tH, whatever the order of the scales.
+    # Each scale's Pi(Z + tH) is kept, and equals the projection of Z + tH,
+    # whatever the order of the scales.
     ref = eb_reference(z, h)
     ref.scan([1e-3, 1e-2, 1e-1])
+    assert set(ref.projections) == {1e-3, 1e-2, 1e-1}
     proj, norm = ref.projection(1e-3)
-    assert ref.last[1] is proj
+    assert ref.projections[1e-3][0] is proj
     assert np.array_equal(proj, psd_project(z + 1e-3 * h))
     assert abs(norm - np.linalg.norm(z + 1e-3 * h, 2)) <= 1e-13 * norm
 
@@ -458,7 +464,7 @@ def first_sylvester_deviation(z, h):
         raise ValueError(
             f"diagonal perturbation too large: {hx_n + hs_n:.3e} > {gate:.3e}"
         )
-    w0 = sylvester_solve(np.diag(diag[:r]) + hx, np.diag(diag[r:]) + hs, ho)
+    w0 = solve_blocks(np.diag(diag[:r]) + hx, np.diag(diag[r:]) + hs, ho)
     theta0 = 1.0 / (diag[None, :r] - diag[r:, None])
     deviation = float(np.linalg.norm(w0 - theta0 * ho, 2))
     bound = (
