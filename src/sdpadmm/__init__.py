@@ -49,7 +49,7 @@ from .linearization import (
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
-    rotated_M,
+    tail_operator,
 )
 from .problem import (
     ConstraintKernel,

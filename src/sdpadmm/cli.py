@@ -384,8 +384,10 @@ def diagnose_run(run_dir, timings=None):
     restart point at or before the window's first row (at or before the
     last iterate when nothing is fitted), and every record it replays must
     equal the row of its iterate in all ``trace_fields``. Each sequence of
-    ``_FIT_SEQUENCES`` is fit on its positive values in the window; one
-    with fewer than ``RATE_MIN_WINDOW`` of them gets no entry.
+    ``_FIT_SEQUENCES`` is fit on its positive values in the window. One
+    with fewer than ``RATE_MIN_WINDOW`` of them, or whose window stays at or
+    below ten times the rounding floor ``n eps ||z_final||_F``, is named
+    under ``skipped`` with the reason instead.
 
     The rank tests, ``Fix(M)`` and the one Lanczos estimate, of
     ||M - Pi_Fix||, read one rotation of the basis of range(A*) into the
@@ -395,13 +397,14 @@ def diagnose_run(run_dir, timings=None):
     numerically also sets ``failure``, and so does an estimate of
     ||M - Pi_Fix|| that is not below 1 - 1e-8 (the separation gate), which
     is still ||M|| when ``Fix(M)`` = {0}. ``operator_applications`` counts the
-    estimate's operator applications. A malformed ``summary.json`` (one
-    missing a ``SolverConfig`` field included), a ``z_final.npy`` that is not
-    a real (n, n) array, a malformed ``run.npz``, a replay that stops before
-    the recorded ``iterations``, or one that differs from ``trace.csv``,
-    raises ``ValueError`` naming the file, the field or the iteration
-    counts; the last names the recorded and current BLAS thread counts when
-    they differ.
+    estimate's operator applications, also those of an estimate that fails.
+    A malformed ``summary.json`` (one missing a ``SolverConfig`` field
+    included), a ``z_final.npy`` that is not a real (n, n) array, a
+    malformed ``run.npz``, a replay that stops before the recorded
+    ``iterations``, or one that differs from ``trace.csv``, raises
+    ``ValueError`` naming the file, the field or the iteration counts; the
+    last names the recorded and current BLAS thread counts when they
+    differ.
     ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time
     of each phase; it stays out of the report, which repeats between
     commands."""
@@ -495,11 +498,19 @@ def diagnose_run(run_dir, timings=None):
     if fitted:
         in_window = [r for r in records[:-1] if r.k >= first]
         ks = np.array([r.k for r in in_window], dtype=float)
+        # Ten times the rounding floor n eps ||Z||_F of the limit: a window
+        # that never rises above it holds roundoff, not a tail.
+        floor = 10.0 * prob.n * np.finfo(float).eps * np.linalg.norm(z_final)
         for name, field in _FIT_SEQUENCES:
             vals = np.array([getattr(r, field) for r in in_window], dtype=float)
             keep = vals > 0.0
             count = np.count_nonzero(keep)
             if count < diagnostics.RATE_MIN_WINDOW:
+                report["skipped"][name] = (f"fewer than {diagnostics.RATE_MIN_WINDOW} "
+                                           "positive values in the window")
+                continue
+            if vals.max() <= floor:
+                report["skipped"][name] = "at the rounding floor"
                 continue
             fit = timings.call("fits", diagnostics.rate_fit, vals[keep], count, ks=ks[keep],
                                name=name)

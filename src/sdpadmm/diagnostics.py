@@ -106,8 +106,8 @@ class EigenFrame:
       the kernel, so its rows are orthonormal: B(H) = bt @ v, and the range
       projector P is v -> bt'(bt v). Its first t(n) - t(n - r) columns give
       the primal witness and its leading-block columns the dual one;
-    - ``applications``: how many times the Lanczos estimate run on the
-      frame applied its operator op* o op, by estimate name;
+    - ``applications``: how many times each estimate run on the frame
+      applied its ``linearization.tail_operator``, by estimate name;
     - ``witnesses``: the witness null spaces taken so far with their
       margins, by kind and split, so that ``nd_check`` and ``fix_basis``
       share them.

@@ -14,9 +14,9 @@ linearizes as
 with a residual Psi that is second order in the off-diagonal block of the
 error. M is firmly nonexpansive; its fixed subspace and the operator norms
 ||M|| and ||M - Pi_Fix|| govern the local contraction rate. ||M - Pi_Fix|| is
-computed by Lanczos (ARPACK) on the self-adjoint composition op* o op, and
-||M|| is read off Fix(M) (:func:`norm_M`): exactly 1 when Fix(M) is nonzero,
-||M - Pi_Fix|| when it is {0}.
+computed by Lanczos (ARPACK) on T*T for the tail operator T = M - Pi_Fix
+(:func:`tail_operator`), and ||M|| is read off Fix(M) (:func:`norm_M`):
+exactly 1 when Fix(M) is nonzero, ||M - Pi_Fix|| when it is {0}.
 
 In ``apply_M`` and ``apply_M_adjoint``, the definitions, the Hadamard
 products act in the rotated coordinates of the reference eigenbasis and the
@@ -91,6 +91,11 @@ class OmegaStructure:
     theta_t = property(lambda self: self.theta)
     theta_t_comp = theta_comp
 
+    @property
+    def w(self):
+        """``omega`` in ``triangle_maps`` order: Omega o is w o v on svec."""
+        return self.omega.reshape(-1).take(triangle_maps(self.n)[0])
+
     def rotate_in(self, h):
         return self.Q.T @ h @ self.Q
 
@@ -163,29 +168,6 @@ def psi_residual(os_: OmegaStructure, kernel: ConstraintKernel, z, zstar):
     return e - 2.0 * project_range(kernel, e)
 
 
-def rotated_M(os_: OmegaStructure, frame: EigenFrame):
-    """M~ and its adjoint: M and M* on the svec coordinates v = svec(Q'HQ)
-    of the frame of ``os_.Q``. With w the entries of Omega in
-    ``triangle_maps`` order and P~v = bt'(bt v),
-
-        M~v = w o v + P~(v - 2 w o v),   M~*g = P~g + w o (g - 2 P~g).
-
-    An application is elementwise work and two passes over ``bt``: no smat,
-    svec or rotation."""
-    w = os_.omega.reshape(-1).take(triangle_maps(os_.n)[0])
-    bt = frame.bt
-
-    def op(v):
-        g = w * v
-        return g + (bt @ (v - 2.0 * g)) @ bt
-
-    def adjoint(g):
-        pg = (bt @ g) @ bt
-        return pg + w * (g - 2.0 * pg)
-
-    return op, adjoint
-
-
 @dataclass
 class FixSubspace:
     """Orthonormal basis of the fixed subspace of M, as the rows of ``rows``
@@ -228,36 +210,54 @@ def fix_basis(
     return FixSubspace(rows=np.vstack([lead, w.T @ frame.bt]))
 
 
+def tail_operator(w, frame: EigenFrame, fix: FixSubspace, name):
+    """``(apply, gram)``: T = M~ - Pi_Fix and T*T in the svec coordinates of
+    ``frame``, for Omega's multipliers ``w`` in ``triangle_maps`` order
+    (``OmegaStructure.w``). With P~v = bt'(bt v) and the rows F of ``fix``,
+
+        T v = M~v - F'(F v),          M~v = w o v + P~(v - 2 w o v),
+        T*T v = M~*(M~v) - F'(F v),   M~*g = P~g + w o (g - 2 P~g),
+
+    one projection, as M fixes Fix(M) = Fix(M*); no smat, svec or rotation.
+    Construction sets ``frame.applications[name]`` to 0; each call adds 1."""
+    bt, f = frame.bt, fix.rows
+    frame.applications[name] = 0
+
+    def m_tilde(v):
+        frame.applications[name] += 1
+        g = w * v
+        return g + (bt @ (v - 2.0 * g)) @ bt
+
+    def apply(v):
+        return m_tilde(v) - (f @ v) @ f
+
+    def gram(v):
+        g = m_tilde(v)
+        pg = (bt @ g) @ bt
+        return pg + w * (g - 2.0 * pg) - (f @ v) @ f
+
+    return apply, gram
+
+
 def op_norm_M_minus_fix(
     os_: OmegaStructure, kernel: ConstraintKernel, fix: FixSubspace, frame: EigenFrame | None = None
 ):
     """||M - Pi_Fix|| in the svec coordinates of the frame of ``os_.Q`` (made
     here when not given): the square root of the top eigenvalue of
     (M~ - Pi_Fix)*(M~ - Pi_Fix) by Lanczos (ARPACK ``eigsh``) from a fixed
-    seeded start vector, so repeated calls agree bit for bit; the count of
-    operator applications goes to ``frame.applications``. At t(n) = 1,
-    below ARPACK's minimum size, that composition is its one entry. The
-    value is not gated: it is 1 when ``fix`` misses a fixed direction of M.
-    Raises NumericalFailureError when ARPACK does not converge."""
+    seeded start vector, so repeated calls agree bit for bit; its
+    :func:`tail_operator` counts the applications, also of a failed one. At
+    t(n) = 1, below ARPACK's minimum size, that composition is its one entry.
+    The value is not gated: it is 1 when ``fix`` misses a fixed direction of
+    M. Raises NumericalFailureError when ARPACK does not converge."""
     # Imported here: only diagnose estimates norms, and loading ARPACK would
     # add resident memory to every solve and eb-verify run.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     if frame is None:
         frame = eigen_frame(kernel, os_.Q)
-    op, adjoint = rotated_M(os_, frame)
-    # Pi_Fix = F'F for the rows F of the basis. M fixes Fix(M) = Fix(M*), so
-    # M Pi_Fix = Pi_Fix = Pi_Fix M and (M - Pi_Fix)*(M - Pi_Fix) =
-    # M*M - Pi_Fix: one projection per application, zero when Fix(M) = {0}.
-    f = fix.rows
-    t = f.shape[1]
-    count = 0
-
-    def gram(v):
-        nonlocal count
-        count += 1
-        return adjoint(op(v)) - (f @ v) @ f
-
+    _, gram = tail_operator(os_.w, frame, fix, "op_norm_M_minus_fix")
+    t = fix.rows.shape[1]
     if t == 1:
         lam = gram(np.ones(1))
     else:
@@ -273,7 +273,6 @@ def op_norm_M_minus_fix(
                 svec_dim=t,
                 converged=len(exc.eigenvalues),
             ) from exc
-    frame.applications["op_norm_M_minus_fix"] = count
     return float(np.sqrt(max(lam[0], 0.0)))
 
 

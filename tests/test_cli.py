@@ -841,10 +841,31 @@ def test_diagnose_fits_the_positive_rows_of_a_window_fixed_from_the_trace(plante
     assert fits["h_norm"] == [first, last - 1]
     assert fits["face_S_norm"] == [first, last - 41]
     assert "face_X_norm" not in fits
+    assert report["skipped"] == {"face_X_norm": "fewer than 10 positive values in the window"}
     (out / "run.npz").unlink()
     starts.clear()
     assert cli.diagnose_run(str(out)) == report
     assert starts == [None]
+
+
+def test_diagnose_skips_fits_at_the_rounding_floor(tmp_path, capsys):
+    # Max-cut of one edge: in the window the off-block and face sequences
+    # stay below 1e-15 against ||Z*||_F = 2.06, roundoff with no rate, while
+    # the residual and step lengths still fall geometrically.
+    (tmp_path / "graph.txt").write_text("2\n1 2\n")
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), tol_rmax=1e-8, init="zero",
+                              generator={"kind": "maxcut", "edges": str(tmp_path / "graph.txt")})
+    assert main(["solve", "--manifest", manifest]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads((out / "diagnostics.json").read_text())
+    floored = ["ho_norm", "face_X_norm", "face_S_norm"]
+    assert report["skipped"] == dict.fromkeys(floored, "at the rounding floor")
+    assert [f["sequence"] for f in report["fits"]] == ["r_max", "norm_z_diff", "h_norm"]
+    for name in floored:
+        assert f"skipped         {name}: at the rounding floor" in captured.out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1056,6 +1077,27 @@ def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypat
     assert report["nd"]["primal_nd"] is True and report["nd"]["dual_nd"] is True
     assert "norm failure" in captured.out
     assert "skipped         op_norm_M_minus_fix: numerical failure" in captured.out
+
+
+def test_diagnose_counts_the_applications_of_a_failed_estimate(planted_manifest, capsys,
+                                                                monkeypatch):
+    import scipy.sparse.linalg
+
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+
+    def stalling(op, *args, v0, **kwargs):
+        for _ in range(3):
+            v0 = op.matvec(v0)
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalling)
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert report["failure"] == {"message": "Lanczos did not converge for the operator norm",
+                                 "details": {"svec_dim": 55, "converged": 0}}
+    assert report["operator_applications"] == {"op_norm_M_minus_fix": 3}
 
 
 def test_diagnose_keeps_a_refused_estimate_as_the_norm_of_M(planted_manifest, capsys, monkeypatch):

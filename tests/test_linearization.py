@@ -45,7 +45,7 @@ from sdpadmm.linearization import (
     op_norm_M,
     op_norm_M_minus_fix,
     psi_residual,
-    rotated_M,
+    tail_operator,
 )
 from sdpadmm.solver import SolverConfig, solve, step_fixed_point
 
@@ -484,19 +484,60 @@ def _frame_cases(diagnose_shape, small_planted):
     yield os_, kern
 
 
-def test_rotated_M_matches_the_matrix_operators(diagnose_shape, small_planted):
+def _tail_oracles(os_, kern, fix):
+    """Oracle: T = M - Pi_Fix, M*M - Pi_Fix and (M* - Pi_Fix)(M - Pi_Fix) on
+    svec coordinates of the eigenbasis, from the matrix operators."""
+    project = fix_projector(os_, fix)
+
+    def rotated(fn):
+        return lambda v: svec(os_.rotate_in(fn(os_.rotate_out(smat(v)))))
+
+    def t(h):
+        return apply_M(os_, kern, h) - project(h)
+
+    def one(h):
+        return apply_M_adjoint(os_, kern, apply_M(os_, kern, h)) - project(h)
+
+    def two(h):
+        g = t(h)
+        return apply_M_adjoint(os_, kern, g) - project(g)
+
+    return rotated(t), rotated(one), rotated(two)
+
+
+def test_tail_operator_matches_the_matrix_operators(diagnose_shape, small_planted):
     for os_, kern in _frame_cases(diagnose_shape, small_planted):
         frame = eigen_frame(kern, os_.Q)
         assert np.linalg.norm(frame.bt @ frame.bt.T - np.eye(kern.problem.m)) <= 1e-12
-        op, adjoint = rotated_M(os_, frame)
+        fix = fix_basis(os_, kern, frame)
+        apply, gram = tail_operator(os_.w, frame, fix, "test")
+        want_apply, want_gram, _ = _tail_oracles(os_, kern, fix)
         rng = np.random.default_rng(3)
         for _ in range(3):
             v = rng.standard_normal(svec_dim(os_.n))
-            h = os_.rotate_out(smat(v))
-            want = svec(os_.rotate_in(apply_M(os_, kern, h)))
-            assert np.linalg.norm(op(v) - want) <= 1e-12 * np.linalg.norm(v)
-            want = svec(os_.rotate_in(apply_M_adjoint(os_, kern, h)))
-            assert np.linalg.norm(adjoint(v) - want) <= 1e-12 * np.linalg.norm(v)
+            assert np.linalg.norm(apply(v) - want_apply(v)) <= 1e-12 * np.linalg.norm(v)
+            assert np.linalg.norm(gram(v) - want_gram(v)) <= 1e-12 * np.linalg.norm(v)
+        # The test reads the operator: one multiplier strictly between 0 and
+        # 1, moved by 1e-2, moves T e_i by 1e-2 (I - 2P~)e_i, of norm 1e-2
+        # since I - 2P~ is a reflection.
+        w = os_.w.copy()
+        i = np.flatnonzero((w > 0.0) & (w < 1.0))[0]
+        w[i] += 1e-2
+        perturbed, _ = tail_operator(w, frame, fix, "test")
+        e = np.eye(svec_dim(os_.n))[i]
+        assert np.linalg.norm(perturbed(e) - want_apply(e)) == pytest.approx(1e-2, rel=1e-9)
+
+
+def test_tail_operator_counts_its_applications(diagnose_shape):
+    os_, kern, fix = diagnose_shape
+    frame = eigen_frame(kern, os_.Q)
+    frame.applications["test"] = 7
+    apply, gram = tail_operator(os_.w, frame, fix, "test")
+    assert frame.applications == {"test": 0}
+    v = np.random.default_rng(0).standard_normal(svec_dim(os_.n))
+    for count, fn in enumerate((apply, gram, gram, apply), start=1):
+        fn(v)
+        assert frame.applications == {"test": count}
 
 
 def test_fix_rows_are_the_rotated_basis(diagnose_shape, small_planted):
@@ -629,28 +670,22 @@ def test_mixing_the_constraints_changes_no_witness(n, data, degeneracy, seed):
 
 def test_op_norm_minus_fix_one_projection_matches_two(diagnose_shape):
     # (M - Pi)*(M - Pi) = M*M - Pi because M fixes Fix(M) = Fix(M*): the
-    # one-projection operator equals the two-projection one up to the fixed
+    # one-projection gram equals the two-projection oracle up to the fixed
     # point residual of the computed basis, (M* - I)Pi + Pi(M - I), and the
     # norm matches the dense norm of either.
     for os_, kern, fix in (degenerate_limit(7, 12, 2, instance_seed=6, seed=1), diagnose_shape):
         assert fix.dim >= 1
         frame = eigen_frame(kern, os_.Q)
-        op, adjoint = rotated_M(os_, frame)
-        f = fix.rows
-        resid = np.linalg.norm([adjoint(row) - row for row in f])
+        _, gram = tail_operator(os_.w, frame, fix, "test")
+        _, _, two = _tail_oracles(os_, kern, fix)
+        members = fix_members(os_, fix)
+        resid = np.linalg.norm([svec(os_.rotate_in(apply_M_adjoint(os_, kern, member))) - row
+                                for member, row in zip(members, fix.rows)])
         assert resid <= 1e-9
-
-        def two(v):
-            u = op(v) - (f @ v) @ f
-            return adjoint(u) - (f @ u) @ f
-
-        def one(v):
-            return adjoint(op(v)) - (f @ v) @ f
-
         rng = np.random.default_rng(5)
         for _ in range(3):
             v = rng.standard_normal(svec_dim(os_.n))
-            assert np.linalg.norm(one(v) - two(v)) <= (2.0 * resid + 1e-12) * np.linalg.norm(v)
+            assert np.linalg.norm(gram(v) - two(v)) <= (2.0 * resid + 1e-12) * np.linalg.norm(v)
         eye = np.eye(svec_dim(os_.n))
         gram_two = np.stack([two(e) for e in eye], axis=1)
         want = np.sqrt(np.linalg.eigvalsh(0.5 * (gram_two + gram_two.T))[-1])
@@ -681,20 +716,24 @@ def test_norm_estimates_count_their_applications(diagnose_shape):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_rotated_M_properties(n, data, degeneracy, seed):
+def test_tail_operator_properties(n, data, degeneracy, seed):
+    # With an empty Fix, T is M~: nonexpansive, and its gram M~*M~ is
+    # symmetric and positive semidefinite.
     # A primal witness needs a trailing block of order at least 2.
     r = data.draw(st.integers(1, n - 2 if degeneracy == "primal_nd_fail" else n - 1))
     m = data.draw(st.integers(1, svec_dim(n) - 1))
     prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
     kern = build_kernel(prob)
     os_ = build_omega(eig_sym(cert.zstar(1.0)))
-    op, adjoint = rotated_M(os_, eigen_frame(kern, os_.Q))
+    empty = FixSubspace(rows=np.zeros((0, svec_dim(n))))
+    apply, gram = tail_operator(os_.w, eigen_frame(kern, os_.Q), empty, "test")
     rng = np.random.default_rng(seed)
     v, g = rng.standard_normal((2, svec_dim(n)))
-    mv = op(v)
+    mv = apply(v)
     norm_v, norm_g = np.linalg.norm(v), np.linalg.norm(g)
     assert np.linalg.norm(mv) <= (1.0 + 1e-12) * norm_v
-    assert abs(mv @ g - v @ adjoint(g)) <= 1e-12 * norm_v * norm_g
+    assert abs(gram(v) @ g - v @ gram(g)) <= 1e-12 * norm_v * norm_g
+    assert gram(v) @ v >= -1e-12 * norm_v**2
     want = svec(os_.rotate_in(apply_M(os_, kern, os_.rotate_out(smat(v)))))
     assert np.linalg.norm(mv - want) <= 1e-12 * norm_v
 

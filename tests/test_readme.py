@@ -1,10 +1,14 @@
 """The README's examples run as written."""
 
+import dataclasses
+import importlib
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import sdpadmm
 from sdpadmm.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +51,36 @@ def test_command_line_example_runs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines()[-1].startswith("status: converged ")
     summary = json.loads((tmp_path / manifest["out"] / "summary.json").read_text())
     assert summary["status"] == "converged"
+
+
+FILE_SUFFIXES = (".json", ".csv", ".npz", ".npy", ".dat-s")
+
+
+def resolves(module, attrs):
+    """Whether ``sdpadmm.<module>.<attrs...>`` names an attribute, or a field
+    of the dataclass that the attributes before it name."""
+    obj = importlib.import_module(f"sdpadmm.{module}")
+    for i, attr in enumerate(attrs):
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+            continue
+        last = i == len(attrs) - 1
+        return last and dataclasses.is_dataclass(obj) and attr in {
+            f.name for f in dataclasses.fields(obj)
+        }
+    return True
+
+
+def test_readme_names_resolve():
+    # Every backticked `module.name` (or `module.name.attr`, optionally after
+    # `sdpadmm.`) of a package module names something that exists, so a
+    # rename or removal cannot leave the README behind. File names such as
+    # `diagnostics.json` are not references.
+    modules = "|".join(m.name for m in pkgutil.iter_modules(sdpadmm.__path__))
+    pattern = re.compile(rf"`(?:sdpadmm\.)?({modules})((?:\.[A-Za-z_]\w*)+)([^`]*)`")
+    refs = [(m[1], m[2][1:].split("."), m[0]) for m in pattern.finditer(README.read_text("utf-8"))
+            if not (m[2] + m[3]).endswith(FILE_SUFFIXES)]
+    assert refs
+    assert [text for module, attrs, text in refs if not resolves(module, attrs)] == []
+    assert resolves("diagnostics", ["EigenFrame", "bt"])
+    assert not resolves("linearization", ["no_such_name"])
