@@ -3,6 +3,7 @@ measure and explain its local linear convergence: projection linearization,
 operator-norm rate predictors, strict-complementarity / nondegeneracy
 classification, and minimal-face trace diagnostics."""
 
+from .analysis import analyse
 from .diagnostics import (
     ComplementarityReport,
     EigenFrame,

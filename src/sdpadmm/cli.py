@@ -20,15 +20,9 @@ numpy array of real numbers.
 
 ``solve`` writes a run directory once (the instance file as read, or as
 generated, every ``SolverConfig`` field, and ``run.npz``: the arrays the run
-iterated on and its restart points); ``diagnose`` only reads it, parsing
-``instance.dat-s`` only in a directory without ``run.npz``. The
-``diagnose`` report comes from ``diagnose_run(run_dir)``, which returns the
-``diagnostics.json`` object (a malformed ``summary.json`` is a ValueError
-naming the file or the field); the command only writes and prints it. The
-summary must hold every ``SolverConfig`` field, the replay must reach the
-recorded iteration count, and every record it replays must equal the
-``trace.csv`` row of its iterate, so that the report is about the recorded
-run.
+iterated on and its restart points). ``diagnose`` changes none of it,
+parses ``instance.dat-s`` only in a directory without ``run.npz``, and
+writes the object ``diagnose_run(run_dir)`` returns as ``diagnostics.json``.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import dataclasses
 import functools
 import glob
 import inspect
-import itertools
 import json
 import math
 import os
@@ -52,7 +45,7 @@ import zipfile
 import numpy as np
 import scipy
 
-from . import __version__, diagnostics, linearization
+from . import __version__, analysis
 from .elimination import eb_reference
 from .errors import (
     NumericalFailureError,
@@ -62,7 +55,7 @@ from .errors import (
     require_object,
     require_path,
 )
-from .linalg import RANK_TAU, eig_sym, svec_dim, sym_norm2, symmetrize
+from .linalg import RANK_TAU, svec_dim, sym_norm2, symmetrize
 from .problem import (
     SdpProblem,
     build_kernel,
@@ -79,7 +72,6 @@ from .solver import (
     SolverConfig,
     read_trace_csv,
     solve,
-    trace_fields,
     write_trace_csv,
 )
 
@@ -359,55 +351,21 @@ def _cmd_solve(args):
     return 2, line
 
 
-# Timed phases of diagnose: reading the run, the limit's decomposition with
-# the SC and ND tests on its frame, the replay with the trace it reads,
-# Fix(M) and ||M - Pi_Fix||, and the rate fits.
-DIAGNOSE_PHASES = ("load", "frame", "replay", "norms", "fits")
-
-# Fitted trace sequences: (name in diagnostics.json, IterationRecord field).
-_FIT_SEQUENCES = (("r_max", "r_max"), ("norm_z_diff", "norm_z_diff"), ("h_norm", "h_norm"),
-                  ("ho_norm", "ho_norm"), ("face_X_norm", "face_x_norm"),
-                  ("face_S_norm", "face_s_norm"))
+# Timed phases of diagnose: reading the run, then those of the analysis.
+DIAGNOSE_PHASES = ("load", *analysis.PHASES)
 
 
 def diagnose_run(run_dir, timings=None):
-    """Return the ``diagnostics.json`` object of the run directory ``run_dir``.
-
-    The problem and the run's restart points are read from ``run.npz``,
-    whose arrays must fit the ``n`` and ``m`` of ``summary.json``; a run
-    directory without it parses ``instance.dat-s`` and restarts from
-    iterate 0. The run is replayed once against its own limit up to exactly
-    the recorded iterations, with no time limit, so a time-limited run is
-    analysed on the trajectory it took. The fit window is fixed from
-    ``trace.csv`` before the replay: the last ``trailing_window`` rows
-    before the final one, past ``k_id``. The replay starts from the latest
-    restart point at or before the window's first row (at or before the
-    last iterate when nothing is fitted), and every record it replays must
-    equal the row of its iterate in all ``trace_fields``. Each sequence of
-    ``_FIT_SEQUENCES`` is fit on its positive values in the window. One
-    with fewer than ``RATE_MIN_WINDOW`` of them, or whose window stays at or
-    below ten times the rounding floor ``n eps ||z_final||_F``, is named
-    under ``skipped`` with the reason instead.
-
-    The rank tests, ``Fix(M)`` and the one Lanczos estimate, of
-    ||M - Pi_Fix||, read one rotation of the basis of range(A*) into the
-    limit's eigenbasis; ||M|| is read off ``Fix(M)`` by
-    ``linearization.norm_M``. A norm or ``Fix(M)`` that is not computed
-    stays ``None``, with the reason under ``skipped``; one that fails
-    numerically also sets ``failure``, and so does an estimate of
-    ||M - Pi_Fix|| that is not below 1 - 1e-8 (the separation gate), which
-    is still ||M|| when ``Fix(M)`` = {0}. ``operator_applications`` counts the
-    estimate's operator applications, also those of an estimate that fails.
-    A malformed ``summary.json`` (one missing a ``SolverConfig`` field
-    included), a ``z_final.npy`` that is not a real (n, n) array, a
-    malformed ``run.npz``, a replay that stops before the recorded
-    ``iterations``, or one that differs from ``trace.csv``, raises
-    ``ValueError`` naming the file, the field or the iteration counts; the
-    last names the recorded and current BLAS thread counts when they
-    differ.
-    ``timings``, a ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time
-    of each phase; it stays out of the report, which repeats between
-    commands."""
+    """The ``diagnostics.json`` object of the run directory ``run_dir``: its
+    ``run`` and ``status``, the report of ``analysis.analyse`` on the run's
+    arrays, and this process's ``provenance``. A ValueError names the file
+    or the field of a malformed ``summary.json`` (one missing a
+    ``SolverConfig`` field included), ``run.npz`` or ``trace.csv``, or of a
+    ``z_final.npy`` that is not a real (n, n) array; a replay that differs
+    from ``trace.csv`` also names the recorded and current BLAS thread
+    counts when they differ. ``timings``, a
+    ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time of each phase;
+    it stays out of the report, which repeats between commands."""
     if timings is None:
         timings = PhaseTimings.of(*DIAGNOSE_PHASES)
     summary_path = os.path.join(run_dir, "summary.json")
@@ -421,9 +379,11 @@ def diagnose_run(run_dir, timings=None):
         if summary["status"] not in statuses:
             raise ValueError(f"status must be one of {', '.join(map(repr, statuses))}, "
                              f"got {summary['status']!r}")
-        require_integer("iterations", summary["iterations"])
-        prob, points = _load_run(run_dir, summary)
-        kernel = build_kernel(prob)
+        iterations = summary["iterations"]
+        require_integer("iterations", iterations)
+        if iterations < 0:
+            raise ValueError(f"iterations must be nonnegative, got {iterations}")
+        prob, checkpoints = _load_run(run_dir, summary)
         z_final = _load_matrix(z_path, "z_final.npy")
         if z_final.shape != (prob.n, prob.n):
             raise ValueError(f"z_final.npy has shape {z_final.shape}, expected {(prob.n,) * 2}")
@@ -431,142 +391,52 @@ def diagnose_run(run_dir, timings=None):
         # back to its default.
         require_keys("summary.json", summary, *_CFG_KEYS)
         cfg = _config_from_manifest(summary)
-        cfg.max_iter = summary["iterations"]
-        cfg.time_limit_secs = None
-
-    with timings.phase("frame"):
-        dec = eig_sym(z_final)
-        sc = diagnostics.sc_check(dec)
-        frame = diagnostics.eigen_frame(kernel, dec.Q)
-        nd = diagnostics.nd_check(prob, dec, frame)
-    report = {
-        "run": run_dir,
-        "status": summary["status"],
-        "sc": sc.__dict__,
-        "nd": nd.__dict__,
-        "k_id": None,
-        "op_norm_M": None,
-        "op_norm_M_minus_fix": None,
-        "fix_dim": None,
-        "skipped": {},
-        "operator_applications": {},
-        "failure": None,
-        "fits": [],
-        "provenance": _provenance(),
-    }
-
-    with timings.phase("replay"):
         rows = read_trace_csv(os.path.join(run_dir, "trace.csv"))
-        k_id = report["k_id"] = diagnostics.rank_trace(rows, sc)
-        fitted = summary["status"] == SolveStatus.CONVERGED.value and bool(rows)
-        # The fit window, fixed before the replay: the last trailing_window
-        # rows before the final one. One replay, from the latest restart
-        # point at or before its first row.
-        if fitted:
-            idx_id = next((i for i, r in enumerate(rows) if r.k == k_id), 0)
-            window = diagnostics.trailing_window(len(rows) - 1, idx_id)
-            first = rows[max(0, len(rows) - 1 - window)].k
-        else:
-            first = cfg.max_iter
-        start = max(k for k in points if k <= first)
-        records = _replay(prob, cfg, kernel, z_final, points[start], rows, summary)
-
-    if sc.sc_holds:
-        os_ = linearization.build_omega(dec)
-        fix = timings.call("norms", linearization.fix_basis, os_, kernel, frame)
-        report["fix_dim"] = fix.dim
-        estimate = None
-        try:
-            estimate = timings.call(
-                "norms", linearization.op_norm_M_minus_fix, os_, kernel, fix, frame
-            )
-        except NumericalFailureError as exc:
-            report["failure"] = {"message": str(exc), "details": exc.details}
-        # An estimate at 1 means Pi_Fix missed a fixed direction of M: no rate
-        # bound. The norms left unset stay None.
-        if estimate is not None and estimate >= 1.0 - 1e-8:
-            report["failure"] = {"message": f"||M - Pi_Fix|| = {estimate!r} is not separated "
-                                            "from 1", "details": {"value": estimate}}
-        else:
-            report["op_norm_M_minus_fix"] = estimate
-        report["op_norm_M"] = linearization.norm_M(fix.dim, estimate)
-    report["operator_applications"] = frame.applications
-    reason = "numerical failure" if sc.sc_holds else "strict complementarity fails"
-    unset = [key for key in ("op_norm_M", "fix_dim", "op_norm_M_minus_fix") if report[key] is None]
-    report["skipped"] = dict.fromkeys(unset, reason)
-
-    if fitted:
-        in_window = [r for r in records[:-1] if r.k >= first]
-        ks = np.array([r.k for r in in_window], dtype=float)
-        # Ten times the rounding floor n eps ||Z||_F of the limit: a window
-        # that never rises above it holds roundoff, not a tail.
-        floor = 10.0 * prob.n * np.finfo(float).eps * np.linalg.norm(z_final)
-        for name, field in _FIT_SEQUENCES:
-            vals = np.array([getattr(r, field) for r in in_window], dtype=float)
-            keep = vals > 0.0
-            count = np.count_nonzero(keep)
-            if count < diagnostics.RATE_MIN_WINDOW:
-                report["skipped"][name] = (f"fewer than {diagnostics.RATE_MIN_WINDOW} "
-                                           "positive values in the window")
-                continue
-            if vals.max() <= floor:
-                report["skipped"][name] = "at the rounding floor"
-                continue
-            fit = timings.call("fits", diagnostics.rate_fit, vals[keep], count, ks=ks[keep],
-                               name=name)
-            report["fits"].append({"sequence": name, "rho_hat": fit.rho_hat, "r2": fit.r2,
-                                   "window": list(fit.window)})
-    return report
-
-
-def _load_archive(path, **shapes):
-    """The arrays of the ``np.savez`` archive at ``path``, one per keyword of
-    ``shapes`` and in its order. Each keyword's value is its array's shape,
-    in which a string stands for a length that the arrays share. A
-    ValueError names the file unless ``_np_load`` reads an archive there
-    of exactly these arrays, none pickled, each real and of its shape."""
-    name = os.path.basename(path)
-    arrays = _np_load(path, name)
-    if not isinstance(arrays, dict):
-        arrays = {}
-    for key, a in arrays.items():
-        if a.dtype.kind not in "fiu":
-            raise ValueError(f"{name}: array {key!r} must hold real numbers, got dtype {a.dtype}")
-    lengths = {}
-
-    def fits(a, shape):
-        return a.ndim == len(shape) and all(
-            lengths.setdefault(dim, size) == size if isinstance(dim, str) else dim == size
-            for dim, size in zip(shape, a.shape)
-        )
-
-    if arrays.keys() != shapes.keys() or not all(fits(arrays[k], s) for k, s in shapes.items()):
-        *rest, last = shapes
-        spelled = [f"({', '.join(map(str, s))}{',' * (len(s) == 1)})" for s in shapes.values()]
-        raise ValueError(f"{name} must hold arrays {', '.join(rest)} and {last} of shapes "
-                         f"{', '.join(spelled[:-1])} and {spelled[-1]}")
-    return [arrays[key] for key in shapes]
+    try:
+        report = analysis.analyse(prob, cfg, iterations, z_final, rows, checkpoints,
+                                  SolveStatus(summary["status"]), timings)
+    except analysis.ReplayMismatchError as exc:
+        provenance = summary.get("provenance")
+        solved = provenance.get("blas_threads") if isinstance(provenance, dict) else None
+        threads = _blas_threads()
+        if None in (solved, threads) or solved == threads:
+            raise
+        raise ValueError(f"{exc}; summary.json records {solved} BLAS threads, this process "
+                         f"runs {threads}") from None
+    return {"run": run_dir, "status": summary["status"], **report, "provenance": _provenance()}
 
 
 def _load_run(run_dir, summary):
-    """The problem of the run in ``run_dir`` and its restart points by k.
-
-    Both come from ``run.npz``: the arrays the run iterated on, whose shapes
-    must fit ``summary``'s ``n`` and ``m``, and the ``Checkpoint`` objects,
-    at a ``k`` of strictly increasing integers in ``1..iterations``; the
-    point ``None`` at 0 restarts from the run's ``initial_z``. A run
-    directory without that file parses ``instance.dat-s`` and restarts from
-    0 only. Either way ``SdpProblem.from_table`` checks the problem."""
+    """The problem of the run in ``run_dir`` and its restart points, a list
+    of ``Checkpoint`` in increasing ``k``, from ``run.npz``: exactly the
+    real arrays ``C``, ``b``, ``support``, ``columns``, ``k``, ``z`` and
+    ``u_z``, of shapes that fit ``summary``'s ``n`` and ``m``, with ``k``
+    strictly increasing integers in ``1..iterations``; a ValueError names
+    the file otherwise. A run directory without that file parses
+    ``instance.dat-s`` and has no restart point. Either way
+    ``SdpProblem.from_table`` checks the problem."""
     path = os.path.join(run_dir, "run.npz")
     if not os.path.exists(path):
-        return load_sdpa(os.path.join(run_dir, "instance.dat-s")), {0: None}
+        return load_sdpa(os.path.join(run_dir, "instance.dat-s")), []
     require_keys("summary.json", summary, "n", "m")
     n, m = summary["n"], summary["m"]
     require_integer("n", n)
     require_integer("m", m)
-    C, b, support, columns, ks, zs, us = _load_archive(
-        path, C=(n, n), b=(m,), support=("s",), columns=(m, "s"), k=("c",), z=("c", n, n),
-        u_z=("c", m))
+    arrays = _np_load(path, "run.npz")
+    if not isinstance(arrays, dict):
+        arrays = {}
+    for key, a in arrays.items():
+        if a.dtype.kind not in "fiu":
+            raise ValueError(f"run.npz: array {key!r} must hold real numbers, got dtype {a.dtype}")
+    # |support| and the checkpoint count are the lengths of support and k.
+    s, c = np.shape(arrays.get("support")), np.shape(arrays.get("k"))
+    shapes = {"C": (n, n), "b": (m,), "support": s, "columns": (m, *s), "k": c,
+              "z": (*c, n, n), "u_z": (*c, m)}
+    if len(s) != 1 or len(c) != 1 or {key: a.shape for key, a in arrays.items()} != shapes:
+        raise ValueError(f"run.npz must hold arrays C, b, support, columns, k, z and u_z of "
+                         f"shapes ({n}, {n}), ({m},), (s,), ({m}, s), (c,), (c, {n}, {n}) and "
+                         f"(c, {m})")
+    C, b, support, columns, ks, zs, us = (arrays[key] for key in shapes)
     t = svec_dim(n)
     for key, a, lo, hi in (("support", support, 0, t - 1), ("k", ks, 1, summary["iterations"])):
         if a.dtype.kind not in "iu" or not np.all(a[1:] > a[:-1]) or (
@@ -576,31 +446,8 @@ def _load_run(run_dir, summary):
                              f"in {lo}..{hi}")
     table = np.zeros((m, t))
     table[:, support] = columns
-    points = {0: None, **{int(k): Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)}}
-    return SdpProblem.from_table(C, table, b), points
-
-
-def _replay(prob, cfg, kernel, z_final, point, rows, summary):
-    """The records of the recorded run against ``z_final``, replayed from
-    the restart point ``point``. A replay that stops early, or whose records
-    differ from the ``rows`` of ``trace.csv`` from ``point`` on, is a
-    ValueError; when ``summary``'s provenance records another BLAS thread
-    count than this process runs, the error names both."""
-    start = 0 if point is None else point.k
-    replay, records, _ = solve(prob, cfg, kernel=kernel, reference=z_final, start=point)
-    if replay.k != cfg.max_iter:
-        raise ValueError(f"the replay stopped at k = {replay.k}, but summary.json records "
-                         f"{cfg.max_iter} iterations")
-    for got, want in itertools.zip_longest(records, [r for r in rows if r.k >= start]):
-        if got is None or want is None or trace_fields(got) != trace_fields(want):
-            provenance = summary.get("provenance")
-            solved = provenance.get("blas_threads") if isinstance(provenance, dict) else None
-            threads = _blas_threads()
-            why = (f"; summary.json records {solved} BLAS threads, this process runs {threads}"
-                   if None not in (solved, threads) and solved != threads else "")
-            raise ValueError(f"the replay from k = {start} differs from trace.csv at "
-                             f"k = {(got or want).k}{why}")
-    return records
+    return (SdpProblem.from_table(C, table, b),
+            [Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)])
 
 
 def _cmd_diagnose(args):

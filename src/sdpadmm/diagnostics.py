@@ -305,7 +305,7 @@ def rate_fit(values, window, ks, name="") -> RateFit:
     return RateFit(window=(lo, hi), rho_hat=float(np.exp(slope)), r2=r2, sequence_name=name)
 
 
-def trailing_window(total, k_id_index=0):
+def trailing_window(total, k_id_index):
     """Window length for a tail fit: ``RATE_WINDOW_FRAC`` of the points past
     rank identification, at least ``RATE_MIN_WINDOW``, capped by what is
     available."""

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import os
@@ -14,11 +15,18 @@ import scipy
 
 import sdpadmm
 
-from sdpadmm import cli, diagnostics, linalg
+from sdpadmm import analysis, cli, diagnostics, linalg, linearization
 from sdpadmm.cli import main
 from sdpadmm.errors import NumericalFailureError
 from sdpadmm.problem import generate_planted, load_sdpa, write_sdpa
-from sdpadmm.solver import TRACE_HEADER, SolverConfig, read_trace_csv, solve
+from sdpadmm.solver import (
+    TRACE_HEADER,
+    PhaseTimings,
+    SolverConfig,
+    SolveStatus,
+    read_trace_csv,
+    solve,
+)
 
 
 def write_manifest(path, **fields):
@@ -665,7 +673,7 @@ def test_diagnose_replays_recorded_iterations(tmp_path, capsys, monkeypatch):
         replays.append(solve(*args, **kwargs))
         return replays[-1]
 
-    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(analysis, "solve", recording_solve)
     assert main(["diagnose", "--run", str(out)]) == 0
     capsys.readouterr()
     ((state, _, _),) = replays
@@ -743,7 +751,7 @@ def test_diagnose_from_a_checkpoint_matches_the_full_replay(tmp_path, capsys, mo
         parsed.append(path)
         return load_sdpa(path)
 
-    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(analysis, "solve", recording_solve)
     monkeypatch.setattr(cli, "load_sdpa", recording_load_sdpa)
     report = cli.diagnose_run(str(out))
     # One replay, of a tail from a power of two, and no text parsed.
@@ -827,7 +835,7 @@ def test_diagnose_fits_the_positive_rows_of_a_window_fixed_from_the_trace(plante
                 rec.face_x_norm = 0.0
         return state, records, status
 
-    monkeypatch.setattr(cli, "solve", zeroing_solve)
+    monkeypatch.setattr(analysis, "solve", zeroing_solve)
     report = cli.diagnose_run(str(out))
     rows = read_trace_csv(out / "trace.csv")
     idx_id = [r.k for r in rows].index(report["k_id"])
@@ -868,6 +876,14 @@ def test_diagnose_skips_fits_at_the_rounding_floor(tmp_path, capsys):
         assert f"skipped         {name}: at the rounding floor" in captured.out
 
 
+def _analysed(prob, cfg):
+    # analyse on what solve returns, with no run directory; and the status.
+    state, records, status = solve(prob, cfg)
+    report = analysis.analyse(prob, cfg, state.k, state.Z, records, state.checkpoints, status,
+                              PhaseTimings.of(*analysis.PHASES))
+    return report, status
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize(
     "generator",
@@ -875,19 +891,54 @@ def test_diagnose_skips_fits_at_the_rounding_floor(tmp_path, capsys):
      {"n": 12, "m": 10, "r": 6}],
     ids=["nd", "primal-nd-fail", "dual-nd-fail"],
 )
-def test_norm_z_diff_fit_lies_between_the_h_norm_fit_and_the_norm(tmp_path, capsys, generator,
-                                                                    seed):
+def test_norm_z_diff_fit_lies_between_the_h_norm_fit_and_the_norm(generator, seed):
     # The step length ||Z_{k+1} - Z_k|| needs no reference. Its rate is at
     # most ||M - P_Fix|| (+ 1e-3), and no lower than the h_norm fit, which
     # the distance to the run's own last iterate steepens.
-    out = tmp_path / "run"
-    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=seed, tol_rmax=1e-10,
-                              generator={"kind": "planted", "seed": seed, **generator})
-    assert main(["solve", "--manifest", manifest]) == 0
-    capsys.readouterr()
-    report = cli.diagnose_run(str(out))
+    prob, _ = generate_planted(seed=seed, **generator)
+    report, status = _analysed(prob, SolverConfig(seed=seed, tol_rmax=1e-10))
+    assert status is SolveStatus.CONVERGED
     fits = {f["sequence"]: f["rho_hat"] for f in report["fits"]}
     assert fits["h_norm"] <= fits["norm_z_diff"] <= report["op_norm_M_minus_fix"] + 1e-3
+
+
+@pytest.mark.parametrize(
+    "degeneracy, fields",
+    [("none", {}), ("primal_nd_fail", {}), ("primal_nd_fail", {"trace_every": 3}),
+     ("primal_nd_fail", {"max_iter": 40})],
+    ids=["nd", "primal-nd-fail", "trace-every-3", "unconverged"],
+)
+def test_analyse_in_memory_matches_diagnose_run(tmp_path, capsys, degeneracy, fields):
+    # The arrays solve returns give the report diagnose_run reads back from
+    # the run directory, key for key and in the same order.
+    gen = {"n": 10, "m": 20, "r": 3, "seed": 1, "degeneracy": degeneracy}
+    out = tmp_path / "run"
+    manifest = write_manifest(tmp_path / "m.json", out=str(out), seed=1,
+                              generator={"kind": "planted", **gen}, **fields)
+    assert main(["solve", "--manifest", manifest]) in (0, 2)
+    capsys.readouterr()
+    want = cli.diagnose_run(str(out))
+    del want["run"], want["status"], want["provenance"]
+    report, _ = _analysed(generate_planted(**gen)[0], SolverConfig(seed=1, **fields))
+    assert json.dumps(report) == json.dumps(want)
+
+
+def test_analyse_opens_no_file(monkeypatch):
+    prob, _ = generate_planted(10, 20, 3, seed=1)
+    cfg = SolverConfig(seed=1, tol_rmax=1e-10)
+    state, records, status = solve(prob, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyse read a file")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(np, "load", refuse)
+    report = analysis.analyse(prob, cfg, state.k, state.Z, records, state.checkpoints, status,
+                              PhaseTimings.of(*analysis.PHASES))
+    assert report["sc"]["sc_holds"] and report["failure"] is None
+    assert report["op_norm_M_minus_fix"] < 1.0
+    assert [f["sequence"] for f in report["fits"]] == [name for name, _ in
+                                                        analysis._FIT_SEQUENCES]
 
 
 def _diagnose_error(out, capsys):
@@ -1057,7 +1108,7 @@ def test_diagnose_norm_failure_writes_report(planted_manifest, capsys, monkeypat
     def stalled(*args, **kwargs):
         raise NumericalFailureError("Lanczos did not converge", svec_dim=55, converged=0)
 
-    monkeypatch.setattr(cli.linearization, "op_norm_M_minus_fix", stalled)
+    monkeypatch.setattr(linearization, "op_norm_M_minus_fix", stalled)
     assert main(["diagnose", "--run", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("status:") == 1
@@ -1106,7 +1157,7 @@ def test_diagnose_keeps_a_refused_estimate_as_the_norm_of_M(planted_manifest, ca
     manifest, out = planted_manifest
     assert main(["solve", "--manifest", manifest]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli.linearization, "op_norm_M_minus_fix", lambda *args: 1.0 - 1e-12)
+    monkeypatch.setattr(linearization, "op_norm_M_minus_fix", lambda *args: 1.0 - 1e-12)
     assert main(["diagnose", "--run", str(out)]) == 1
     captured = capsys.readouterr()
     report = json.loads((out / "diagnostics.json").read_text())
@@ -1197,8 +1248,11 @@ def test_diagnose_missing_artifacts(tmp_path, capsys):
         ({"status": "converged", "iterations": "3"}, "iterations must be an integer, got '3'"),
         ({"status": "Converged", "iterations": 3}, "status must be one of 'converged', "
          "'iter_limit', 'time_limit', 'numerical_failure', got 'Converged'"),
+        ({"status": "iter_limit", "iterations": -3}, "iterations must be nonnegative, got -3"),
+        ({"status": "converged", "iterations": -3}, "iterations must be nonnegative, got -3"),
     ],
-    ids=["list", "no-status", "no-iterations", "iterations-string", "status-unknown"],
+    ids=["list", "no-status", "no-iterations", "iterations-string", "status-unknown",
+         "iterations-negative", "iterations-negative-converged"],
 )
 def test_diagnose_rejects_malformed_summary(tmp_path, capsys, summary, message):
     run = tmp_path / "run"
