@@ -84,12 +84,12 @@ def analyse(prob, cfg, iterations, z_final, rows, checkpoints, status, timings):
             kernel=kernel, reference=z_final, start=point,
         )
         if replay.k != iterations:
-            raise ValueError(f"the replay stopped at k = {replay.k}, but summary.json records "
+            raise ValueError(f"the replay stopped at k = {replay.k}, but the run records "
                              f"{iterations} iterations")
         for got, want in itertools.zip_longest(records, [r for r in rows if r.k >= start]):
             if got is None or want is None or trace_fields(got) != trace_fields(want):
-                raise ReplayMismatchError(f"the replay from k = {start} differs from trace.csv "
-                                          f"at k = {(got or want).k}")
+                raise ReplayMismatchError(f"the replay from k = {start} differs from the "
+                                          f"recorded trace at k = {(got or want).k}")
 
     op_norm_M = op_norm_M_minus_fix = fix_dim = failure = None
     if sc.sc_holds:

@@ -290,11 +290,10 @@ def _run_solve_manifest(manifest):
     np.save(os.path.join(out_dir, "z_final.npy"), state.Z)
     write_trace_csv(records, os.path.join(out_dir, "trace.csv"))
     # What diagnose replays: the arrays the run iterated on, so that it need
-    # not parse the text again (the table on its column support only), and
-    # the run's restart points.
-    support, cps = prob._support, state.checkpoints
-    np.savez(os.path.join(out_dir, "run.npz"), C=prob.C, b=prob.b, support=support,
-             columns=prob.table[:, support], k=np.array([c.k for c in cps], dtype=np.int64),
+    # not parse the text again, and the run's restart points.
+    cps = state.checkpoints
+    np.savez(os.path.join(out_dir, "run.npz"), C=prob.C, b=prob.b, support=prob.support,
+             columns=prob.columns, k=np.array([c.k for c in cps], dtype=np.int64),
              z=np.array([c.z for c in cps]).reshape(len(cps), prob.n, prob.n),
              u_z=np.array([c.u_z for c in cps]).reshape(len(cps), prob.m))
     summary = {
@@ -413,8 +412,9 @@ def _load_run(run_dir, summary):
     ``u_z``, of shapes that fit ``summary``'s ``n`` and ``m``, with ``k``
     strictly increasing integers in ``1..iterations``; a ValueError names
     the file otherwise. A run directory without that file parses
-    ``instance.dat-s`` and has no restart point. Either way
-    ``SdpProblem.from_table`` checks the problem."""
+    ``instance.dat-s`` and has no restart point. Either way the problem's
+    constructor (``SdpProblem.from_support`` here, ``SdpProblem.from_table``
+    in ``load_sdpa``) checks it."""
     path = os.path.join(run_dir, "run.npz")
     if not os.path.exists(path):
         return load_sdpa(os.path.join(run_dir, "instance.dat-s")), []
@@ -437,16 +437,14 @@ def _load_run(run_dir, summary):
                          f"shapes ({n}, {n}), ({m},), (s,), ({m}, s), (c,), (c, {n}, {n}) and "
                          f"(c, {m})")
     C, b, support, columns, ks, zs, us = (arrays[key] for key in shapes)
-    t = svec_dim(n)
-    for key, a, lo, hi in (("support", support, 0, t - 1), ("k", ks, 1, summary["iterations"])):
+    for key, a, lo, hi in (("support", support, 0, svec_dim(n) - 1),
+                           ("k", ks, 1, summary["iterations"])):
         if a.dtype.kind not in "iu" or not np.all(a[1:] > a[:-1]) or (
             a.size and (a[0] < lo or a[-1] > hi)
         ):
             raise ValueError(f"run.npz: {key} must hold strictly increasing integers "
                              f"in {lo}..{hi}")
-    table = np.zeros((m, t))
-    table[:, support] = columns
-    return (SdpProblem.from_table(C, table, b),
+    return (SdpProblem.from_support(C, support, columns, b),
             [Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)])
 
 

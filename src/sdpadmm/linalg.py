@@ -59,9 +59,10 @@ def triangle_maps(n):
 
 def svec(a):
     """Isometric vectorization of a symmetric matrix, or of each matrix of a
-    (..., n, n) stack: the entries in ``triangle_maps`` order, the constraint
-    table's, with those off the diagonal scaled by sqrt(2), so that
-    ``svec(A) @ svec(B) == <A, B>``. The trailing k x k block is the last t(k).
+    (..., n, n) stack: the entries in ``triangle_maps`` order, that of a
+    problem's ``support``, with those off the diagonal scaled by sqrt(2), so
+    that ``svec(A) @ svec(B) == <A, B>``. The trailing k x k block is the
+    last t(k).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]

@@ -24,25 +24,40 @@ _INDEPENDENCE_RTOL = 1e-10
 class SdpProblem:
     """Coefficients of a standard-form SDP.
 
+    The constraints are stored on their column support S only: the
+    packed-triangle positions, in ``linalg.triangle_maps`` order, outside
+    which every A_i is zero. A dense problem has full support; for max-cut S
+    is the diagonal.
+
     Attributes
     ----------
     C : (n, n) symmetric cost matrix
-    table : (m, t(n)) constraint table; row i is svec(A_i) without the
-        sqrt(2) off the diagonal, in ``linalg.triangle_maps`` order
     b : (m,) right-hand side
+    support : (|S|,) the positions of S, increasing
+    columns : (m, |S|) the constraints on S; row i holds the entries of A_i
+        at the positions of S, without the sqrt(2) off the diagonal
+    upper : (|S| + 1,) flat positions in an (n, n) matrix of the entries of
+        S, then position 0
+    weights : (|S| + 1,) inner-product weights of S (1 on the diagonal, 2 off
+        it), then 0
+    mirror : (n^2,) entry of S that each flat position mirrors, |S| for the
+        positions S does not cover
     R : (m, m) upper-triangular factor (Fortran order) with A A* = R'R,
-        from one Householder QR of the weighted rows of the table on its
-        column support S (the positions some A_i touches, found once by
-        exact zeros); the other rows are zero and do not change R'R
+        from one Householder QR of the weighted columns
     cond_R : 2-norm condition number of R, None when m = 0; the basis
         coordinates and y carry a relative error of about eps * cond_R
 
-    ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps only the
-    table of its symmetric part; :meth:`from_table` takes the table itself.
-    Either way all values must be finite and the A_i linearly independent,
-    so that A A* is invertible. Finiteness of the table is checked on S: a
-    non-finite entry is nonzero, so it lies in S. ``A`` mirrors the table
-    back to the (m, n, n) stack on demand; no code of the package reads it.
+    The trailing entries of ``upper`` and ``weights`` and the entry |S| that
+    ``mirror`` gives the positions outside S belong to one zero column after
+    S: the kernel's basis stores it, and A* appends it to its product.
+
+    ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps the symmetric
+    part on its support, :meth:`from_table` takes an (m, t(n)) table, and
+    both find S by exact zeros, with no threshold; :meth:`from_support`
+    takes S and the columns themselves. Either way all values must be finite
+    and the A_i linearly independent, so that A A* is invertible. ``A``
+    mirrors the columns back to the (m, n, n) stack on demand; no code of
+    the package reads it.
     """
 
     def __init__(self, C, A, b):
@@ -52,41 +67,70 @@ class SdpProblem:
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"constraint stack has shape {a.shape}, expected (m, n, n)")
         iu, ju = np.divmod(triangle_maps(a.shape[1])[0], a.shape[1])
-        self._set(C, 0.5 * (a[:, iu, ju] + a[:, ju, iu]), b)
+        self._set_table(C, 0.5 * (a[:, iu, ju] + a[:, ju, iu]), b)
 
     @classmethod
     def from_table(cls, C, table, b):
-        """Problem whose constraints are given as an (m, t(n)) table."""
+        """Problem whose constraints are given as an (m, t(n)) table, row i
+        the packed upper triangle of A_i without the sqrt(2) off the
+        diagonal. A table of full support is kept as it is, with no copy."""
         p = cls.__new__(cls)
-        p._set(C, np.asarray(table, dtype=float), b)
+        p._set_table(C, np.asarray(table, dtype=float), b)
         return p
 
-    def _set(self, C, table, b):
+    @classmethod
+    def from_support(cls, C, support, columns, b):
+        """Problem whose constraints are given on the positions ``support``,
+        strictly increasing integers in 0..t(n)-1, as the (m, |support|)
+        array ``columns``. A column may be zero in every row; the
+        constraints are zero off ``support``."""
+        p = cls.__new__(cls)
+        p._set_cost(C)
+        t = svec_dim(p.n)
+        s = np.asarray(support)
+        if s.ndim != 1 or s.size and (
+            s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or s[0] < 0 or s[-1] >= t
+        ):
+            raise ValueError(f"support must hold strictly increasing integers in 0..{t - 1}")
+        p._set(s.astype(np.intp, copy=False), np.asarray(columns, dtype=float), b)
+        return p
+
+    def _set_cost(self, C):
         self.C = symmetrize(C)
-        n = self.C.shape[0]
-        if n == 0:
+        if self.n == 0:
             raise ValueError("matrix dimension n = 0: a problem needs n >= 1")
-        if table.ndim != 2 or table.shape[1] != svec_dim(n):
+
+    def _set_table(self, C, table, b):
+        self._set_cost(C)
+        if table.ndim != 2 or table.shape[1] != svec_dim(self.n):
             raise ValueError("constraint and cost dimensions disagree")
-        self.table = np.ascontiguousarray(table)
+        support = np.flatnonzero(table.any(axis=0))
+        self._set(support, table if support.size == table.shape[1] else table[:, support], b)
+
+    def _set(self, support, columns, b):
+        n = self.n
+        if columns.ndim != 2 or columns.shape[1] != support.size:
+            raise ValueError("constraint and cost dimensions disagree")
+        self.support = support
+        self.columns = np.ascontiguousarray(columns)
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.b.shape != (self.m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.m},)")
-        # The column support S, by exact zeros, with no threshold.
-        self._support = np.flatnonzero(self.table.any(axis=0))
-        rows = self.table[:, self._support]
+        # A non-finite entry of a table is nonzero, so it lies in S.
         require_finite(self.C, "C")
-        require_finite(rows, "A")
+        require_finite(self.columns, "A")
         require_finite(self.b, "b")
         if self.m > svec_dim(n):
             raise ValueError(f"m = {self.m} exceeds dim S^n = {svec_dim(n)}")
-        # R has the singular values of the weighted table, so it decides
+        upper, weights, mirror = triangle_maps(n)
+        # R has the singular values of the weighted constraints, so it decides
         # independence; forming A A* would square its condition number. The
-        # rows outside S are zero and change neither R'R nor R up to row
-        # signs, so the QR reads the |S| support rows only. With |S| < m, R
-        # has only |S| rows and the rank check fails. The rows are weighted
-        # in place, so set-up holds one copy of them.
-        rows *= np.sqrt(triangle_maps(n)[1][self._support])
+        # rows of the table outside S are zero and change neither R'R nor R
+        # up to row signs, so the QR reads the |S| weighted columns only, one
+        # copy of them, whose transpose is C-ordered: the QR then copies its
+        # input least. With |S| < m, R has only |S| rows and the rank check
+        # fails.
+        rows = np.multiply(self.columns, np.sqrt(weights[support]), order="F")
         self.R = np.asfortranarray(np.linalg.qr(rows.T, mode="r"))
         self.cond_R = None
         if self.m > 0:
@@ -97,6 +141,11 @@ class SdpProblem:
                     f"constraint matrices are linearly dependent (rank {rank} < m = {self.m})"
                 )
             self.cond_R = float(sv[0] / sv[-1])
+        self.upper = np.append(upper[support], 0)
+        self.weights = np.append(weights[support], 0.0)
+        column = np.full(svec_dim(n), support.size)
+        column[support] = np.arange(support.size)
+        self.mirror = column[mirror]
 
     @property
     def n(self):
@@ -104,46 +153,56 @@ class SdpProblem:
 
     @property
     def m(self):
-        return self.table.shape[0]
+        return self.columns.shape[0]
 
     @property
     def A(self):
-        """(m, n, n) stack of the constraint matrices, built from the table."""
-        return self.table.take(triangle_maps(self.n)[2], axis=1).reshape(self.m, self.n, self.n)
+        """(m, n, n) stack of the constraint matrices, built from the columns."""
+        return _mirrored(self, _with_zero(self.columns))
 
 
-def _forward(p: SdpProblem, rows, upper, weights, x):
-    # rows @ (weighted entries of X at the flat positions ``upper``):
-    # <row_i, X> for every row whose columns are those positions.
+def _with_zero(v):
+    # v with the zero column appended along its last axis.
+    return np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+
+
+def _mirrored(p: SdpProblem, v):
+    # Full (..., n, n) matrices from entries on S and the zero column after
+    # them, along the last axis of v, in one ``take``.
+    return v.take(p.mirror, axis=-1).reshape(v.shape[:-1] + (p.n, p.n))
+
+
+def _forward(p: SdpProblem, rows, x):
+    # rows @ (weighted entries of X at the first rows.shape[1] positions of
+    # p.upper): the problem's columns on S, or the basis, whose zero column
+    # reads position 0 at weight 0.
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n, p.n):
         raise ValueError(f"X has shape {x.shape}, expected ({p.n}, {p.n})")
-    return rows @ (weights * x.take(upper))
+    s = rows.shape[1]
+    return rows @ (p.weights[:s] * x.take(p.upper[:s]))
 
 
-def _adjoint(p: SdpProblem, rows, mirror, y):
-    # sum_i y_i row_i as full matrices, with flat position j read from
-    # column mirror[j] of ``rows``; a (k, m) stack of coefficients reads
-    # ``rows`` once, in one gemm, and mirrors in one ``take``.
+def _coefficients(p: SdpProblem, y):
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != p.m:
         raise ValueError(f"y has shape {y.shape}, expected ({p.m},) or (k, {p.m})")
-    return (y @ rows).take(mirror, axis=-1).reshape(y.shape[:-1] + (p.n, p.n))
+    return y
 
 
 def apply_A(p: SdpProblem, x):
     """A X = (<A_1, X>, ..., <A_m, X>) for symmetric X: one gemv on the
-    table, against the weighted upper triangle of X."""
-    return _forward(p, p.table, *triangle_maps(p.n)[:2], x)
+    columns, against the weighted entries of X on S."""
+    return _forward(p, p.columns, x)
 
 
 def apply_At(p: SdpProblem, y):
     """Adjoint A* y = sum_i y_i A_i.
 
     A (k, m) stack of multipliers gives the (k, n, n) stack of adjoints in
-    one gemm, reading the table once, and one mirroring ``take``.
+    one gemm, reading the columns once, and one mirroring ``take``.
     """
-    return _adjoint(p, p.table, triangle_maps(p.n)[2], y)
+    return _mirrored(p, _with_zero(_coefficients(p, y) @ p.columns))
 
 
 @dataclass
@@ -156,57 +215,38 @@ class ConstraintKernel:
     R^-T A(H) (:func:`basis_coords`), and R' maps them back to the
     constraint values A(H) (:func:`constraint_values`).
 
-    B is stored on the column support S of the constraint table only: the
-    packed-triangle positions that some A_i touches. R is invertible, so
-    the columns of B outside S are exactly zero. A dense table has full
-    support; for max-cut S is the diagonal. One zero column follows S: the
-    positions outside S read it in B*, and B gives it weight 0, so neither
-    pass needs a zero buffer of its own per call.
+    B is stored on the column support S of the problem only. R is
+    invertible, so the columns of B outside S are exactly zero. One zero
+    column follows S: the positions outside S read it in B*, and B gives it
+    weight 0, so neither pass needs a zero buffer of its own per call. Both
+    passes read the problem's maps of S (``upper``, ``weights``,
+    ``mirror``), as A and A* do.
 
     Attributes
     ----------
-    basis : (m, |S| + 1) columns of B on S, in the order of the constraint
-        table, then the zero column
-    upper : (|S| + 1,) flat positions in an (n, n) matrix of the entries of
-        S, then position 0 for the zero column
-    weights : (|S| + 1,) inner-product weights of S (1 on the diagonal, 2 off
-        it), then 0
-    mirror : (n^2,) column of ``basis`` that each flat position mirrors, |S|
-        (the zero column) for the positions S does not cover
+    basis : (m, |S| + 1) columns of B on S, in the order of ``support``,
+        then the zero column
     b_hat : (m,) coordinates R^-T b, so that b'y = b_hat'(R y)
     at_pinv_b : (n, n) particular primal-feasible point A*(AA*)^-1 b
     """
 
     problem: SdpProblem
     basis: np.ndarray
-    upper: np.ndarray
-    weights: np.ndarray
-    mirror: np.ndarray
     b_hat: np.ndarray
     at_pinv_b: np.ndarray
 
 
 def build_kernel(p: SdpProblem) -> ConstraintKernel:
-    """Form the basis B = R^-T A on the column support S of the table.
+    """Form the basis B = R^-T A on the column support S of the problem.
 
-    S is the support the problem found by exact zeros when it factored R;
-    the table is not scanned again. The columns of S are copied out beside
-    one zero column, and one right-side ``dtrsm`` on their transpose, which
-    is Fortran-ordered as it stands, overwrites them with B; the zero column
-    stays zero."""
-    support = p._support
-    upper, weights, mirror = triangle_maps(p.n)
-    columns = np.zeros((p.m, support.size + 1))
-    columns[:, :-1] = p.table[:, support]
-    basis = scipy.linalg.blas.dtrsm(1.0, p.R, columns.T, side=1, overwrite_b=1).T
-    column = np.full(svec_dim(p.n), support.size)
-    column[support] = np.arange(support.size)
-    mirror = column[mirror]
+    The columns are copied out beside one zero column, and one right-side
+    ``dtrsm`` on their transpose, which is Fortran-ordered as it stands,
+    overwrites them with B; the zero column stays zero."""
+    basis = np.zeros((p.m, p.support.size + 1))
+    basis[:, :-1] = p.columns
+    basis = scipy.linalg.blas.dtrsm(1.0, p.R, basis.T, side=1, overwrite_b=1).T
     b_hat = _triangular_solve(p.R, p.b, trans=1)
-    return ConstraintKernel(
-        p, basis, np.append(upper[support], 0), np.append(weights[support], 0.0),
-        mirror, b_hat, at_pinv_b=_adjoint(p, basis, mirror, b_hat),
-    )
+    return ConstraintKernel(p, basis, b_hat, at_pinv_b=_mirrored(p, b_hat @ basis))
 
 
 def _triangular_solve(r, v, trans):
@@ -242,14 +282,14 @@ def multipliers(k: ConstraintKernel, u):
 def apply_B(k: ConstraintKernel, x):
     """B(X) = R^-T A(X), the coordinates of P(X) in the basis: one gemv on
     the stored columns of B, against the weighted entries of X on S."""
-    return _forward(k.problem, k.basis, k.upper, k.weights, x)
+    return _forward(k.problem, k.basis, x)
 
 
 def apply_Bt(k: ConstraintKernel, u):
     """B* u = sum_i u_i B_i: one gemv on the stored columns of B, mirrored
     to (n, n) with zeros off S; a (k, m) stack gives k matrices in one
     gemm."""
-    return _adjoint(k.problem, k.basis, k.mirror, u)
+    return _mirrored(k.problem, _coefficients(k.problem, u) @ k.basis)
 
 
 def solve_normal(k: ConstraintKernel, v):
@@ -283,7 +323,7 @@ def project_null(k: ConstraintKernel, h):
 _SDPA_PUNCT = str.maketrans("{}(),", "     ")
 # Characters read per chunk of an SDPA data section; each chunk runs on to the
 # end of its line, so no token is cut. write_sdpa formats the entries of
-# _CHUNK_CHARS // 16 table positions per write.
+# _CHUNK_CHARS // 16 coefficient positions per write.
 _CHUNK_CHARS = 1 << 16
 
 
@@ -456,25 +496,30 @@ def load_sdpa(path) -> SdpProblem:
 def write_sdpa(p: SdpProblem, path, comment=None):
     """Write a problem in sparse SDPA format (single PSD block).
 
-    Writes the nonzero upper-triangle entries of F0 = -C and F_i = A_i, in
-    matrix order and row-major within each triangle. Values are formatted
-    with shortest round-trip precision (``repr``), so
-    ``load_sdpa(write_sdpa(p))`` reproduces the coefficients bit for bit.
-    Each line of ``comment`` is written as its own ``*`` comment line.
+    Writes the nonzero upper-triangle entries of F0 = -C and then of each
+    F_i = A_i, read from ``columns`` on ``support``, in matrix order and
+    row-major within each triangle. Values are formatted with shortest
+    round-trip precision (``repr``), so ``load_sdpa(write_sdpa(p))``
+    reproduces the coefficients bit for bit. Each line of ``comment`` is
+    written as its own ``*`` comment line.
     """
     iu, ju = np.divmod(triangle_maps(p.n)[0], p.n)
-    table = np.concatenate([-p.C[None, iu, ju], p.table]).reshape(-1)
     step = _CHUNK_CHARS // 16
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write("".join(f"* {line}\n" for line in comment.splitlines()))
         fh.write(f"{p.m}\n1\n{p.n}\n{' '.join(map(repr, p.b.tolist()))}\n")
-        for start in range(0, table.size, step):
-            flat = np.flatnonzero(table[start : start + step]) + start
-            matno, pos = np.divmod(flat, iu.size)
-            rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
-                       table[flat].tolist())
-            fh.write("".join([f"{k} 1 {i} {j} {v!r}\n" for k, i, j, v in rows]))
+        # F0 on every position, then the F_i on S, each as a flat array of
+        # (matrix, position) entries formatted ``step`` at a time.
+        for first, values, positions in ((0, -p.C[iu, ju], np.arange(iu.size)),
+                                         (1, p.columns.reshape(-1), p.support)):
+            for start in range(0, values.size, step):
+                flat = np.flatnonzero(values[start : start + step]) + start
+                matno, col = np.divmod(flat, positions.size)
+                pos = positions[col]
+                rows = zip((matno + first).tolist(), (iu[pos] + 1).tolist(),
+                           (ju[pos] + 1).tolist(), values[flat].tolist())
+                fh.write("".join([f"{k} 1 {i} {j} {v!r}\n" for k, i, j, v in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +649,9 @@ def generate_maxcut(adjacency) -> SdpProblem:
     """Max-cut relaxation min <C, X>, diag(X) = 1 with C = -(D - W) / 4.
 
     ``adjacency`` must be a symmetric 0/1 matrix with zero diagonal; minus the
-    optimal value upper-bounds the maximum cut of the graph.
+    optimal value upper-bounds the maximum cut of the graph. The constraints
+    are given on their support, the n diagonal positions, as the columns I:
+    no (n, t(n)) table is formed.
     """
     w = np.asarray(adjacency, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -616,7 +663,6 @@ def generate_maxcut(adjacency) -> SdpProblem:
     require_finite(w, "adjacency")
     n = w.shape[0]
     laplacian = np.diag(w.sum(axis=1)) - w
-    diag = np.arange(n)
-    table = np.zeros((n, svec_dim(n)))
-    table[diag, triangle_maps(n)[2][diag * (n + 1)]] = 1.0
-    return SdpProblem.from_table(C=-laplacian / 4.0, table=table, b=np.ones(n))
+    diagonal = triangle_maps(n)[2][np.arange(n) * (n + 1)]
+    return SdpProblem.from_support(C=-laplacian / 4.0, support=diagonal, columns=np.eye(n),
+                                   b=np.ones(n))

@@ -12,8 +12,8 @@ Each iteration of ``solve`` costs one partial eigendecomposition and two
 passes over the orthonormal basis B = R^-T A of range(A*) (AA* = R'R),
 stored only on the packed-triangle positions the constraints touch: the
 forward pass u_X = B(X) and the backward pass B*(u_Z - 2 u_X) = P(Z - 2X).
-The loop never reads the constraint table and never solves with R; the
-set-up reads the table once, for A(C). The decomposition computes every
+The loop never reads the constraint columns and never solves with R; the
+set-up reads them once, for A(C). The decomposition computes every
 eigenvalue of Z but eigenvectors only for the smaller sign group; that
 group gives one projection, and Pi(Z) - Pi(-Z) = Z the other. Constraint
 values are carried as basis coordinates u = B(.) = R^-T A(.): u_Z follows
@@ -154,7 +154,7 @@ class Checkpoint(NamedTuple):
 class PhaseTimings:
     """Wall seconds and call counts of the phases of one solve: partial
     eigendecompositions (which include forming Pi(Z) and Pi(-Z)),
-    constraint-operator passes (``apply_A`` on the table once, for A(C), and
+    constraint-operator passes (``apply_A`` on the columns once, for A(C), and
     ``apply_B`` and ``apply_Bt`` on the basis), the one product
     with R' per iterate that gives A(X) - b (``primal_residual``) and trace
     records. :meth:`of` makes the same record for the phases of a command."""
@@ -308,7 +308,7 @@ def solve(
     timings = PhaseTimings()
     # Basis coordinates of const and Z0, which the loop carries, and of C,
     # which only y and b'y read; C's are R^-T A(C), from the run's one
-    # table pass.
+    # pass over the constraint columns.
     u_const = timings.call("constraint_op", apply_B, kernel, const)
     if start is None:
         z = initial_z(p, cfg)

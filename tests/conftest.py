@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdpadmm import SolverConfig, build_kernel, generate_planted
+from sdpadmm.linalg import svec_dim
 from sdpadmm.problem import haar_orthogonal
 
 
@@ -34,6 +35,14 @@ def pytest_runtest_protocol(item, nextitem):
 def random_sym(n, rng, scale=1.0):
     m = rng.standard_normal((n, n))
     return scale * 0.5 * (m + m.T)
+
+
+def dense_table(p):
+    """Oracle: the (m, t(n)) constraint table of ``p``, its columns put back
+    on the support in a zero table."""
+    table = np.zeros((p.m, svec_dim(p.n)))
+    table[:, p.support] = p.columns
+    return table
 
 
 def random_indefinite(n, r, rng, gap=0.5, top=2.0):

@@ -28,6 +28,8 @@ from sdpadmm.solver import (
     solve,
 )
 
+from conftest import dense_table
+
 
 def write_manifest(path, **fields):
     path.write_text(json.dumps(fields))
@@ -88,9 +90,10 @@ def test_solve_converges_and_writes_artifacts(planted_manifest, capsys):
         count = summary["iterations"].bit_length()
         assert npz["k"].tolist() == [2**j for j in range(count)]
         assert npz["z"].shape == (count, 10, 10) and npz["u_z"].shape == (count, 20)
-        table = np.zeros_like(parsed.table)
+        parsed_table = dense_table(parsed)
+        table = np.zeros_like(parsed_table)
         table[:, npz["support"]] = npz["columns"]
-        for got, want in [(npz["C"], parsed.C), (table, parsed.table), (npz["b"], parsed.b)]:
+        for got, want in [(npz["C"], parsed.C), (table, parsed_table), (npz["b"], parsed.b)]:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -941,13 +944,36 @@ def test_analyse_opens_no_file(monkeypatch):
                                                         analysis._FIT_SEQUENCES]
 
 
+def test_analyse_replay_errors_name_no_file():
+    # analyse takes the run's arrays, so its two replay errors speak of the
+    # run and its recorded trace, not of the files diagnose reads them from.
+    prob, _ = generate_planted(10, 20, 3, seed=1)
+    cfg = SolverConfig(seed=1, tol_rmax=1e-10)
+    state, records, status = solve(prob, cfg)
+    edited = records[-3]
+    rows = [*records[:-3], dataclasses.replace(edited, r_p=edited.r_p * (1.0 + 1e-12)),
+            *records[-2:]]
+    timings = PhaseTimings.of(*analysis.PHASES)
+    with pytest.raises(analysis.ReplayMismatchError) as mismatch:
+        analysis.analyse(prob, cfg, state.k, state.Z, rows, state.checkpoints, status, timings)
+    with pytest.raises(ValueError) as early:
+        analysis.analyse(prob, cfg, state.k + 5, state.Z, records, state.checkpoints, status,
+                         timings)
+    assert re.fullmatch(rf"the replay from k = \d+ differs from the recorded trace at "
+                        rf"k = {edited.k}", str(mismatch.value))
+    assert str(early.value) == (f"the replay stopped at k = {state.k}, but the run records "
+                                f"{state.k + 5} iterations")
+    for message in (str(mismatch.value), str(early.value)):
+        assert not re.search(r"\.(csv|json|npz|npy|dat-s)\b", message), message
+
+
 def _diagnose_error(out, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
     assert not (out / "diagnostics.json").exists()
-    match = re.fullmatch(r"error: the replay from k = (\d+) differs from trace.csv at "
-                         r"k = (\d+)\n", err)
+    match = re.fullmatch(r"error: the replay from k = (\d+) differs from the recorded trace "
+                         r"at k = (\d+)\n", err)
     assert match, err
     return int(match[1]), int(match[2])
 
@@ -992,7 +1018,7 @@ def test_diagnose_names_both_blas_thread_counts(planted_manifest, capsys, monkey
     capsys.readouterr()
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: the replay from k = \d+ differs from trace.csv at "
+    assert re.fullmatch(rf"error: the replay from k = \d+ differs from the recorded trace at "
                         rf"k = {edited}; summary.json records 3 BLAS threads, "
                         rf"this process runs 5\n", err), err
     assert not (out / "diagnostics.json").exists()
@@ -1307,7 +1333,7 @@ def test_diagnose_refuses_a_replay_that_stops_early(planted_manifest, capsys):
     assert main(["diagnose", "--run", str(out)]) == 1
     err = capsys.readouterr().err
     match = re.fullmatch(
-        r"error: the replay stopped at k = (\d+), but summary.json records (\d+) iterations\n", err
+        r"error: the replay stopped at k = (\d+), but the run records (\d+) iterations\n", err
     )
     assert match and int(match[1]) < int(match[2]) == summary["iterations"]
     assert not (out / "diagnostics.json").exists()
@@ -1564,8 +1590,9 @@ def test_generate_and_a_solve_manifest_give_one_instance(tmp_path, capsys, monke
     assert main(["solve", "--manifest", manifest]) == 2
     capsys.readouterr()
     generated, solved = load_sdpa("gen.dat-s"), load_sdpa("run/instance.dat-s")
-    for field in ("C", "table", "b"):
-        assert getattr(generated, field).tobytes() == getattr(solved, field).tobytes()
+    for got, want in [(generated.C, solved.C), (dense_table(generated), dense_table(solved)),
+                      (generated.b, solved.b)]:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_generate_default_names(tmp_path, capsys, monkeypatch):

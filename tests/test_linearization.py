@@ -646,7 +646,7 @@ def test_mixing_the_constraints_changes_no_witness(n, data, degeneracy, seed):
     m = data.draw(st.integers(1, svec_dim(n) - 1))
     prob, cert = generate_planted(n, m, r, seed=seed, degeneracy=degeneracy)
     mix = _mixing(m, np.random.default_rng(seed))
-    mixed = SdpProblem.from_table(prob.C, mix @ prob.table, mix @ prob.b)
+    mixed = SdpProblem.from_support(prob.C, prob.support, mix @ prob.columns, mix @ prob.b)
     dec = eig_sym(cert.zstar(1.0))
     os_ = build_omega(dec)
     reports, rows, tables = [], [], []

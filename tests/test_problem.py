@@ -27,7 +27,7 @@ from sdpadmm.problem import (
     write_sdpa,
 )
 
-from conftest import random_sym
+from conftest import dense_table, random_sym
 
 
 def cycle_adjacency(n):
@@ -307,7 +307,7 @@ def test_empty_constraint_set():
 class FullWidthBasis:
     def __init__(self, p):
         self.n = p.n
-        self.basis = scipy.linalg.blas.dtrsm(1.0, p.R, p.table.T, side=1).T
+        self.basis = scipy.linalg.blas.dtrsm(1.0, p.R, dense_table(p).T, side=1).T
         iu, ju = np.triu_indices(p.n)
         self.upper = iu * p.n + ju
         self.weights = np.where(iu == ju, 1.0, 2.0)
@@ -337,7 +337,7 @@ def dense_R(p):
     # the whole weighted (t(n), m) table, zero rows included.
     iu, ju = np.triu_indices(p.n)
     weights = np.where(iu == ju, 1.0, 2.0)
-    return np.asfortranarray(np.linalg.qr((p.table * np.sqrt(weights)).T, mode="r"))
+    return np.asfortranarray(np.linalg.qr((dense_table(p) * np.sqrt(weights)).T, mode="r"))
 
 
 # Problems with full, diagonal, partial and empty column support, each with
@@ -394,6 +394,46 @@ def test_support_R_matches_dense_table_R(case):
         assert p.cond_R == pytest.approx(np.linalg.cond(want), rel=1e-12)
     else:
         assert p.cond_R is None
+
+
+@pytest.mark.parametrize("case", list(SUPPORT_PROBLEMS))
+def test_from_support_rebuilds_the_problem_bit_for_bit(case):
+    # What run.npz stores, support and columns beside C and b, gives back R,
+    # cond_R and the kernel of the problem it came from, bit for bit.
+    p = SUPPORT_PROBLEMS[case][0]()
+    q = SdpProblem.from_support(p.C, p.support, p.columns, p.b)
+    assert q.cond_R == p.cond_R
+    kp, kq = build_kernel(p), build_kernel(q)
+    for got, want in [(q.R, p.R), (kq.basis, kp.basis), (kq.at_pinv_b, kp.at_pinv_b)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_SUPPORT_ORDER = r"support must hold strictly increasing integers in 0\.\.5"
+
+
+@pytest.mark.parametrize(
+    "support, columns, message",
+    [
+        ([2, 1], np.eye(2), _SUPPORT_ORDER),
+        ([1, 1], np.eye(2), _SUPPORT_ORDER),
+        ([-1, 0], np.eye(2), _SUPPORT_ORDER),
+        ([0, 6], np.eye(2), _SUPPORT_ORDER),
+        ([0.0, 3.0], np.eye(2), _SUPPORT_ORDER),
+        ([[0, 3]], np.eye(2), _SUPPORT_ORDER),
+        ([0, 3], np.eye(2, 3), "constraint and cost dimensions disagree"),
+        ([0, 3], np.ones(2), "constraint and cost dimensions disagree"),
+        ([0, 3], [[1.0, np.nan], [0.0, 1.0]], "A contains non-finite"),
+        ([0, 3], [[1.0, 0.0], [2.0, 0.0]], r"linearly dependent \(rank 1 < m = 2\)"),
+        ([0, 3, 5], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"linearly dependent \(rank 1 < m = 2\)"),
+    ],
+    ids=["decreasing", "duplicate", "below", "above", "float", "2d", "column-count",
+         "columns-1d", "non-finite", "dependent", "zero-row"],
+)
+def test_from_support_refuses_what_from_table_refuses(support, columns, message):
+    # n = 3, so the positions are 0..5, and m = 2. The checks on the columns
+    # give from_table's messages.
+    with pytest.raises(ValueError, match=message):
+        SdpProblem.from_support(C=np.eye(3), support=support, columns=columns, b=np.zeros(2))
 
 
 def test_cond_R_is_the_condition_number_of_R():
@@ -454,7 +494,7 @@ def test_packed_table_matches_dense_stack_oracle(idx):
     oracle = DenseStackOracle(a)
     assert np.array_equal(p.A, oracle.stack)
     assert all(np.ndim(v) < 3 for v in vars(p).values())
-    assert p.table.flags.c_contiguous and p.table.shape == (p.m, svec_dim(p.n))
+    assert p.columns.flags.c_contiguous and p.columns.shape == (p.m, p.support.size)
     kern = build_kernel(p)
     rng = np.random.default_rng(idx)
     if p.m == 0:
@@ -492,7 +532,7 @@ def test_table_operator_properties(case):
     x, h = random_sym(p.n, rng), random_sym(p.n, rng)
     y = rng.standard_normal(p.m)
     at_y = apply_At(p, y)
-    scale = np.linalg.norm(p.table) * np.linalg.norm(x) * np.linalg.norm(y)
+    scale = np.linalg.norm(dense_table(p)) * np.linalg.norm(x) * np.linalg.norm(y)
     assert abs(apply_A(p, x) @ y - np.sum(x * at_y)) <= 1e-13 * max(1.0, scale)
     px, ph = project_range(kern, x), project_range(kern, h)
     assert np.linalg.norm(project_range(kern, px) - px) <= 1e-9 * np.linalg.norm(x)
@@ -730,13 +770,45 @@ def test_sdpa_io_matches_loop_oracle(tmp_path, comment):
         _assert_same_problem(back, prob)
 
 
+# Oracle: test-local copy of the writer that formatted the dense (m+1, t(n))
+# table of F0 and the F_i, in flat chunks.
+
+
+def dense_write_sdpa(p, path, comment=None):
+    iu, ju = np.triu_indices(p.n)
+    table = np.concatenate([-p.C[None, iu, ju], dense_table(p)]).reshape(-1)
+    step = problem_mod._CHUNK_CHARS // 16
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write("".join(f"* {line}\n" for line in comment.splitlines()))
+        fh.write(f"{p.m}\n1\n{p.n}\n{' '.join(map(repr, p.b.tolist()))}\n")
+        for start in range(0, table.size, step):
+            flat = np.flatnonzero(table[start : start + step]) + start
+            matno, pos = np.divmod(flat, iu.size)
+            rows = zip(matno.tolist(), (iu[pos] + 1).tolist(), (ju[pos] + 1).tolist(),
+                       table[flat].tolist())
+            fh.write("".join([f"{k} 1 {i} {j} {v!r}\n" for k, i, j, v in rows]))
+
+
+@pytest.mark.parametrize("chunk", [problem_mod._CHUNK_CHARS, 64], ids=["default", "small"])
+@pytest.mark.parametrize("case", list(SUPPORT_PROBLEMS))
+def test_write_sdpa_matches_the_dense_table_writer(tmp_path, monkeypatch, case, chunk):
+    # Small chunks cut F0 and the F_i at several places.
+    p = SUPPORT_PROBLEMS[case][0]()
+    monkeypatch.setattr(problem_mod, "_CHUNK_CHARS", chunk)
+    new, old = tmp_path / "new.dat-s", tmp_path / "old.dat-s"
+    write_sdpa(p, new, comment=case)
+    dense_write_sdpa(p, old, comment=case)
+    assert new.read_bytes() == old.read_bytes()
+
+
 @pytest.mark.parametrize("idx", [0, 3, 5], ids=["planted", "maxcut", "special"])
 def test_svec_of_the_constraints_is_the_weighted_table(idx):
     # One packed order: svec(A_i) is row i of the table with its off-diagonal
     # entries scaled by sqrt(2), bit for bit.
     p = _oracle_problems()[idx]
     iu, ju = np.triu_indices(p.n)
-    assert np.array_equal(svec(p.A), p.table * np.sqrt(np.where(iu == ju, 1.0, 2.0)))
+    assert np.array_equal(svec(p.A), dense_table(p) * np.sqrt(np.where(iu == ju, 1.0, 2.0)))
 
 
 def test_load_sdpa_sdplib_style_matches_loop_oracle(tmp_path):
@@ -798,6 +870,24 @@ def test_sdpa_io_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     _assert_same_problem(back, prob)
     assert write_peak <= 24e6 and load_peak <= 24e6, (write_peak, load_peak)
+
+
+def test_maxcut_set_up_and_write_hold_no_dense_table(tmp_path):
+    # G(200, 0.05): the (n, t(n)) table of its constraints would be 32 MB.
+    # Set-up on the diagonal support and the writer, counted above what the
+    # problem and its kernel hold, stay far below it.
+    rng = np.random.default_rng(0)
+    w = np.triu((rng.random((200, 200)) < 0.05).astype(float), 1)
+    tracemalloc.start()
+    try:
+        kern = build_kernel(generate_maxcut(w + w.T))
+        held, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_sdpa(kern.problem, tmp_path / "cut.dat-s")
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert setup_peak < 4e6 and write_peak < 2e6, (setup_peak, write_peak)
 
 
 # -- generators --------------------------------------------------------------

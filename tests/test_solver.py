@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpadmm.diagnostics import offblock_norm
-from sdpadmm.linalg import eig_sym, psd_project, psd_split, symmetrize
+from sdpadmm.linalg import eig_sym, psd_project, psd_split, svec_dim, symmetrize
 from sdpadmm.problem import (
     SdpProblem,
     apply_A,
@@ -34,8 +34,8 @@ from sdpadmm.solver import (
     z_difference_identity,
 )
 
-from conftest import random_sym
-from test_problem import FullWidthBasis, cycle_adjacency, dense_R
+from conftest import dense_table, random_sym
+from test_problem import cycle_adjacency, dense_R
 
 
 def make_state(p, kern, cfg, z):
@@ -469,18 +469,19 @@ def _check_fused_loop(p, sigma):
 
 def test_maxcut_solve_is_bit_identical_with_the_full_width_basis():
     # On max-cut R = +-I, so every basis product is an exact selection, and
-    # storing B on the diagonal only changes no bit of the run.
+    # storing B on the diagonal only changes no bit of the run. The wide
+    # kernel is built on the same problem given on every packed position,
+    # with the same R.
     p = generate_maxcut(_random_graph(30, 0.3, seed=4))
     kern = build_kernel(p)
-    full = FullWidthBasis(p)
-    wide = dataclasses.replace(
-        kern, basis=full.basis, upper=full.upper, weights=full.weights, mirror=full.mirror,
-        at_pinv_b=full.apply_Bt(kern.b_hat),
-    )
+    full = SdpProblem.from_support(p.C, np.arange(svec_dim(p.n)), dense_table(p), p.b)
+    full.R = p.R
+    wide = build_kernel(full)
     assert kern.basis.shape == (p.n, p.n + 1) and np.array_equal(kern.at_pinv_b, wide.at_pinv_b)
+    assert wide.basis.shape == (p.n, svec_dim(p.n) + 1)
     cfg = SolverConfig(max_iter=300, tol_rmax=1e-16, seed=3)
     got, got_records, _ = solve(p, cfg, kernel=kern)
-    want, want_records, _ = solve(p, cfg, kernel=wide)
+    want, want_records, _ = solve(full, cfg, kernel=wide)
     assert got.k == want.k == 300
     for name in ("Z", "X", "y", "S"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
