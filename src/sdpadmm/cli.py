@@ -55,7 +55,7 @@ from .errors import (
     require_object,
     require_path,
 )
-from .linalg import RANK_TAU, svec_dim, sym_norm2, symmetrize
+from .linalg import RANK_TAU, require_finite, sym_norm2, symmetrize
 from .problem import (
     SdpProblem,
     build_kernel,
@@ -359,10 +359,11 @@ def diagnose_run(run_dir, timings=None):
     ``run`` and ``status``, the report of ``analysis.analyse`` on the run's
     arrays, and this process's ``provenance``. A ValueError names the file
     or the field of a malformed ``summary.json`` (one missing a
-    ``SolverConfig`` field included), ``run.npz`` or ``trace.csv``, or of a
-    ``z_final.npy`` that is not a real (n, n) array; a replay that differs
-    from ``trace.csv`` also names the recorded and current BLAS thread
-    counts when they differ. ``timings``, a
+    ``SolverConfig`` field included), ``run.npz`` (one with a non-finite
+    array or dependent constraints included) or ``trace.csv``, or of a
+    ``z_final.npy`` that is not a finite real (n, n) array; a replay that
+    differs from ``trace.csv`` also names the recorded and current BLAS
+    thread counts when they differ. ``timings``, a
     ``PhaseTimings.of(*DIAGNOSE_PHASES)``, receives the time of each phase;
     it stays out of the report, which repeats between commands."""
     if timings is None:
@@ -386,6 +387,7 @@ def diagnose_run(run_dir, timings=None):
         z_final = _load_matrix(z_path, "z_final.npy")
         if z_final.shape != (prob.n, prob.n):
             raise ValueError(f"z_final.npy has shape {z_final.shape}, expected {(prob.n,) * 2}")
+        require_finite(z_final, "z_final.npy")
         # The replay must be the recorded run: no SolverConfig field may fall
         # back to its default.
         require_keys("summary.json", summary, *_CFG_KEYS)
@@ -410,11 +412,12 @@ def _load_run(run_dir, summary):
     of ``Checkpoint`` in increasing ``k``, from ``run.npz``: exactly the
     real arrays ``C``, ``b``, ``support``, ``columns``, ``k``, ``z`` and
     ``u_z``, of shapes that fit ``summary``'s ``n`` and ``m``, with ``k``
-    strictly increasing integers in ``1..iterations``; a ValueError names
-    the file otherwise. A run directory without that file parses
-    ``instance.dat-s`` and has no restart point. Either way the problem's
-    constructor (``SdpProblem.from_support`` here, ``SdpProblem.from_table``
-    in ``load_sdpa``) checks it."""
+    strictly increasing integers in ``1..iterations`` and ``z`` and ``u_z``
+    finite; a ValueError names the file otherwise. ``SdpProblem.from_support``
+    checks the problem, and its errors are prefixed with the file's name. A
+    run directory without that file parses ``instance.dat-s`` with
+    ``load_sdpa``, which ends in the same constructor, and has no restart
+    point."""
     path = os.path.join(run_dir, "run.npz")
     if not os.path.exists(path):
         return load_sdpa(os.path.join(run_dir, "instance.dat-s")), []
@@ -437,15 +440,18 @@ def _load_run(run_dir, summary):
                          f"shapes ({n}, {n}), ({m},), (s,), ({m}, s), (c,), (c, {n}, {n}) and "
                          f"(c, {m})")
     C, b, support, columns, ks, zs, us = (arrays[key] for key in shapes)
-    for key, a, lo, hi in (("support", support, 0, svec_dim(n) - 1),
-                           ("k", ks, 1, summary["iterations"])):
-        if a.dtype.kind not in "iu" or not np.all(a[1:] > a[:-1]) or (
-            a.size and (a[0] < lo or a[-1] > hi)
-        ):
-            raise ValueError(f"run.npz: {key} must hold strictly increasing integers "
-                             f"in {lo}..{hi}")
-    return (SdpProblem.from_support(C, support, columns, b),
-            [Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)])
+    try:
+        prob = SdpProblem.from_support(C, support, columns, b)
+    except ValueError as exc:
+        raise ValueError(f"run.npz: {exc}") from exc
+    last = summary["iterations"]
+    if ks.dtype.kind not in "iu" or not np.all(ks[1:] > ks[:-1]) or (
+        ks.size and (ks[0] < 1 or ks[-1] > last)
+    ):
+        raise ValueError(f"run.npz: k must hold strictly increasing integers in 1..{last}")
+    require_finite(zs, "run.npz: z")
+    require_finite(us, "run.npz: u_z")
+    return prob, [Checkpoint(int(k), z, u) for k, z, u in zip(ks, zs, us)]
 
 
 def _cmd_diagnose(args):

@@ -51,13 +51,13 @@ class SdpProblem:
     ``mirror`` gives the positions outside S belong to one zero column after
     S: the kernel's basis stores it, and A* appends it to its product.
 
-    ``SdpProblem(C, A, b)`` takes an (m, n, n) stack and keeps the symmetric
-    part on its support, :meth:`from_table` takes an (m, t(n)) table, and
-    both find S by exact zeros, with no threshold; :meth:`from_support`
-    takes S and the columns themselves. Either way all values must be finite
-    and the A_i linearly independent, so that A A* is invertible. ``A``
-    mirrors the columns back to the (m, n, n) stack on demand; no code of
-    the package reads it.
+    ``SdpProblem(C, A, b)`` takes an (m, n, n) stack, keeps the symmetric
+    part on its support and finds S by exact zeros, with no threshold;
+    :meth:`from_support` takes S and the columns themselves, as
+    :func:`load_sdpa`, :func:`generate_maxcut` and ``run.npz`` give them.
+    Either way all values must be finite and the A_i linearly independent,
+    so that A A* is invertible. ``A`` mirrors the columns back to the
+    (m, n, n) stack on demand; no code of the package reads it.
     """
 
     def __init__(self, C, A, b):
@@ -66,17 +66,13 @@ class SdpProblem:
             a = a[None, :, :]
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"constraint stack has shape {a.shape}, expected (m, n, n)")
-        iu, ju = np.divmod(triangle_maps(a.shape[1])[0], a.shape[1])
-        self._set_table(C, 0.5 * (a[:, iu, ju] + a[:, ju, iu]), b)
-
-    @classmethod
-    def from_table(cls, C, table, b):
-        """Problem whose constraints are given as an (m, t(n)) table, row i
-        the packed upper triangle of A_i without the sqrt(2) off the
-        diagonal. A table of full support is kept as it is, with no copy."""
-        p = cls.__new__(cls)
-        p._set_table(C, np.asarray(table, dtype=float), b)
-        return p
+        self._set_cost(C)
+        if a.shape[1] != self.n:
+            raise ValueError("constraint and cost dimensions disagree")
+        iu, ju = np.divmod(triangle_maps(self.n)[0], self.n)
+        table = 0.5 * (a[:, iu, ju] + a[:, ju, iu])
+        support = np.flatnonzero(table.any(axis=0))
+        self._set(support, table if support.size == table.shape[1] else table[:, support], b)
 
     @classmethod
     def from_support(cls, C, support, columns, b):
@@ -88,8 +84,8 @@ class SdpProblem:
         p._set_cost(C)
         t = svec_dim(p.n)
         s = np.asarray(support)
-        if s.ndim != 1 or s.size and (
-            s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or s[0] < 0 or s[-1] >= t
+        if s.ndim != 1 or s.dtype.kind not in "iu" or s.size and (
+            np.any(s[1:] <= s[:-1]) or s[0] < 0 or s[-1] >= t
         ):
             raise ValueError(f"support must hold strictly increasing integers in 0..{t - 1}")
         p._set(s.astype(np.intp, copy=False), np.asarray(columns, dtype=float), b)
@@ -100,13 +96,6 @@ class SdpProblem:
         if self.n == 0:
             raise ValueError("matrix dimension n = 0: a problem needs n >= 1")
 
-    def _set_table(self, C, table, b):
-        self._set_cost(C)
-        if table.ndim != 2 or table.shape[1] != svec_dim(self.n):
-            raise ValueError("constraint and cost dimensions disagree")
-        support = np.flatnonzero(table.any(axis=0))
-        self._set(support, table if support.size == table.shape[1] else table[:, support], b)
-
     def _set(self, support, columns, b):
         n = self.n
         if columns.ndim != 2 or columns.shape[1] != support.size:
@@ -116,7 +105,7 @@ class SdpProblem:
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.b.shape != (self.m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.m},)")
-        # A non-finite entry of a table is nonzero, so it lies in S.
+        # A non-finite entry of a stack or a file is nonzero, so it lies in S.
         require_finite(self.C, "C")
         require_finite(self.columns, "A")
         require_finite(self.b, "b")
@@ -360,9 +349,9 @@ def _first_defect(parse, tokens, unit):
 
 
 def _entry_keys(tokens, m, n, strict, seen):
-    """Flat ``(m+1, t(n))`` table positions and values of the 5-tuples in
-    ``tokens``, each field checked in the order an entry lists it. Positions
-    are then marked in ``seen``; one marked already, or repeated within
+    """Keys ``matno * t(n) + position`` and values of the 5-tuples in
+    ``tokens``, each field checked in the order an entry lists it. Keys are
+    then marked in ``seen``; one marked already, or repeated within
     ``tokens``, is a duplicate."""
     matno = _sdpa_column(tokens[0::5], np.int64, "index", strict)
     if (bad := (matno < 0) | (matno > m)).any():
@@ -391,7 +380,8 @@ def _entry_keys(tokens, m, n, strict, seen):
 
 
 def _read_sdpa(fh):
-    """(C, table, b) of the SDPA text stream ``fh``; see :func:`load_sdpa`."""
+    """(C, support, columns, b) of the SDPA text stream ``fh``; see
+    :func:`load_sdpa`."""
     header = []
     while len(header) < 3:
         line = fh.readline()
@@ -421,17 +411,20 @@ def _read_sdpa(fh):
             f"block 1 has negative size {block_sizes[0]} (diagonal/LP block), unsupported"
         )
     n = block_sizes[0]
-    # Each entry lands in the (m+1, t(n)) table of F0 and the F_i, at a flat
-    # key that allocating the table first bounds, so it cannot wrap in int64.
-    # ``seen`` marks the keys already set, for the duplicate check.
+    # Each entry has the key matno * t(n) + position. ``seen`` marks the keys
+    # already set, for the duplicate check; allocating it first bounds the
+    # keys, so they cannot wrap in int64.
     t = svec_dim(n)
     try:
-        table = np.zeros((m + 1) * t)
-        seen = np.zeros(table.size, dtype=bool)
+        seen = np.zeros((m + 1) * t, dtype=bool)
     except (MemoryError, ValueError, OverflowError) as exc:
-        raise SdpaFormatError(f"block size {n} needs {8 * (m + 1) * t} bytes") from exc
+        raise SdpaFormatError(f"block size {n} needs {(m + 1) * t} bytes") from exc
 
-    b_parts, b_left, carry = [np.zeros(0)], m, []
+    # F0 fills a packed vector. The F_i entries of each chunk are kept as its
+    # own two arrays, and ``in_support`` marks the positions where some F_i
+    # has a nonzero value: S, which leaves out an explicit zero elsewhere.
+    f0, in_support = np.zeros(t), np.zeros(t, dtype=bool)
+    entries, b_parts, b_left, carry = [], [np.zeros(0)], m, []
     while text := fh.read(_CHUNK_CHARS):
         text += fh.readline()
         if "*" in text or '"' in text:
@@ -450,13 +443,26 @@ def _read_sdpa(fh):
         tokens, carry = tokens[:whole], tokens[whole:]
         key, value = _first_defect(
             lambda toks: _entry_keys(toks, m, n, strict, seen), tokens, 5)
-        table[key] = value
+        first = key < t
+        f0[key[first]] = value[first]
+        key, value = key[~first], value[~first]
+        in_support[key[value != 0] % t] = True
+        entries.append((key, value))
     if b_left:
         raise SdpaFormatError(f"expected {m} right-hand-side values, found {m - b_left}")
     if carry:
         raise SdpaFormatError("entry section is not a sequence of 5-tuples")
-    table = table.reshape(m + 1, t)
-    return -table[0].take(triangle_maps(n)[2]).reshape(n, n), table[1:], np.concatenate(b_parts)
+    # Each kept chunk is scattered into the columns on its own; joining them
+    # first would hold every entry twice.
+    support = np.flatnonzero(in_support)
+    column = np.cumsum(in_support) - 1
+    columns = np.zeros((m, support.size))
+    for key, value in entries:
+        matno, pos = np.divmod(key, t)
+        keep = in_support[pos]
+        columns[matno[keep] - 1, column[pos[keep]]] = value[keep]
+    C = -f0.take(triangle_maps(n)[2]).reshape(n, n)
+    return C, support, columns, np.concatenate(b_parts)
 
 
 def load_sdpa(path) -> SdpProblem:
@@ -469,9 +475,12 @@ def load_sdpa(path) -> SdpProblem:
     Lines starting with ``*`` or ``"`` are comments and ``{}(),`` read as
     whitespace. After the three header lines the data are one token stream,
     so right-hand-side values and entries may span lines. The stream is read
-    in chunks of about ``_CHUNK_CHARS`` characters, each reduced to table
-    positions before the next is read, so memory does not grow with the
-    file beyond the coefficient table.
+    in chunks of about ``_CHUNK_CHARS`` characters, each reduced to the keys
+    and values of its entries before the next is read. The constraints are
+    built on their column support S, the positions where some F_i has a
+    nonzero value, so memory grows with the file's entries (16 bytes each)
+    and with m |S|, not with m t(n); the duplicate check keeps one byte per
+    (matrix, position) pair, (m+1) t(n) bytes.
 
     Raises
     ------
@@ -481,16 +490,17 @@ def load_sdpa(path) -> SdpProblem:
         For malformed content, naming the first offending token or entry in
         file order: a bad header, token or index, or duplicate (matno, i, j)
         entries; also for a file that is not UTF-8 and for a block size
-        whose (m+1, t(n)) coefficient table cannot be allocated.
+        whose (m+1) t(n) bytes of the duplicate check cannot be allocated.
     ValueError
-        If the assembled constraint matrices are linearly dependent.
+        From :meth:`SdpProblem.from_support`: if a value is not finite or
+        the constraint matrices are linearly dependent.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            C, table, b = _read_sdpa(fh)
+            C, support, columns, b = _read_sdpa(fh)
     except UnicodeDecodeError as exc:
         raise SdpaFormatError(f"{os.fspath(path)} is not UTF-8 text: {exc.reason}") from None
-    return SdpProblem.from_table(C=C, table=table, b=b)
+    return SdpProblem.from_support(C, support, columns, b)
 
 
 def write_sdpa(p: SdpProblem, path, comment=None):

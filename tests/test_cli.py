@@ -1049,6 +1049,11 @@ def _resaved(edit):
     return write
 
 
+def _set(key, index, value):
+    # Writes the archive back with arrays[key][index] = value.
+    return _resaved(lambda a: a[key].__setitem__(index, value))
+
+
 def _npy(path, arrays):
     with open(path, "wb") as fh:
         np.save(fh, arrays["C"])
@@ -1083,11 +1088,16 @@ def _npy(path, arrays):
         (_resaved(lambda a: a.update(k=-a["k"])), _K),
         (_resaved(lambda a: a.update(k=a["k"][::-1].copy())), _K),
         (_resaved(lambda a: a.update(k=np.append(a["k"][:-1], a["k"][-2]))), _K),
+        (_set("z", (-1, 0, 0), np.nan), "run.npz: z contains non-finite entries"),
+        (_set("u_z", (0, 1), np.inf), "run.npz: u_z contains non-finite entries"),
+        (_set("columns", (3, 5), np.nan), "run.npz: A contains non-finite entries"),
+        (_resaved(lambda a: a["columns"].__setitem__(1, a["columns"][0])),
+         r"run.npz: constraint matrices are linearly dependent (rank 19 < m = 20)"),
     ],
     ids=["missing-key", "extra-key", "object-array", "pickle", "complex", "text", "n", "s",
          "support-order", "support-above", "support-below", "support-float", "npy", "empty",
          "truncated", "checkpoint-shape", "k-float", "k-above", "k-negative", "k-order",
-         "k-repeated"],
+         "k-repeated", "z-nan", "u_z-inf", "columns-nan", "columns-repeated"],
 )
 def test_diagnose_refuses_a_malformed_run_npz(planted_manifest, capsys, write, message):
     manifest, out = planted_manifest
@@ -1306,6 +1316,19 @@ def test_diagnose_rejects_a_z_final_of_another_order(tmp_path, capsys, shape):
     err = capsys.readouterr().err
     assert err == f"error: z_final.npy has shape {shape}, expected (3, 3)\n"
     assert not (run / "diagnostics.json").exists()
+
+
+def test_diagnose_rejects_a_non_finite_z_final(planted_manifest, capsys):
+    # Checked on loading, before any decomposition reads the matrix.
+    manifest, out = planted_manifest
+    assert main(["solve", "--manifest", manifest]) == 0
+    z = np.load(out / "z_final.npy")
+    z[2, 3] = np.nan
+    np.save(out / "z_final.npy", z)
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == "error: z_final.npy contains non-finite entries\n"
+    assert not (out / "diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("field", cli._CFG_KEYS)

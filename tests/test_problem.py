@@ -70,12 +70,10 @@ def test_problem_rejects_too_many_constraints():
          r"constraint stack has shape \(3,\), expected \(m, n, n\)"),
         (lambda: SdpProblem(C=np.eye(3), A=np.stack([np.eye(2)]), b=np.ones(1)),
          "constraint and cost dimensions disagree"),
-        (lambda: SdpProblem.from_table(C=np.eye(3), table=np.eye(1, 5), b=np.ones(1)),
-         "constraint and cost dimensions disagree"),
         (lambda: SdpProblem(C=np.eye(2), A=np.stack([np.eye(2)]), b=np.ones(2)),
          r"b has shape \(2,\), expected \(1,\)"),
     ],
-    ids=["stack-not-square", "stack-1d", "stack-vs-cost", "table-vs-cost", "b-shape"],
+    ids=["stack-not-square", "stack-1d", "stack-vs-cost", "b-shape"],
 )
 def test_problem_rejects_mismatched_shapes(make, message):
     with pytest.raises(ValueError, match=message):
@@ -94,7 +92,8 @@ def test_problem_rejects_order_zero():
     with pytest.raises(ValueError, match="n = 0"):
         SdpProblem(C=np.zeros((0, 0)), A=np.zeros((0, 0, 0)), b=np.zeros(0))
     with pytest.raises(ValueError, match="n = 0"):
-        SdpProblem.from_table(C=np.zeros((0, 0)), table=np.zeros((0, 0)), b=np.zeros(0))
+        SdpProblem.from_support(C=np.zeros((0, 0)), support=np.zeros(0, dtype=int),
+                                columns=np.zeros((0, 0)), b=np.zeros(0))
 
 
 def test_problem_symmetrizes_inputs():
@@ -273,13 +272,18 @@ def test_support_qr_rejects_degenerate_tables(a, message):
         SdpProblem(C=np.eye(3), A=a, b=np.zeros(len(a)))
 
 
-def test_nonfinite_table_entries_are_rejected_on_the_support():
-    # A non-finite entry is nonzero, so it lies in S and the check on S sees it.
+def test_nonfinite_table_entries_are_rejected_on_the_support(tmp_path):
+    # A non-finite entry is nonzero, so it lies in S and the check on S sees
+    # it, whether it comes from a stack or from one F_i entry of a file.
     for bad in (np.nan, np.inf, -np.inf):
-        table = np.zeros((2, svec_dim(3)))
-        table[0, 0], table[1, 2] = 1.0, bad
+        a = np.zeros((2, 3, 3))
+        a[0, 0, 0], a[1, 0, 2] = 1.0, bad
         with pytest.raises(ValueError, match="A contains non-finite"):
-            SdpProblem.from_table(C=np.eye(3), table=table, b=np.zeros(2))
+            SdpProblem(C=np.eye(3), A=a, b=np.zeros(2))
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"2\n1\n3\n0.0 0.0\n1 1 1 1 1.0\n2 1 1 3 {bad!r}\n")
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            load_sdpa(path)
 
 
 def test_kernel_rejects_dependent_constraints():
@@ -420,18 +424,20 @@ _SUPPORT_ORDER = r"support must hold strictly increasing integers in 0\.\.5"
         ([0, 6], np.eye(2), _SUPPORT_ORDER),
         ([0.0, 3.0], np.eye(2), _SUPPORT_ORDER),
         ([[0, 3]], np.eye(2), _SUPPORT_ORDER),
+        (np.zeros(0), np.zeros((2, 0)), _SUPPORT_ORDER),
         ([0, 3], np.eye(2, 3), "constraint and cost dimensions disagree"),
         ([0, 3], np.ones(2), "constraint and cost dimensions disagree"),
         ([0, 3], [[1.0, np.nan], [0.0, 1.0]], "A contains non-finite"),
         ([0, 3], [[1.0, 0.0], [2.0, 0.0]], r"linearly dependent \(rank 1 < m = 2\)"),
         ([0, 3, 5], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"linearly dependent \(rank 1 < m = 2\)"),
     ],
-    ids=["decreasing", "duplicate", "below", "above", "float", "2d", "column-count",
-         "columns-1d", "non-finite", "dependent", "zero-row"],
+    ids=["decreasing", "duplicate", "below", "above", "float", "2d", "empty-float",
+         "column-count", "columns-1d", "non-finite", "dependent", "zero-row"],
 )
 def test_from_support_refuses_what_from_table_refuses(support, columns, message):
     # n = 3, so the positions are 0..5, and m = 2. The checks on the columns
-    # give from_table's messages.
+    # give the messages that the stack constructor gives, and that the
+    # removed table constructor gave.
     with pytest.raises(ValueError, match=message):
         SdpProblem.from_support(C=np.eye(3), support=support, columns=columns, b=np.zeros(2))
 
@@ -611,14 +617,14 @@ MALFORMED_SDPA = [
     ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 2 2 2 1.0\n", "block 2"),
     ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 3 1 1.0\n", r"\(3, 1\) outside 1..2"),
     ("1\n1\n2\n1.0\n1 1 99999999999999999999 1 1.0\n", "'99999999999999999999'"),
-    ("0\n1\n10000000\n\n", "block size 10000000 needs 400000040000000 bytes"),
+    ("0\n1\n10000000\n\n", "block size 10000000 needs 50000005000000 bytes"),
     ("1\n1\n2\n1.0\n1 1 1 1 1_5\n", "malformed entry value: '1_5' is not an ASCII number"),
     ("1\n1\n2\n1.0\n1 1 1_1 1 1.0\n", "malformed index: '1_1' is not an ASCII number"),
     ("1\n1\n2\n1.0\n1 1 \u0661 1 1.0\n", "malformed index: '\u0661' is not an ASCII number"),
     (b"1\n1\n2\n1.0\n1 1 1 1 1.0\n* caf\xe9\n", r"bad\.dat-s is not UTF-8 text"),
     ("1\n1\n2\n1_0\n1 1 1 1 1.0\n", "malformed right-hand side: '1_0' is not an ASCII number"),
     ("1\n1\n2\n1.0\n1 1 1_1\n1 1.0\n", "malformed index: '1_1' is not an ASCII number"),
-    ("99999999999999999999\n1\n2\n", "block size 2 needs 2400000000000000000000 bytes"),
+    ("99999999999999999999\n1\n2\n", "block size 2 needs 300000000000000000000 bytes"),
     ("1\n1\n2\n1.0\n1 1 1 2 1.0\n1 1 2 1 1.0\n", r"duplicate entry for matrix 1 at \(2, 1\)"),
     ("2\n1\n2\nabc 1_0\n", "malformed right-hand side: .*'abc'"),
     ("1\n1\n2\n1.0\n1 2 1 1 1.0\n5 1 1 1 1.0\n", "block 2"),
@@ -753,9 +759,11 @@ def _oracle_problems():
 
 
 def _assert_same_problem(p, q):
-    assert np.array_equal(p.C, q.C)
-    assert np.array_equal(p.A, q.A)
-    assert np.array_equal(p.b, q.b)
+    # Bit for bit, so that -0.0 differs from 0.0, and on the support, so
+    # that where S lies counts as well as the values.
+    for key in ("C", "support", "columns", "b", "R"):
+        got, want = getattr(p, key), getattr(q, key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
 
 
 @pytest.mark.parametrize("comment", [None, "oracle instance"])
@@ -823,6 +831,39 @@ def test_load_sdpa_sdplib_style_matches_loop_oracle(tmp_path):
     assert p.A[1, 2, 2] == 1.0 and p.A[1, 0, 1] == p.A[1, 1, 0] == -0.7
 
 
+# Explicit 0.0 and -0.0 in F0 and in the F_i. F_1 at (1, 2) and (2, 2) and
+# F_2 at (2, 3) are zeros at positions that no other F_i sets; F_1 at (3, 3)
+# and F_2 at (1, 1) are -0.0 at positions that the other F_i sets.
+ZEROS_SDPA = """\
+2
+1
+3
+1.0 2.0
+0 1 1 1 0.0
+0 1 2 3 -0.0
+0 1 1 2 1.5
+1 1 1 1 1.0
+1 1 1 2 0.0
+1 1 2 2 -0.0
+1 1 3 3 -0.0
+2 1 1 1 -0.0
+2 1 3 3 2.0
+2 1 2 3 0.0
+"""
+
+
+def test_load_sdpa_leaves_explicit_zeros_out_of_the_support(tmp_path):
+    path = _write_case(tmp_path / "zeros.dat-s", ZEROS_SDPA)
+    p = load_sdpa(path)
+    _assert_same_problem(p, old_load_sdpa(path))
+    assert p.support.tolist() == [0, 5]
+    assert p.columns.tobytes() == np.array([[1.0, -0.0], [-0.0, 2.0]]).tobytes()
+    # A second entry where an explicit zero stands is still a duplicate.
+    _write_case(path, ZEROS_SDPA + "1 1 2 1 5.0\n")
+    with pytest.raises(SdpaFormatError, match=r"duplicate entry for matrix 1 at \(2, 1\)"):
+        load_sdpa(path)
+
+
 def _sdpa_error(path):
     with pytest.raises(SdpaFormatError) as info:
         load_sdpa(path)
@@ -839,6 +880,7 @@ def test_load_sdpa_chunk_boundaries(tmp_path, monkeypatch, chunk):
         for comment in (None, "oracle instance"):
             paths.append(tmp_path / f"oracle{idx}{'c' if comment else ''}.dat-s")
             write_sdpa(prob, paths[-1], comment=comment)
+    paths.append(_write_case(tmp_path / "zeros.dat-s", ZEROS_SDPA))
     bad = [_write_case(tmp_path / f"bad{k}.dat-s", text)
            for k, (text, _) in enumerate(MALFORMED_SDPA)]
     errors = [_sdpa_error(path) for path in bad]
@@ -874,20 +916,28 @@ def test_sdpa_io_memory_is_bounded(tmp_path):
 
 def test_maxcut_set_up_and_write_hold_no_dense_table(tmp_path):
     # G(200, 0.05): the (n, t(n)) table of its constraints would be 32 MB.
-    # Set-up on the diagonal support and the writer, counted above what the
-    # problem and its kernel hold, stay far below it.
+    # Set-up on the diagonal support, the writer and the reader of the 24 KB
+    # file it writes, counted above what the problem and its kernel hold,
+    # stay far below it; 4 MB of the reader's peak are the (m+1) t(n) bytes
+    # of its duplicate check.
     rng = np.random.default_rng(0)
     w = np.triu((rng.random((200, 200)) < 0.05).astype(float), 1)
+    path = tmp_path / "cut.dat-s"
     tracemalloc.start()
     try:
         kern = build_kernel(generate_maxcut(w + w.T))
         held, setup_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        write_sdpa(kern.problem, tmp_path / "cut.dat-s")
+        write_sdpa(kern.problem, path)
         write_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        back = load_sdpa(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert setup_peak < 4e6 and write_peak < 2e6, (setup_peak, write_peak)
+    _assert_same_problem(back, kern.problem)
+    assert setup_peak < 4e6 and write_peak < 2e6 and load_peak < 8e6, (
+        setup_peak, write_peak, load_peak)
 
 
 # -- generators --------------------------------------------------------------
